@@ -238,9 +238,12 @@ class FootruleValidator {
     }
   }
 
-  /// ValidateSpan over every id in the store (the LinearScan hot loop).
+  /// ValidateSpan over every id in the store (the LinearScan hot loop
+  /// and the full-domain paths at theta >= dmax), without materializing
+  /// the id span. `control` is polled exactly as ValidateSpan polls it.
   void ValidateAll(const RankingStore& store, RawDistance theta_raw,
-                   std::vector<RankingId>* out, Statistics* stats) {
+                   std::vector<RankingId>* out, Statistics* stats,
+                   QueryControl* control = nullptr) {
     AddTicker(stats, Ticker::kDistanceCalls, store.size());
     RankingId id = 0;
 #if TOPK_SIMD_DISPATCH
@@ -249,6 +252,7 @@ class FootruleValidator {
       const ItemId* flat = store.flat_items().data();
       alignas(32) uint32_t rows[kSimdLanes];
       for (; id + kSimdLanes <= store.size(); id += kSimdLanes) {
+        if (control != nullptr && control->ShouldStop()) return;
         for (unsigned c = 0; c < kSimdLanes; ++c) {
           rows[c] = (id + c) * k_;
         }
@@ -261,6 +265,7 @@ class FootruleValidator {
     }
 #endif
     for (; id < store.size(); ++id) {
+      if (control != nullptr && control->ShouldStop()) return;
       if (WithinThreshold(store.view(id), theta_raw)) out->push_back(id);
     }
   }

@@ -28,13 +28,15 @@ Status ResilientReader::OpenSnapshotTier(Statistics* stats) {
   if (options_.snapshot_dir.empty()) {
     return Status::InvalidArgument("no snapshot_dir configured");
   }
-  // The whole scan runs under the reader mutex: SnapshotManager is
-  // externally synchronized, and this also keeps a concurrent query
-  // from observing a half-swapped tier.
-  MutexLock lock(&mutex_);
+  // SnapshotManager is externally synchronized: open_mutex_ serializes
+  // the scans, while readers keep being served from the current view.
+  MutexLock open_lock(&open_mutex_);
   Result<storage::OpenedSnapshot> opened = manager_.OpenNewestValid(stats);
   if (!opened.ok()) return opened.status();
-  snapshot_ = std::move(opened).ValueOrDie();
+  View next = std::make_shared<const storage::OpenedSnapshot>(
+      std::move(opened).ValueOrDie());
+  MutexLock view_lock(&view_mutex_);
+  view_.swap(next);  // the old view is released after the unlock
   degraded_ = false;
   return Status::OK();
 }
@@ -44,18 +46,18 @@ Status ResilientReader::RestoreSnapshotTier(Statistics* stats) {
 }
 
 bool ResilientReader::degraded() const {
-  MutexLock lock(&mutex_);
+  MutexLock lock(&view_mutex_);
   return degraded_;
 }
 
 bool ResilientReader::snapshot_open() const {
-  MutexLock lock(&mutex_);
-  return snapshot_.has_value();
+  MutexLock lock(&view_mutex_);
+  return view_ != nullptr;
 }
 
 uint64_t ResilientReader::snapshot_generation() const {
-  MutexLock lock(&mutex_);
-  return snapshot_.has_value() ? snapshot_->generation : 0;
+  MutexLock lock(&view_mutex_);
+  return view_ != nullptr ? view_->generation : 0;
 }
 
 Status ResilientReader::RangeQuery(const PreparedQuery& query,
@@ -64,24 +66,59 @@ Status ResilientReader::RangeQuery(const PreparedQuery& query,
                                    std::vector<RankingId>* out,
                                    Statistics* stats) {
   out->clear();
-  MutexLock lock(&mutex_);
   if (control != nullptr && control->ShouldStop()) {
     return StopStatus(*control, stats);
   }
-  if (snapshot_.has_value() && !degraded_) {
+  View view;
+  View dropped;  // a faulted view, released after the unlock
+  bool degraded = false;
+  {
+    MutexLock lock(&view_mutex_);
     // The failpoint stands in for the unscriptable hardware fault: a
     // cold mmap page whose backing device died surfaces here, on first
     // touch, not at open time. Degradation is sticky — one fault means
     // the mapping cannot be trusted for any later page either.
-    if (TOPK_FAILPOINT("serve.snapshot.query")) {
+    if (view_ != nullptr && TOPK_FAILPOINT("serve.snapshot.query")) {
       degraded_ = true;
-      snapshot_.reset();  // drop the failing mapping
-    } else {
-      return SnapshotRangeLocked(query, theta_raw, control, out, stats);
+      dropped = std::move(view_);  // in-flight readers keep their pin
     }
+    view = view_;
+    degraded = degraded_;
   }
-  if (degraded_) AddTicker(stats, Ticker::kDegradedReads);
-  return RamRangeLocked(query, theta_raw, control, out, stats);
+  const RankingStore& store =
+      view != nullptr ? view->snapshot.store() : *ram_store_;
+  if (view == nullptr && degraded) AddTicker(stats, Ticker::kDegradedReads);
+  // The full id domain is validated when no index survives (the RAM
+  // tier: the compressed postings lived in the dropped mapping) and at
+  // theta >= dmax, where a posting union misses rankings disjoint from
+  // the query (they sit at exactly dmax) — the tiers stay bit-identical
+  // at every theta.
+  const bool full_domain =
+      view == nullptr || theta_raw >= MaxDistance(store.k());
+  std::unique_ptr<Scratch> scratch = BorrowScratch();
+  std::span<const RankingId> candidates;
+  if (!full_domain) {
+    candidates = FilterPhase(view->snapshot.index(), query.view(), theta_raw,
+                             DropMode::kPositionRefined, store.size(),
+                             &scratch->filter, stats);
+  }
+  AddTicker(stats, Ticker::kCandidates,
+            full_domain ? store.size() : candidates.size());
+  FootruleValidator& validator = scratch->validator;
+  validator.BindQuery(query.view(), static_cast<size_t>(store.max_item()) + 1);
+  if (full_domain) {
+    validator.ValidateAll(store, theta_raw, out, stats, control);
+  } else {
+    validator.ValidateSpan(store, candidates, theta_raw, out, stats, control);
+  }
+  ReturnScratch(std::move(scratch));
+  if (control != nullptr && control->ShouldStop()) {
+    out->clear();
+    return StopStatus(*control, stats);
+  }
+  if (!full_domain) std::sort(out->begin(), out->end());
+  AddTicker(stats, Ticker::kResults, out->size());
+  return Status::OK();
 }
 
 std::vector<RankingId> ResilientReader::RangeQuery(const PreparedQuery& query,
@@ -93,68 +130,18 @@ std::vector<RankingId> ResilientReader::RangeQuery(const PreparedQuery& query,
   return out;
 }
 
-Status ResilientReader::SnapshotRangeLocked(const PreparedQuery& query,
-                                            RawDistance theta_raw,
-                                            QueryControl* control,
-                                            std::vector<RankingId>* out,
-                                            Statistics* stats) {
-  const RankingStore& store = snapshot_->snapshot.store();
-  if (theta_raw >= MaxDistance(store.k())) {
-    // A posting union misses rankings disjoint from the query (they sit
-    // at exactly dmax); validate the whole domain instead, exactly like
-    // the RAM tier does — the tiers stay bit-identical at every theta.
-    return ValidateLocked(store, AllIdsLocked(store.size()), query, theta_raw,
-                          control, out, stats);
-  }
-  const std::span<const RankingId> candidates =
-      FilterPhase(snapshot_->snapshot.index(), query.view(), theta_raw,
-                  DropMode::kNone, store.size(), &filter_, stats);
-  Status status = ValidateLocked(store, candidates, query, theta_raw, control,
-                                 out, stats);
-  if (status.ok()) std::sort(out->begin(), out->end());
-  return status;
+std::unique_ptr<ResilientReader::Scratch> ResilientReader::BorrowScratch() {
+  MutexLock lock(&pool_mutex_);
+  // Allocated lazily: the pool grows to the peak number of readers.
+  if (pool_.empty()) return std::make_unique<Scratch>();
+  std::unique_ptr<Scratch> scratch = std::move(pool_.back());
+  pool_.pop_back();
+  return scratch;
 }
 
-Status ResilientReader::RamRangeLocked(const PreparedQuery& query,
-                                       RawDistance theta_raw,
-                                       QueryControl* control,
-                                       std::vector<RankingId>* out,
-                                       Statistics* stats) {
-  // No index survives on this tier (the compressed postings lived in the
-  // dropped mapping), so the fallback is a straight validate-everything
-  // scan: slower, never wrong, and alive — which is the whole point.
-  return ValidateLocked(*ram_store_, AllIdsLocked(ram_store_->size()), query,
-                        theta_raw, control, out, stats);
-}
-
-Status ResilientReader::ValidateLocked(const RankingStore& store,
-                                       std::span<const RankingId> candidates,
-                                       const PreparedQuery& query,
-                                       RawDistance theta_raw,
-                                       QueryControl* control,
-                                       std::vector<RankingId>* out,
-                                       Statistics* stats) {
-  AddTicker(stats, Ticker::kCandidates, candidates.size());
-  validator_.BindQuery(query.view(),
-                       static_cast<size_t>(store.max_item()) + 1);
-  validator_.ValidateSpan(store, candidates, theta_raw, out, stats, control);
-  if (control != nullptr && control->ShouldStop()) {
-    out->clear();
-    return StopStatus(*control, stats);
-  }
-  AddTicker(stats, Ticker::kResults, out->size());
-  return Status::OK();
-}
-
-std::span<const RankingId> ResilientReader::AllIdsLocked(size_t n) {
-  if (all_ids_.size() < n) {
-    const size_t old = all_ids_.size();
-    all_ids_.resize(n);
-    for (size_t id = old; id < n; ++id) {
-      all_ids_[id] = static_cast<RankingId>(id);
-    }
-  }
-  return std::span<const RankingId>(all_ids_.data(), n);
+void ResilientReader::ReturnScratch(std::unique_ptr<Scratch> scratch) {
+  MutexLock lock(&pool_mutex_);
+  pool_.push_back(std::move(scratch));
 }
 
 }  // namespace topk

@@ -17,20 +17,29 @@
 // corrupted generation is quarantined rather than re-trusted).
 //
 // Exactness across tiers: both paths answer bit-identically for every
-// theta. Below dmax the snapshot tier runs filter+validate over the
-// compressed index; at or above dmax (where a posting union provably
-// misses disjoint rankings) both tiers validate the full id domain.
+// theta. Below dmax the snapshot tier runs F&V+Drop (Lemma 2 list
+// dropping, DropMode::kPositionRefined) over the compressed index; at or
+// above dmax (where a posting union provably misses disjoint rankings)
+// both tiers validate the full id domain.
 // tests/serve_robustness_test.cc differentials pin this.
 //
-// Thread safety: all methods serialize on an internal mutex (the
-// kernel scratch and the tier state are shared); concurrent callers
-// block rather than race. Deadlines/cancellation thread through
-// QueryControl into the validate kernels at candidate granularity.
+// Thread safety: any number of concurrent readers. The open generation
+// is an immutable shared_ptr view; a query pins it under the leaf
+// view_mutex_ (held only for the failpoint check and the pointer copy)
+// and then runs lock-free on the pinned view with kernel scratch
+// borrowed from a free-list (leaf pool_mutex_). Degrade and restore
+// swap the pointer under view_mutex_, so they linearize against pins: a
+// query pinned before a degrade or restore finishes on its old view
+// (the mapping lives until its last reader drops it), one pinned after
+// sees the new state. Recovery scans run under the coordinator
+// open_mutex_, never under view_mutex_, so serving continues during a
+// scan. Deadlines/cancellation thread through QueryControl into the
+// validate kernels at candidate granularity.
 
 #ifndef TOPK_SERVE_RESILIENT_READER_H_
 #define TOPK_SERVE_RESILIENT_READER_H_
 
-#include <optional>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -68,20 +77,21 @@ class ResilientReader {
   /// ones — see SnapshotManager::OpenNewestValid) and makes it the
   /// preferred read tier. NotFound when no valid generation exists; the
   /// reader then keeps serving from RAM.
-  Status OpenSnapshotTier(Statistics* stats = nullptr) TOPK_EXCLUDES(mutex_);
+  Status OpenSnapshotTier(Statistics* stats = nullptr)
+      TOPK_EXCLUDES(open_mutex_, view_mutex_);
 
   /// Operator lever after a degradation: re-runs the recovery scan and,
   /// on success, promotes the snapshot tier back to preferred.
   Status RestoreSnapshotTier(Statistics* stats = nullptr)
-      TOPK_EXCLUDES(mutex_);
+      TOPK_EXCLUDES(open_mutex_, view_mutex_);
 
   /// True once a snapshot-tier read fault tripped the fallback (sticky
   /// until RestoreSnapshotTier succeeds).
-  bool degraded() const TOPK_EXCLUDES(mutex_);
+  bool degraded() const TOPK_EXCLUDES(view_mutex_);
   /// True while the snapshot tier is open and preferred.
-  bool snapshot_open() const TOPK_EXCLUDES(mutex_);
+  bool snapshot_open() const TOPK_EXCLUDES(view_mutex_);
   /// Generation of the open snapshot (0 when closed).
-  uint64_t snapshot_generation() const TOPK_EXCLUDES(mutex_);
+  uint64_t snapshot_generation() const TOPK_EXCLUDES(view_mutex_);
 
   /// Exact range query (ascending ids) from whichever tier is healthy.
   /// On a deadline/cancel stop `*out` is left empty and the status is
@@ -89,41 +99,38 @@ class ResilientReader {
   /// here — it degrades and the RAM tier answers.
   Status RangeQuery(const PreparedQuery& query, RawDistance theta_raw,
                     QueryControl* control, std::vector<RankingId>* out,
-                    Statistics* stats = nullptr) TOPK_EXCLUDES(mutex_);
+                    Statistics* stats = nullptr)
+      TOPK_EXCLUDES(view_mutex_, pool_mutex_);
 
   /// Convenience wrapper: no deadline, asserts OK.
   std::vector<RankingId> RangeQuery(const PreparedQuery& query,
                                     RawDistance theta_raw,
                                     Statistics* stats = nullptr)
-      TOPK_EXCLUDES(mutex_);
+      TOPK_EXCLUDES(view_mutex_, pool_mutex_);
 
  private:
-  Status SnapshotRangeLocked(const PreparedQuery& query, RawDistance theta_raw,
-                             QueryControl* control,
-                             std::vector<RankingId>* out, Statistics* stats)
-      TOPK_REQUIRES(mutex_);
-  Status RamRangeLocked(const PreparedQuery& query, RawDistance theta_raw,
-                        QueryControl* control, std::vector<RankingId>* out,
-                        Statistics* stats) TOPK_REQUIRES(mutex_);
-  /// Validates candidates (or, for all_ids == true, the whole id domain
-  /// of `store`) through the shared kernel scratch.
-  Status ValidateLocked(const RankingStore& store,
-                        std::span<const RankingId> candidates,
-                        const PreparedQuery& query, RawDistance theta_raw,
-                        QueryControl* control, std::vector<RankingId>* out,
-                        Statistics* stats) TOPK_REQUIRES(mutex_);
-  std::span<const RankingId> AllIdsLocked(size_t n) TOPK_REQUIRES(mutex_);
+  using View = std::shared_ptr<const storage::OpenedSnapshot>;
+  /// Per-query kernel scratch, borrowed from pool_ for one call.
+  struct Scratch {
+    FilterScratch filter;
+    FootruleValidator validator;
+  };
+  std::unique_ptr<Scratch> BorrowScratch() TOPK_EXCLUDES(pool_mutex_);
+  void ReturnScratch(std::unique_ptr<Scratch> scratch)
+      TOPK_EXCLUDES(pool_mutex_);
 
   const RankingStore* ram_store_;
   ResilientReaderOptions options_;
-  storage::SnapshotManager manager_;
 
-  mutable Mutex mutex_;
-  std::optional<storage::OpenedSnapshot> snapshot_ TOPK_GUARDED_BY(mutex_);
-  bool degraded_ TOPK_GUARDED_BY(mutex_) = false;
-  FilterScratch filter_ TOPK_GUARDED_BY(mutex_);
-  FootruleValidator validator_ TOPK_GUARDED_BY(mutex_);
-  std::vector<RankingId> all_ids_ TOPK_GUARDED_BY(mutex_);
+  Mutex open_mutex_;  // coordinator; taken before view_mutex_
+  storage::SnapshotManager manager_ TOPK_GUARDED_BY(open_mutex_);
+
+  mutable Mutex view_mutex_;
+  View view_ TOPK_GUARDED_BY(view_mutex_);  // null: closed or degraded
+  bool degraded_ TOPK_GUARDED_BY(view_mutex_) = false;
+
+  Mutex pool_mutex_;
+  std::vector<std::unique_ptr<Scratch>> pool_ TOPK_GUARDED_BY(pool_mutex_);
 };
 
 }  // namespace topk

@@ -8,7 +8,9 @@
 // the lane width, theta = 0 and theta = dmax, and candidates whose items
 // lie outside the bound rank table. In a TOPK_SIMD=OFF build both paths
 // are the same scalar code and the suite still pins the validator to the
-// merge kernel, so it runs (and must pass) in every CI leg.
+// merge kernel, so it runs (and must pass) in every CI leg. ValidateAll
+// is pinned to ValidateSpan over the iota id span, and its QueryControl
+// polls to ValidateSpan's stop contract.
 //
 // The epoch seam tests exercise the 2^32-bind wrap path in BindQuery
 // (clear + restart past the reserved epoch 0) and the epoch-safety of
@@ -22,6 +24,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/deadline.h"
 #include "core/footrule.h"
 #include "kernel/footrule_batch.h"
 #include "kernel/simd.h"
@@ -120,6 +123,66 @@ TEST(KernelSimdTest, ValidateAllMatchesScalarAndBruteForce) {
       ASSERT_EQ(got_simd, got_scalar);
       ASSERT_EQ(got_simd, testutil::BruteForce(store, query, theta_raw));
     }
+  }
+}
+
+TEST(KernelSimdTest, ValidateAllWithoutControlEqualsValidateSpanOverIota) {
+  // The full-domain paths validate the whole store through ValidateAll
+  // instead of ValidateSpan over an id vector: same ids in the same order
+  // and the same kDistanceCalls, on both the vector and the scalar path.
+  const uint32_t k = 10;
+  const RankingStore store = testutil::MakeClusteredStore(k, 8 * 37 + 5, 58);
+  const auto queries = testutil::MakeQueries(store, 6, 59);
+  const auto all = AllIds(store);
+  for (const bool use_simd : {true, false}) {
+    FootruleValidator validator;
+    validator.set_use_simd(use_simd);
+    for (const PreparedQuery& query : queries) {
+      for (const double theta : {0.0, 0.2, 0.5, 1.0}) {
+        const RawDistance theta_raw = RawThreshold(theta, k);
+        std::vector<RankingId> via_all;
+        std::vector<RankingId> via_span;
+        Statistics stats_all;
+        Statistics stats_span;
+        validator.BindQuery(query.view());
+        validator.ValidateAll(store, theta_raw, &via_all, &stats_all);
+        validator.ValidateSpan(store, all, theta_raw, &via_span, &stats_span);
+        ASSERT_EQ(via_all, via_span) << "simd=" << use_simd;
+        EXPECT_EQ(stats_all.Get(Ticker::kDistanceCalls),
+                  stats_span.Get(Ticker::kDistanceCalls));
+        EXPECT_EQ(stats_all.Get(Ticker::kDistanceCalls), store.size());
+      }
+    }
+  }
+}
+
+TEST(KernelSimdTest, ValidateAllStopsOnAnExpiredControl) {
+  // An expired control stops ValidateAll at its first poll (the first
+  // poll always reads the clock), leaving `out` truncated — here before
+  // any accepted id, although the full answer is non-empty. The ticker is
+  // charged up front, exactly as ValidateSpan charges it.
+  const uint32_t k = 10;
+  const RankingStore store = testutil::MakeClusteredStore(k, 300, 60);
+  const PreparedQuery query(store.Materialize(11));
+  const RawDistance theta_raw = RawThreshold(0.5, k);
+  ASSERT_FALSE(testutil::BruteForce(store, query, theta_raw).empty());
+  for (const bool use_simd : {true, false}) {
+    FootruleValidator validator;
+    validator.set_use_simd(use_simd);
+    validator.BindQuery(query.view());
+    QueryControl expired(Deadline::AfterMillis(-1.0));
+    std::vector<RankingId> out;
+    Statistics stats;
+    validator.ValidateAll(store, theta_raw, &out, &stats, &expired);
+    EXPECT_TRUE(expired.stopped());
+    EXPECT_TRUE(out.empty()) << "simd=" << use_simd;
+    EXPECT_EQ(stats.Get(Ticker::kDistanceCalls), store.size());
+
+    CancelToken token;
+    token.Cancel();
+    QueryControl cancelled(Deadline::Infinite(), &token);
+    validator.ValidateAll(store, theta_raw, &out, nullptr, &cancelled);
+    EXPECT_TRUE(out.empty()) << "simd=" << use_simd;
   }
 }
 

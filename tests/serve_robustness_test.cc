@@ -2,7 +2,8 @@
 // front door (QueryFrontend batches, LiveFrontend, ParallelRunner,
 // MutableStore), admission-control shedding under real overload, the
 // merge circuit breaker with MergeNow recovery, and ResilientReader's
-// degraded-read fallback. Stopped or shed queries must return Status
+// degraded-read fallback (including concurrent readers racing a degrade
+// and a restore). Stopped or shed queries must return Status
 // errors with empty results — never hang, never cache, never publish a
 // partial answer — while every OK answer stays bit-exact. The
 // failpoint-driven cases need -DTOPK_FAILPOINTS=ON and skip elsewhere;
@@ -18,6 +19,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/bounds.h"
 #include "core/deadline.h"
 #include "core/failpoint.h"
 #include "core/ranking.h"
@@ -552,6 +554,174 @@ TEST_F(ResilientReaderTest, SnapshotFaultDegradesStickilyThenRestores) {
               testutil::BruteForce(store_, queries_[2], t));
   }
   EXPECT_EQ(healthy.Get(Ticker::kDegradedReads), 0u);
+}
+
+/// Runs `readers` threads, each cycling over the pair indices
+/// [0, pairs) from a different offset — so the threads interleave
+/// different thetas (drop, no drop, full domain) at once — for `rounds`
+/// passes, or until `stop` when `rounds` is 0. `read(t, pair)` serves
+/// one pair on thread t.
+template <typename Read>
+void RunReaders(size_t readers, size_t pairs, size_t rounds,
+                const std::atomic<bool>& stop, const Read& read) {
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < readers; ++t) {
+    threads.emplace_back([&, t] {
+      for (size_t round = 0; rounds == 0 || round < rounds; ++round) {
+        for (size_t i = 0; i < pairs; ++i) {
+          if (rounds == 0 && stop.load()) return;
+          read(t, (i + t * 7) % pairs);
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+}
+
+class ConcurrentReaderTest : public ResilientReaderTest {
+ protected:
+  void SetUp() override {
+    ResilientReaderTest::SetUp();
+    // Every size-4 ranking over a 7-item universe (840): each overlap
+    // configuration exists, so a list dropped unsoundly loses a result.
+    store_ = RankingStore(4);
+    std::vector<ItemId> items(4);
+    for (uint32_t code = 0; code < 7 * 7 * 7 * 7; ++code) {
+      for (uint32_t p = 0, rest = code; p < 4; ++p, rest /= 7) {
+        items[p] = rest % 7;
+      }
+      if (Ranking::Create(items).ok()) store_.AddUnchecked(items);
+    }
+    queries_.clear();
+    for (RankingId id = 0; id < store_.size(); id += 70) {
+      queries_.emplace_back(store_.Materialize(id));
+    }
+    const RawDistance dmax = MaxDistance(store_.k());
+    thetas_ = {dmax / 4, dmax / 2, dmax};
+    // Both sides of Lemma 2's soundness guard for every overlap w: the
+    // refined (k - w lists) drop is taken at L(k, w) + 1 and refused at
+    // L(k, w) + 2 (the conservative k - w + 1 applies there whenever
+    // that theta still has minimum overlap w).
+    for (uint32_t w = 1; w <= store_.k(); ++w) {
+      thetas_.push_back(MinDistanceForOverlap(store_.k(), w) + 1);
+      thetas_.push_back(MinDistanceForOverlap(store_.k(), w) + 2);
+    }
+    for (const PreparedQuery& query : queries_) {
+      for (const RawDistance theta : thetas_) {
+        expected_.push_back(testutil::BruteForce(store_, query, theta));
+      }
+    }
+  }
+
+  /// Serves (query, theta) pair `pair` and reports whether it was exact.
+  bool ReadExact(ResilientReader* reader, size_t pair,
+                 Statistics* stats) const {
+    const PreparedQuery& query = queries_[pair / thetas_.size()];
+    const RawDistance theta = thetas_[pair % thetas_.size()];
+    std::vector<RankingId> out;
+    const Status status =
+        reader->RangeQuery(query, theta, nullptr, &out, stats);
+    return status.ok() && out == expected_[pair];
+  }
+
+  std::vector<RawDistance> thetas_;
+  std::vector<std::vector<RankingId>> expected_;  // query-major
+};
+
+TEST_F(ConcurrentReaderTest, ConcurrentReadersMatchBruteForce) {
+  WriteSnapshot();
+  ResilientReader reader(&store_, {dir_, 3});
+  ASSERT_TRUE(reader.OpenSnapshotTier().ok());
+
+  constexpr size_t kReaders = 4;
+  std::vector<Statistics> stats(kReaders);
+  std::atomic<size_t> mismatches{0};
+  const std::atomic<bool> never_stop{false};
+  RunReaders(kReaders, expected_.size(), /*rounds=*/2, never_stop,
+             [&](size_t t, size_t pair) {
+               if (!ReadExact(&reader, pair, &stats[t])) ++mismatches;
+             });
+  EXPECT_EQ(mismatches.load(), 0u);
+
+  Statistics total;
+  for (const Statistics& s : stats) total.MergeFrom(s);
+  EXPECT_EQ(total.Get(Ticker::kDegradedReads), 0u);
+  EXPECT_FALSE(reader.degraded());
+
+  // The snapshot tier drops lists (F&V+Drop): at dmax / 4 every query
+  // has w >= 2, so SelectLists skips some.
+  Statistics quarter;
+  for (const PreparedQuery& query : queries_) {
+    reader.RangeQuery(query, MaxDistance(store_.k()) / 4, &quarter);
+  }
+  EXPECT_GT(quarter.Get(Ticker::kListsDropped), 0u);
+}
+
+TEST_F(ConcurrentReaderTest, ConcurrentReadersSurviveDegradeAndRestore) {
+  if (!FailpointsCompiledIn()) {
+    GTEST_SKIP() << "needs -DTOPK_FAILPOINTS=ON";
+  }
+  WriteSnapshot();
+  ResilientReader reader(&store_, {dir_, 3});
+  ASSERT_TRUE(reader.OpenSnapshotTier().ok());
+
+  const char* site = "serve.snapshot.query";
+  std::atomic<size_t> reads{0};
+  std::atomic<size_t> degraded_reads{0};
+  // Set once RestoreSnapshotTier has returned: a read that starts after
+  // it pins the restored view and must not be a degraded read.
+  std::atomic<bool> restored{false};
+  std::atomic<size_t> degraded_after_restore{0};
+  std::atomic<size_t> reads_after_restore{0};
+  std::atomic<size_t> mismatches{0};
+  std::atomic<bool> stop{false};
+
+  // The fault and the operator's restore, both while the readers run.
+  std::thread operator_actions([&] {
+    auto wait_reads = [&](const std::atomic<size_t>& counter, size_t n) {
+      const size_t target = counter.load() + n;
+      return SpinUntil([&] { return counter.load() >= target; });
+    };
+    EXPECT_TRUE(wait_reads(reads, 20));
+    {
+      FailpointSpec one_shot;
+      one_shot.max_fires = 1;
+      ScopedFailpoint fault(site, one_shot);
+      EXPECT_TRUE(SpinUntil([&] { return reader.degraded(); }));
+      EXPECT_EQ(FailpointRegistry::Instance().fires(site), 1u);
+    }
+    // Sticky: the one-shot fault is spent and disarmed, yet later reads
+    // keep falling back (each ticking kDegradedReads) until the restore.
+    EXPECT_TRUE(wait_reads(degraded_reads, 20));
+    EXPECT_TRUE(reader.degraded());
+    EXPECT_FALSE(reader.snapshot_open());
+
+    EXPECT_TRUE(reader.RestoreSnapshotTier().ok());
+    restored.store(true);
+    EXPECT_FALSE(reader.degraded());
+    EXPECT_TRUE(reader.snapshot_open());
+    EXPECT_EQ(reader.snapshot_generation(), 1u);
+    EXPECT_TRUE(wait_reads(reads_after_restore, 20));
+    stop.store(true);
+  });
+
+  RunReaders(/*readers=*/4, expected_.size(), /*rounds=*/0, stop,
+             [&](size_t, size_t pair) {
+               const bool after_restore = restored.load();
+               Statistics stats;
+               if (!ReadExact(&reader, pair, &stats)) ++mismatches;
+               const uint64_t degraded = stats.Get(Ticker::kDegradedReads);
+               EXPECT_LE(degraded, 1u);
+               degraded_reads += degraded;
+               ++reads;
+               if (after_restore) {
+                 degraded_after_restore += degraded;
+                 ++reads_after_restore;
+               }
+             });
+  operator_actions.join();
+  EXPECT_EQ(mismatches.load(), 0u);
+  EXPECT_EQ(degraded_after_restore.load(), 0u);
 }
 
 TEST_F(ResilientReaderTest, ExpiredDeadlineStopsEitherTier) {
