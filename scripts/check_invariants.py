@@ -60,6 +60,13 @@ Checks (each is a named rule; any violation exits non-zero):
                   the errno into a Status (Status::IOErrorFromErrno), or mark
                   a deliberate best-effort discard with
                   `// syscall-ok: <why>`.
+  scalar-oracle   LinearScanKnn( and LinearScanQuery( are the scalar
+                  reference scans the differential suites and the
+                  benchmark's answer checker trust; src/ may call them only
+                  from their own files (src/metric/knn.* and
+                  src/metric/linear_scan.*). Serving paths use the batched
+                  siblings (LinearScanKnnBatched / LinearScanQueryBatched),
+                  so a serving path cannot slip back onto the reference.
 
 Run from anywhere: paths resolve relative to the repo root (parent of this
 script's directory). `--self-test` feeds each rule a synthetic violation
@@ -181,6 +188,17 @@ KERNEL_ALLOWED_INCLUDE_EXACT = {
     "invidx/drop_policy.h",  # leaf enum, no engine deps
     "invidx/visited_set.h",  # leaf epoch-stamped bitset, no engine deps
 }
+
+
+# scalar-oracle -------------------------------------------------------------
+
+# Scalar reference function -> the src/ files (stem, any suffix) that own it.
+SCALAR_ORACLES = {
+    "LinearScanKnn": "src/metric/knn",
+    "LinearScanQuery": "src/metric/linear_scan",
+}
+SCALAR_ORACLE_RE = re.compile(
+    r"\b(" + "|".join(SCALAR_ORACLES) + r")\s*\(")
 
 
 def strip_comments_and_strings(line: str) -> str:
@@ -467,6 +485,21 @@ def check_kernel_layering(path: Path, lines: list[str]) -> list[Failure]:
     return failures
 
 
+def check_scalar_oracle(path: Path, lines: list[str]) -> list[Failure]:
+    rel = path.relative_to(REPO_ROOT).as_posix()
+    failures = []
+    for i, raw in enumerate(lines):
+        for match in SCALAR_ORACLE_RE.finditer(strip_comments_and_strings(raw)):
+            name = match.group(1)
+            if rel.rsplit(".", 1)[0] == SCALAR_ORACLES[name]:
+                continue
+            failures.append(Failure(
+                "scalar-oracle", f"{rel}:{i + 1}",
+                f"{name}() is the scalar reference scan — serve through "
+                f"{name}Batched() with a FootruleValidator instead"))
+    return failures
+
+
 def run_checks() -> list[Failure]:
     failures: list[Failure] = []
     for path in source_files():
@@ -479,6 +512,7 @@ def run_checks() -> list[Failure]:
         failures += check_decode_noalloc(path, lines)
         failures += check_block_skip_guard(path, lines)
         failures += check_syscall_status(path, lines)
+        failures += check_scalar_oracle(path, lines)
     failures += check_bench_schema()
     return failures
 
@@ -543,6 +577,12 @@ def self_test() -> int:
         ("syscall-status covers src/io too",
          lambda: check_syscall_status(SRC / "io" / "fake.cc",
                                       ["  rename(a, b);"])),
+        ("scalar-oracle k-NN reference in a serving path",
+         lambda: check_scalar_oracle(SRC / "serve" / "fake.cc", [
+             "  return LinearScanKnn(*store_, query, j, stats);"])),
+        ("scalar-oracle range reference in another metric file",
+         lambda: check_scalar_oracle(SRC / "metric" / "fake.cc", [
+             "  out = LinearScanQuery(store, query, theta);"])),
     ]
     negatives = [
         ("epoch-zero legal wrap", lambda: check_epoch_zero(fake, [
@@ -621,6 +661,15 @@ def self_test() -> int:
         ("syscall-status identifier containing a syscall name",
          lambda: check_syscall_status(fake_storage, [
              "  remove_stale_generations(dir);"])),
+        ("scalar-oracle batched sibling",
+         lambda: check_scalar_oracle(SRC / "serve" / "fake.cc", [
+             "  return LinearScanKnnBatched(*store_, q, j, &v, stats);"])),
+        ("scalar-oracle own definition",
+         lambda: check_scalar_oracle(SRC / "metric" / "knn.cc", [
+             "std::vector<Neighbor> LinearScanKnn(const RankingStore& s,"])),
+        ("scalar-oracle mention in a comment",
+         lambda: check_scalar_oracle(SRC / "serve" / "fake.cc", [
+             "  // Bit-identical to LinearScanQuery(store, q, theta)."])),
     ]
     ok = True
     for name, check in cases:

@@ -29,6 +29,7 @@
 #include <vector>
 
 #include "cluster/partitioner.h"
+#include "core/neighbor.h"
 #include "core/ranking.h"
 #include "core/statistics.h"
 #include "core/types.h"
@@ -101,8 +102,8 @@ class CoarseIndex {
   /// range queries only). Partitions are probed best-first by the
   /// optimistic bound max(0, d(q, medoid) - radius) and abandoned once
   /// the bound exceeds the current j-th best distance.
-  std::vector<struct Neighbor> Knn(const PreparedQuery& query, size_t j,
-                                   Statistics* stats = nullptr) const;
+  std::vector<Neighbor> Knn(const PreparedQuery& query, size_t j,
+                            Statistics* stats = nullptr) const;
 
   const Partitioning& partitioning() const { return partitioning_; }
   size_t num_partitions() const { return partitioning_.partitions.size(); }

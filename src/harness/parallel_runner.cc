@@ -182,8 +182,9 @@ std::vector<Neighbor> ParallelRunner::KnnQuery(Algorithm algorithm,
             MTreeKnn(shards_[s]->suite.m_tree(), query, j, shard_stats);
         break;
       default:
-        per_shard[s] =
-            LinearScanKnn(store_->shard(s), query, j, shard_stats);
+        per_shard[s] = LinearScanKnnBatched(store_->shard(s), query, j,
+                                            &shards_[s]->validator,
+                                            shard_stats);
         break;
     }
     // Shard-local (distance, id) order survives the global re-labelling
@@ -276,9 +277,6 @@ std::vector<Neighbor> MergeShardKnnResults(
   std::vector<Neighbor> merged;
   if (j == 0) return merged;
   merged.reserve(j);
-  const auto less = [](const Neighbor& a, const Neighbor& b) {
-    return a.distance != b.distance ? a.distance < b.distance : a.id < b.id;
-  };
   std::vector<size_t> heads(per_shard.size(), 0);
   while (merged.size() < j) {
     // The admission bound ("theta") is implicitly the j-th best distance:
@@ -289,7 +287,8 @@ std::vector<Neighbor> MergeShardKnnResults(
     for (size_t s = 0; s < per_shard.size(); ++s) {
       if (heads[s] == per_shard[s].size()) continue;
       if (best == per_shard.size() ||
-          less(per_shard[s][heads[s]], per_shard[best][heads[best]])) {
+          NeighborLess(per_shard[s][heads[s]],
+                       per_shard[best][heads[best]])) {
         best = s;
       }
     }

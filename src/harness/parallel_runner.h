@@ -48,6 +48,7 @@
 #include "harness/runner.h"
 #include "harness/sharded_store.h"
 #include "harness/thread_pool.h"
+#include "kernel/footrule_batch.h"
 #include "metric/knn.h"
 
 namespace topk {
@@ -135,6 +136,9 @@ class ParallelRunner {
     EngineSuite suite;
     std::map<Algorithm, std::unique_ptr<QueryEngine>> engines;
     std::unique_ptr<QueryEngine> oracle;
+    /// kLinearScan k-NN scratch: rank tables grow once per shard and are
+    /// rebound per query (one task per shard, as for the engines).
+    FootruleValidator validator;
   };
 
   /// Prepare/PrepareOracle bodies for callers already holding mutex_.

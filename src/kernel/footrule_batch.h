@@ -41,10 +41,16 @@
 // kernel_filter_test, SIMD pinned against the scalar path by
 // kernel_simd_test, and both by every fuzz differential.
 //
-// Ticker contract: ValidateSpan/ValidateAll tick kDistanceCalls once per
-// candidate (an early-exited candidate still "costs" one distance
-// evaluation in the paper's DFC accounting, exactly as the scalar loop it
-// replaced did); kCandidates/kResults stay with the caller.
+// Ticker contract: ValidateSpan/ValidateAll/SweepNearest tick
+// kDistanceCalls once per candidate (an early-exited candidate still
+// "costs" one distance evaluation in the paper's DFC accounting, exactly
+// as the scalar loop it replaced did); kCandidates/kResults stay with the
+// caller.
+//
+// Store-wide sweep: ValidateAll (range, constant theta) and SweepNearest
+// (k-NN, theta = the heap's current j-th distance) share one loop over
+// every row, Sweep(); only what is accepted, and the threshold it is
+// accepted at, differ.
 //
 // Epoch discipline (scalar table): slot = epoch << 32 | rank, and epoch 0
 // is RESERVED as the never-matches stamp — BindQuery skips it when the
@@ -64,6 +70,7 @@
 #include <vector>
 
 #include "core/deadline.h"
+#include "core/neighbor.h"
 #include "core/ranking.h"
 #include "core/statistics.h"
 #include "core/types.h"
@@ -240,34 +247,46 @@ class FootruleValidator {
 
   /// ValidateSpan over every id in the store (the LinearScan hot loop
   /// and the full-domain paths at theta >= dmax), without materializing
-  /// the id span. `control` is polled exactly as ValidateSpan polls it.
+  /// the id span: the constant-threshold case of Sweep. `control` is
+  /// polled exactly as ValidateSpan polls it.
   void ValidateAll(const RankingStore& store, RawDistance theta_raw,
                    std::vector<RankingId>* out, Statistics* stats,
                    QueryControl* control = nullptr) {
-    AddTicker(stats, Ticker::kDistanceCalls, store.size());
-    RankingId id = 0;
-#if TOPK_SIMD_DISPATCH
-    if (SimdUsable(store)) {
-      EnsureItemCapacity(static_cast<size_t>(store.max_item()) + 1);
-      const ItemId* flat = store.flat_items().data();
-      alignas(32) uint32_t rows[kSimdLanes];
-      for (; id + kSimdLanes <= store.size(); id += kSimdLanes) {
-        if (control != nullptr && control->ShouldStop()) return;
-        for (unsigned c = 0; c < kSimdLanes; ++c) {
-          rows[c] = (id + c) * k_;
-        }
-        const uint32_t accepted = ValidateRowLanes(flat, rows, theta_raw);
-        for (uint32_t mask = accepted; mask != 0; mask &= mask - 1) {
-          out->push_back(id + static_cast<RankingId>(
-                                  std::countr_zero(mask)));
-        }
-      }
-    }
-#endif
-    for (; id < store.size(); ++id) {
-      if (control != nullptr && control->ShouldStop()) return;
-      if (WithinThreshold(store.view(id), theta_raw)) out->push_back(id);
-    }
+    Sweep(
+        store, [theta_raw] { return theta_raw; },
+        [out](RankingId id) { out->push_back(id); }, stats, control);
+  }
+
+  /// k-NN over every id in the store: offers each row that can still
+  /// enter `heap` (the caller's best-j set, capacity j) with its exact
+  /// Distance(). The sweep threshold is re-read from the heap once per
+  /// lane batch / scalar row, so it tightens as the heap does; rejected
+  /// rows cost only the early-exiting lane kernel.
+  ///
+  /// Tie contract: ids ascend during the sweep, so once the heap is full
+  /// a row at distance equal to the current worst has a larger id than
+  /// every admitted row and cannot enter; the threshold is therefore
+  /// worst - 1. At worst == 0 it stays 0 and Offer rejects the
+  /// equal-distance rows by id. The admitted set is exactly the scalar
+  /// oracle's (LinearScanKnn in metric/knn.h).
+  ///
+  /// Ticker contract: kDistanceCalls ticks store.size(), as the scalar
+  /// scan does (every row costs one distance evaluation in the paper's
+  /// DFC accounting, pruned or not). `control` is polled as in
+  /// ValidateSpan; on a stop the heap holds a partial answer the caller
+  /// must discard.
+  void SweepNearest(const RankingStore& store, NeighborHeap* heap,
+                    Statistics* stats, QueryControl* control = nullptr) {
+    Sweep(
+        store,
+        [heap] {
+          const RawDistance worst = heap->Bound();
+          return heap->full() && worst > 0 ? worst - 1 : worst;
+        },
+        [this, &store, heap](RankingId id) {
+          heap->Offer(id, Distance(store.view(id)));
+        },
+        stats, control);
   }
 
   /// One candidate of ValidateSpan: true iff F(q, candidate) <= theta_raw.
@@ -293,6 +312,39 @@ class FootruleValidator {
   }
 
  private:
+  /// The one store-wide loop: calls accept(id), ids ascending, for every
+  /// row within threshold() of the bound query. Full lane-width batches
+  /// run the vector kernel when available, the remainder (and every row
+  /// when SIMD is off) the scalar early-exit loop; threshold() and
+  /// `control` are read once per lane batch / scalar row.
+  template <typename Threshold, typename Accept>
+  void Sweep(const RankingStore& store, const Threshold& threshold,
+             const Accept& accept, Statistics* stats, QueryControl* control) {
+    AddTicker(stats, Ticker::kDistanceCalls, store.size());
+    RankingId id = 0;
+#if TOPK_SIMD_DISPATCH
+    if (SimdUsable(store)) {
+      EnsureItemCapacity(static_cast<size_t>(store.max_item()) + 1);
+      const ItemId* flat = store.flat_items().data();
+      alignas(32) uint32_t rows[kSimdLanes];
+      for (; id + kSimdLanes <= store.size(); id += kSimdLanes) {
+        if (control != nullptr && control->ShouldStop()) return;
+        for (unsigned c = 0; c < kSimdLanes; ++c) {
+          rows[c] = (id + c) * k_;
+        }
+        const uint32_t accepted = ValidateRowLanes(flat, rows, threshold());
+        for (uint32_t mask = accepted; mask != 0; mask &= mask - 1) {
+          accept(id + static_cast<RankingId>(std::countr_zero(mask)));
+        }
+      }
+    }
+#endif
+    for (; id < store.size(); ++id) {
+      if (control != nullptr && control->ShouldStop()) return;
+      if (WithinThreshold(store.view(id), threshold())) accept(id);
+    }
+  }
+
 #if TOPK_SIMD_DISPATCH
   /// The vector path needs a bound query, a k within the lane-arithmetic
   /// bounds, and both gather index domains inside the signed-32-bit range

@@ -1,58 +1,10 @@
 #include "metric/knn.h"
 
 #include <algorithm>
-#include <limits>
 
 #include "core/footrule.h"
 
 namespace topk {
-
-namespace {
-
-/// Bounded best-j set over (distance, id) pairs: a max-heap whose top is
-/// the current worst admitted neighbour.
-class NeighborHeap {
- public:
-  explicit NeighborHeap(size_t capacity) : capacity_(capacity) {}
-
-  bool full() const { return heap_.size() == capacity_; }
-
-  /// Worst admitted distance; infinite while not full.
-  RawDistance Bound() const {
-    return full() ? heap_.front().distance
-                  : std::numeric_limits<RawDistance>::max();
-  }
-
-  void Offer(RankingId id, RawDistance distance) {
-    if (capacity_ == 0) return;
-    const Neighbor candidate{id, distance};
-    if (!full()) {
-      heap_.push_back(candidate);
-      std::push_heap(heap_.begin(), heap_.end(), Less);
-      return;
-    }
-    if (Less(candidate, heap_.front())) {
-      std::pop_heap(heap_.begin(), heap_.end(), Less);
-      heap_.back() = candidate;
-      std::push_heap(heap_.begin(), heap_.end(), Less);
-    }
-  }
-
-  std::vector<Neighbor> Finish() && {
-    std::sort(heap_.begin(), heap_.end(), Less);
-    return std::move(heap_);
-  }
-
- private:
-  static bool Less(const Neighbor& a, const Neighbor& b) {
-    return a.distance != b.distance ? a.distance < b.distance : a.id < b.id;
-  }
-
-  size_t capacity_;
-  std::vector<Neighbor> heap_;  // max-heap under Less
-};
-
-}  // namespace
 
 std::vector<Neighbor> LinearScanKnn(const RankingStore& store,
                                     const PreparedQuery& query, size_t j,
@@ -63,6 +15,20 @@ std::vector<Neighbor> LinearScanKnn(const RankingStore& store,
     AddTicker(stats, Ticker::kDistanceCalls);
     heap.Offer(id, FootruleDistance(q, store.sorted(id)));
   }
+  return std::move(heap).Finish();
+}
+
+std::vector<Neighbor> LinearScanKnnBatched(const RankingStore& store,
+                                           const PreparedQuery& query,
+                                           size_t j,
+                                           FootruleValidator* validator,
+                                           Statistics* stats,
+                                           QueryControl* control) {
+  NeighborHeap heap(j);
+  validator->BindQuery(query.view(),
+                       static_cast<size_t>(store.max_item()) + 1);
+  validator->SweepNearest(store, &heap, stats, control);
+  if (control != nullptr && control->stopped()) return {};
   return std::move(heap).Finish();
 }
 

@@ -3,11 +3,14 @@
 // The exhaustive baseline; every other algorithm's result set is tested
 // for equality against this one, and it bootstraps the Minimal F&V oracle.
 //
-// Two entry points: the classic free function evaluates the scalar merge
-// kernel per ranking and stays the *independent* reference the
-// differential suites trust, while the batched overload routes through
-// the kernel validator (query rank table bound once, early-exit per
-// candidate) — that is what the harness engine and the serving layer run.
+// Two entry points: LinearScanQuery evaluates the scalar merge kernel per
+// ranking and is the *scalar reference* the differential suites and the
+// benchmark's answer checker trust — no serving path may call it
+// (scripts/check_invariants.py rule scalar-oracle). LinearScanQueryBatched
+// is the *served* path: it routes through the kernel validator (query
+// rank table bound once, early-exit per candidate) and is what the
+// harness engine and the serving layer run. metric/knn.h splits k-NN the
+// same way (LinearScanKnn / LinearScanKnnBatched).
 
 #ifndef TOPK_METRIC_LINEAR_SCAN_H_
 #define TOPK_METRIC_LINEAR_SCAN_H_

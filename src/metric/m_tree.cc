@@ -5,7 +5,6 @@
 #include <queue>
 
 #include "core/footrule.h"
-#include "metric/knn.h"
 
 namespace topk {
 
@@ -312,28 +311,7 @@ void MTree::QueryNode(SortedRankingView query, RawDistance theta_raw,
 
 std::vector<Neighbor> MTree::Knn(SortedRankingView query, size_t j,
                                  Statistics* stats) const {
-  // Bounded best-j set; mirrors NeighborHeap in knn.cc but kept local so
-  // the M-tree stays self-contained.
-  std::vector<Neighbor> best;  // max-heap under Less
-  auto less = [](const Neighbor& a, const Neighbor& b) {
-    return a.distance != b.distance ? a.distance < b.distance : a.id < b.id;
-  };
-  auto bound = [&]() {
-    return best.size() == j ? best.front().distance
-                            : std::numeric_limits<RawDistance>::max();
-  };
-  auto offer = [&](RankingId id, RawDistance d) {
-    const Neighbor candidate{id, d};
-    if (best.size() < j) {
-      best.push_back(candidate);
-      std::push_heap(best.begin(), best.end(), less);
-    } else if (less(candidate, best.front())) {
-      std::pop_heap(best.begin(), best.end(), less);
-      best.back() = candidate;
-      std::push_heap(best.begin(), best.end(), less);
-    }
-  };
-
+  NeighborHeap heap(j);
   if (root_ >= 0 && j > 0) {
     // Best-first over nodes keyed by the optimistic subtree bound.
     struct Pending {
@@ -348,27 +326,26 @@ std::vector<Neighbor> MTree::Knn(SortedRankingView query, size_t j,
     while (!queue.empty()) {
       const Pending pending = queue.top();
       queue.pop();
-      if (pending.optimistic > bound()) break;  // nothing left can improve
+      if (pending.optimistic > heap.Bound()) break;  // nothing left can improve
       AddTicker(stats, Ticker::kTreeNodesVisited);
       const Node& node = nodes_[pending.node];
       for (const Entry& entry : node.entries) {
         const RawDistance d = DistanceToQuery(query, entry.obj, stats);
         if (node.is_leaf) {
-          offer(entry.obj, d);
+          heap.Offer(entry.obj, d);
         } else {
           // Routing objects are promoted *copies* of objects that also
           // live in some leaf; offering them here would duplicate ids.
           const RawDistance optimistic =
               d > entry.radius ? d - entry.radius : 0;
-          if (optimistic <= bound()) {
+          if (optimistic <= heap.Bound()) {
             queue.push(Pending{optimistic, entry.child});
           }
         }
       }
     }
   }
-  std::sort(best.begin(), best.end(), less);
-  return best;
+  return std::move(heap).Finish();
 }
 
 size_t MTree::MemoryUsage() const {

@@ -20,6 +20,7 @@
 #include <span>
 #include <vector>
 
+#include "core/neighbor.h"
 #include "core/ranking.h"
 #include "core/rng.h"
 #include "core/statistics.h"
@@ -64,9 +65,9 @@ class MTree {
   /// The j nearest stored rankings as (id, distance) pairs sorted by
   /// (distance, id): best-first descent ordered by the optimistic subtree
   /// bound max(0, d(q, routing) - radius), pruned against the current
-  /// j-th best. Returned pairs are declared in metric/knn.h.
-  std::vector<struct Neighbor> Knn(SortedRankingView query, size_t j,
-                                   Statistics* stats = nullptr) const;
+  /// j-th best.
+  std::vector<Neighbor> Knn(SortedRankingView query, size_t j,
+                            Statistics* stats = nullptr) const;
 
   size_t size() const { return size_; }
   size_t MemoryUsage() const;

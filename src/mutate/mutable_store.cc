@@ -250,8 +250,7 @@ Status MutableStore::RangeQuery(const PreparedQuery& query,
 
 void MutableStore::CollectKnnLocked(const RankingStore& seg_store,
                                     const std::vector<RankingId>& global_ids,
-                                    RankingView query,
-                                    std::vector<Neighbor>* out,
+                                    RankingView query, NeighborHeap* heap,
                                     Statistics* stats,
                                     QueryControl* control) {
   if (seg_store.empty()) return;
@@ -265,8 +264,7 @@ void MutableStore::CollectKnnLocked(const RankingStore& seg_store,
     const RankingId global = global_ids[local];
     if (tombstones_.count(global) != 0) continue;
     AddTicker(stats, Ticker::kDistanceCalls);
-    out->push_back(
-        Neighbor{global, validator_.Distance(seg_store.view(local))});
+    heap->Offer(global, validator_.Distance(seg_store.view(local)));
   }
 }
 
@@ -285,26 +283,19 @@ Status MutableStore::KnnQuery(const PreparedQuery& query, size_t j,
   MutexLock lock(&mutex_);
   TOPK_DCHECK(query.k() == k_);
   out->clear();
-  CollectKnnLocked(main_->store, main_->global_ids, query.view(), out, stats,
-                   control);
+  NeighborHeap heap(j);
+  CollectKnnLocked(main_->store, main_->global_ids, query.view(), &heap,
+                   stats, control);
   if (sealed_ != nullptr) {
-    CollectKnnLocked(sealed_->store, sealed_->global_ids, query.view(), out,
+    CollectKnnLocked(sealed_->store, sealed_->global_ids, query.view(), &heap,
                      stats, control);
   }
-  CollectKnnLocked(delta_.store, delta_.global_ids, query.view(), out, stats,
-                   control);
+  CollectKnnLocked(delta_.store, delta_.global_ids, query.view(), &heap,
+                   stats, control);
   if (control != nullptr && control->stopped()) {
-    out->clear();
     return StopStatus(*control, "knn query", stats);
   }
-  const auto by_distance_then_id = [](const Neighbor& a, const Neighbor& b) {
-    return a.distance != b.distance ? a.distance < b.distance : a.id < b.id;
-  };
-  const size_t take = std::min(j, out->size());
-  std::partial_sort(out->begin(),
-                    out->begin() + static_cast<ptrdiff_t>(take), out->end(),
-                    by_distance_then_id);
-  out->resize(take);
+  *out = std::move(heap).Finish();
   return Status::OK();
 }
 

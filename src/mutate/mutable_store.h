@@ -312,9 +312,11 @@ class MutableStore {
                           std::vector<RankingId>* out, Statistics* stats,
                           QueryControl* control) TOPK_REQUIRES(mutex_);
 
+  /// k-NN for one segment: every live row offered into `heap` under its
+  /// global id.
   void CollectKnnLocked(const RankingStore& seg_store,
                         const std::vector<RankingId>& global_ids,
-                        RankingView query, std::vector<Neighbor>* out,
+                        RankingView query, NeighborHeap* heap,
                         Statistics* stats, QueryControl* control)
       TOPK_REQUIRES(mutex_);
 

@@ -232,7 +232,7 @@ void QueryFrontend::ServeOne(Executor* executor, const ServeRequest& request,
     if (request.kind == ServeKind::kRange) {
       response->ids = ServeRange(executor, request, epoch, response, &control);
     } else {
-      response->neighbors = ServeKnn(executor, request);
+      response->neighbors = ServeKnn(executor, request, &control);
     }
     // A stopped request discards its partial answer and is NEVER
     // cached: a truncated result under an OK-looking cache entry would
@@ -255,7 +255,7 @@ void QueryFrontend::ServeOne(Executor* executor, const ServeRequest& request,
   if (request.kind == ServeKind::kRange) {
     response->ids = ServeRange(executor, request, epoch, response, &control);
   } else {
-    response->neighbors = ServeKnn(executor, request);
+    response->neighbors = ServeKnn(executor, request, &control);
   }
   if (control.ShouldStop()) {
     response->ids.clear();
@@ -327,11 +327,13 @@ std::vector<RankingId> QueryFrontend::RunEngine(Executor* executor,
 }
 
 std::vector<Neighbor> QueryFrontend::ServeKnn(Executor* executor,
-                                              const ServeRequest& request) {
+                                              const ServeRequest& request,
+                                              QueryControl* control) {
   Statistics* stats = &executor->stats;
   switch (request.algorithm) {
     case Algorithm::kLinearScan:
-      return LinearScanKnn(*store_, *request.query, request.j, stats);
+      return LinearScanKnnBatched(*store_, *request.query, request.j,
+                                  &executor->validator, stats, control);
     case Algorithm::kBkTree:
       return BkTreeKnn(*bk_tree_, *request.query, request.j, stats);
     case Algorithm::kMTree:

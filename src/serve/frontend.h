@@ -254,8 +254,12 @@ class QueryFrontend {
                                     QueryControl* control);
   std::vector<RankingId> RunEngine(Executor* executor,
                                    const ServeRequest& request);
+  /// k-NN dispatch. kLinearScan sweeps the store through the executor's
+  /// batched validator and polls `control`; a stopped sweep returns
+  /// empty and the caller maps the stop to a Status.
   std::vector<Neighbor> ServeKnn(Executor* executor,
-                                 const ServeRequest& request);
+                                 const ServeRequest& request,
+                                 QueryControl* control);
   /// The deduplicated, ascending union of the query items' posting lists
   /// (the kernel FilterPhase plus a sort for the canonical cache form).
   std::vector<RankingId> PostingUnion(Executor* executor,

@@ -133,6 +133,45 @@ TEST_F(ServeRobustnessTest, StoppedRequestsAreNeverCached) {
   EXPECT_EQ(second[0].ids, first[0].ids);
 }
 
+TEST_F(ServeRobustnessTest, LinearScanKnnHonoursDeadlineAndCancel) {
+  QueryFrontendOptions options;
+  options.num_threads = 1;
+  QueryFrontend frontend(&store_, options);
+  const size_t j = 7;
+
+  ServeRequest expired =
+      ServeRequest::Knn(Algorithm::kLinearScan, queries_[0], j);
+  expired.deadline = Deadline::AfterMillis(-1.0);
+  CancelToken cancel;
+  cancel.Cancel();
+  ServeRequest cancelled =
+      ServeRequest::Knn(Algorithm::kLinearScan, queries_[0], j);
+  cancelled.cancel = &cancel;
+  Statistics stats;
+  const auto stopped = frontend.ServeBatch(
+      std::vector<ServeRequest>{expired, cancelled}, &stats);
+  EXPECT_EQ(stopped[0].status.code(), Status::Code::kDeadlineExceeded);
+  EXPECT_EQ(stopped[1].status.code(), Status::Code::kAborted);
+  for (const ServeResponse& response : stopped) {
+    EXPECT_TRUE(response.neighbors.empty());
+    EXPECT_FALSE(response.result_cache_hit);
+  }
+  EXPECT_EQ(stats.Get(Ticker::kDeadlineExceeded), 2u);
+
+  // Neither stop left a cache entry: the unconstrained request misses,
+  // is answered exactly, and only then hits.
+  const ServeRequest fine =
+      ServeRequest::Knn(Algorithm::kLinearScan, queries_[0], j);
+  const auto first = frontend.ServeBatch({&fine, 1});
+  ASSERT_TRUE(first[0].status.ok());
+  EXPECT_FALSE(first[0].result_cache_hit);
+  EXPECT_EQ(first[0].neighbors, LinearScanKnn(store_, queries_[0], j));
+  const auto second = frontend.ServeBatch({&fine, 1});
+  ASSERT_TRUE(second[0].status.ok());
+  EXPECT_TRUE(second[0].result_cache_hit);
+  EXPECT_EQ(second[0].neighbors, first[0].neighbors);
+}
+
 TEST_F(ServeRobustnessTest, CancelledTokenAbortsItsRequests) {
   QueryFrontendOptions options;
   options.num_threads = 2;
