@@ -51,10 +51,10 @@ Checks (each is a named rule; any violation exits non-zero):
                   `generation: delegated` marker comment naming who bumps
                   instead. A mutation that skips the bump leaves serve-layer
                   caches answering from a world that no longer exists.
-  syscall-status  In src/storage/ and src/io/, a fallible syscall whose
-                  result is discarded (the call IS the statement: `fsync(fd);`
-                  rather than `if (fsync(fd) != 0) ...`) silently converts an
-                  I/O failure into corruption discovered much later — the
+  syscall-status  In src/storage/, a fallible syscall whose result is
+                  discarded (the call IS the statement: `fsync(fd);` rather
+                  than `if (fsync(fd) != 0) ...`) silently converts an I/O
+                  failure into corruption discovered much later — the
                   exact bug class the crash-safe snapshot protocol exists to
                   prevent. Every such call must check its result and carry
                   the errno into a Status (Status::IOErrorFromErrno), or mark
@@ -164,7 +164,7 @@ SKIP_CONTINUE_RE = re.compile(r"\bcontinue\s*;")
 
 # Directories where unchecked fallible syscalls are banned (persistence
 # code: a swallowed I/O error here IS data loss).
-SYSCALL_DIR_PREFIXES = ("src/storage/", "src/io/")
+SYSCALL_DIR_PREFIXES = ("src/storage/",)
 # The fallible calls the persistence layer actually uses. Infallible or
 # can't-meaningfully-fail calls (getpid, strerror) are deliberately absent.
 SYSCALL_NAMES = (
@@ -574,9 +574,6 @@ def self_test() -> int:
          lambda: check_syscall_status(fake_storage, ["  std::fclose(f);"])),
         ("syscall-status (void)-cast discard still flagged",
          lambda: check_syscall_status(fake_storage, ["  (void)unlink(tmp);"])),
-        ("syscall-status covers src/io too",
-         lambda: check_syscall_status(SRC / "io" / "fake.cc",
-                                      ["  rename(a, b);"])),
         ("scalar-oracle k-NN reference in a serving path",
          lambda: check_scalar_oracle(SRC / "serve" / "fake.cc", [
              "  return LinearScanKnn(*store_, query, j, stats);"])),

@@ -151,8 +151,9 @@ class RankingStore {
   /// Wraps externally owned column arrays (each `n * k` elements, laid
   /// out exactly as the owned vectors would be). The backing memory must
   /// outlive the store; the caller vouches for the rows being valid
-  /// rankings with items <= max_item (the snapshot loader's checksums
-  /// stand in for the Add-path validation).
+  /// rankings with items <= max_item (the snapshot's full verify,
+  /// storage::VerifySnapshotChecksums, stands in for the Add-path
+  /// validation).
   static RankingStore AdoptExternal(uint32_t k, size_t n, ItemId max_item,
                                     const ItemId* items,
                                     const ItemId* sorted_items,

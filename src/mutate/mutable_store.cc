@@ -11,7 +11,6 @@
 #include "invidx/drop_policy.h"
 #include "storage/compressed_arena.h"
 #include "storage/compressed_augmented.h"
-#include "storage/snapshot.h"
 #include "storage/snapshot_manager.h"
 
 namespace topk {
@@ -30,29 +29,26 @@ uint64_t SplitMix64(uint64_t x) {
 }  // namespace
 
 MutableStore::MutableStore(uint32_t k, MutableStoreOptions options)
-    : k_(k), options_(options), delta_(k) {
-  TOPK_DCHECK(k > 0);
-  main_ = std::make_shared<MainSegment>(k_);
-  if (!options_.snapshot_dir.empty()) {
-    snapshot_manager_ = std::make_unique<storage::SnapshotManager>(
-        options_.snapshot_dir,
-        storage::SnapshotManagerOptions{options_.snapshot_keep_generations});
-  }
-  if (options_.merge_threshold > 0) {
-    merge_worker_ = std::thread([this] { MergeWorkerLoop(); });
-  }
-}
+    : MutableStore(k, nullptr, std::move(options)) {}
 
 MutableStore::MutableStore(const RankingStore& initial,
                            MutableStoreOptions options)
-    : k_(initial.k()), options_(options), delta_(initial.k()) {
+    : MutableStore(initial.k(), &initial, std::move(options)) {}
+
+MutableStore::MutableStore(uint32_t k, const RankingStore* initial,
+                           MutableStoreOptions options)
+    : k_(k), options_(std::move(options)), delta_(k) {
+  TOPK_DCHECK(k > 0);
   auto main = std::make_shared<MainSegment>(k_);
-  main->store = initial;
-  main->index = PlainInvertedIndex::Build(main->store);
-  main->global_ids.resize(initial.size());
-  std::iota(main->global_ids.begin(), main->global_ids.end(), RankingId{0});
+  if (initial != nullptr) {
+    main->store = *initial;
+    main->index = PlainInvertedIndex::Build(main->store);
+    main->global_ids.resize(initial->size());
+    std::iota(main->global_ids.begin(), main->global_ids.end(),
+              RankingId{0});
+    next_global_id_ = static_cast<RankingId>(initial->size());
+  }
   main_ = std::move(main);
-  next_global_id_ = static_cast<RankingId>(initial.size());
   if (!options_.snapshot_dir.empty()) {
     snapshot_manager_ = std::make_unique<storage::SnapshotManager>(
         options_.snapshot_dir,
@@ -492,7 +488,7 @@ void MutableStore::MergeWorkerLoop() {
 }
 
 void MutableStore::MaybeEmitSnapshot(const MainSegment& segment) {
-  if (options_.snapshot_path.empty() && snapshot_manager_ == nullptr) return;
+  if (snapshot_manager_ == nullptr) return;
   Status status;
   if (segment.store.empty()) {
     // WriteStoreSnapshot rejects empty stores; a merge that compacted
@@ -503,7 +499,7 @@ void MutableStore::MaybeEmitSnapshot(const MainSegment& segment) {
     const auto arena = storage::CompressedPostingArena<RankingId>::FromArena(
         segment.index.arena());
     // Freeze the augmented arena alongside the plain one so the snapshot
-    // serves the compressed augmented engine too (TOPKSNP2).
+    // serves the compressed augmented engine too.
     const auto augmented =
         storage::CompressedAugmentedIndex::Build(segment.store);
     // Emission gets the same retry-with-backoff treatment as the
@@ -514,13 +510,9 @@ void MutableStore::MaybeEmitSnapshot(const MainSegment& segment) {
     for (int attempt = 1;; ++attempt) {
       if (TOPK_FAILPOINT("mutate.snapshot.emit")) {
         status = Status::IOError("injected failure: mutate.snapshot.emit");
-      } else if (snapshot_manager_ != nullptr) {
+      } else {
         status = snapshot_manager_->WriteSnapshot(segment.store, arena,
                                                   augmented.arena());
-      } else {
-        status = storage::WriteStoreSnapshot(segment.store, arena,
-                                             augmented.arena(),
-                                             options_.snapshot_path);
       }
       if (status.ok() || attempt >= max_attempts) break;
       merge_retries_.fetch_add(1, std::memory_order_acq_rel);

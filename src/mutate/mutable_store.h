@@ -98,22 +98,17 @@ struct MutableStoreOptions {
 
   /// When non-empty, every successful merge also persists the freshly
   /// rebuilt main segment as a compressed storage snapshot
-  /// (storage/snapshot.h) at this path. The write runs OFF the store
+  /// (storage/snapshot.h) through a storage::SnapshotManager on this
+  /// directory: each emission is a new crash-safe generation, the newest
+  /// snapshot_keep_generations are retained, and recovery
+  /// (SnapshotManager::OpenNewestValid on the same directory) survives
+  /// a SIGKILL at any point of any write. The write runs OFF the store
   /// mutex, after the swap: writers and readers proceed against the
   /// installed segment while the file is emitted. The snapshot freezes
   /// the segment's rows in physical order (its dense local ids, not the
   /// sparse global ids) — it is a serving image for the frozen mmap
   /// tier, not a replayable WAL. Failures are recorded, not thrown:
-  /// poll last_snapshot_status(). Ignored when snapshot_dir is set.
-  std::string snapshot_path;
-
-  /// When non-empty, merge-emitted snapshots go through a
-  /// storage::SnapshotManager on this directory instead of a single
-  /// fixed path: each emission is a new crash-safe generation, the
-  /// newest snapshot_keep_generations are retained, and recovery
-  /// (SnapshotManager::OpenNewestValid on the same directory) survives
-  /// a SIGKILL at any point of any write. Takes precedence over
-  /// snapshot_path.
+  /// poll last_snapshot_status().
   std::string snapshot_dir;
   size_t snapshot_keep_generations = 3;
 
@@ -215,7 +210,7 @@ class MutableStore {
 
   /// Outcome of the most recent merge-emitted snapshot write (OK until
   /// the first one happens). Meaningful only with a non-empty
-  /// options.snapshot_path or snapshot_dir.
+  /// options.snapshot_dir.
   Status last_snapshot_status() const TOPK_EXCLUDES(mutex_);
 
   /// Registers `listener` to run (under the store mutex) after every
@@ -241,6 +236,12 @@ class MutableStore {
   size_t total_inserted() const TOPK_EXCLUDES(mutex_);
 
  private:
+  /// Both public constructors: seeds the main segment from `initial`
+  /// when non-null, then creates the snapshot manager, and starts the
+  /// merge worker last, once everything it reads is in place.
+  MutableStore(uint32_t k, const RankingStore* initial,
+               MutableStoreOptions options);
+
   /// The immutable merged portion: rebuilt as a whole by merges, shared
   /// with in-flight rebuilds via shared_ptr (readers under the mutex,
   /// the rebuild off it — contents never mutate after construction).
@@ -298,8 +299,8 @@ class MutableStore {
   void MergeWorkerLoop() TOPK_EXCLUDES(mutex_);
 
   /// Off-lock snapshot emission of a freshly installed main segment
-  /// (no-op when options_.snapshot_path is empty); records the outcome
-  /// in last_snapshot_status_.
+  /// (no-op without a snapshot_dir); records the outcome in
+  /// last_snapshot_status_.
   void MaybeEmitSnapshot(const MainSegment& segment) TOPK_EXCLUDES(mutex_);
 
   /// Range pipeline for one segment: FilterPhase over its index (or

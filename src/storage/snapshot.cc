@@ -1,5 +1,6 @@
 #include "storage/snapshot.h"
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
@@ -33,12 +34,16 @@ size_t PageAlign(size_t offset) {
   return (offset + kSnapshotPageSize - 1) & ~(kSnapshotPageSize - 1);
 }
 
-/// One section to be written: payload pointer + size, id.
+/// One section to be written: payload pointer + size.
 struct SectionPayload {
-  uint32_t id;
   const void* data;
   size_t size;
 };
+
+template <typename T>
+SectionPayload Payload(std::span<const T> elements) {
+  return {elements.data(), elements.size_bytes()};
+}
 
 /// RAII stdio handle so every early return closes the file.
 struct FileCloser {
@@ -64,6 +69,72 @@ bool WritePadded(std::FILE* file, const void* data, size_t size,
   return true;
 }
 
+/// The partitioning checks that WriteStoreSnapshot and ReadPartitioning
+/// share: everything CoarseIndex::BuildFromPartitioning needs to index
+/// `n` rankings safely — each partition non-empty and led by its medoid,
+/// member-end offsets ascending to exactly members.size(), every member
+/// id < n and listed once. The offsets are bounded by the member count
+/// (itself the section size over the element size) before anything is
+/// allocated.
+Status CheckPartitionSections(std::span<const SnapshotPartition> partitions,
+                              std::span<const RankingId> members, size_t n) {
+  if (partitions.empty() || members.size() > n) {
+    return Status::InvalidArgument(
+        "snapshot partitioning sections do not fit the store");
+  }
+  uint64_t begin = 0;
+  for (const SnapshotPartition& p : partitions) {
+    if (p.reserved != 0) {
+      return Status::InvalidArgument("snapshot partition record reserved "
+                                     "field not zero");
+    }
+    if (p.member_end <= begin || p.member_end > members.size()) {
+      return Status::InvalidArgument(
+          "snapshot partition member offsets out of order or past the "
+          "member section");
+    }
+    if (members[begin] != p.medoid) {
+      return Status::InvalidArgument(
+          "partition invariant violated (medoid must lead members)");
+    }
+    begin = p.member_end;
+  }
+  if (begin != members.size()) {
+    return Status::InvalidArgument(
+        "snapshot partition member offsets do not cover the member section");
+  }
+  std::vector<bool> seen(n);
+  for (const RankingId id : members) {
+    if (id >= n) {
+      return Status::InvalidArgument("snapshot partition member id outside "
+                                     "the store");
+    }
+    if (seen[id]) {
+      return Status::InvalidArgument("snapshot partitioning lists a ranking "
+                                     "twice");
+    }
+    seen[id] = true;
+  }
+  return Status::OK();
+}
+
+/// Verify's row checks over one fread chunk of whole rows.
+bool ItemsWithin(std::span<const ItemId> items, ItemId max_item) {
+  ItemId top = 0;
+  for (const ItemId item : items) top = std::max(top, item);
+  return top <= max_item;
+}
+
+bool RowsStrictlyAscend(std::span<const ItemId> rows, uint32_t k) {
+  bool descends = false;  // branch-free: a failing row is the rare case
+  for (size_t row = 0; row < rows.size(); row += k) {
+    for (uint32_t p = 1; p < k; ++p) {
+      descends |= rows[row + p - 1] >= rows[row + p];
+    }
+  }
+  return !descends;
+}
+
 }  // namespace
 
 uint64_t SnapshotChecksum(const void* data, size_t size) {
@@ -74,59 +145,44 @@ Status WriteStoreSnapshot(
     const RankingStore& store,
     const CompressedPostingArena<RankingId>& arena,
     const CompressedPostingArena<AugmentedEntry>& augmented_arena,
-    const std::string& path) {
+    const std::string& path, const Partitioning* partitioning) {
   if (store.empty()) {
     return Status::InvalidArgument("cannot snapshot an empty store");
   }
-  const std::span<const ItemId> items = store.flat_items();
-  const std::span<const ItemId> sorted_items = store.flat_sorted_items();
-  const std::span<const Rank> sorted_ranks = store.flat_sorted_ranks();
-  const std::span<const CompressedListMeta> list_metas = arena.list_metas();
-  const std::span<const CompressedBlockMeta> block_metas =
-      arena.block_metas();
-  const std::span<const RankingId> inline_entries = arena.inline_entries();
-  const std::span<const uint8_t> byte_stream = arena.byte_stream();
-  const std::span<const CompressedListMeta> aug_list_metas =
-      augmented_arena.list_metas();
-  const std::span<const CompressedBlockMeta> aug_block_metas =
-      augmented_arena.block_metas();
-  const std::span<const BlockRankRange> aug_rank_ranges =
-      augmented_arena.rank_ranges();
-  const std::span<const AugmentedEntry> aug_inline_entries =
-      augmented_arena.inline_entries();
-  const std::span<const uint8_t> aug_byte_stream =
-      augmented_arena.byte_stream();
-
+  std::vector<SnapshotPartition> partitions;
+  std::vector<RankingId> members;
+  if (partitioning != nullptr) {
+    partitions.reserve(partitioning->partitions.size());
+    members.reserve(partitioning->total_members());
+    for (const Partition& p : partitioning->partitions) {
+      members.insert(members.end(), p.members.begin(), p.members.end());
+      partitions.push_back({p.medoid, 0, p.radius, members.size()});
+    }
+    Status checked = CheckPartitionSections(partitions, members, store.size());
+    if (!checked.ok()) return checked;
+  }
+  // Table order: section s has id s + 1.
   const SectionPayload payloads[kSnapshotSectionCount] = {
-      {SnapshotSection::kItems, items.data(), items.size_bytes()},
-      {SnapshotSection::kSortedItems, sorted_items.data(),
-       sorted_items.size_bytes()},
-      {SnapshotSection::kSortedRanks, sorted_ranks.data(),
-       sorted_ranks.size_bytes()},
-      {SnapshotSection::kListMetas, list_metas.data(),
-       list_metas.size_bytes()},
-      {SnapshotSection::kBlockMetas, block_metas.data(),
-       block_metas.size_bytes()},
-      {SnapshotSection::kInlineEntries, inline_entries.data(),
-       inline_entries.size_bytes()},
-      {SnapshotSection::kByteStream, byte_stream.data(),
-       byte_stream.size_bytes()},
-      {SnapshotSection::kAugListMetas, aug_list_metas.data(),
-       aug_list_metas.size_bytes()},
-      {SnapshotSection::kAugBlockMetas, aug_block_metas.data(),
-       aug_block_metas.size_bytes()},
-      {SnapshotSection::kAugRankRanges, aug_rank_ranges.data(),
-       aug_rank_ranges.size_bytes()},
-      {SnapshotSection::kAugInlineEntries, aug_inline_entries.data(),
-       aug_inline_entries.size_bytes()},
-      {SnapshotSection::kAugByteStream, aug_byte_stream.data(),
-       aug_byte_stream.size_bytes()},
+      Payload(store.flat_items()),
+      Payload(store.flat_sorted_items()),
+      Payload(store.flat_sorted_ranks()),
+      Payload(arena.list_metas()),
+      Payload(arena.block_metas()),
+      Payload(arena.inline_entries()),
+      Payload(arena.byte_stream()),
+      Payload(augmented_arena.list_metas()),
+      Payload(augmented_arena.block_metas()),
+      Payload(augmented_arena.rank_ranges()),
+      Payload(augmented_arena.inline_entries()),
+      Payload(augmented_arena.byte_stream()),
+      Payload<SnapshotPartition>(partitions),
+      Payload<RankingId>(members),
   };
 
   SnapshotSection table[kSnapshotSectionCount] = {};
   size_t offset = PageAlign(sizeof(SnapshotHeader) + sizeof(table));
   for (uint32_t s = 0; s < kSnapshotSectionCount; ++s) {
-    table[s].id = payloads[s].id;
+    table[s].id = s + 1;
     table[s].reserved = 0;
     table[s].offset = offset;
     table[s].size = payloads[s].size;
@@ -327,50 +383,41 @@ size_t StoreSnapshot::ResidentBytes() const {
 
 namespace {
 
-/// Validated view of one mapped section.
-template <typename T>
-Result<std::span<const T>> SectionSpan(const uint8_t* base, size_t file_size,
-                                       const SnapshotSection& section,
-                                       uint32_t expected_id) {
-  if (section.id != expected_id || section.reserved != 0) {
-    return Status::InvalidArgument("snapshot section table id mismatch");
-  }
-  if ((section.offset % kSnapshotPageSize) != 0) {
-    return Status::InvalidArgument("snapshot section offset misaligned");
-  }
-  if (section.offset > file_size ||
-      section.size > file_size - section.offset) {
-    return Status::InvalidArgument("snapshot section outside the file");
-  }
-  if ((section.size % sizeof(T)) != 0) {
-    return Status::InvalidArgument("snapshot section size not a multiple "
-                                   "of its element size");
-  }
-  return std::span<const T>(
-      reinterpret_cast<const T*>(base + section.offset),
-      static_cast<size_t>(section.size / sizeof(T)));
-}
+/// Element size of each section, in table order: a section's size must
+/// be a whole number of them.
+constexpr size_t kSectionElementSize[kSnapshotSectionCount] = {
+    sizeof(ItemId),               // items
+    sizeof(ItemId),               // sorted_items
+    sizeof(Rank),                 // sorted_ranks
+    sizeof(CompressedListMeta),   // plain list metas
+    sizeof(CompressedBlockMeta),  // plain block metas
+    sizeof(RankingId),            // plain inline entries
+    1,                            // plain byte stream
+    sizeof(CompressedListMeta),   // augmented list metas
+    sizeof(CompressedBlockMeta),  // augmented block metas
+    sizeof(BlockRankRange),       // augmented rank ranges
+    sizeof(AugmentedEntry),       // augmented inline entries
+    1,                            // augmented byte stream
+    sizeof(SnapshotPartition),    // partition records
+    sizeof(RankingId),            // partition members
+};
 
-}  // namespace
-
-Result<StoreSnapshot> OpenStoreSnapshot(const std::string& path) {
-  auto mapping_result = StoreSnapshot::Mapping::Open(path);
-  if (!mapping_result.ok()) return mapping_result.status();
-  std::shared_ptr<StoreSnapshot::Mapping> mapping =
-      std::move(mapping_result).ValueOrDie();
-  const uint8_t* base = mapping->base();
-  const size_t file_size = mapping->size();
-
-  if (file_size < sizeof(SnapshotHeader) +
-                      kSnapshotSectionCount * sizeof(SnapshotSection)) {
-    return Status::InvalidArgument("snapshot truncated before the header");
-  }
-  SnapshotHeader header;
-  std::memcpy(&header, base, sizeof(header));
-  if (std::memcmp(header.magic, kSnapshotMagic, sizeof(header.magic)) != 0) {
+/// The structural checks open and verify share, all O(metadata): the
+/// header's tags and counts, the section-table checksum, and per
+/// section its id, page alignment, bounds within a `file_size`-byte
+/// file and element-size multiple, plus the n * k column sizes and the
+/// max_item + 1 list directories.
+Status CheckLayout(const SnapshotHeader& header,
+                   const SnapshotSection (&table)[kSnapshotSectionCount],
+                   uint64_t file_size) {
+  // The magic's last byte is the format version: an older TOPKSNP file
+  // is a version mismatch, not a stranger.
+  if (std::memcmp(header.magic, kSnapshotMagic, sizeof(header.magic) - 1) !=
+      0) {
     return Status::InvalidArgument("not a snapshot file (bad magic)");
   }
-  if (header.version != kSnapshotVersion) {
+  if (header.magic[7] != kSnapshotMagic[7] ||
+      header.version != kSnapshotVersion) {
     return Status::InvalidArgument("unsupported snapshot version");
   }
   if (header.section_count != kSnapshotSectionCount) {
@@ -389,86 +436,94 @@ Result<StoreSnapshot> OpenStoreSnapshot(const std::string& path) {
   if (header.k == 0 || header.num_rankings == 0) {
     return Status::InvalidArgument("snapshot declares an empty store");
   }
-  SnapshotSection table[kSnapshotSectionCount];
-  std::memcpy(table, base + sizeof(header), sizeof(table));
   if (SnapshotChecksum(table, sizeof(table)) != header.directory_checksum) {
     return Status::InvalidArgument("snapshot section table checksum "
                                    "mismatch");
   }
-
-  auto items = SectionSpan<ItemId>(base, file_size, table[0],
-                                   SnapshotSection::kItems);
-  if (!items.ok()) return items.status();
-  auto sorted_items = SectionSpan<ItemId>(base, file_size, table[1],
-                                          SnapshotSection::kSortedItems);
-  if (!sorted_items.ok()) return sorted_items.status();
-  auto sorted_ranks = SectionSpan<Rank>(base, file_size, table[2],
-                                        SnapshotSection::kSortedRanks);
-  if (!sorted_ranks.ok()) return sorted_ranks.status();
-  auto list_metas = SectionSpan<CompressedListMeta>(
-      base, file_size, table[3], SnapshotSection::kListMetas);
-  if (!list_metas.ok()) return list_metas.status();
-  auto block_metas = SectionSpan<CompressedBlockMeta>(
-      base, file_size, table[4], SnapshotSection::kBlockMetas);
-  if (!block_metas.ok()) return block_metas.status();
-  auto inline_entries = SectionSpan<RankingId>(
-      base, file_size, table[5], SnapshotSection::kInlineEntries);
-  if (!inline_entries.ok()) return inline_entries.status();
-  auto byte_stream = SectionSpan<uint8_t>(base, file_size, table[6],
-                                          SnapshotSection::kByteStream);
-  if (!byte_stream.ok()) return byte_stream.status();
-  auto aug_list_metas = SectionSpan<CompressedListMeta>(
-      base, file_size, table[7], SnapshotSection::kAugListMetas);
-  if (!aug_list_metas.ok()) return aug_list_metas.status();
-  auto aug_block_metas = SectionSpan<CompressedBlockMeta>(
-      base, file_size, table[8], SnapshotSection::kAugBlockMetas);
-  if (!aug_block_metas.ok()) return aug_block_metas.status();
-  auto aug_rank_ranges = SectionSpan<BlockRankRange>(
-      base, file_size, table[9], SnapshotSection::kAugRankRanges);
-  if (!aug_rank_ranges.ok()) return aug_rank_ranges.status();
-  auto aug_inline_entries = SectionSpan<AugmentedEntry>(
-      base, file_size, table[10], SnapshotSection::kAugInlineEntries);
-  if (!aug_inline_entries.ok()) return aug_inline_entries.status();
-  auto aug_byte_stream = SectionSpan<uint8_t>(
-      base, file_size, table[11], SnapshotSection::kAugByteStream);
-  if (!aug_byte_stream.ok()) return aug_byte_stream.status();
-
   // Overflow-safe n * k: a hostile header cannot wrap the cell count
   // into coincidental agreement with the section sizes.
   if (header.num_rankings > (UINT64_MAX / sizeof(ItemId)) / header.k) {
     return Status::InvalidArgument("snapshot ranking count implausibly "
                                    "large");
   }
-  const uint64_t cells = header.num_rankings * header.k;
-  if (items.value().size() != cells ||
-      sorted_items.value().size() != cells ||
-      sorted_ranks.value().size() != cells) {
-    return Status::InvalidArgument("snapshot column sections do not match "
-                                   "n * k");
+  const uint64_t column_bytes =
+      header.num_rankings * header.k * sizeof(ItemId);
+  const uint64_t directory_bytes =
+      (uint64_t{header.max_item} + 1) * sizeof(CompressedListMeta);
+  for (uint32_t s = 0; s < kSnapshotSectionCount; ++s) {
+    const SnapshotSection& section = table[s];
+    if (section.id != s + 1 || section.reserved != 0) {
+      return Status::InvalidArgument("snapshot section table id mismatch");
+    }
+    if ((section.offset % kSnapshotPageSize) != 0) {
+      return Status::InvalidArgument("snapshot section offset misaligned");
+    }
+    if (section.offset > file_size ||
+        section.size > file_size - section.offset) {
+      return Status::InvalidArgument("snapshot section outside the file");
+    }
+    if ((section.size % kSectionElementSize[s]) != 0) {
+      return Status::InvalidArgument("snapshot section size not a multiple "
+                                     "of its element size");
+    }
+    if (section.id <= SnapshotSection::kSortedRanks &&
+        section.size != column_bytes) {
+      return Status::InvalidArgument("snapshot column sections do not match "
+                                     "n * k");
+    }
+    if ((section.id == SnapshotSection::kListMetas ||
+         section.id == SnapshotSection::kAugListMetas) &&
+        section.size != directory_bytes) {
+      return Status::InvalidArgument("snapshot list directory does not cover "
+                                     "max_item");
+    }
   }
-  if (list_metas.value().size() !=
-      static_cast<size_t>(header.max_item) + 1) {
-    return Status::InvalidArgument("snapshot list directory does not cover "
-                                   "max_item");
-  }
+  return Status::OK();
+}
 
-  if (aug_list_metas.value().size() !=
-      static_cast<size_t>(header.max_item) + 1) {
-    return Status::InvalidArgument("snapshot augmented list directory does "
-                                   "not cover max_item");
-  }
+/// A section of the mapping as typed elements (CheckLayout has bounded
+/// and sized it; page alignment makes the cast aligned).
+template <typename T>
+std::span<const T> Typed(const uint8_t* base, const SnapshotSection& section) {
+  return {reinterpret_cast<const T*>(base + section.offset),
+          static_cast<size_t>(section.size / sizeof(T))};
+}
 
+}  // namespace
+
+Result<StoreSnapshot> OpenStoreSnapshot(const std::string& path) {
+  auto mapping_result = StoreSnapshot::Mapping::Open(path);
+  if (!mapping_result.ok()) return mapping_result.status();
+  std::shared_ptr<StoreSnapshot::Mapping> mapping =
+      std::move(mapping_result).ValueOrDie();
+  const uint8_t* base = mapping->base();
+  const size_t file_size = mapping->size();
+
+  SnapshotHeader header;
+  SnapshotSection table[kSnapshotSectionCount];
+  if (file_size < sizeof(header) + sizeof(table)) {
+    return Status::InvalidArgument("snapshot truncated before the header");
+  }
+  std::memcpy(&header, base, sizeof(header));
+  std::memcpy(table, base + sizeof(header), sizeof(table));
+  Status layout = CheckLayout(header, table, file_size);
+  if (!layout.ok()) return layout;
+
+  // The partitioning sections (table[12], table[13]) are only
+  // bounds-checked here; ReadPartitioning reads them on demand.
   auto arena = CompressedPostingArena<RankingId>::Adopt(
-      list_metas.value(), block_metas.value(), inline_entries.value(),
-      byte_stream.value());
+      Typed<CompressedListMeta>(base, table[3]),
+      Typed<CompressedBlockMeta>(base, table[4]),
+      Typed<RankingId>(base, table[5]), Typed<uint8_t>(base, table[6]));
   if (!arena.ok()) return arena.status();
   if (arena.value().num_entries() != header.num_arena_entries) {
     return Status::InvalidArgument("snapshot arena entry count mismatch");
   }
   auto aug_arena = CompressedPostingArena<AugmentedEntry>::Adopt(
-      aug_list_metas.value(), aug_block_metas.value(),
-      aug_inline_entries.value(), aug_byte_stream.value(),
-      aug_rank_ranges.value());
+      Typed<CompressedListMeta>(base, table[7]),
+      Typed<CompressedBlockMeta>(base, table[8]),
+      Typed<AugmentedEntry>(base, table[10]), Typed<uint8_t>(base, table[11]),
+      Typed<BlockRankRange>(base, table[9]));
   if (!aug_arena.ok()) return aug_arena.status();
   if (aug_arena.value().num_entries() != header.num_augmented_entries) {
     return Status::InvalidArgument("snapshot augmented arena entry count "
@@ -477,8 +532,9 @@ Result<StoreSnapshot> OpenStoreSnapshot(const std::string& path) {
 
   RankingStore store = RankingStore::AdoptExternal(
       header.k, static_cast<size_t>(header.num_rankings), header.max_item,
-      items.value().data(), sorted_items.value().data(),
-      sorted_ranks.value().data());
+      Typed<ItemId>(base, table[0]).data(),
+      Typed<ItemId>(base, table[1]).data(),
+      Typed<Rank>(base, table[2]).data());
   CompressedInvertedIndex index = CompressedInvertedIndex::FromParts(
       std::move(arena).ValueOrDie(),
       static_cast<size_t>(header.num_rankings));
@@ -486,7 +542,40 @@ Result<StoreSnapshot> OpenStoreSnapshot(const std::string& path) {
       std::move(aug_arena).ValueOrDie(),
       static_cast<size_t>(header.num_rankings));
   return StoreSnapshot(std::move(mapping), std::move(store),
-                       std::move(index), std::move(augmented));
+                       std::move(index), std::move(augmented), table[12],
+                       table[13]);
+}
+
+Result<Partitioning> StoreSnapshot::ReadPartitioning() const {
+  if (partitions_.size == 0 && members_.size == 0) {
+    return Status::NotFound("snapshot carries no partitioning");
+  }
+  const auto partitions =
+      Typed<SnapshotPartition>(mapping_->base(), partitions_);
+  const auto members = Typed<RankingId>(mapping_->base(), members_);
+  if (SnapshotChecksum(partitions.data(), partitions.size_bytes()) !=
+          partitions_.checksum ||
+      SnapshotChecksum(members.data(), members.size_bytes()) !=
+          members_.checksum) {
+    return Status::InvalidArgument("snapshot partitioning checksum "
+                                   "mismatch");
+  }
+  Status checked = CheckPartitionSections(partitions, members, store_.size());
+  if (!checked.ok()) return checked;
+
+  Partitioning partitioning;
+  partitioning.partitions.resize(partitions.size());
+  size_t begin = 0;
+  for (size_t i = 0; i < partitions.size(); ++i) {
+    Partition& out = partitioning.partitions[i];
+    const auto end = static_cast<size_t>(partitions[i].member_end);
+    out.medoid = partitions[i].medoid;
+    out.radius = partitions[i].radius;
+    const std::span<const RankingId> own = members.subspan(begin, end - begin);
+    out.members.assign(own.begin(), own.end());
+    begin = end;
+  }
+  return partitioning;
 }
 
 Status VerifySnapshotChecksums(const std::string& path) {
@@ -501,19 +590,27 @@ Status VerifySnapshotChecksums(const std::string& path) {
   SnapshotHeader header;
   SnapshotSection table[kSnapshotSectionCount];
   if (std::fread(&header, 1, sizeof(header), in.file) != sizeof(header) ||
-      std::memcmp(header.magic, kSnapshotMagic, sizeof(header.magic)) != 0 ||
-      header.version != kSnapshotVersion ||
-      header.section_count != kSnapshotSectionCount ||
-      header.byte_order != kSnapshotByteOrder ||
-      header.layout != kSnapshotLayout ||
       std::fread(table, 1, sizeof(table), in.file) != sizeof(table)) {
-    return Status::InvalidArgument("snapshot header unreadable: " + path);
+    return Status::InvalidArgument("snapshot truncated before the header");
   }
-  if (SnapshotChecksum(table, sizeof(table)) != header.directory_checksum) {
-    return Status::InvalidArgument("snapshot section table checksum "
-                                   "mismatch");
+  if (std::fseek(in.file, 0, SEEK_END) != 0) {
+    return Status::IOErrorFromErrno("seek snapshot " + path, errno);
   }
-  std::vector<uint8_t> buffer(1 << 20);
+  const long file_size = std::ftell(in.file);
+  if (file_size < 0) {
+    return Status::IOErrorFromErrno("size snapshot " + path, errno);
+  }
+  Status layout =
+      CheckLayout(header, table, static_cast<uint64_t>(file_size));
+  if (!layout.ok()) return layout;
+
+  // Chunks are whole rows (CheckLayout pinned both item columns to
+  // n * k cells), so the row checks never straddle two reads; a row is
+  // at most a column, itself inside the file.
+  const size_t row_bytes = size_t{header.k} * sizeof(ItemId);
+  const size_t chunk_rows = std::max<size_t>(1, (size_t{1} << 20) / row_bytes);
+  std::vector<ItemId> buffer(chunk_rows * header.k);
+  const size_t buffer_bytes = buffer.size() * sizeof(ItemId);
   for (const SnapshotSection& section : table) {
     if (std::fseek(in.file, static_cast<long>(section.offset), SEEK_SET) !=
         0) {
@@ -522,13 +619,25 @@ Status VerifySnapshotChecksums(const std::string& path) {
     uint64_t hash = kFnvOffset;
     uint64_t remaining = section.size;
     while (remaining > 0) {
-      const size_t chunk = remaining < buffer.size()
+      const size_t chunk = remaining < buffer_bytes
                                ? static_cast<size_t>(remaining)
-                               : buffer.size();
+                               : buffer_bytes;
       if (std::fread(buffer.data(), 1, chunk, in.file) != chunk) {
         return Status::InvalidArgument("snapshot section truncated");
       }
       hash = FnvUpdate(hash, buffer.data(), chunk);
+      const std::span<const ItemId> cells(buffer.data(),
+                                          chunk / sizeof(ItemId));
+      if (section.id == SnapshotSection::kItems &&
+          !ItemsWithin(cells, header.max_item)) {
+        return Status::InvalidArgument("snapshot row item above the "
+                                       "header's max_item");
+      }
+      if (section.id == SnapshotSection::kSortedItems &&
+          !RowsStrictlyAscend(cells, header.k)) {
+        return Status::InvalidArgument("snapshot sorted row not strictly "
+                                       "increasing");
+      }
       remaining -= chunk;
     }
     if (hash != section.checksum) {

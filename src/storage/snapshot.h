@@ -13,18 +13,23 @@
 // (bench/bench_storage.cc evidences this with mincore residency
 // counts).
 //
-// Layout (all integers in host byte order — like io/serialization.h
-// this is cache persistence, not an interchange format; see DESIGN.md
-// "On-disk formats". Unlike TOPKSNP1, the header now *records* the
-// writer's byte order and element-layout fingerprint so a reader on a
-// foreign ABI fails with a Status instead of misinterpreting the
-// sections):
+// The snapshot is the repo's only persistence format. Besides the
+// serving image it can carry the coarse index's partitioning — the
+// product of the distance-heavy clustering pass — so a cold start
+// rebuilds the coarse index (StoreSnapshot::ReadPartitioning, then
+// CoarseIndex::BuildFromPartitioning) without re-clustering.
 //
-//   SnapshotHeader        magic "TOPKSNP2", version, byte-order and
+// Layout (all integers in host byte order — this is cache persistence,
+// not an interchange format; see DESIGN.md "On-disk formats". The header
+// *records* the writer's byte order and element-layout fingerprint so a
+// reader on a foreign ABI fails with a Status instead of misinterpreting
+// the sections):
+//
+//   SnapshotHeader        magic "TOPKSNP3", version, byte-order and
 //                         layout tags, counts (k, n, max_item, arena
 //                         entries for both tiers), and an FNV-1a
 //                         checksum over the section table;
-//   SectionEntry[12]      id, byte offset, byte size, FNV-1a checksum
+//   SectionEntry[14]      id, byte offset, byte size, FNV-1a checksum
 //                         of the payload;
 //   sections              each padded to a 4096-byte boundary:
 //                         1 items, 2 sorted_items, 3 sorted_ranks,
@@ -33,14 +38,21 @@
 //                         arena), then the augmented arena:
 //                         8 list metas, 9 block metas, 10 per-block
 //                         rank ranges, 11 inline entries, 12 byte
-//                         stream.
+//                         stream, then the optional partitioning:
+//                         13 SnapshotPartition records (medoid, radius,
+//                         member-end offset), 14 member ids. Both
+//                         partitioning sections are empty when the
+//                         snapshot was written without one.
 //
 // Integrity is two-tier by design: OpenStoreSnapshot verifies the
 // header and the section-table checksum and bounds-checks every
 // section (plus the arena metadata, via Adopt) — cheap, O(metadata).
-// Per-section payload checksums are verified only by the separate
+// Per-section payload checksums — and the row checks the Add path
+// would have made — are verified only by the separate
 // VerifySnapshotChecksums, because checksumming gigabytes of payload
-// at open would fault in every page and defeat the zero-copy load.
+// at open would fault in every page and defeat the zero-copy load. The
+// partitioning sections are read (and checksummed) only on demand, by
+// StoreSnapshot::ReadPartitioning.
 
 #ifndef TOPK_STORAGE_SNAPSHOT_H_
 #define TOPK_STORAGE_SNAPSHOT_H_
@@ -49,6 +61,7 @@
 #include <memory>
 #include <string>
 
+#include "cluster/partitioner.h"
 #include "core/ranking.h"
 #include "core/status.h"
 #include "storage/compressed_augmented.h"
@@ -58,9 +71,9 @@ namespace topk {
 namespace storage {
 
 inline constexpr char kSnapshotMagic[8] = {'T', 'O', 'P', 'K',
-                                           'S', 'N', 'P', '2'};
-inline constexpr uint32_t kSnapshotVersion = 2;
-inline constexpr uint32_t kSnapshotSectionCount = 12;
+                                           'S', 'N', 'P', '3'};
+inline constexpr uint32_t kSnapshotVersion = 3;
+inline constexpr uint32_t kSnapshotSectionCount = 14;
 inline constexpr size_t kSnapshotPageSize = 4096;
 
 /// Stored in the header as a native integer: a reader whose byte order
@@ -106,6 +119,8 @@ struct SnapshotSection {
     kAugRankRanges = 10,
     kAugInlineEntries = 11,
     kAugByteStream = 12,
+    kPartitions = 13,
+    kPartitionMembers = 14,
   };
   uint32_t id;
   uint32_t reserved;  // zero; keeps the 64-bit fields aligned
@@ -115,18 +130,32 @@ struct SnapshotSection {
 };
 static_assert(sizeof(SnapshotSection) == 32);
 
-/// FNV-1a 64-bit, the same checksum io/serialization.cc uses.
+/// One record of the partitioning section: partition p's members are
+/// member ids [member_end of p - 1 (0 for p = 0), member_end of p). Only
+/// fixed-width fields with explicit padding, so the record has one
+/// layout on every ABI the layout tag admits.
+struct SnapshotPartition {
+  RankingId medoid;
+  uint32_t reserved;  // zero
+  RawDistance radius;
+  uint64_t member_end;
+};
+static_assert(sizeof(SnapshotPartition) == 24);
+
+/// FNV-1a 64-bit over `size` bytes (section payloads and the table).
 uint64_t SnapshotChecksum(const void* data, size_t size);
 
 /// Writes `store` + both compressed arenas (plain inverted index and
-/// rank-augmented index over the same store) as a snapshot at `path`.
-/// The store must not be empty; both arenas must have one list per
-/// item id in [0, max_item].
+/// rank-augmented index over the same store) as a snapshot at `path`,
+/// plus `partitioning` when non-null. The store must not be empty; both
+/// arenas must have one list per item id in [0, max_item]; a
+/// partitioning must pass the checks ReadPartitioning makes
+/// (InvalidArgument otherwise, and nothing is written).
 Status WriteStoreSnapshot(
     const RankingStore& store,
     const CompressedPostingArena<RankingId>& arena,
     const CompressedPostingArena<AugmentedEntry>& augmented_arena,
-    const std::string& path);
+    const std::string& path, const Partitioning* partitioning = nullptr);
 
 /// Convenience overload: builds and compresses the augmented arena from
 /// `store` (one extra indexing pass at write time).
@@ -158,6 +187,16 @@ class StoreSnapshot {
   /// bench records.
   size_t ResidentBytes() const;
 
+  /// The partitioning stored with the snapshot, copied out of the
+  /// mapping: NotFound when it was written without one. Reads only the
+  /// two partitioning sections (open never touches them) and verifies
+  /// their checksums, then rejects with InvalidArgument a partition
+  /// that is empty or not led by its medoid, member-end offsets that do
+  /// not ascend to exactly the member count, a member id >= n, and an
+  /// id listed twice — so the result is safe to hand to
+  /// CoarseIndex::BuildFromPartitioning over store().
+  Result<Partitioning> ReadPartitioning() const;
+
  private:
   friend Result<StoreSnapshot> OpenStoreSnapshot(const std::string& path);
 
@@ -165,16 +204,23 @@ class StoreSnapshot {
 
   StoreSnapshot(std::shared_ptr<Mapping> mapping, RankingStore store,
                 CompressedInvertedIndex index,
-                CompressedAugmentedIndex augmented)
+                CompressedAugmentedIndex augmented,
+                const SnapshotSection& partitions,
+                const SnapshotSection& members)
       : mapping_(std::move(mapping)),
         store_(std::move(store)),
         index_(std::move(index)),
-        augmented_(std::move(augmented)) {}
+        augmented_(std::move(augmented)),
+        partitions_(partitions),
+        members_(members) {}
 
   std::shared_ptr<Mapping> mapping_;
   RankingStore store_;
   CompressedInvertedIndex index_;
   CompressedAugmentedIndex augmented_;
+  /// Table entries of the partitioning sections, bounds-checked at open.
+  SnapshotSection partitions_;
+  SnapshotSection members_;
 };
 
 /// Maps `path` and wires the zero-copy store + indexes. Verifies the
@@ -184,9 +230,13 @@ class StoreSnapshot {
 /// comment for why).
 Result<StoreSnapshot> OpenStoreSnapshot(const std::string& path);
 
-/// Reads every section payload and verifies its checksum. O(file
-/// size); run this when integrity matters more than load latency
-/// (e.g. after a transfer), not on every open.
+/// Reads every section payload and verifies its checksum, plus the row
+/// checks a snapshot's frozen store cannot make on the Add path: every
+/// items entry is <= the header's max_item (the SIMD validator's rank
+/// table is sized by it) and every sorted_items row strictly ascends.
+/// O(file size), streamed through a bounded buffer rather than the
+/// mapping; run this when integrity matters more than load latency
+/// (SnapshotManager::OpenNewestValid does), not on every open.
 Status VerifySnapshotChecksums(const std::string& path);
 
 }  // namespace storage

@@ -137,14 +137,15 @@ void SnapshotManager::Quarantine(const std::string& path,
 
 Status SnapshotManager::WriteSnapshot(
     const RankingStore& store, const CompressedPostingArena<RankingId>& arena,
-    const CompressedPostingArena<AugmentedEntry>& augmented_arena) {
+    const CompressedPostingArena<AugmentedEntry>& augmented_arena,
+    const Partitioning* partitioning) {
   Status dir_status = EnsureDirectory();
   if (!dir_status.ok()) return dir_status;
   SweepOrphans();
   const std::vector<uint64_t> generations = ListGenerations();
   const uint64_t next = generations.empty() ? 1 : generations.back() + 1;
   Status status = WriteStoreSnapshot(store, arena, augmented_arena,
-                                     GenerationPath(next));
+                                     GenerationPath(next), partitioning);
   if (!status.ok()) return status;
   PruneOldGenerations();
   return Status::OK();

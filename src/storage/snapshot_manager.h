@@ -53,13 +53,15 @@ class SnapshotManager {
 
   const std::string& directory() const { return directory_; }
 
-  /// Emits the next generation (max existing + 1) and prunes old ones.
-  /// Creates the directory on first use. Failures leave prior
+  /// Emits the next generation (max existing + 1), carrying
+  /// `partitioning` when non-null (see WriteStoreSnapshot), and prunes
+  /// old ones. Creates the directory on first use. Failures leave prior
   /// generations untouched.
   Status WriteSnapshot(
       const RankingStore& store,
       const CompressedPostingArena<RankingId>& arena,
-      const CompressedPostingArena<AugmentedEntry>& augmented_arena);
+      const CompressedPostingArena<AugmentedEntry>& augmented_arena,
+      const Partitioning* partitioning = nullptr);
   /// Convenience overload building the augmented arena at write time.
   Status WriteSnapshot(const RankingStore& store,
                        const CompressedPostingArena<RankingId>& arena);

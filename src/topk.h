@@ -44,7 +44,6 @@
 #include "invidx/list_merge.h"
 #include "invidx/oracle_index.h"
 #include "invidx/plain_inverted_index.h"
-#include "io/serialization.h"
 #include "metric/bk_tree.h"
 #include "metric/generic_bk_tree.h"
 #include "metric/knn.h"
@@ -55,5 +54,6 @@
 #include "serve/frontend.h"
 #include "serve/lru_cache.h"
 #include "serve/result_cache.h"
+#include "storage/snapshot_manager.h"
 
 #endif  // TOPK_TOPK_H_

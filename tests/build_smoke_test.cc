@@ -1,6 +1,6 @@
 // Link-coverage canary for the build system: touches at least one symbol
 // defined in a .cc file of every src/ module (core, cluster, coarse,
-// adapt, invidx, metric, costmodel, data, harness, io), so a translation
+// adapt, invidx, metric, costmodel, data, harness, storage), so a translation
 // unit accidentally dropped from src/CMakeLists.txt fails this suite's
 // link step instead of silently shipping a hole in libtopk.
 
@@ -26,11 +26,12 @@
 #include "harness/query_algorithms.h"
 #include "harness/report.h"
 #include "harness/runner.h"
-#include "io/serialization.h"
+#include "invidx/plain_inverted_index.h"
 #include "metric/knn.h"
 #include "metric/linear_scan.h"
 #include "serve/fingerprint.h"
 #include "serve/frontend.h"
+#include "storage/snapshot.h"
 #include "test_util.h"
 
 namespace topk {
@@ -116,13 +117,22 @@ TEST(BuildSmokeTest, EverySrcModuleLinks) {
   EXPECT_GT(model.Predict(0.1, 0.3).total_ns(), 0.0);
   EXPECT_EQ(MakeGrid(0.1, 0.5, 0.1).size(), 5u);
 
-  // io: store round-trip through the serialization format.
-  const std::string path = ::testing::TempDir() + "/smoke_store.topk";
-  ASSERT_TRUE(SaveRankingStore(store, path).ok());
-  Result<RankingStore> loaded = LoadRankingStore(path);
-  ASSERT_TRUE(loaded.ok());
-  EXPECT_EQ(loaded.value().size(), store.size());
-  EXPECT_EQ(loaded.value().k(), store.k());
+  // storage: store + partitioning round-trip through a snapshot.
+  const std::string path = ::testing::TempDir() + "/smoke_store.topksnp";
+  const PlainInvertedIndex plain = PlainInvertedIndex::Build(store);
+  const auto arena =
+      storage::CompressedPostingArena<RankingId>::FromArena(plain.arena());
+  const auto augmented = storage::CompressedAugmentedIndex::Build(store);
+  const Status written = storage::WriteStoreSnapshot(
+      store, arena, augmented.arena(), path, &bk);
+  ASSERT_TRUE(written.ok()) << written.ToString();
+  Result<storage::StoreSnapshot> loaded = storage::OpenStoreSnapshot(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(loaded.value().store().size(), store.size());
+  EXPECT_EQ(loaded.value().store().k(), store.k());
+  Result<Partitioning> parts = loaded.value().ReadPartitioning();
+  ASSERT_TRUE(parts.ok()) << parts.status().ToString();
+  EXPECT_EQ(parts.value().partitions.size(), bk.partitions.size());
 }
 
 }  // namespace

@@ -2,8 +2,10 @@
 // startup recovery, quarantine of corrupt/torn files (and ONLY those —
 // clean runs must never quarantine), orphan sweeping, and the
 // fork/SIGKILL differential: a child process is killed at every
-// failpoint the snapshot write path crosses, and the parent must
-// recover a bit-exact store from the directory afterwards. The crash
+// failpoint the snapshot write path crosses while it writes a
+// generation that carries a partitioning, and the parent must recover a
+// bit-exact store (and partitioning) from the directory afterwards. The
+// crash
 // half needs -DTOPK_FAILPOINTS=ON (the CI failpoints leg); it skips
 // cleanly elsewhere.
 
@@ -21,10 +23,12 @@
 
 #include <gtest/gtest.h>
 
+#include "cluster/bk_partitioner.h"
 #include "core/failpoint.h"
 #include "core/ranking.h"
 #include "invidx/plain_inverted_index.h"
 #include "storage/compressed_arena.h"
+#include "storage/compressed_augmented.h"
 #include "storage/snapshot_manager.h"
 #include "test_util.h"
 
@@ -59,6 +63,20 @@ bool StoresBitExact(const RankingStore& actual, const RankingStore& expected) {
     const auto want = expected.view(id).items();
     const auto got = actual.view(id).items();
     if (std::memcmp(got.data(), want.data(), want.size_bytes()) != 0) {
+      return false;
+    }
+  }
+  return true;
+}
+
+bool PartitioningsEqual(const Partitioning& actual,
+                        const Partitioning& expected) {
+  if (actual.partitions.size() != expected.partitions.size()) return false;
+  for (size_t p = 0; p < expected.partitions.size(); ++p) {
+    const Partition& got = actual.partitions[p];
+    const Partition& want = expected.partitions[p];
+    if (got.medoid != want.medoid || got.radius != want.radius ||
+        got.members != want.members) {
       return false;
     }
   }
@@ -189,11 +207,12 @@ TEST(SnapshotManagerTest, OrphanTempFilesAreSwept) {
 // ---------------------------------------------------------------------------
 // The SIGKILL differential. One clean traced write discovers every
 // failpoint the emission path crosses; then, per site, a forked child
-// arms crash-at-first-hit and attempts a write. The kernel kills it
-// mid-protocol, and the parent must (a) recover the prior generation
-// bit-exact, (b) quarantine nothing (a torn write is never published,
-// so there is nothing to condemn), and (c) complete a later write
-// normally.
+// arms crash-at-first-hit and attempts a write of a generation that
+// carries a partitioning. The kernel kills it mid-protocol, and the
+// parent must (a) recover the prior generation bit-exact — or the new
+// one, partitioning included, (b) quarantine nothing (a torn write is
+// never published, so there is nothing to condemn), and (c) complete a
+// later write normally.
 
 TEST(SnapshotCrashTest, RecoversBitExactAfterSigkillAtEveryWriteSite) {
   if (!FailpointsCompiledIn()) {
@@ -206,6 +225,14 @@ TEST(SnapshotCrashTest, RecoversBitExactAfterSigkillAtEveryWriteSite) {
   const RankingStore new_store = testutil::MakeClusteredStore(8, 220, 62);
   const auto old_arena = ArenaOf(old_store);
   const auto new_arena = ArenaOf(new_store);
+  const auto new_augmented =
+      storage::CompressedAugmentedIndex::Build(new_store);
+  const Partitioning new_partitioning = BkPartition(
+      new_store, RawThreshold(0.3, new_store.k()), BkPartitionMode::kStrict);
+  const auto write_new = [&](SnapshotManager* manager) {
+    return manager->WriteSnapshot(new_store, new_arena,
+                                  new_augmented.arena(), &new_partitioning);
+  };
 
   // Trace which storage-layer sites one clean emission crosses.
   std::vector<std::string> sites;
@@ -213,7 +240,7 @@ TEST(SnapshotCrashTest, RecoversBitExactAfterSigkillAtEveryWriteSite) {
     const std::string dir = MakeDir("snapcrash_trace");
     SnapshotManager manager(dir);
     registry.ResetCounts();
-    ASSERT_TRUE(manager.WriteSnapshot(new_store, new_arena).ok());
+    ASSERT_TRUE(write_new(&manager).ok());
     for (const std::string& site : registry.SitesHit()) {
       if (site.rfind("storage.snapshot.", 0) == 0) sites.push_back(site);
     }
@@ -240,7 +267,7 @@ TEST(SnapshotCrashTest, RecoversBitExactAfterSigkillAtEveryWriteSite) {
         _exit(40);
       }
       SnapshotManager child_manager(dir);
-      const Status status = child_manager.WriteSnapshot(new_store, new_arena);
+      const Status status = write_new(&child_manager);
       _exit(status.ok() ? 41 : 42);
     }
     int wstatus = 0;
@@ -259,9 +286,14 @@ TEST(SnapshotCrashTest, RecoversBitExactAfterSigkillAtEveryWriteSite) {
     const OpenedSnapshot& recovered = opened.value();
     if (recovered.generation == 1) {
       EXPECT_TRUE(StoresBitExact(recovered.snapshot.store(), old_store));
+      EXPECT_EQ(recovered.snapshot.ReadPartitioning().status().code(),
+                Status::Code::kNotFound);
     } else {
       EXPECT_EQ(recovered.generation, 2u);
       EXPECT_TRUE(StoresBitExact(recovered.snapshot.store(), new_store));
+      const auto partitioning = recovered.snapshot.ReadPartitioning();
+      ASSERT_TRUE(partitioning.ok()) << partitioning.status().ToString();
+      EXPECT_TRUE(PartitioningsEqual(partitioning.value(), new_partitioning));
     }
     EXPECT_EQ(manager.QuarantinedCount(), 0u);
     EXPECT_EQ(stats.Get(Ticker::kSnapshotsQuarantined), 0u);
@@ -269,10 +301,13 @@ TEST(SnapshotCrashTest, RecoversBitExactAfterSigkillAtEveryWriteSite) {
 
     // The survivor keeps working: the next emission and recovery are
     // ordinary.
-    ASSERT_TRUE(manager.WriteSnapshot(new_store, new_arena).ok());
+    ASSERT_TRUE(write_new(&manager).ok());
     auto reopened = manager.OpenNewestValid();
     ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
     EXPECT_TRUE(StoresBitExact(reopened.value().snapshot.store(), new_store));
+    const auto partitioning = reopened.value().snapshot.ReadPartitioning();
+    ASSERT_TRUE(partitioning.ok()) << partitioning.status().ToString();
+    EXPECT_TRUE(PartitioningsEqual(partitioning.value(), new_partitioning));
   }
 }
 

@@ -1,21 +1,27 @@
 // mmap snapshot suite: write/open round-trip, zero-copy query
 // differential against the RAM-resident engines, corruption and
 // truncation at every layer of the format (header, section table,
-// section payloads), lazy checksum verification, and the MutableStore
-// merge-emitted snapshot.
+// section payloads), lazy checksum verification and its row checks, the
+// stored coarse partitioning (round trip, absence, corruption, hostile
+// offsets and ids), and the MutableStore merge-emitted snapshot.
 
 #include <fcntl.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
+#include <functional>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "cluster/bk_partitioner.h"
+#include "coarse/coarse_index.h"
 #include "core/ranking.h"
 #include "core/types.h"
 #include "invidx/filter_validate.h"
@@ -24,6 +30,7 @@
 #include "storage/compressed_arena.h"
 #include "storage/compressed_augmented.h"
 #include "storage/snapshot.h"
+#include "storage/snapshot_manager.h"
 #include "test_util.h"
 
 namespace topk {
@@ -32,6 +39,9 @@ namespace {
 using storage::CompressedPostingArena;
 using storage::OpenStoreSnapshot;
 using storage::SnapshotHeader;
+using storage::SnapshotManager;
+using storage::SnapshotPartition;
+using storage::SnapshotSection;
 using storage::StoreSnapshot;
 using storage::VerifySnapshotChecksums;
 using storage::WriteStoreSnapshot;
@@ -40,12 +50,20 @@ std::string TempPath(const char* name) {
   return testing::TempDir() + "/" + name;
 }
 
-/// Writes a snapshot of `store` (and its plain index, compressed).
-void WriteSnapshotOf(const RankingStore& store, const std::string& path) {
+/// The compressed plain index of `store`.
+CompressedPostingArena<RankingId> ArenaOf(const RankingStore& store) {
   const PlainInvertedIndex plain = PlainInvertedIndex::Build(store);
-  const auto arena =
-      CompressedPostingArena<RankingId>::FromArena(plain.arena());
-  ASSERT_TRUE(WriteStoreSnapshot(store, arena, path).ok());
+  return CompressedPostingArena<RankingId>::FromArena(plain.arena());
+}
+
+/// Writes a snapshot of `store` (and its plain index, compressed), with
+/// `partitioning` when non-null.
+void WriteSnapshotOf(const RankingStore& store, const std::string& path,
+                     const Partitioning* partitioning = nullptr) {
+  const auto augmented = storage::CompressedAugmentedIndex::Build(store);
+  const Status written = WriteStoreSnapshot(
+      store, ArenaOf(store), augmented.arena(), path, partitioning);
+  ASSERT_TRUE(written.ok()) << written.ToString();
 }
 
 std::vector<uint8_t> ReadFile(const std::string& path) {
@@ -69,6 +87,83 @@ void WriteBytes(const std::string& path, const std::vector<uint8_t>& bytes) {
   std::fclose(file);
 }
 
+/// The section table of a snapshot image.
+struct Table {
+  SnapshotSection sections[storage::kSnapshotSectionCount];
+};
+
+Table TableOf(const std::vector<uint8_t>& bytes) {
+  Table table;
+  std::memcpy(table.sections, bytes.data() + sizeof(SnapshotHeader),
+              sizeof(table.sections));
+  return table;
+}
+
+/// End of the last non-empty section payload: the file past it is page
+/// padding (and empty sections sit at the file end).
+size_t PayloadEnd(const std::vector<uint8_t>& bytes) {
+  size_t end = 0;
+  for (const SnapshotSection& section : TableOf(bytes).sections) {
+    if (section.size > 0) {
+      end = std::max(end, static_cast<size_t>(section.offset + section.size));
+    }
+  }
+  return end;
+}
+
+/// Overwrites the bytes at `offset` with `value`.
+template <typename T>
+void Poke(std::vector<uint8_t>* bytes, size_t offset, T value) {
+  std::memcpy(bytes->data() + offset, &value, sizeof(value));
+}
+
+template <typename T>
+T Peek(const std::vector<uint8_t>& bytes, size_t offset) {
+  T value;
+  std::memcpy(&value, bytes.data() + offset, sizeof(value));
+  return value;
+}
+
+/// Overwrites bytes of a section, given the section's table entry.
+using SectionPatch =
+    std::function<void(const SnapshotSection&, std::vector<uint8_t>*)>;
+
+/// Writes `value` at byte `offset` into the patched section.
+template <typename T>
+SectionPatch PokeAt(size_t offset, T value) {
+  return [=](const SnapshotSection& section, std::vector<uint8_t>* bytes) {
+    Poke(bytes, static_cast<size_t>(section.offset) + offset, value);
+  };
+}
+
+/// Re-stamps section `index`'s payload checksum and the directory
+/// checksum after a patch, so only the content checks can catch it.
+void Restamp(std::vector<uint8_t>* bytes, size_t index) {
+  Table table = TableOf(*bytes);
+  SnapshotSection& section = table.sections[index];
+  section.checksum = storage::SnapshotChecksum(
+      bytes->data() + section.offset, static_cast<size_t>(section.size));
+  std::memcpy(bytes->data() + sizeof(SnapshotHeader), table.sections,
+              sizeof(table.sections));
+  Poke(bytes, offsetof(SnapshotHeader, directory_checksum),
+       storage::SnapshotChecksum(table.sections, sizeof(table.sections)));
+}
+
+/// Section indexes (table position = id - 1).
+constexpr size_t kItemsIndex = SnapshotSection::kItems - 1;
+constexpr size_t kSortedItemsIndex = SnapshotSection::kSortedItems - 1;
+constexpr size_t kAugByteStreamIndex = SnapshotSection::kAugByteStream - 1;
+constexpr size_t kPartitionsIndex = SnapshotSection::kPartitions - 1;
+constexpr size_t kMembersIndex = SnapshotSection::kPartitionMembers - 1;
+
+/// A clustered store and its strict BK partitioning (several partitions,
+/// most with more than one member).
+struct PartitionedStore {
+  RankingStore store = testutil::MakeClusteredStore(10, 800, 302);
+  Partitioning partitioning =
+      BkPartition(store, RawThreshold(0.3, 10), BkPartitionMode::kStrict);
+};
+
 TEST(StoreSnapshot, RoundTripsStoreAndIndex) {
   const RankingStore store = testutil::MakeClusteredStore(10, 400, 3);
   const std::string path = TempPath("roundtrip.snap");
@@ -89,6 +184,13 @@ TEST(StoreSnapshot, RoundTripsStoreAndIndex) {
         << "row " << id;
   }
   EXPECT_TRUE(VerifySnapshotChecksums(path).ok());
+  // Written without a partitioning: both sections empty, and asking for
+  // one is NotFound.
+  const Table table = TableOf(ReadFile(path));
+  EXPECT_EQ(table.sections[kPartitionsIndex].size, 0u);
+  EXPECT_EQ(table.sections[kMembersIndex].size, 0u);
+  EXPECT_EQ(snapshot.ReadPartitioning().status().code(),
+            Status::Code::kNotFound);
   std::remove(path.c_str());
 }
 
@@ -154,7 +256,12 @@ TEST(StoreSnapshot, OpenIsZeroCopy) {
 }
 
 TEST(StoreSnapshot, RejectsMissingAndEmptyAndTruncatedFiles) {
-  EXPECT_FALSE(OpenStoreSnapshot(TempPath("does-not-exist.snap")).ok());
+  // Absence is NotFound (callers build fresh); everything below is
+  // InvalidArgument (evidence of corruption).
+  EXPECT_EQ(OpenStoreSnapshot(TempPath("does-not-exist.snap")).status().code(),
+            Status::Code::kNotFound);
+  EXPECT_EQ(VerifySnapshotChecksums(TempPath("does-not-exist.snap")).code(),
+            Status::Code::kNotFound);
 
   const std::string path = TempPath("degenerate.snap");
   WriteBytes(path, {});  // zero-length file
@@ -164,14 +271,9 @@ TEST(StoreSnapshot, RejectsMissingAndEmptyAndTruncatedFiles) {
   const RankingStore store = testutil::MakeClusteredStore(8, 120, 13);
   WriteSnapshotOf(store, path);
   const std::vector<uint8_t> good = ReadFile(path);
-  // The last section's payload end (NOT the file end: the file is
-  // padded out to a page boundary, and shaving padding alone is not
-  // corruption).
-  storage::SnapshotSection table[storage::kSnapshotSectionCount];
-  std::memcpy(table, good.data() + sizeof(SnapshotHeader), sizeof(table));
-  const auto last_payload_end = static_cast<size_t>(
-      table[storage::kSnapshotSectionCount - 1].offset +
-      table[storage::kSnapshotSectionCount - 1].size);
+  // The last payload byte's end (NOT the file end: the file is padded
+  // out to a page boundary, and shaving padding alone is not corruption).
+  const size_t last_payload_end = PayloadEnd(good);
   ASSERT_GT(last_payload_end, size_t{0});
   // Truncation at every structural boundary: mid-header, mid-table,
   // mid-payload, one payload byte short.
@@ -194,7 +296,7 @@ TEST(StoreSnapshot, RejectsHeaderAndTableCorruption) {
   const std::vector<uint8_t> good = ReadFile(path);
 
   // Bad magic, bad version, corrupted section table (directory checksum
-  // catches the flip), corrupted counts.
+  // catches the flip), corrupted byte-order tag.
   const size_t offsets[] = {0, 8, sizeof(SnapshotHeader) + 8, 16};
   for (const size_t offset : offsets) {
     std::vector<uint8_t> bad = good;
@@ -202,34 +304,75 @@ TEST(StoreSnapshot, RejectsHeaderAndTableCorruption) {
     WriteBytes(path, bad);
     EXPECT_FALSE(OpenStoreSnapshot(path).ok()) << "offset=" << offset;
   }
+  {
+    // A TOPKSNP2 file (the magic's last byte and the version field) is an
+    // unsupported version, not a stranger.
+    std::vector<uint8_t> older = good;
+    older[7] = '2';
+    Poke<uint32_t>(&older, offsetof(SnapshotHeader, version), 2);
+    WriteBytes(path, older);
+    const auto opened = OpenStoreSnapshot(path);
+    EXPECT_EQ(opened.status().code(), Status::Code::kInvalidArgument);
+    EXPECT_NE(opened.status().ToString().find("unsupported snapshot version"),
+              std::string::npos)
+        << opened.status().ToString();
+    EXPECT_EQ(VerifySnapshotChecksums(path).code(),
+              Status::Code::kInvalidArgument);
+  }
+  // Hostile ranking counts: one whose n * k * 4 wraps 64 bits (only the
+  // overflow-safe division-form check catches it) and one merely larger
+  // than the columns. The header is outside every checksum.
+  for (const uint64_t n : {~uint64_t{0} / 2, uint64_t{store.size()} + 1}) {
+    std::vector<uint8_t> bad = good;
+    Poke(&bad, offsetof(SnapshotHeader, num_rankings), n);
+    WriteBytes(path, bad);
+    const auto opened = OpenStoreSnapshot(path);
+    EXPECT_EQ(opened.status().code(), Status::Code::kInvalidArgument)
+        << "n=" << n;
+    EXPECT_EQ(VerifySnapshotChecksums(path).code(),
+              Status::Code::kInvalidArgument)
+        << "n=" << n;
+  }
   std::remove(path.c_str());
 }
 
 TEST(StoreSnapshot, PayloadCorruptionIsCaughtByVerifyNotOpen) {
-  const RankingStore store = testutil::MakeClusteredStore(8, 200, 19);
+  const PartitionedStore fixture;
   const std::string path = TempPath("corrupt-payload.snap");
-  WriteSnapshotOf(store, path);
-  std::vector<uint8_t> bad = ReadFile(path);
-  // Flip one byte inside the last section's payload (the compressed
-  // byte stream — NOT the trailing page padding, which no checksum
-  // covers): open stays lazy and cheap, the full verify must catch it.
-  storage::SnapshotSection table[storage::kSnapshotSectionCount];
-  std::memcpy(table, bad.data() + sizeof(SnapshotHeader), sizeof(table));
-  const auto& last = table[storage::kSnapshotSectionCount - 1];
-  ASSERT_GT(last.size, uint64_t{0});
-  bad[static_cast<size_t>(last.offset)] ^= 0xff;
-  WriteBytes(path, bad);
-  auto opened = OpenStoreSnapshot(path);
-  EXPECT_TRUE(opened.ok()) << opened.status().ToString();
-  EXPECT_FALSE(VerifySnapshotChecksums(path).ok());
+  WriteSnapshotOf(fixture.store, path, &fixture.partitioning);
+  const std::vector<uint8_t> good = ReadFile(path);
+  // Flip one byte inside a section's payload (NOT the trailing page
+  // padding, which no checksum covers): open stays lazy and cheap, the
+  // full verify must catch it — and ReadPartitioning, which checksums
+  // the partitioning sections it reads.
+  for (const size_t index :
+       {kAugByteStreamIndex, kPartitionsIndex, kMembersIndex}) {
+    SCOPED_TRACE(index);
+    std::vector<uint8_t> bad = good;
+    const SnapshotSection section = TableOf(bad).sections[index];
+    ASSERT_GT(section.size, uint64_t{0});
+    bad[static_cast<size_t>(section.offset + section.size / 2)] ^= 0x10;
+    WriteBytes(path, bad);
+    auto opened = OpenStoreSnapshot(path);
+    ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+    EXPECT_EQ(VerifySnapshotChecksums(path).code(),
+              Status::Code::kInvalidArgument);
+    if (index != kAugByteStreamIndex) {
+      const auto read = opened.value().ReadPartitioning();
+      EXPECT_EQ(read.status().code(), Status::Code::kInvalidArgument);
+      EXPECT_NE(read.status().ToString().find("checksum"), std::string::npos)
+          << read.status().ToString();
+    }
+  }
   std::remove(path.c_str());
 }
 
 TEST(StoreSnapshot, MergeEmitsLoadableSnapshot) {
   const RankingStore initial = testutil::MakeClusteredStore(10, 300, 23);
-  const std::string path = TempPath("merge-emitted.snap");
+  const std::string dir = TempPath("merge-emitted");
+  std::filesystem::remove_all(dir);
   MutableStoreOptions options;
-  options.snapshot_path = path;
+  options.snapshot_dir = dir;
   MutableStore live(initial, options);
 
   // Mutate, then merge: the snapshot must freeze the rebuilt segment.
@@ -242,27 +385,32 @@ TEST(StoreSnapshot, MergeEmitsLoadableSnapshot) {
   ASSERT_TRUE(live.last_snapshot_status().ok())
       << live.last_snapshot_status().ToString();
 
-  auto opened = OpenStoreSnapshot(path);
+  SnapshotManager manager(dir);
+  auto opened = manager.OpenNewestValid();
   ASSERT_TRUE(opened.ok()) << opened.status().ToString();
-  EXPECT_EQ(opened.value().store().size(), live.live_size());
-  EXPECT_TRUE(VerifySnapshotChecksums(path).ok());
+  EXPECT_EQ(opened.value().generation, 1u);
+  const StoreSnapshot& snapshot = opened.value().snapshot;
+  EXPECT_EQ(snapshot.store().size(), live.live_size());
+  // Merge emission carries no partitioning.
+  EXPECT_EQ(snapshot.ReadPartitioning().status().code(),
+            Status::Code::kNotFound);
 
   // The frozen rows answer queries identically to a plain engine over
   // the same rows.
-  const RankingStore& frozen = opened.value().store();
+  const RankingStore& frozen = snapshot.store();
   RankingStore rebuilt(frozen.k());
   for (RankingId id = 0; id < frozen.size(); ++id) {
     rebuilt.AddUnchecked(frozen.view(id).items());
   }
   const PlainInvertedIndex plain = PlainInvertedIndex::Build(rebuilt);
   FilterValidateEngine reference(&rebuilt, &plain, {});
-  storage::CompressedFilterValidateEngine tier(&frozen,
-                                               &opened.value().index(), {});
+  storage::CompressedFilterValidateEngine tier(&frozen, &snapshot.index(),
+                                               {});
   const RawDistance theta = MaxDistance(frozen.k()) / 3;
   for (const auto& query : testutil::MakeQueries(rebuilt, 6, 31)) {
     EXPECT_EQ(tier.Query(query, theta), reference.Query(query, theta));
   }
-  std::remove(path.c_str());
+  std::filesystem::remove_all(dir);
 }
 
 TEST(StoreSnapshot, RejectsForeignByteOrderAndLayout) {
@@ -326,6 +474,206 @@ TEST(StoreSnapshot, AugmentedIndexServesIdenticallyFromMmap) {
     }
   }
   std::remove(path.c_str());
+}
+
+TEST(StoreSnapshot, VerifyRejectsRowsTheAddPathWouldReject) {
+  // Valid checksums, but rows RankingStore::Add would refuse: an item
+  // past the header's max_item (the SIMD validator sizes its rank table
+  // by max_item, so serving the row would read out of bounds), and a
+  // sorted row that no longer ascends (two neighbours of the last row
+  // swapped, so the check must cover the final chunk too).
+  const RankingStore store = testutil::MakeClusteredStore(8, 150, 47);
+  const auto unsorted_row = [](const SnapshotSection& sorted,
+                               std::vector<uint8_t>* bytes) {
+    const size_t at = static_cast<size_t>(sorted.offset + sorted.size) -
+                      2 * sizeof(ItemId);
+    const auto first = Peek<ItemId>(*bytes, at);
+    const auto second = Peek<ItemId>(*bytes, at + sizeof(ItemId));
+    Poke(bytes, at, second);
+    Poke(bytes, at + sizeof(ItemId), first);
+  };
+  const struct {
+    size_t index;
+    SectionPatch patch;
+    const char* message;
+  } cases[] = {
+      {kItemsIndex, PokeAt<ItemId>(5 * sizeof(ItemId), store.max_item() + 1),
+       "max_item"},
+      {kSortedItemsIndex, unsorted_row, "strictly increasing"},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.message);
+    const std::string dir = TempPath("invalid-rows");
+    std::filesystem::remove_all(dir);
+    SnapshotManager manager(dir);
+    ASSERT_TRUE(manager.WriteSnapshot(store, ArenaOf(store)).ok());
+    const std::string path = manager.GenerationPath(1);
+    std::vector<uint8_t> bytes = ReadFile(path);
+    c.patch(TableOf(bytes).sections[c.index], &bytes);
+    Restamp(&bytes, c.index);
+    WriteBytes(path, bytes);
+    const Status verified = VerifySnapshotChecksums(path);
+    EXPECT_EQ(verified.code(), Status::Code::kInvalidArgument);
+    EXPECT_NE(verified.ToString().find(c.message), std::string::npos)
+        << verified.ToString();
+    // OpenNewestValid trusts a generation only after the full verify, so
+    // it quarantines the file.
+    Statistics stats;
+    EXPECT_EQ(manager.OpenNewestValid(&stats).status().code(),
+              Status::Code::kNotFound);
+    EXPECT_EQ(manager.QuarantinedCount(), 1u);
+    EXPECT_EQ(stats.Get(Ticker::kSnapshotsQuarantined), 1u);
+    std::filesystem::remove_all(dir);
+  }
+}
+
+// --- The stored partitioning ----------------------------------------------
+
+TEST(StoreSnapshot, PartitioningRoundTripsAndRebuildsAnIdenticalCoarseIndex) {
+  const PartitionedStore fixture;
+  ASSERT_GT(fixture.partitioning.partitions.size(), size_t{1});
+  const std::string path = TempPath("partitioned.snap");
+  WriteSnapshotOf(fixture.store, path, &fixture.partitioning);
+  EXPECT_TRUE(VerifySnapshotChecksums(path).ok());
+  auto opened = OpenStoreSnapshot(path);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  auto read = opened.value().ReadPartitioning();
+  ASSERT_TRUE(read.ok()) << read.status().ToString();
+  ASSERT_EQ(read.value().partitions.size(),
+            fixture.partitioning.partitions.size());
+  for (size_t p = 0; p < read.value().partitions.size(); ++p) {
+    const Partition& want = fixture.partitioning.partitions[p];
+    const Partition& got = read.value().partitions[p];
+    EXPECT_EQ(got.medoid, want.medoid);
+    EXPECT_EQ(got.radius, want.radius);
+    EXPECT_EQ(got.members, want.members);
+  }
+
+  CoarseOptions options;
+  options.theta_c = 0.3;
+  const CoarseIndex fresh = CoarseIndex::BuildFromPartitioning(
+      &fixture.store, options, fixture.partitioning);
+  const CoarseIndex rebuilt = CoarseIndex::BuildFromPartitioning(
+      &opened.value().store(), options, std::move(read).ValueOrDie());
+  const RawDistance dmax = MaxDistance(fixture.store.k());
+  for (const auto& query : testutil::MakeQueries(fixture.store, 10, 303)) {
+    for (RawDistance theta = 0; theta <= dmax; theta += 2) {
+      const auto expected = fresh.Query(query, theta);
+      ASSERT_EQ(rebuilt.Query(query, theta), expected) << "theta=" << theta;
+      ASSERT_EQ(expected, testutil::BruteForce(fixture.store, query, theta))
+          << "theta=" << theta;
+    }
+  }
+  std::remove(path.c_str());
+}
+
+TEST(StoreSnapshot, ReadPartitioningRejectsHostileSections) {
+  const PartitionedStore fixture;
+  // The first and the last partition need two members or more: one to
+  // patch that is not the medoid (which must lead), and a last end that
+  // can shrink and still ascend.
+  Partitioning parts = fixture.partitioning;
+  const auto multi = std::find_if(
+      parts.partitions.begin() + 1, parts.partitions.end() - 1,
+      [](const Partition& p) { return p.members.size() > 1; });
+  ASSERT_NE(multi, parts.partitions.end() - 1);
+  std::swap(*multi, parts.partitions.back());
+  const size_t victim = parts.partitions[0].members.size() - 1;
+  ASSERT_GT(victim, size_t{0});
+  const size_t last = parts.partitions.size() - 1;
+  const uint64_t members = parts.total_members();
+  const auto n = static_cast<RankingId>(fixture.store.size());
+  const RankingId taken = parts.partitions[1].medoid;
+  const auto field = [](size_t p, size_t offset) {
+    return p * sizeof(SnapshotPartition) + offset;
+  };
+  const size_t end = offsetof(SnapshotPartition, member_end);
+  constexpr uint64_t kFar = uint64_t{1} << 40;
+  // Each patch keeps the checksums valid (re-stamped below), so open and
+  // verify pass and only ReadPartitioning's content checks can catch it.
+  const struct {
+    size_t index;
+    SectionPatch patch;
+    const char* message;
+  } cases[] = {
+      // An offset that wraps any `begin + count` arithmetic.
+      {kPartitionsIndex, PokeAt(field(0, end), ~uint64_t{0}), "past the"},
+      // Offsets that stay ascending far past the member section: the
+      // per-record bound must stop them before any member is read there.
+      {kPartitionsIndex,
+       [&](const SnapshotSection& records, std::vector<uint8_t>* bytes) {
+         PokeAt(field(0, end), kFar)(records, bytes);
+         PokeAt(field(1, end), kFar + 1)(records, bytes);
+       },
+       "past the"},
+      {kPartitionsIndex, PokeAt(field(last, end), members + 1), "past the"},
+      {kPartitionsIndex, PokeAt(field(last, end), members - 1),
+       "do not cover"},
+      {kPartitionsIndex, PokeAt(field(0, end), uint64_t{0}), "out of order"},
+      {kPartitionsIndex, PokeAt(field(1, end), uint64_t{0}), "out of order"},
+      {kPartitionsIndex,
+       PokeAt(field(0, offsetof(SnapshotPartition, reserved)), uint32_t{1}),
+       "reserved"},
+      {kPartitionsIndex,
+       PokeAt(field(0, offsetof(SnapshotPartition, medoid)), taken),
+       "medoid must lead"},
+      {kMembersIndex, PokeAt(victim * sizeof(RankingId), n),
+       "outside the store"},
+      {kMembersIndex, PokeAt(victim * sizeof(RankingId), taken), "twice"},
+  };
+  const std::string path = TempPath("hostile-partitions.snap");
+  WriteSnapshotOf(fixture.store, path, &parts);
+  const std::vector<uint8_t> good = ReadFile(path);
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.message);
+    std::vector<uint8_t> bad = good;
+    c.patch(TableOf(bad).sections[c.index], &bad);
+    Restamp(&bad, c.index);
+    WriteBytes(path, bad);
+    EXPECT_TRUE(VerifySnapshotChecksums(path).ok());
+    auto opened = OpenStoreSnapshot(path);
+    ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+    const Status read = opened.value().ReadPartitioning().status();
+    EXPECT_EQ(read.code(), Status::Code::kInvalidArgument);
+    EXPECT_NE(read.ToString().find(c.message), std::string::npos)
+        << read.ToString();
+  }
+
+  // A partition section whose size is not a whole number of records, or
+  // that runs past the file, fails already at open.
+  for (const uint64_t size :
+       {uint64_t{sizeof(SnapshotPartition)} * (last + 1) + 1,
+        uint64_t{good.size()}}) {
+    std::vector<uint8_t> bad = good;
+    Table table = TableOf(bad);
+    table.sections[kPartitionsIndex].size = size;
+    std::memcpy(bad.data() + sizeof(SnapshotHeader), table.sections,
+                sizeof(table.sections));
+    Poke(&bad, offsetof(SnapshotHeader, directory_checksum),
+         storage::SnapshotChecksum(table.sections, sizeof(table.sections)));
+    WriteBytes(path, bad);
+    EXPECT_EQ(OpenStoreSnapshot(path).status().code(),
+              Status::Code::kInvalidArgument)
+        << "size=" << size;
+  }
+  std::remove(path.c_str());
+
+  // The writer refuses the id cases instead of producing a file the
+  // reader would reject.
+  const auto arena = ArenaOf(fixture.store);
+  const auto augmented =
+      storage::CompressedAugmentedIndex::Build(fixture.store);
+  for (const RankingId id : {n, taken}) {
+    Partitioning hostile = parts;
+    hostile.partitions[0].members[victim] = id;
+    const std::string refused = TempPath("refused.snap");
+    std::remove(refused.c_str());
+    EXPECT_EQ(WriteStoreSnapshot(fixture.store, arena, augmented.arena(),
+                                 refused, &hostile)
+                  .code(),
+              Status::Code::kInvalidArgument);
+    EXPECT_FALSE(std::filesystem::exists(refused));
+  }
 }
 
 TEST(StoreSnapshot, WriteRejectsEmptyStore) {
