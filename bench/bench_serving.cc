@@ -13,8 +13,8 @@
 //
 // Every row cross-checks the result multiset hash against the sequential
 // single-threaded runner — a cache that changes answers is a bug, not a
-// speedup. A second section ablates the two cache layers at a fixed
-// repeat fraction.
+// speedup. A second section ablates the result cache at a fixed repeat
+// fraction.
 //
 //   build/bench/bench_serving                   # laptop scale
 //   build/bench/bench_serving --out=serve.json  # also emit JSON rows
@@ -38,10 +38,8 @@
 namespace topk {
 namespace {
 
-// The sweep serves the paper's hybrid (Coarse); the ablation serves the
-// union-validating engines the candidate cache is scoped to (for F&V the
-// memoized union equals its own validation set — the layer saves the
-// filter scan; for LinearScan it also cuts distance calls to the union).
+// The sweep serves the paper's hybrid (Coarse); the ablation serves plain
+// F&V and the exhaustive LinearScan.
 constexpr Algorithm kSweepAlgorithm = Algorithm::kCoarse;
 constexpr Algorithm kAblationAlgorithms[] = {Algorithm::kFV,
                                              Algorithm::kLinearScan};
@@ -95,10 +93,6 @@ struct JsonSink {
     json->Uint(stats.Get(Ticker::kResultCacheMisses));
     json->Key("result_cache_evictions");
     json->Uint(stats.Get(Ticker::kResultCacheEvictions));
-    json->Key("candidate_cache_hits");
-    json->Uint(stats.Get(Ticker::kCandidateCacheHits));
-    json->Key("candidate_cache_misses");
-    json->Uint(stats.Get(Ticker::kCandidateCacheMisses));
     json->Key("distance_calls");
     json->Uint(stats.Get(Ticker::kDistanceCalls));
     json->Key("speedup_vs_uncached");
@@ -142,7 +136,6 @@ void RunRepeatSweep(const RankingStore& store, const bench::BenchArgs& args,
       QueryFrontendOptions off;
       off.num_threads = threads;
       off.result_cache_capacity = 0;
-      off.candidate_cache_capacity = 0;
       QueryFrontend uncached(&store, off);
       uncached.Prepare(kSweepAlgorithm);  // index build before timed pass
       const RunResult cold = uncached.ServeWorkload(kSweepAlgorithm,
@@ -189,9 +182,9 @@ void RunRepeatSweep(const RankingStore& store, const bench::BenchArgs& args,
 void RunCacheAblation(const RankingStore& store, const bench::BenchArgs& args,
                       RawDistance theta_raw, JsonSink* sink) {
   PrintBanner(std::cout,
-              "Cache-layer ablation (repeat=0.5, 2 threads, first pass)");
+              "Result-cache ablation (repeat=0.5, 2 threads, first pass)");
   TextTable table({"algorithm", "config", "wall_ms", "result_hits",
-                   "candidate_hits", "distance_calls", "speedup", "exact"});
+                   "distance_calls", "speedup", "exact"});
 
   WorkloadOptions wopts;
   wopts.num_queries = args.queries;
@@ -203,13 +196,10 @@ void RunCacheAblation(const RankingStore& store, const bench::BenchArgs& args,
   struct Config {
     const char* name;
     size_t result_capacity;
-    size_t candidate_capacity;
   };
   const Config configs[] = {
-      {"none", 0, 0},
-      {"result_only", 64 * 1024, 0},
-      {"candidate_only", 0, 16 * 1024},
-      {"both", 64 * 1024, 16 * 1024},
+      {"none", 0},
+      {"result_only", 64 * 1024},
   };
   EngineSuite suite(&store);
   for (const Algorithm algorithm : kAblationAlgorithms) {
@@ -221,7 +211,6 @@ void RunCacheAblation(const RankingStore& store, const bench::BenchArgs& args,
       QueryFrontendOptions options;
       options.num_threads = 2;
       options.result_cache_capacity = config.result_capacity;
-      options.candidate_cache_capacity = config.candidate_capacity;
       QueryFrontend frontend(&store, options);
       frontend.Prepare(algorithm);
       const RunResult run =
@@ -236,7 +225,6 @@ void RunCacheAblation(const RankingStore& store, const bench::BenchArgs& args,
       table.AddRow(
           {AlgorithmName(algorithm), config.name, FormatDouble(run.wall_ms),
            std::to_string(run.stats.Get(Ticker::kResultCacheHits)),
-           std::to_string(run.stats.Get(Ticker::kCandidateCacheHits)),
            std::to_string(run.stats.Get(Ticker::kDistanceCalls)),
            FormatDouble(speedup), exact ? "yes" : "NO"});
       sink->Row(PassRow{"cache_ablation", algorithm, 0.5, 2, config.name,

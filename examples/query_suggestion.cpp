@@ -7,9 +7,7 @@
 // query stream through the online frontend: whole queries are batched
 // across a thread pool and re-issued queries hit the exact result cache
 // — the shape of a production suggestion service, with bit-exact
-// answers. (The Coarse engine served here bypasses the candidate cache
-// by design: its own filter beats validating the full posting union;
-// see serve/candidate_cache.h for the engines that use that layer.)
+// answers.
 //
 //   build/examples/query_suggestion
 

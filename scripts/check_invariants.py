@@ -60,6 +60,14 @@ Checks (each is a named rule; any violation exits non-zero):
                   the errno into a Status (Status::IOErrorFromErrno), or mark
                   a deliberate best-effort discard with
                   `// syscall-ok: <why>`.
+  filter-phase-callers
+                  FilterPhase( may appear only under src/kernel/ (where
+                  RangeSearch, the one filter -> validate range pipeline,
+                  calls it) and in src/coarse/coarse_index.cc (medoid
+                  retrieval). Every other range path goes through
+                  RangeSearch, so a second copy of the pipeline — and a
+                  second owner of the theta >= dmax rule — cannot come
+                  back.
   scalar-oracle   LinearScanKnn( and LinearScanQuery( are the scalar
                   reference scans the differential suites and the
                   benchmark's answer checker trust; src/ may call them only
@@ -189,6 +197,12 @@ KERNEL_ALLOWED_INCLUDE_EXACT = {
     "invidx/visited_set.h",  # leaf epoch-stamped bitset, no engine deps
 }
 
+
+# filter-phase-callers ------------------------------------------------------
+
+FILTER_PHASE_CALL_RE = re.compile(r"\bFilterPhase\s*\(")
+FILTER_PHASE_ALLOWED_PREFIXES = ("src/kernel/",)
+FILTER_PHASE_ALLOWED_FILES = {"src/coarse/coarse_index.cc"}
 
 # scalar-oracle -------------------------------------------------------------
 
@@ -485,6 +499,23 @@ def check_kernel_layering(path: Path, lines: list[str]) -> list[Failure]:
     return failures
 
 
+def check_filter_phase_callers(path: Path, lines: list[str]) -> list[Failure]:
+    rel = path.relative_to(REPO_ROOT).as_posix()
+    if (rel.startswith(FILTER_PHASE_ALLOWED_PREFIXES)
+            or rel in FILTER_PHASE_ALLOWED_FILES):
+        return []
+    failures = []
+    for i, raw in enumerate(lines):
+        if FILTER_PHASE_CALL_RE.search(strip_comments_and_strings(raw)):
+            failures.append(Failure(
+                "filter-phase-callers", f"{rel}:{i + 1}",
+                "FilterPhase() outside src/kernel/ and the coarse medoid "
+                "retrieval — answer range queries through RangeSearch "
+                "(kernel/range_search.h), the one filter -> validate "
+                "pipeline"))
+    return failures
+
+
 def check_scalar_oracle(path: Path, lines: list[str]) -> list[Failure]:
     rel = path.relative_to(REPO_ROOT).as_posix()
     failures = []
@@ -512,6 +543,7 @@ def run_checks() -> list[Failure]:
         failures += check_decode_noalloc(path, lines)
         failures += check_block_skip_guard(path, lines)
         failures += check_syscall_status(path, lines)
+        failures += check_filter_phase_callers(path, lines)
         failures += check_scalar_oracle(path, lines)
     failures += check_bench_schema()
     return failures
@@ -574,6 +606,15 @@ def self_test() -> int:
          lambda: check_syscall_status(fake_storage, ["  std::fclose(f);"])),
         ("syscall-status (void)-cast discard still flagged",
          lambda: check_syscall_status(fake_storage, ["  (void)unlink(tmp);"])),
+        ("filter-phase-callers second pipeline in a serving path",
+         lambda: check_filter_phase_callers(SRC / "serve" / "fake.cc", [
+             "  FilterPhase(*index_, query.view(), theta, DropMode::kNone,"])),
+        ("filter-phase-callers engine outside the kernel",
+         lambda: check_filter_phase_callers(SRC / "invidx" / "fake.cc", [
+             "  const auto c = FilterPhase (index, q, t, d, n, &s);"])),
+        ("filter-phase-callers coarse file other than the medoid retrieval",
+         lambda: check_filter_phase_callers(SRC / "coarse" / "fake.cc", [
+             "  FilterPhase(medoid_index_, q, t, d, n, &s, stats);"])),
         ("scalar-oracle k-NN reference in a serving path",
          lambda: check_scalar_oracle(SRC / "serve" / "fake.cc", [
              "  return LinearScanKnn(*store_, query, j, stats);"])),
@@ -633,7 +674,7 @@ def self_test() -> int:
              "    Decode(begin, end);", "  }", "  return {};", "}"])),
         ("block-skip-guard delegating wrapper",
          lambda: check_block_skip_guard(fake_storage, [
-             "std::span<const int> Arena::DecodeBlocksInRange(size_t i) {",
+             "std::span<const int> Arena::DecodeBlocksInRankWindow(size_t i) {",
              "  return DecodeSelectedBlocks(i, s, k, [](size_t) {",
              "    return false; });", "}"])),
         ("block-skip-guard full decoder is out of scope",
@@ -643,7 +684,7 @@ def self_test() -> int:
              "  return true;", "}"])),
         ("block-skip-guard declaration only",
          lambda: check_block_skip_guard(fake_storage, [
-             "std::span<const int> DecodeBlocksInRange(size_t i) const;"])),
+             "std::span<const int> DecodeBlocksInRankWindow(size_t i) const;"])),
         ("syscall-status checked call",
          lambda: check_syscall_status(fake_storage, [
              "  if (::fsync(fd) != 0) return Err();"])),
@@ -658,6 +699,22 @@ def self_test() -> int:
         ("syscall-status identifier containing a syscall name",
          lambda: check_syscall_status(fake_storage, [
              "  remove_stale_generations(dir);"])),
+        ("filter-phase-callers kernel RangeSearch",
+         lambda: check_filter_phase_callers(SRC / "kernel" / "fake.h", [
+             "    rows = FilterPhase(*index, query, theta_raw, drop,"])),
+        ("filter-phase-callers coarse medoid retrieval",
+         lambda: check_filter_phase_callers(
+             SRC / "coarse" / "coarse_index.cc", [
+                 "    FilterPhase(medoid_index_, query.view(), relaxed,"])),
+        ("filter-phase-callers mention in a comment",
+         lambda: check_filter_phase_callers(SRC / "serve" / "fake.cc", [
+             "  // RangeSearch runs FilterPhase(index, ...) internally."])),
+        ("filter-phase-callers RangeSearch call",
+         lambda: check_filter_phase_callers(SRC / "serve" / "fake.cc", [
+             "  RangeSearch(store, &index, q, theta, drop, &s, &out);"])),
+        ("filter-phase-callers FilterScratch type",
+         lambda: check_filter_phase_callers(SRC / "serve" / "fake.h", [
+             "  FilterScratch filter;"])),
         ("scalar-oracle batched sibling",
          lambda: check_scalar_oracle(SRC / "serve" / "fake.cc", [
              "  return LinearScanKnnBatched(*store_, q, j, &v, stats);"])),

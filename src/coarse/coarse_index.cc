@@ -77,7 +77,7 @@ std::vector<RankingId> CoarseIndex::Query(const PreparedQuery& query,
   // --- Filter phase: find medoids within theta + radius of the query. ---
   std::vector<RankingId>& candidates = scratch->filter.candidates;
   const RawDistance relaxed = theta_raw + max_radius_;
-  if (relaxed >= MaxDistance(k)) {
+  if (!UnionCoversRange(k, relaxed)) {
     // Medoids sharing no item with the query could qualify but are
     // invisible to the inverted index: scan the medoid set instead.
     candidates.resize(medoids_.size());

@@ -11,8 +11,8 @@
 // Contract (see DESIGN.md "Failure model"): a loop that observes
 // ShouldStop() == true abandons its remaining work and returns with
 // whatever partial state it has; the owning layer maps the stop to
-// Status::DeadlineExceeded (deadline) or Status::Aborted (cancel) and
-// MUST NOT publish or cache the partial answer.
+// Status::DeadlineExceeded (deadline) or Status::Aborted (cancel) through
+// StopStatus() and MUST NOT publish or cache the partial answer.
 
 #ifndef TOPK_CORE_DEADLINE_H_
 #define TOPK_CORE_DEADLINE_H_
@@ -21,6 +21,9 @@
 #include <chrono>
 #include <cstdint>
 #include <limits>
+
+#include "core/statistics.h"
+#include "core/status.h"
 
 namespace topk {
 
@@ -133,6 +136,16 @@ class QueryControl {
   bool stopped_ = false;
   bool cancelled_ = false;
 };
+
+/// Maps an observed stop to its caller-facing Status — Aborted when the
+/// cancel token tripped, DeadlineExceeded otherwise — and ticks
+/// kDeadlineExceeded (the counter covers cancellations too: both mean
+/// "stopped by request").
+inline Status StopStatus(const QueryControl& control, Statistics* stats) {
+  AddTicker(stats, Ticker::kDeadlineExceeded);
+  if (control.cancelled()) return Status::Aborted("query cancelled");
+  return Status::DeadlineExceeded("query deadline exceeded");
+}
 
 }  // namespace topk
 

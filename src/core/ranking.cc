@@ -124,14 +124,6 @@ uint64_t SequenceFingerprint(std::span<const ItemId> items) {
   return h;
 }
 
-uint64_t ItemSetFingerprint(std::span<const ItemId> items) {
-  // Commutative combine (wrapping sum of per-item mixes), finalized with
-  // the set size so {0} and {} cannot collide via the zero sum.
-  uint64_t sum = 0;
-  for (const ItemId item : items) sum += MixId64(0x517cc1b727220a95ull ^ item);
-  return MixId64(sum ^ items.size());
-}
-
 Ranking RankingStore::Materialize(RankingId id) const {
   RankingView v = view(id);
   std::vector<ItemId> items(v.items().begin(), v.items().end());

@@ -126,15 +126,9 @@ struct PreparedQuery {
 /// Order-sensitive 64-bit fingerprint of an item sequence: two sequences
 /// fingerprint equal only if they list the same items in the same order
 /// (up to 64-bit collisions — consumers needing certainty must compare
-/// the sequences, as the serving-layer caches do). Stable across
+/// the sequences, as the serving-layer result cache does). Stable across
 /// platforms: built from MixId64 only.
 uint64_t SequenceFingerprint(std::span<const ItemId> items);
-
-/// Order-insensitive fingerprint of an item set: any permutation of the
-/// same items fingerprints identically (commutative combine of per-item
-/// mixes). The serving-layer candidate cache buckets by this — plain-F&V
-/// candidate sets depend only on the query's item set, not its order.
-uint64_t ItemSetFingerprint(std::span<const ItemId> items);
 
 /// Contiguous storage for a collection of equal-size rankings.
 ///

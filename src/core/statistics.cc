@@ -34,12 +34,6 @@ const char* TickerName(Ticker ticker) {
       return "result_cache_misses";
     case Ticker::kResultCacheEvictions:
       return "result_cache_evictions";
-    case Ticker::kCandidateCacheHits:
-      return "candidate_cache_hits";
-    case Ticker::kCandidateCacheMisses:
-      return "candidate_cache_misses";
-    case Ticker::kCandidateCacheEvictions:
-      return "candidate_cache_evictions";
     case Ticker::kDeadlineExceeded:
       return "deadline_exceeded";
     case Ticker::kLoadShed:

@@ -46,11 +46,6 @@ enum class Ticker : int {
   kResultCacheHits,
   kResultCacheMisses,
   kResultCacheEvictions,
-  /// Serving-layer candidate cache: filter phases skipped because the
-  /// memoized candidate superset for the query's item set was reused.
-  kCandidateCacheHits,
-  kCandidateCacheMisses,
-  kCandidateCacheEvictions,
   /// Robustness layer (see DESIGN.md "Failure model"): queries abandoned
   /// at their deadline, queries shed by admission control, reads served
   /// from the RAM fallback after an mmap-tier failure, merge attempts

@@ -4,21 +4,6 @@
 
 namespace topk {
 
-namespace {
-
-/// Maps a stopped control to its caller-facing status, ticking the
-/// deadline counter (cancellation shares it: both are "the query did not
-/// run to completion by request").
-Status StopStatus(const QueryControl& control, Statistics* stats) {
-  AddTicker(stats, Ticker::kDeadlineExceeded);
-  if (control.cancelled()) {
-    return Status::Aborted("sharded range query cancelled");
-  }
-  return Status::DeadlineExceeded("sharded range query deadline exceeded");
-}
-
-}  // namespace
-
 ParallelRunner::ParallelRunner(const ShardedStore* store,
                                ParallelRunnerOptions options)
     : store_(store),

@@ -1,15 +1,13 @@
 #include "invidx/filter_validate.h"
 
-#include <algorithm>
-
 namespace topk {
 
 FilterValidateEngine::FilterValidateEngine(const RankingStore* store,
                                            const PlainInvertedIndex* index,
                                            FilterValidateOptions options)
     : store_(store), index_(index), options_(options) {
-  filter_.visited.EnsureCapacity(store->size());
-  validator_.EnsureItemCapacity(
+  scratch_.filter.visited.EnsureCapacity(store->size());
+  scratch_.validator.EnsureItemCapacity(
       store->empty() ? 0 : static_cast<size_t>(store->max_item()) + 1);
 }
 
@@ -17,39 +15,9 @@ std::vector<RankingId> FilterValidateEngine::Query(const PreparedQuery& query,
                                                    RawDistance theta_raw,
                                                    Statistics* stats) {
   TOPK_DCHECK(query.k() == store_->k());
-
-  // Filter phase: union of the (possibly drop-reduced) posting lists.
-  const std::span<const RankingId> candidates =
-      FilterPhase(*index_, query.view(), theta_raw, options_.drop,
-                  store_->size(), &filter_, stats);
-  AddTicker(stats, Ticker::kCandidates, candidates.size());
-
-  // Validate phase: one batched pass, exact distance per candidate.
   std::vector<RankingId> results;
-  validator_.BindQuery(query.view(),
-                       static_cast<size_t>(store_->max_item()) + 1);
-  validator_.ValidateSpan(*store_, candidates, theta_raw, &results, stats);
-  std::sort(results.begin(), results.end());
-  AddTicker(stats, Ticker::kResults, results.size());
-  return results;
-}
-
-std::vector<RankingId> FilterValidateEngine::QueryIdRange(
-    const PreparedQuery& query, RawDistance theta_raw, RankingId id_lo,
-    RankingId id_hi, Statistics* stats) {
-  TOPK_DCHECK(query.k() == store_->k());
-
-  const std::span<const RankingId> candidates =
-      FilterPhaseIdRange(*index_, query.view(), theta_raw, options_.drop,
-                         id_lo, id_hi, store_->size(), &filter_, stats);
-  AddTicker(stats, Ticker::kCandidates, candidates.size());
-
-  std::vector<RankingId> results;
-  validator_.BindQuery(query.view(),
-                       static_cast<size_t>(store_->max_item()) + 1);
-  validator_.ValidateSpan(*store_, candidates, theta_raw, &results, stats);
-  std::sort(results.begin(), results.end());
-  AddTicker(stats, Ticker::kResults, results.size());
+  RangeSearch(*store_, index_, query.view(), theta_raw, options_.drop,
+              &scratch_, &results, stats);
   return results;
 }
 

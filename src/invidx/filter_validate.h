@@ -2,13 +2,14 @@
 // (Section 4), optionally with posting-list dropping (F&V+Drop,
 // Section 6.1).
 //
-// Both phases are kernel calls (src/kernel/): FilterPhase merges the query
-// items' posting lists into a deduplicated candidate set, and the batched
-// FootruleValidator computes exact distances for the whole candidate span
-// from a query rank table bound once per query. The engine owns the
-// per-query scratch (visited set, candidate list, rank table), so one
-// instance serves any number of sequential queries without allocation
-// churn.
+// The engine is a thin binding of the kernel RangeSearch
+// (kernel/range_search.h) to one store, one index and one drop mode:
+// FilterPhase merges the query items' posting lists into a deduplicated
+// candidate set, the batched FootruleValidator computes exact distances
+// for the whole candidate span, and at theta >= dmax the full id domain
+// is validated instead (the union misses rankings disjoint from the
+// query). The engine owns the per-query scratch, so one instance serves
+// any number of sequential queries without allocation churn.
 
 #ifndef TOPK_INVIDX_FILTER_VALIDATE_H_
 #define TOPK_INVIDX_FILTER_VALIDATE_H_
@@ -20,8 +21,7 @@
 #include "core/types.h"
 #include "invidx/drop_policy.h"
 #include "invidx/plain_inverted_index.h"
-#include "kernel/filter_phase.h"
-#include "kernel/footrule_batch.h"
+#include "kernel/range_search.h"
 
 namespace topk {
 
@@ -42,21 +42,11 @@ class FilterValidateEngine {
                                RawDistance theta_raw,
                                Statistics* stats = nullptr);
 
-  /// Query restricted to ids in [id_lo, id_hi]: the filter phase clips
-  /// each id-sorted list to the range before merging. Results are
-  /// identical to Query() filtered to the id range — the uncompressed
-  /// reference for the compressed tier's block-skip sweeps.
-  std::vector<RankingId> QueryIdRange(const PreparedQuery& query,
-                                      RawDistance theta_raw, RankingId id_lo,
-                                      RankingId id_hi,
-                                      Statistics* stats = nullptr);
-
  private:
   const RankingStore* store_;
   const PlainInvertedIndex* index_;
   FilterValidateOptions options_;
-  FilterScratch filter_;
-  FootruleValidator validator_;
+  RangeScratch scratch_;
 };
 
 }  // namespace topk

@@ -1,23 +1,24 @@
 // Shared F&V filter phase: posting-union + dedup over caller-owned scratch.
 //
-// Every union-validating path in the library — FilterValidateEngine,
-// CoarseIndex's medoid retrieval, QueryFrontend's candidate-cache miss
-// path — runs the same loop: pick the accessible posting lists (drop
-// policy), scan them, and deduplicate ranking ids through an epoch-stamped
-// VisitedSet. Until this header existed each caller carried its own copy,
-// pinned together only by the fuzz differentials; now they all call
-// FilterPhase and the loop exists once.
+// FilterPhase has exactly two callers in the library: RangeSearch
+// (kernel/range_search.h), which every union-validating range path goes
+// through — FilterValidateEngine, CompressedFilterValidateEngine,
+// ResilientReader and each MutableStore segment — and CoarseIndex's medoid
+// retrieval. Both run the same loop: pick the accessible posting lists (drop policy), scan
+// them, and deduplicate ranking ids through an epoch-stamped VisitedSet
+// (scripts/check_invariants.py `filter-phase-callers` keeps a third caller
+// from appearing).
 //
 // Contract (bit-compatible with the historical loops, which
 // kernel_filter_test pins):
 //  * lists are selected by SelectLists(query, theta_raw, drop, ...) and
 //    visited in ascending query-position order;
-//  * candidates are appended in first-encounter order (NOT sorted — F&V
-//    sorts its *results*, the frontend sorts the union before caching);
+//  * candidates are appended in first-encounter order (NOT sorted —
+//    RangeSearch sorts its *results*);
 //  * kPostingEntriesScanned ticks once per scanned entry (counted per
 //    list); kListsDropped ticks inside SelectLists; kCandidates is left to
-//    the caller, whose phase accounting differs (the frontend counts
-//    candidates in its validate step).
+//    the caller, whose accounting differs (RangeSearch counts the rows it
+//    validates after the keep-predicate).
 //
 // The helper is generic over the index: anything with list(item) /
 // list_length(item) works, with PostingEntryId() extracting the ranking id
@@ -41,7 +42,6 @@
 #define TOPK_KERNEL_FILTER_PHASE_H_
 
 #include <algorithm>
-#include <limits>
 #include <span>
 #include <type_traits>
 #include <vector>
@@ -75,6 +75,15 @@ struct FilterScratch {
   std::vector<AugmentedEntry> decode_aug_b;
 };
 
+/// Whether the posting-list union of a k-item query is a superset of its
+/// range answer at `theta_raw`: only below dmax, because a ranking that
+/// shares no item with the query sits at exactly dmax and appears in no
+/// posting list. At or above dmax a caller must validate the full id
+/// domain (RangeSearch does).
+inline bool UnionCoversRange(uint32_t k, RawDistance theta_raw) {
+  return theta_raw < MaxDistance(k);
+}
+
 inline RankingId PostingEntryId(RankingId entry) { return entry; }
 /// Rank-augmented entry types expose the ranking id as a member.
 template <typename Entry>
@@ -106,18 +115,6 @@ constexpr bool IndexHasDecodedLists() {
   } else {
     return false;
   }
-}
-
-/// Whether a decoded-lists index additionally supports range-restricted
-/// partial decode — DecodeListInRange(item, id_lo, id_hi, landing,
-/// skip) returning a superset span of the list's entries in the id
-/// range, skipping disjoint compressed blocks on metadata alone.
-template <typename Index, typename Landing>
-constexpr bool IndexHasRangeDecode() {
-  return requires(const Index& index, Landing* landing, BlockSkipStats* s) {
-    index.DecodeListInRange(ItemId{0}, RankingId{0}, RankingId{0}, landing,
-                            s);
-  };
 }
 
 /// Whether a decoded-lists index serves rank-augmented entries (its
@@ -268,75 +265,6 @@ std::span<const RankingId> FilterPhase(const Index& index, RankingView query,
             list[i + filter_detail::kStampPrefetchDistance]));
       }
       const RankingId id = PostingEntryId(list[i]);
-      if (!scratch->visited.TestAndSet(id)) {
-        scratch->candidates.push_back(id);
-      }
-    }
-  }
-  return scratch->candidates;
-}
-
-/// Range-restricted filter phase: the union of the accessible posting
-/// lists intersected with ranking ids in [id_lo, id_hi]. This is where
-/// the per-block skip metadata of the compressed arena pays off: an
-/// index exposing DecodeListInRange has every block whose
-/// [first_id, last_id] misses the range discarded without decoding (the
-/// returned span is a superset — whole overlapping blocks — so the scan
-/// still filters per entry); an id-sorted CSR index narrows each list
-/// with two binary searches; anything else scans fully and filters.
-/// Candidates come back in first-encounter order, deduplicated, exactly
-/// like FilterPhase. kPostingEntriesScanned ticks only entries actually
-/// decoded/visited; kBlocksSkipped / kPostingEntriesSkipped account the
-/// blocks (and their entries) discarded on metadata alone.
-template <typename Index>
-std::span<const RankingId> FilterPhaseIdRange(
-    const Index& index, RankingView query, RawDistance theta_raw,
-    DropMode drop, RankingId id_lo, RankingId id_hi, size_t id_capacity,
-    FilterScratch* scratch, Statistics* stats = nullptr) {
-  scratch->candidates.clear();
-  if (id_lo > id_hi) return scratch->candidates;
-  const std::vector<uint32_t> positions = SelectLists(
-      query, theta_raw, drop,
-      [&index](ItemId item) { return index.list_length(item); }, stats);
-
-  auto* landing = DecodeLandingA<Index>(scratch);
-  using Landing = std::remove_pointer_t<decltype(landing)>;
-  scratch->visited.EnsureCapacity(id_capacity);
-  scratch->visited.NextEpoch();
-  for (const uint32_t position : positions) {
-    const ItemId item = query[position];
-    auto list = [&] {
-      if constexpr (IndexHasRangeDecode<Index, Landing>()) {
-        BlockSkipStats skip;
-        const auto span =
-            index.DecodeListInRange(item, id_lo, id_hi, landing, &skip);
-        AddTicker(stats, Ticker::kBlocksSkipped, skip.blocks_skipped);
-        AddTicker(stats, Ticker::kPostingEntriesSkipped,
-                  skip.entries_skipped);
-        return span;
-      } else if constexpr (IndexHasDecodedLists<Index>()) {
-        return index.DecodeList(item, landing);
-      } else if constexpr (IndexHasIdSortedLists<Index>()) {
-        // CSR twin of the block skip: clip the sorted list to the range
-        // with two binary searches; the clipped prefix/suffix entries
-        // are never visited.
-        const auto full = index.list(item);
-        const size_t lo = filter_detail::GallopLowerBound(full, 0, id_lo);
-        const size_t hi =
-            id_hi == std::numeric_limits<RankingId>::max()
-                ? full.size()
-                : filter_detail::GallopLowerBound(full, lo, id_hi + 1);
-        AddTicker(stats, Ticker::kPostingEntriesSkipped,
-                  full.size() - (hi - lo));
-        return full.subspan(lo, hi - lo);
-      } else {
-        return index.list(item);
-      }
-    }();
-    AddTicker(stats, Ticker::kPostingEntriesScanned, list.size());
-    for (const auto& entry : list) {
-      const RankingId id = PostingEntryId(entry);
-      if (id < id_lo || id > id_hi) continue;  // superset-span overhang
       if (!scratch->visited.TestAndSet(id)) {
         scratch->candidates.push_back(id);
       }

@@ -48,6 +48,14 @@ inline constexpr unsigned kSimdLanes = 1;
 inline constexpr const char* kSimdBackendName = "scalar";
 #endif
 
+/// Keeps a hot kernel loop in a function of its own (no-op off
+/// GCC/Clang). See FootruleValidator::ValidateSpan for the measurement.
+#if defined(__GNUC__) || defined(__clang__)
+#define TOPK_NOINLINE __attribute__((noinline))
+#else
+#define TOPK_NOINLINE
+#endif
+
 /// Portable best-effort read prefetch (no-op off GCC/Clang). The filter
 /// phase uses it to hide the latency of the VisitedSet's scattered stamp
 /// words and of the next posting list's arena lines.

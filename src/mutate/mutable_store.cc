@@ -146,64 +146,29 @@ void MutableStore::BumpGenerationLocked() {
 }
 
 template <typename Index>
-void MutableStore::CollectRangeLocked(const RankingStore& seg_store,
+bool MutableStore::CollectRangeLocked(const RankingStore& seg_store,
                                       const Index& index,
                                       const std::vector<RankingId>& global_ids,
                                       RankingView query, RawDistance theta_raw,
                                       std::vector<RankingId>* out,
                                       Statistics* stats,
                                       QueryControl* control) {
-  if (seg_store.empty()) return;
-  if (control != nullptr && control->ShouldStop()) return;
-  validator_.BindQuery(query,
-                       static_cast<size_t>(seg_store.max_item()) + 1);
-  const auto n = static_cast<RankingId>(seg_store.size());
   // Tombstoned rows are dropped BEFORE validation: a dead row never
   // costs a distance call.
-  pending_.clear();
-  if (theta_raw >= MaxDistance(k_)) {
-    // theta admits disjoint rankings (distance exactly dmax), so the
-    // posting union is no longer a superset of the answer: every alive
-    // row is a candidate. For theta < dmax the union is exact — a
-    // non-overlapping ranking sits at dmax > theta.
-    for (RankingId local = 0; local < n; ++local) {
-      if (tombstones_.count(global_ids[local]) == 0) {
-        pending_.push_back(local);
-      }
-    }
-  } else {
-    const auto candidates =
-        FilterPhase(index, query, theta_raw, DropMode::kNone,
-                    seg_store.size(), &filter_, stats);
-    for (const RankingId local : candidates) {
-      if (tombstones_.count(global_ids[local]) == 0) {
-        pending_.push_back(local);
-      }
-    }
+  const std::unordered_set<RankingId>& dead = tombstones_;
+  const auto alive = [&dead, &global_ids](RankingId local) {
+    return dead.count(global_ids[local]) == 0;
+  };
+  const size_t first = out->size();
+  if (!RangeSearch(seg_store, &index, query, theta_raw, DropMode::kNone,
+                   &scratch_, out, stats, control, alive)) {
+    return false;
   }
-  AddTicker(stats, Ticker::kCandidates, pending_.size());
-  accepted_.clear();
-  validator_.ValidateSpan(seg_store, pending_, theta_raw, &accepted_, stats,
-                          control);
-  for (const RankingId local : accepted_) {
-    out->push_back(global_ids[local]);
+  for (size_t i = first; i < out->size(); ++i) {
+    (*out)[i] = global_ids[(*out)[i]];
   }
+  return true;
 }
-
-namespace {
-
-/// Maps an observed stop to its Status and ticks the deadline counter.
-Status StopStatus(const QueryControl& control, const char* what,
-                  Statistics* stats) {
-  AddTicker(stats, Ticker::kDeadlineExceeded);
-  if (control.cancelled()) {
-    return Status::Aborted(std::string(what) + " cancelled");
-  }
-  return Status::DeadlineExceeded(std::string(what) +
-                                  " exceeded its deadline");
-}
-
-}  // namespace
 
 std::vector<RankingId> MutableStore::RangeQuery(const PreparedQuery& query,
                                                 RawDistance theta_raw,
@@ -222,25 +187,25 @@ Status MutableStore::RangeQuery(const PreparedQuery& query,
   MutexLock lock(&mutex_);
   TOPK_DCHECK(query.k() == k_);
   out->clear();
-  CollectRangeLocked(main_->store, main_->index, main_->global_ids,
-                     query.view(), theta_raw, out, stats, control);
-  if (sealed_ != nullptr) {
-    CollectRangeLocked(sealed_->store, sealed_->index, sealed_->global_ids,
-                       query.view(), theta_raw, out, stats, control);
-  }
-  CollectRangeLocked(delta_.store, delta_.index, delta_.global_ids,
-                     query.view(), theta_raw, out, stats, control);
-  if (control != nullptr && control->stopped()) {
+  // Each segment appends its answer in ascending local order, which the
+  // strictly increasing global-id maps keep ascending; segment id ranges
+  // are disjoint and ordered (main < sealed < delta), so the appended
+  // whole ascends too.
+  const bool completed =
+      CollectRangeLocked(main_->store, main_->index, main_->global_ids,
+                         query.view(), theta_raw, out, stats, control) &&
+      (sealed_ == nullptr ||
+       CollectRangeLocked(sealed_->store, sealed_->index, sealed_->global_ids,
+                          query.view(), theta_raw, out, stats, control)) &&
+      CollectRangeLocked(delta_.store, delta_.index, delta_.global_ids,
+                         query.view(), theta_raw, out, stats, control);
+  if (!completed) {
     // Partial per-segment results are not an answer; discard them so a
     // caller can never mistake a timed-out query for a small result.
     out->clear();
-    return StopStatus(*control, "range query", stats);
+    return StopStatus(*control, stats);
   }
-  // Per-segment accepts arrive in filter order; one sort restores the
-  // ascending-global-id contract (segment id ranges are disjoint, so
-  // this equals a k-way merge of sorted per-segment lists).
-  std::sort(out->begin(), out->end());
-  AddTicker(stats, Ticker::kResults, out->size());
+  TOPK_DCHECK(std::is_sorted(out->begin(), out->end()));
   return Status::OK();
 }
 
@@ -250,8 +215,8 @@ void MutableStore::CollectKnnLocked(const RankingStore& seg_store,
                                     Statistics* stats,
                                     QueryControl* control) {
   if (seg_store.empty()) return;
-  validator_.BindQuery(query,
-                       static_cast<size_t>(seg_store.max_item()) + 1);
+  FootruleValidator& validator = scratch_.validator;
+  validator.BindQuery(query, static_cast<size_t>(seg_store.max_item()) + 1);
   const auto n = static_cast<RankingId>(seg_store.size());
   for (RankingId local = 0; local < n; ++local) {
     // ShouldStop amortizes its own clock reads, so the per-row cost is a
@@ -260,7 +225,7 @@ void MutableStore::CollectKnnLocked(const RankingStore& seg_store,
     const RankingId global = global_ids[local];
     if (tombstones_.count(global) != 0) continue;
     AddTicker(stats, Ticker::kDistanceCalls);
-    heap->Offer(global, validator_.Distance(seg_store.view(local)));
+    heap->Offer(global, validator.Distance(seg_store.view(local)));
   }
 }
 
@@ -289,7 +254,7 @@ Status MutableStore::KnnQuery(const PreparedQuery& query, size_t j,
   CollectKnnLocked(delta_.store, delta_.global_ids, query.view(), &heap,
                    stats, control);
   if (control != nullptr && control->stopped()) {
-    return StopStatus(*control, "knn query", stats);
+    return StopStatus(*control, stats);
   }
   *out = std::move(heap).Finish();
   return Status::OK();

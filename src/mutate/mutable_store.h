@@ -16,10 +16,10 @@
 //                   validation and physically dropped at the next merge.
 //
 // Queries merge main + sealed + delta exactly: each segment runs the
-// same kernel FilterPhase -> FootruleValidator pipeline every static
-// engine uses (ValidateAll when theta admits disjoint rankings), locals
-// map to global ids through strictly increasing per-segment maps, and
-// the per-segment result lists concatenate in ascending global order
+// same kernel RangeSearch every static engine uses (kernel/
+// range_search.h, which owns the theta >= dmax rule), locals map to
+// global ids through strictly increasing per-segment maps, and the
+// per-segment result lists concatenate in ascending global order
 // (segment id ranges are disjoint and ordered). k-NN scans alive rows
 // through the bound validator and truncates to the global (distance, id)
 // order. Both answers are bit-identical to a store rebuilt from scratch
@@ -80,8 +80,7 @@
 #include "core/thread_annotations.h"
 #include "core/types.h"
 #include "invidx/plain_inverted_index.h"
-#include "kernel/filter_phase.h"
-#include "kernel/footrule_batch.h"
+#include "kernel/range_search.h"
 #include "metric/knn.h"
 
 namespace topk {
@@ -303,11 +302,12 @@ class MutableStore {
   /// last_snapshot_status_.
   void MaybeEmitSnapshot(const MainSegment& segment) TOPK_EXCLUDES(mutex_);
 
-  /// Range pipeline for one segment: FilterPhase over its index (or
-  /// ValidateAll at theta >= dmax), tombstones filtered BEFORE
-  /// validation, accepted locals mapped to global ids.
+  /// Range search over one segment: the kernel RangeSearch over its
+  /// index with tombstones as the keep-predicate (dropped BEFORE
+  /// validation), the accepted locals appended to `out` as global ids.
+  /// False when `control` stopped the query.
   template <typename Index>
-  void CollectRangeLocked(const RankingStore& seg_store, const Index& index,
+  bool CollectRangeLocked(const RankingStore& seg_store, const Index& index,
                           const std::vector<RankingId>& global_ids,
                           RankingView query, RawDistance theta_raw,
                           std::vector<RankingId>* out, Statistics* stats,
@@ -351,10 +351,7 @@ class MutableStore {
   Status last_snapshot_status_ TOPK_GUARDED_BY(mutex_);
 
   /// Query scratch, reused across queries (queries serialize on mutex_).
-  FilterScratch filter_ TOPK_GUARDED_BY(mutex_);
-  FootruleValidator validator_ TOPK_GUARDED_BY(mutex_);
-  std::vector<RankingId> pending_ TOPK_GUARDED_BY(mutex_);
-  std::vector<RankingId> accepted_ TOPK_GUARDED_BY(mutex_);
+  RangeScratch scratch_ TOPK_GUARDED_BY(mutex_);
 
   /// Starts at 1: generation 0 is never published (reserved-zero rule).
   std::atomic<uint64_t> generation_{1};

@@ -17,12 +17,4 @@ ResultCacheKey MakeResultCacheKey(ServeKind kind, uint32_t algorithm,
   return key;
 }
 
-CandidateCacheKey MakeCandidateCacheKey(const PreparedQuery& query) {
-  CandidateCacheKey key;
-  const auto items = query.sorted_view().items();
-  key.items.assign(items.begin(), items.end());
-  key.hash = ItemSetFingerprint(items);
-  return key;
-}
-
 }  // namespace topk

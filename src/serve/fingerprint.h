@@ -1,22 +1,13 @@
 // Canonical cache keys for the online serving layer.
 //
-// Two key shapes back the two caches:
+// ResultCacheKey identifies an *answer*: the query's exact item sequence
+// plus (kind, algorithm, theta or j). Any difference in the ranking's
+// order changes the Footrule distances and therefore the answer, so the
+// canonical form is the full position-order sequence.
 //
-//   ResultCacheKey     identifies an *answer*: the query's exact item
-//                      sequence plus (kind, algorithm, theta or j). Any
-//                      difference in the ranking's order changes the
-//                      Footrule distances and therefore the answer, so the
-//                      canonical form is the full position-order sequence.
-//   CandidateCacheKey  identifies a *filter result*: the query's item set
-//                      in ascending order. The plain-F&V filter phase is
-//                      the union of the query items' posting lists, which
-//                      depends only on WHICH items the query contains —
-//                      near-duplicate queries that permute positions share
-//                      the key and skip filtering entirely.
-//
-// Both keys carry a precomputed 64-bit fingerprint for bucketing, but
-// exactness never rests on it: the caches compare the full key (operator==
-// includes the item vectors) before serving, so a fingerprint collision
+// The key carries a precomputed 64-bit fingerprint for bucketing, but
+// exactness never rests on it: the cache compares the full key (operator==
+// includes the item vector) before serving, so a fingerprint collision
 // degrades to a miss, never to a wrong answer.
 
 #ifndef TOPK_SERVE_FINGERPRINT_H_
@@ -53,18 +44,6 @@ struct ResultCacheKey {
 
 ResultCacheKey MakeResultCacheKey(ServeKind kind, uint32_t algorithm,
                                   uint64_t param, const PreparedQuery& query);
-
-struct CandidateCacheKey {
-  std::vector<ItemId> items;  // query item set, ascending (canonical)
-  uint64_t hash;              // ItemSetFingerprint of the set
-
-  friend bool operator==(const CandidateCacheKey& a,
-                         const CandidateCacheKey& b) {
-    return a.hash == b.hash && a.items == b.items;
-  }
-};
-
-CandidateCacheKey MakeCandidateCacheKey(const PreparedQuery& query);
 
 }  // namespace topk
 

@@ -12,22 +12,6 @@
 
 namespace topk {
 
-namespace {
-
-/// Stopped control -> caller-facing status + the deadline ticker (the
-/// counter covers cancellations too: both mean "stopped by request").
-Status StopStatus(const QueryControl& control, Statistics* stats) {
-  AddTicker(stats, Ticker::kDeadlineExceeded);
-  if (control.cancelled()) return Status::Aborted("request cancelled");
-  return Status::DeadlineExceeded("request deadline exceeded");
-}
-
-}  // namespace
-
-bool CandidateCacheApplies(Algorithm algorithm) {
-  return algorithm == Algorithm::kFV || algorithm == Algorithm::kLinearScan;
-}
-
 QueryFrontend::QueryFrontend(const RankingStore* store,
                              QueryFrontendOptions options)
     : store_(store),
@@ -36,11 +20,9 @@ QueryFrontend::QueryFrontend(const RankingStore* store,
       pool_(num_threads_ - 1),
       suite_(store, options.suite_config),
       executors_(num_threads_),
-      result_cache_(options.result_cache_capacity, options.cache_shards),
-      candidate_cache_(options.candidate_cache_capacity,
-                       options.cache_shards) {}
+      result_cache_(options.result_cache_capacity, options.cache_shards) {}
 
-void QueryFrontend::PrepareEngines(Algorithm algorithm) {
+void QueryFrontend::PrepareLocked(Algorithm algorithm) {
   if (algorithm == Algorithm::kMinimalFV) return;  // rejected at serve time
   if (!executors_[0].engines.contains(algorithm)) {
     // The first MakeEngine builds the shared indexes; the remaining
@@ -76,18 +58,6 @@ void QueryFrontend::WatchStore(MutableStore* store) {
   // and legal under the store mutex (no lock ordered above the store is
   // taken; the hierarchy in DESIGN.md stays intact).
   store->AddMutationListener([this] { InvalidateCaches(); });
-}
-
-void QueryFrontend::PrepareLocked(Algorithm algorithm) {
-  PrepareEngines(algorithm);
-  // An explicit Prepare means "keep every build out of my timed window",
-  // so also bind the candidate-path index when this algorithm can use it.
-  // The batch path instead binds it only for *range* requests — a pure
-  // k-NN stream never touches the posting union and skips the build.
-  if (candidate_cache_.enabled() && CandidateCacheApplies(algorithm) &&
-      plain_index_ == nullptr) {
-    plain_index_ = &suite_.plain_index();
-  }
 }
 
 std::vector<ServeResponse> QueryFrontend::ShedBatch(
@@ -127,11 +97,7 @@ std::vector<ServeResponse> QueryFrontend::ServeBatchLocked(
     std::span<const ServeRequest> requests, Statistics* stats,
     PhaseTimes* phases, std::vector<double>* latencies) {
   for (const ServeRequest& request : requests) {
-    PrepareEngines(request.algorithm);
-    if (request.kind == ServeKind::kRange && candidate_cache_.enabled() &&
-        CandidateCacheApplies(request.algorithm) && plain_index_ == nullptr) {
-      plain_index_ = &suite_.plain_index();
-    }
+    PrepareLocked(request.algorithm);
   }
 
   std::vector<ServeResponse> responses(requests.size());
@@ -230,7 +196,7 @@ void QueryFrontend::ServeOne(Executor* executor, const ServeRequest& request,
       return;
     }
     if (request.kind == ServeKind::kRange) {
-      response->ids = ServeRange(executor, request, epoch, response, &control);
+      response->ids = ServeRange(executor, request);
     } else {
       response->neighbors = ServeKnn(executor, request, &control);
     }
@@ -240,7 +206,6 @@ void QueryFrontend::ServeOne(Executor* executor, const ServeRequest& request,
     if (control.ShouldStop()) {
       response->ids.clear();
       response->neighbors.clear();
-      response->candidate_cache_hit = false;
       response->status = StopStatus(control, &executor->stats);
       return;
     }
@@ -253,69 +218,19 @@ void QueryFrontend::ServeOne(Executor* executor, const ServeRequest& request,
     return;
   }
   if (request.kind == ServeKind::kRange) {
-    response->ids = ServeRange(executor, request, epoch, response, &control);
+    response->ids = ServeRange(executor, request);
   } else {
     response->neighbors = ServeKnn(executor, request, &control);
   }
   if (control.ShouldStop()) {
     response->ids.clear();
     response->neighbors.clear();
-    response->candidate_cache_hit = false;
     response->status = StopStatus(control, &executor->stats);
   }
 }
 
 std::vector<RankingId> QueryFrontend::ServeRange(Executor* executor,
-                                                 const ServeRequest& request,
-                                                 uint64_t epoch,
-                                                 ServeResponse* response,
-                                                 QueryControl* control) {
-  const PreparedQuery& query = *request.query;
-  // The candidate union is only a provable superset below dmax (a
-  // disjoint ranking sits at exactly dmax and appears in no posting
-  // list), and only a *profitable* one for union-validating engines (see
-  // CandidateCacheApplies); otherwise the engine path answers directly.
-  const bool candidates_applicable =
-      candidate_cache_.enabled() && CandidateCacheApplies(request.algorithm) &&
-      request.theta_raw < MaxDistance(store_->k());
-  if (!candidates_applicable) return RunEngine(executor, request);
-
-  const CandidateCacheKey key = MakeCandidateCacheKey(query);
-  CandidateList memoized;
-  if (candidate_cache_.Lookup(key, epoch, &memoized, &executor->stats)) {
-    // Filter phase skipped entirely: only re-validate the memoized
-    // superset against this query's exact distances.
-    response->candidate_cache_hit = true;
-    Stopwatch watch;
-    std::vector<RankingId> results = ValidateCandidates(
-        executor, *memoized, query, request.theta_raw, control);
-    executor->phases.validate_ms += watch.ElapsedMillis();
-    return results;
-  }
-  // Miss: for the union-validating algorithms the filter output IS the
-  // posting union, so compute it once, validate it directly (this is
-  // exactly plain F&V — exact below dmax), and memoize it. Running the
-  // engine and recomputing the union would filter twice. Both phases are
-  // the same kernel calls FilterValidateEngine makes (FilterPhase + the
-  // batched validator); the FuzzServe differential keeps them
-  // bit-identical to the engines.
-  Stopwatch watch;
-  std::vector<RankingId> candidates = PostingUnion(executor, query);
-  executor->phases.filter_ms += watch.ElapsedMillis();
-  watch.Restart();
-  std::vector<RankingId> results = ValidateCandidates(
-      executor, candidates, query, request.theta_raw, control);
-  executor->phases.validate_ms += watch.ElapsedMillis();
-  // The memoized union is still exact when the query stopped mid-
-  // validation (the filter phase completed to produce it), so inserting
-  // it is safe — only the *answer* is withheld by the caller.
-  candidate_cache_.Insert(key, epoch, std::move(candidates),
-                          &executor->stats);
-  return results;
-}
-
-std::vector<RankingId> QueryFrontend::RunEngine(Executor* executor,
-                                                const ServeRequest& request) {
+                                                 const ServeRequest& request) {
   const auto it = executor->engines.find(request.algorithm);
   if (it == executor->engines.end()) {
     throw std::invalid_argument(
@@ -345,32 +260,6 @@ std::vector<Neighbor> QueryFrontend::ServeKnn(Executor* executor,
           std::string("k-NN backend not servable through the frontend: ") +
           AlgorithmName(request.algorithm));
   }
-}
-
-std::vector<RankingId> QueryFrontend::PostingUnion(
-    Executor* executor, const PreparedQuery& query) {
-  // DropMode::kNone accesses every list, so the union depends only on the
-  // item set (the candidate-cache key); theta is irrelevant to it.
-  FilterPhase(*plain_index_, query.view(), /*theta_raw=*/0, DropMode::kNone,
-              store_->size(), &executor->filter, &executor->stats);
-  std::vector<RankingId>& out = executor->filter.candidates;
-  std::sort(out.begin(), out.end());
-  return out;  // copies out of the reusable scratch
-}
-
-std::vector<RankingId> QueryFrontend::ValidateCandidates(
-    Executor* executor, std::span<const RankingId> candidates,
-    const PreparedQuery& query, RawDistance theta_raw,
-    QueryControl* control) const {
-  Statistics* stats = &executor->stats;
-  std::vector<RankingId> results;
-  AddTicker(stats, Ticker::kCandidates, candidates.size());
-  executor->validator.BindQuery(query.view(),
-                                static_cast<size_t>(store_->max_item()) + 1);
-  executor->validator.ValidateSpan(*store_, candidates, theta_raw, &results,
-                                   stats, control);
-  AddTicker(stats, Ticker::kResults, results.size());
-  return results;
 }
 
 RunResult QueryFrontend::ServeWorkload(Algorithm algorithm,

@@ -1,5 +1,5 @@
 // Online serving frontend: inter-query batched execution with exact
-// result/candidate caching.
+// result caching.
 //
 // The harness so far parallelizes *within* one query (ParallelRunner fans
 // a query across shards); production query streams are instead dominated
@@ -14,10 +14,6 @@
 //   result cache  an exact sharded LRU keyed by the canonical query
 //                 sequence + (kind, algorithm, theta or j): an identical
 //                 re-issued query is answered without touching any engine.
-//   candidate     near-duplicate queries that permute an item set reuse
-//   cache         the memoized plain-F&V posting union and skip the
-//                 filter phase, paying only validation (exact for
-//                 theta_raw < dmax; see serve/candidate_cache.h).
 //   generations   InvalidateCaches() bumps an epoch; entries from older
 //                 generations can never be served again (lazy erase).
 //                 The hook covers the *caches*; the frontend's indexes
@@ -27,9 +23,11 @@
 //                 guarantees its caches cannot leak into the new
 //                 generation while it is being drained).
 //
-// Exactness: every served answer is bit-identical to a cold run of the
-// requested engine — enforced by the serve differential suites
-// (serve_frontend_test, FuzzServeTest in fuzz_differential_test).
+// A range request that misses the result cache runs its engine; the F&V
+// family reaches the kernel RangeSearch through FilterValidateEngine, so
+// the frontend adds no second filter/validate path of its own. The serve
+// differential suites (serve_frontend_test, FuzzServeTest in
+// fuzz_differential_test) compare served answers with brute force.
 //
 // Concurrency contract (compiler-enforced where the analysis can see
 // it): the coordinator methods (Prepare/ServeBatch/ServeWorkload) run
@@ -68,10 +66,8 @@
 #include "harness/query_algorithms.h"
 #include "harness/runner.h"
 #include "harness/thread_pool.h"
-#include "kernel/filter_phase.h"
 #include "kernel/footrule_batch.h"
 #include "metric/knn.h"
-#include "serve/candidate_cache.h"
 #include "serve/fingerprint.h"
 #include "serve/result_cache.h"
 
@@ -118,7 +114,6 @@ struct ServeResponse {
   std::vector<RankingId> ids;       // range answer, ascending ids
   std::vector<Neighbor> neighbors;  // k-NN answer, (distance, id) ascending
   bool result_cache_hit = false;
-  bool candidate_cache_hit = false;
   /// OK for a served answer; DeadlineExceeded / Aborted / Unavailable
   /// for a request that was stopped or shed (ids/neighbors empty then).
   Status status = Status::OK();
@@ -130,12 +125,10 @@ struct QueryFrontendOptions {
   /// Executors serving requests, including the calling thread (the pool
   /// spawns num_threads - 1 workers). Must be >= 1.
   size_t num_threads = 1;
-  /// Entry budgets; 0 disables the respective cache. The result budget
-  /// applies per answer kind (range and k-NN entries are kept in
-  /// independent stores of this size).
+  /// Result-cache entry budget per answer kind (range and k-NN entries
+  /// are kept in independent stores of this size); 0 disables the cache.
   size_t result_cache_capacity = 64 * 1024;
-  size_t candidate_cache_capacity = 16 * 1024;
-  /// Lock shards per cache (clamped to capacity).
+  /// Lock shards for the cache (clamped to capacity).
   size_t cache_shards = 8;
   /// Admission control: batches admitted concurrently (counting the one
   /// holding the serve mutex *and* the ones queued behind it). When a
@@ -149,15 +142,6 @@ struct QueryFrontendOptions {
   EngineSuiteConfig suite_config;
 };
 
-/// Whether the frontend routes `algorithm` through the candidate cache.
-/// The memoized posting union equals F&V's own validation set and
-/// undercuts LinearScan's full scan, so skipping their filter is a pure
-/// win; every pruning engine (drop/blocked/coarse/adapt) validates fewer
-/// candidates than the full union, so reusing it would cost more distance
-/// calls than the skipped filter saves — those algorithms rely on the
-/// result cache alone.
-bool CandidateCacheApplies(Algorithm algorithm);
-
 class QueryFrontend {
  public:
   explicit QueryFrontend(const RankingStore* store,
@@ -170,7 +154,6 @@ class QueryFrontend {
     return epoch_.load(std::memory_order_acquire);
   }
   size_t result_cache_size() const { return result_cache_.size(); }
-  size_t candidate_cache_size() const { return candidate_cache_.size(); }
   /// Batches currently admitted — running plus queued on the serve mutex
   /// (the gauge max_inflight_batches sheds on; an operator load signal).
   size_t inflight_batches() const {
@@ -227,9 +210,7 @@ class QueryFrontend {
     // Per-batch accounting, merged after the join.
     Statistics stats;
     PhaseTimes phases;
-    // Kernel scratch: posting-union dedup + the batched validator's
-    // query rank table.
-    FilterScratch filter;
+    // LinearScan k-NN scratch: the batched validator's query rank table.
     FootruleValidator validator;
   };
 
@@ -237,10 +218,8 @@ class QueryFrontend {
       std::span<const ServeRequest> requests, Statistics* stats,
       PhaseTimes* phases, std::vector<double>* latencies)
       TOPK_REQUIRES(serve_mutex_);
-  /// Engines + k-NN index handles for `algorithm` (no candidate-path
-  /// index; ServeBatch binds that only when a range request needs it).
-  void PrepareEngines(Algorithm algorithm) TOPK_REQUIRES(serve_mutex_);
-  /// Prepare's body, for callers already inside the coordinator section.
+  /// Engines + k-NN index handles for `algorithm`; Prepare's body, for
+  /// callers already inside the coordinator section.
   void PrepareLocked(Algorithm algorithm) TOPK_REQUIRES(serve_mutex_);
   /// Shed path: stamps every response Unavailable with the retry hint,
   /// ticking kLoadShed per request; no engine, cache, or pool touched.
@@ -248,29 +227,15 @@ class QueryFrontend {
                                        Statistics* stats) const;
   void ServeOne(Executor* executor, const ServeRequest& request,
                 uint64_t epoch, ServeResponse* response);
+  /// Runs the range engine behind `request.algorithm`.
   std::vector<RankingId> ServeRange(Executor* executor,
-                                    const ServeRequest& request,
-                                    uint64_t epoch, ServeResponse* response,
-                                    QueryControl* control);
-  std::vector<RankingId> RunEngine(Executor* executor,
-                                   const ServeRequest& request);
+                                    const ServeRequest& request);
   /// k-NN dispatch. kLinearScan sweeps the store through the executor's
   /// batched validator and polls `control`; a stopped sweep returns
   /// empty and the caller maps the stop to a Status.
   std::vector<Neighbor> ServeKnn(Executor* executor,
                                  const ServeRequest& request,
                                  QueryControl* control);
-  /// The deduplicated, ascending union of the query items' posting lists
-  /// (the kernel FilterPhase plus a sort for the canonical cache form).
-  std::vector<RankingId> PostingUnion(Executor* executor,
-                                      const PreparedQuery& query);
-  /// Validates `candidates` (ascending) against theta through the
-  /// executor's batched validator, ticking the same counters a plain
-  /// validate phase would.
-  std::vector<RankingId> ValidateCandidates(
-      Executor* executor, std::span<const RankingId> candidates,
-      const PreparedQuery& query, RawDistance theta_raw,
-      QueryControl* control = nullptr) const;
 
   const RankingStore* store_;
   QueryFrontendOptions options_;
@@ -287,15 +252,13 @@ class QueryFrontend {
   /// one-writer-per-slot discipline the TSan leg checks.
   std::vector<Executor> executors_ TOPK_GUARDED_BY(serve_mutex_);
   ResultCache result_cache_;
-  CandidateCache candidate_cache_;
   // Index handles are written only inside the coordinator section and
   // read by executor tasks after the fan-out publishes them (the pool's
   // future handshake is the happens-before edge), so they are plain
   // pointers rather than guarded members: a guarded read from a worker
   // would need the coordinator lock the workers must not take.
-  const PlainInvertedIndex* plain_index_ = nullptr;  // set on first prepare
-  const BkTree* bk_tree_ = nullptr;                  // k-NN backends,
-  const MTree* m_tree_ = nullptr;                    // built by Prepare
+  const BkTree* bk_tree_ = nullptr;  // k-NN backends, built by Prepare
+  const MTree* m_tree_ = nullptr;
   const CoarseIndex* coarse_index_ = nullptr;
   std::atomic<uint64_t> epoch_{0};
   /// Batches admitted and not yet finished (includes callers queued on

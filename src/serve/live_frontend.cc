@@ -21,9 +21,7 @@ LiveFrontend::LiveFrontend(MutableStore* store, LiveFrontendOptions options)
     : store_(store),
       options_(options),
       result_cache_(options.result_cache_capacity, options.cache_shards) {
-  if (options_.wire_invalidation) {
-    store_->AddMutationListener([this] { InvalidateCaches(); });
-  }
+  store_->AddMutationListener([this] { InvalidateCaches(); });
 }
 
 std::vector<RankingId> LiveFrontend::ServeRange(const PreparedQuery& query,

@@ -16,11 +16,6 @@
 // answer at some point inside the call (linearizable), and an identical
 // re-issued query after any mutation recomputes.
 //
-// The options_.wire_invalidation seam exists for the regression test
-// that reproduces the pre-PR bug (caches serving answers that predate a
-// write): with wiring off, serve_frontend_test shows the stale hit; with
-// the default wiring on, the same sequence returns fresh answers.
-//
 // Thread safety: no mutex of its own — the cache is internally
 // synchronized, the epoch is atomic, and the store serializes its own
 // queries. Calls may race mutations arbitrarily (TSan-checked).
@@ -48,12 +43,6 @@ struct LiveFrontendOptions {
   size_t result_cache_capacity = 64 * 1024;
   /// Lock shards for the cache (clamped to capacity).
   size_t cache_shards = 8;
-  /// When true (the default, and the satellite bugfix), the constructor
-  /// registers a mutation listener on the store so every Insert/Delete/
-  /// merge swap bumps the epoch. False reproduces the unwired pre-PR
-  /// behavior for the stale-hit regression test — never use in
-  /// production.
-  bool wire_invalidation = true;
   /// Admission control: queries served concurrently before new arrivals
   /// are shed with Status::Unavailable (a cache hit is still attempted
   /// first — it costs less than building the rejection). 0 = unlimited.
@@ -70,9 +59,10 @@ class LiveFrontend {
   /// sharing a key scheme.
   static constexpr uint32_t kLiveAlgorithm = 0xFFFFFFFFu;
 
-  /// `store` must outlive the frontend. With wiring on, the frontend
-  /// must also outlive the store's last mutation (the listener holds a
-  /// raw back-pointer); destroy store-then-frontend.
+  /// `store` must outlive the frontend, and the frontend must outlive
+  /// the store's last mutation: the constructor registers a mutation
+  /// listener (a raw back-pointer) so every Insert/Delete/merge swap
+  /// bumps the epoch. Destroy store-then-frontend.
   explicit LiveFrontend(MutableStore* store, LiveFrontendOptions options = {});
 
   MutableStore& store() { return *store_; }

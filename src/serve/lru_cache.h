@@ -1,5 +1,5 @@
-// Sharded, epoch-validated LRU cache — the storage engine behind both the
-// result cache and the candidate cache (the RediSearch pattern: front an
+// Sharded, epoch-validated LRU cache — the storage engine behind the
+// result cache's range and k-NN stores (the RediSearch pattern: front an
 // exact index with a cache that writes invalidate, adapted to exactness
 // guarantees).
 //

@@ -1,21 +1,10 @@
 #include "serve/resilient_reader.h"
 
-#include <algorithm>
 #include <utility>
 
 #include "core/failpoint.h"
 
 namespace topk {
-
-namespace {
-
-Status StopStatus(const QueryControl& control, Statistics* stats) {
-  AddTicker(stats, Ticker::kDeadlineExceeded);
-  if (control.cancelled()) return Status::Aborted("range query cancelled");
-  return Status::DeadlineExceeded("range query deadline exceeded");
-}
-
-}  // namespace
 
 ResilientReader::ResilientReader(const RankingStore* ram_store,
                                  ResilientReaderOptions options)
@@ -85,39 +74,18 @@ Status ResilientReader::RangeQuery(const PreparedQuery& query,
     view = view_;
     degraded = degraded_;
   }
+  if (view == nullptr && degraded) AddTicker(stats, Ticker::kDegradedReads);
+  // With the mapping gone (degraded, or no snapshot tier) the RAM store is
+  // served with no index: RangeSearch validates its full id domain.
   const RankingStore& store =
       view != nullptr ? view->snapshot.store() : *ram_store_;
-  if (view == nullptr && degraded) AddTicker(stats, Ticker::kDegradedReads);
-  // The full id domain is validated when no index survives (the RAM
-  // tier: the compressed postings lived in the dropped mapping) and at
-  // theta >= dmax, where a posting union misses rankings disjoint from
-  // the query (they sit at exactly dmax) — the tiers stay bit-identical
-  // at every theta.
-  const bool full_domain =
-      view == nullptr || theta_raw >= MaxDistance(store.k());
-  std::unique_ptr<Scratch> scratch = BorrowScratch();
-  std::span<const RankingId> candidates;
-  if (!full_domain) {
-    candidates = FilterPhase(view->snapshot.index(), query.view(), theta_raw,
-                             DropMode::kPositionRefined, store.size(),
-                             &scratch->filter, stats);
-  }
-  AddTicker(stats, Ticker::kCandidates,
-            full_domain ? store.size() : candidates.size());
-  FootruleValidator& validator = scratch->validator;
-  validator.BindQuery(query.view(), static_cast<size_t>(store.max_item()) + 1);
-  if (full_domain) {
-    validator.ValidateAll(store, theta_raw, out, stats, control);
-  } else {
-    validator.ValidateSpan(store, candidates, theta_raw, out, stats, control);
-  }
+  std::unique_ptr<RangeScratch> scratch = BorrowScratch();
+  const bool completed = RangeSearch(
+      store, view != nullptr ? &view->snapshot.index() : nullptr,
+      query.view(), theta_raw, DropMode::kPositionRefined, scratch.get(), out,
+      stats, control);
   ReturnScratch(std::move(scratch));
-  if (control != nullptr && control->ShouldStop()) {
-    out->clear();
-    return StopStatus(*control, stats);
-  }
-  if (!full_domain) std::sort(out->begin(), out->end());
-  AddTicker(stats, Ticker::kResults, out->size());
+  if (!completed) return StopStatus(*control, stats);
   return Status::OK();
 }
 
@@ -130,16 +98,17 @@ std::vector<RankingId> ResilientReader::RangeQuery(const PreparedQuery& query,
   return out;
 }
 
-std::unique_ptr<ResilientReader::Scratch> ResilientReader::BorrowScratch() {
+std::unique_ptr<RangeScratch> ResilientReader::BorrowScratch() {
   MutexLock lock(&pool_mutex_);
   // Allocated lazily: the pool grows to the peak number of readers.
-  if (pool_.empty()) return std::make_unique<Scratch>();
-  std::unique_ptr<Scratch> scratch = std::move(pool_.back());
+  if (pool_.empty()) return std::make_unique<RangeScratch>();
+  std::unique_ptr<RangeScratch> scratch = std::move(pool_.back());
   pool_.pop_back();
   return scratch;
 }
 
-void ResilientReader::ReturnScratch(std::unique_ptr<Scratch> scratch) {
+void ResilientReader::ReturnScratch(
+    std::unique_ptr<RangeScratch> scratch) {
   MutexLock lock(&pool_mutex_);
   pool_.push_back(std::move(scratch));
 }

@@ -17,11 +17,13 @@
 // corrupted generation is quarantined rather than re-trusted).
 //
 // Exactness across tiers: both paths answer bit-identically for every
-// theta. Below dmax the snapshot tier runs F&V+Drop (Lemma 2 list
-// dropping, DropMode::kPositionRefined) over the compressed index; at or
-// above dmax (where a posting union provably misses disjoint rankings)
-// both tiers validate the full id domain.
-// tests/serve_robustness_test.cc differentials pin this.
+// theta, because both are one kernel RangeSearch call
+// (kernel/range_search.h). The snapshot tier passes its compressed index
+// with F&V+Drop (Lemma 2 list dropping, DropMode::kPositionRefined); the
+// degraded RAM tier passes no index, so the full id domain is validated
+// (the compressed postings lived in the dropped mapping). RangeSearch
+// owns the theta >= dmax rule for both. tests/serve_robustness_test.cc
+// differentials pin this.
 //
 // Thread safety: any number of concurrent readers. The open generation
 // is an immutable shared_ptr view; a query pins it under the leaf
@@ -50,8 +52,7 @@
 #include "core/status.h"
 #include "core/thread_annotations.h"
 #include "core/types.h"
-#include "kernel/filter_phase.h"
-#include "kernel/footrule_batch.h"
+#include "kernel/range_search.h"
 #include "storage/snapshot_manager.h"
 
 namespace topk {
@@ -111,12 +112,8 @@ class ResilientReader {
  private:
   using View = std::shared_ptr<const storage::OpenedSnapshot>;
   /// Per-query kernel scratch, borrowed from pool_ for one call.
-  struct Scratch {
-    FilterScratch filter;
-    FootruleValidator validator;
-  };
-  std::unique_ptr<Scratch> BorrowScratch() TOPK_EXCLUDES(pool_mutex_);
-  void ReturnScratch(std::unique_ptr<Scratch> scratch)
+  std::unique_ptr<RangeScratch> BorrowScratch() TOPK_EXCLUDES(pool_mutex_);
+  void ReturnScratch(std::unique_ptr<RangeScratch> scratch)
       TOPK_EXCLUDES(pool_mutex_);
 
   const RankingStore* ram_store_;
@@ -130,7 +127,8 @@ class ResilientReader {
   bool degraded_ TOPK_GUARDED_BY(view_mutex_) = false;
 
   Mutex pool_mutex_;
-  std::vector<std::unique_ptr<Scratch>> pool_ TOPK_GUARDED_BY(pool_mutex_);
+  std::vector<std::unique_ptr<RangeScratch>> pool_
+      TOPK_GUARDED_BY(pool_mutex_);
 };
 
 }  // namespace topk

@@ -282,17 +282,6 @@ std::span<const Entry> CompressedPostingArena<Entry>::DecodeSelectedBlocks(
 }
 
 template <typename Entry>
-std::span<const Entry> CompressedPostingArena<Entry>::DecodeBlocksInRange(
-    size_t i, RankingId id_lo, RankingId id_hi, std::vector<Entry>* scratch,
-    BlockSkipStats* skip) const {
-  const auto blocks = blocks_.span();
-  return DecodeSelectedBlocks(
-      i, scratch, skip, [&blocks, id_lo, id_hi](size_t b) {
-        return blocks[b].last_id < id_lo || blocks[b].first_id > id_hi;
-      });
-}
-
-template <typename Entry>
 std::span<const Entry>
 CompressedPostingArena<Entry>::DecodeBlocksInRankWindow(
     size_t i, uint32_t rank_lo, uint32_t rank_hi,

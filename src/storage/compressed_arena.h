@@ -7,13 +7,12 @@
 //             a head cursor into either the inline tier or the block
 //             metadata array (bit 31 tags the tier);
 //   blocks_   one CompressedBlockMeta per block of <= kBlockEntries
-//             entries: first id, last id, count, byte offset — the skip
-//             metadata stays uncompressed so a range consumer can
-//             discard a block on [first_id, last_id] without touching
-//             the byte stream;
+//             entries: first id, last id, count, byte offset — kept
+//             uncompressed so a block's bounds are readable without
+//             touching the byte stream;
 //   ranks_    (AugmentedEntry arenas only) one BlockRankRange per block:
 //             min/max rank in the block, so a rank-windowed sweep can
-//             skip blocks the same way a range consumer skips on ids;
+//             discard a block on metadata alone;
 //   inline_   raw entries of the short-list tier, concatenated: lists
 //             of <= kInlineMaxEntries entries are stored uncompressed
 //             (block + metadata overhead would exceed the savings) and
@@ -70,7 +69,7 @@ static_assert(sizeof(CompressedListMeta) == 8);
 /// Per-block skip metadata (16 bytes, uncompressed by design).
 struct CompressedBlockMeta {
   uint32_t first_id;     // first entry's id, not repeated in the payload
-  uint32_t last_id;      // max id in the block (block-skip bound)
+  uint32_t last_id;      // max id in the block
   uint32_t count;        // entries in this block, 1..kBlockEntries
   uint32_t byte_offset;  // payload start within the byte stream
 };
@@ -187,24 +186,16 @@ class CompressedPostingArena {
   /// up front; decode stays memory-safe regardless).
   bool DecodeListInto(size_t i, Entry* out) const;
 
-  /// Partial decode of list `i`: only blocks whose [first_id, last_id]
-  /// intersects [id_lo, id_hi] are decoded (concatenated into `scratch`);
-  /// disjoint blocks are discarded on metadata alone — their payload
-  /// bytes are never read. The result is a SUPERSET of the list's
-  /// entries in the id range (whole overlapping blocks; the caller
-  /// filters), in list order. Inline lists come back whole, as a direct
-  /// span. `skip`, when given, accounts the blocks considered/skipped.
-  std::span<const Entry> DecodeBlocksInRange(size_t i, RankingId id_lo,
-                                             RankingId id_hi,
-                                             std::vector<Entry>* scratch,
-                                             BlockSkipStats* skip) const;
-
-  /// Partial decode of list `i` by rank window: blocks whose
-  /// [min_rank, max_rank] misses [rank_lo, rank_hi] are discarded on
-  /// metadata alone. Superset semantics as DecodeBlocksInRange (decoded
-  /// blocks may hold out-of-window ranks; inline lists come back whole).
-  /// Without a rank-range section (plain arenas, legacy adoptions) no
-  /// block is skipped and the call degrades to a full decode.
+  /// Partial decode of list `i` by rank window: only blocks whose
+  /// [min_rank, max_rank] intersects [rank_lo, rank_hi] are decoded
+  /// (concatenated into `scratch`); disjoint blocks are discarded on
+  /// metadata alone — their payload bytes are never read. The result is
+  /// a SUPERSET of the list's in-window entries (whole overlapping
+  /// blocks may hold out-of-window ranks; the caller filters), in list
+  /// order. Inline lists come back whole, as a direct span. Without a
+  /// rank-range section (plain arenas, legacy adoptions) no block is
+  /// skipped and the call degrades to a full decode. `skip`, when given,
+  /// accounts the blocks considered/skipped.
   std::span<const Entry> DecodeBlocksInRankWindow(size_t i, uint32_t rank_lo,
                                                   uint32_t rank_hi,
                                                   std::vector<Entry>* scratch,

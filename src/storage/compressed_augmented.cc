@@ -10,13 +10,22 @@ CompressedAugmentedEngine::CompressedAugmentedEngine(
     CompressedAugmentedOptions options)
     : store_(store), index_(index), options_(options) {
   accs_.resize(index_->num_indexed());
-  validator_.EnsureItemCapacity(
+  scratch_.validator.EnsureItemCapacity(
       store->empty() ? 0 : static_cast<size_t>(store->max_item()) + 1);
 }
 
 std::vector<RankingId> CompressedAugmentedEngine::Query(
     const PreparedQuery& query, RawDistance theta_raw, Statistics* stats) {
   TOPK_DCHECK(query.k() == store_->k());
+  if (!UnionCoversRange(query.k(), theta_raw)) {
+    // The sweep below discovers candidates through posting lists only,
+    // which miss the rankings disjoint from the query: RangeSearch
+    // validates the full id domain instead.
+    std::vector<RankingId> results;
+    RangeSearch(*store_, index_, query.view(), theta_raw, options_.drop,
+                &scratch_, &results, stats);
+    return results;
+  }
   ++epoch_;
   if (epoch_ == 0) {
     for (auto& acc : accs_) acc.epoch = 0;
@@ -135,9 +144,10 @@ std::vector<RankingId> CompressedAugmentedEngine::Query(
   for (const RankingId id : touched_) {
     if (!accs_[id].dead) survivors_.push_back(id);
   }
-  validator_.BindQuery(query.view(),
-                       static_cast<size_t>(store_->max_item()) + 1);
-  validator_.ValidateSpan(*store_, survivors_, theta_raw, &results, stats);
+  FootruleValidator& validator = scratch_.validator;
+  validator.BindQuery(query.view(),
+                      static_cast<size_t>(store_->max_item()) + 1);
+  validator.ValidateSpan(*store_, survivors_, theta_raw, &results, stats);
   std::sort(results.begin(), results.end());
   AddTicker(stats, Ticker::kResults, results.size());
   return results;

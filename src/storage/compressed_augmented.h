@@ -25,9 +25,12 @@
 // already credited), so results finalize with zero store probes and zero
 // distance calls. Any skipping falls back to the batched exact validator
 // over the surviving candidates — partial sums over skipped blocks can
-// rule candidates out, never prove them in. Either way the results are
-// bit-identical to the uncompressed engines (tests/storage_augmented_test
-// pins every drop mode against FilterValidateEngine and brute force).
+// rule candidates out, never prove them in. At theta >= dmax, where no
+// posting sweep can find the rankings disjoint from the query, the engine
+// hands the query to the kernel RangeSearch, which validates the full id
+// domain. Either way the results are bit-identical to the uncompressed
+// engines (tests/storage_augmented_test pins every drop mode against
+// FilterValidateEngine and brute force).
 
 #ifndef TOPK_STORAGE_COMPRESSED_AUGMENTED_H_
 #define TOPK_STORAGE_COMPRESSED_AUGMENTED_H_
@@ -41,7 +44,7 @@
 #include "core/types.h"
 #include "invidx/augmented_inverted_index.h"
 #include "invidx/drop_policy.h"
-#include "kernel/footrule_batch.h"
+#include "kernel/range_search.h"
 #include "storage/compressed_arena.h"
 
 namespace topk {
@@ -88,14 +91,6 @@ class CompressedAugmentedIndex {
   std::span<const AugmentedEntry> DecodeList(
       ItemId item, std::vector<AugmentedEntry>* scratch) const {
     return arena_.DecodeList(item, scratch);
-  }
-
-  /// Partial decode for an id-range sweep (superset semantics; see
-  /// CompressedPostingArena::DecodeBlocksInRange).
-  std::span<const AugmentedEntry> DecodeListInRange(
-      ItemId item, RankingId id_lo, RankingId id_hi,
-      std::vector<AugmentedEntry>* scratch, BlockSkipStats* skip) const {
-    return arena_.DecodeBlocksInRange(item, id_lo, id_hi, scratch, skip);
   }
 
   /// Partial decode for a rank-windowed sweep: blocks whose rank range
@@ -163,7 +158,9 @@ class CompressedAugmentedEngine {
   std::vector<RankingId> touched_;
   std::vector<RankingId> survivors_;  // non-dead touched ids, per query
   std::vector<AugmentedEntry> decode_;
-  FootruleValidator validator_;
+  /// The exact validator of incomplete sweeps, and RangeSearch's scratch
+  /// at theta >= dmax.
+  RangeScratch scratch_;
   uint32_t epoch_ = 0;
 };
 

@@ -12,9 +12,8 @@
 // configuration, fuzzed).
 //
 // CompressedFilterValidateEngine mirrors FilterValidateEngine exactly —
-// same FilterPhase call, same batched SIMD FootruleValidator, same
-// result sort — so the only moving part between the two is where the
-// posting bytes come from.
+// both bind the kernel RangeSearch (kernel/range_search.h) — so the only
+// moving part between the two is where the posting bytes come from.
 
 #ifndef TOPK_STORAGE_COMPRESSED_INDEX_H_
 #define TOPK_STORAGE_COMPRESSED_INDEX_H_
@@ -27,8 +26,7 @@
 #include "core/types.h"
 #include "invidx/drop_policy.h"
 #include "invidx/plain_inverted_index.h"
-#include "kernel/filter_phase.h"
-#include "kernel/footrule_batch.h"
+#include "kernel/range_search.h"
 #include "storage/compressed_arena.h"
 
 namespace topk {
@@ -76,16 +74,6 @@ class CompressedInvertedIndex {
     return arena_.DecodeList(item, scratch);
   }
 
-  /// Partial decode for an id-range sweep: blocks disjoint from
-  /// [id_lo, id_hi] are skipped on metadata alone (payload untouched).
-  /// Superset semantics — see CompressedPostingArena::DecodeBlocksInRange.
-  std::span<const RankingId> DecodeListInRange(ItemId item, RankingId id_lo,
-                                               RankingId id_hi,
-                                               std::vector<RankingId>* scratch,
-                                               BlockSkipStats* skip) const {
-    return arena_.DecodeBlocksInRange(item, id_lo, id_hi, scratch, skip);
-  }
-
   size_t list_length(ItemId item) const { return arena_.list_length(item); }
   size_t num_indexed() const { return num_indexed_; }
   size_t num_entries() const { return arena_.num_entries(); }
@@ -117,21 +105,11 @@ class CompressedFilterValidateEngine {
                                RawDistance theta_raw,
                                Statistics* stats = nullptr);
 
-  /// Query restricted to ids in [id_lo, id_hi]: the filter phase decodes
-  /// only the posting blocks intersecting the range (kBlocksSkipped /
-  /// kPostingEntriesSkipped account the savings). Results are identical
-  /// to Query() filtered to the id range.
-  std::vector<RankingId> QueryIdRange(const PreparedQuery& query,
-                                      RawDistance theta_raw, RankingId id_lo,
-                                      RankingId id_hi,
-                                      Statistics* stats = nullptr);
-
  private:
   const RankingStore* store_;
   const CompressedInvertedIndex* index_;
   CompressedEngineOptions options_;
-  FilterScratch filter_;
-  FootruleValidator validator_;
+  RangeScratch scratch_;
 };
 
 }  // namespace storage

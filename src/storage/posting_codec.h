@@ -3,9 +3,9 @@
 //
 // A compressed posting list is a run of blocks of up to kBlockEntries
 // entries. Each block's skip metadata (first id, last id, entry count,
-// byte offset) lives uncompressed in the arena's block-meta array — a
-// range consumer can discard a whole block on [first_id, last_id]
-// without touching the byte stream — while the payload encodes:
+// byte offset) lives uncompressed in the arena's block-meta array, so a
+// block's bounds are readable without touching the byte stream, while
+// the payload encodes:
 //
 //   RankingId lists    the count-1 id deltas (ids strictly ascending
 //                      within a list, so deltas are >= 1 and small for

@@ -49,7 +49,6 @@
 #include "metric/knn.h"
 #include "metric/linear_scan.h"
 #include "metric/m_tree.h"
-#include "serve/candidate_cache.h"
 #include "serve/fingerprint.h"
 #include "serve/frontend.h"
 #include "serve/lru_cache.h"

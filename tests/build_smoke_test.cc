@@ -107,7 +107,9 @@ TEST(BuildSmokeTest, EverySrcModuleLinks) {
   const ServeRequest serve_requests[] = {
       ServeRequest::Range(Algorithm::kFV, queries[0], theta_raw)};
   EXPECT_EQ(frontend.ServeBatch(serve_requests)[0].ids, truth);
-  EXPECT_NE(MakeCandidateCacheKey(queries[0]).hash, 0u);
+  EXPECT_NE(MakeResultCacheKey(ServeKind::kRange, 0, theta_raw, queries[0])
+                .hash,
+            0u);
 
   // costmodel (+ data/dataset_stats): measured inputs drive a prediction.
   const CostModelInputs inputs =

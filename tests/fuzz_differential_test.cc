@@ -10,7 +10,10 @@
 #include "harness/query_algorithms.h"
 #include "harness/sharded_store.h"
 #include "metric/knn.h"
+#include "mutate/mutable_store.h"
 #include "serve/frontend.h"
+#include "storage/compressed_augmented.h"
+#include "storage/compressed_index.h"
 #include "test_util.h"
 
 namespace topk {
@@ -51,6 +54,25 @@ RankingStore MakeStore(const FuzzShape& shape, uint64_t seed) {
   return Generate(options);
 }
 
+/// Engines whose range answers equal brute force at every theta, dmax
+/// included: the F&V family answers through the kernel RangeSearch, which
+/// owns the theta >= dmax rule, and LinearScan validates every row. The
+/// other engines keep their documented theta < dmax contract (a ranking
+/// disjoint from the query appears in no posting list).
+bool ExactAtDmax(Algorithm algorithm) {
+  return algorithm == Algorithm::kFV || algorithm == Algorithm::kFVDrop ||
+         algorithm == Algorithm::kLinearScan;
+}
+
+/// `thetas`, plus dmax for the engines that are exact there.
+std::vector<RawDistance> ThetasFor(Algorithm algorithm,
+                                   const std::vector<RawDistance>& thetas,
+                                   uint32_t k) {
+  std::vector<RawDistance> out = thetas;
+  if (ExactAtDmax(algorithm)) out.push_back(MaxDistance(k));
+  return out;
+}
+
 class FuzzDifferentialTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(FuzzDifferentialTest, AllEnginesAgreeOnRandomConfigurations) {
@@ -74,10 +96,10 @@ TEST_P(FuzzDifferentialTest, AllEnginesAgreeOnRandomConfigurations) {
       Algorithm::kBlockedPrune, Algorithm::kBlockedPruneDrop,
       Algorithm::kCoarse,       Algorithm::kCoarseDrop,
       Algorithm::kAdaptSearch,  Algorithm::kBkTree,
-      Algorithm::kMTree};
+      Algorithm::kMTree,        Algorithm::kLinearScan};
   for (Algorithm algorithm : algorithms) {
     auto engine = suite.MakeEngine(algorithm);
-    for (RawDistance theta : thetas) {
+    for (RawDistance theta : ThetasFor(algorithm, thetas, shape.k)) {
       for (const auto& query : queries) {
         ASSERT_EQ(engine->Query(0, query, theta, nullptr, nullptr),
                   testutil::BruteForce(store, query, theta))
@@ -126,7 +148,7 @@ TEST_P(FuzzShardedTest, ShardedMatchesUnshardedOnRandomConfigurations) {
       Algorithm::kAdaptSearch,  Algorithm::kBkTree,
       Algorithm::kMTree,        Algorithm::kLinearScan};
   for (Algorithm algorithm : algorithms) {
-    for (RawDistance theta : thetas) {
+    for (RawDistance theta : ThetasFor(algorithm, thetas, shape.k)) {
       for (const auto& query : queries) {
         ASSERT_EQ(runner.RangeQuery(algorithm, query, theta),
                   testutil::BruteForce(store, query, theta))
@@ -162,9 +184,8 @@ INSTANTIATE_TEST_SUITE_P(Rounds, FuzzShardedTest, ::testing::Range(0, 8));
 // Cached-vs-uncached differential mode: the serving frontend is fuzzed
 // over random shapes, thread counts, cache capacities (including tiny
 // ones that thrash), and random interleavings of re-issued queries and
-// generation bumps. Every response — whether it came from an engine, the
-// result cache, or the candidate-cache validation path — must be
-// bit-identical to the cold path (brute force for range, linear-scan for
+// generation bumps. Every response — whether it came from an engine or
+// the result cache — must be bit-identical to the cold path (brute force for range, linear-scan for
 // k-NN), so the result multisets (and their hashes) cannot diverge. On
 // mismatch the assertion prints the failing base seed.
 class FuzzServeTest : public ::testing::TestWithParam<int> {};
@@ -180,22 +201,18 @@ TEST_P(FuzzServeTest, CachedMatchesColdOnRandomInterleavings) {
   options.num_threads = 1 + rng.Below(4);
   options.result_cache_capacity =
       rng.Below(3) == 0 ? rng.Below(8) : 1 + rng.Below(4096);
-  options.candidate_cache_capacity =
-      rng.Below(3) == 0 ? rng.Below(8) : 1 + rng.Below(4096);
   QueryFrontend frontend(&store, options);
 
   const Algorithm range_algorithms[] = {
-      Algorithm::kFV,     Algorithm::kBlockedPruneDrop,
-      Algorithm::kCoarse, Algorithm::kAdaptSearch,
-      Algorithm::kBkTree, Algorithm::kLinearScan};
+      Algorithm::kFV,     Algorithm::kFVDrop,      Algorithm::kBlockedPruneDrop,
+      Algorithm::kCoarse, Algorithm::kAdaptSearch, Algorithm::kBkTree,
+      Algorithm::kLinearScan};
   const Algorithm knn_backends[] = {Algorithm::kLinearScan,
                                     Algorithm::kBkTree, Algorithm::kMTree,
                                     Algorithm::kCoarse};
-  // Like the other differential modes, thetas stay below dmax — the
-  // inverted-index engines' exactness contract (a disjoint ranking never
-  // appears in a posting list). The metric engines' dmax behaviour is
-  // covered by serve_frontend_test.
-  const RawDistance thetas[] = {
+  // dmax only for the engines that are exact there (ExactAtDmax); the
+  // others keep their theta < dmax contract.
+  const std::vector<RawDistance> thetas = {
       0, 1 + static_cast<RawDistance>(rng.Below(MaxDistance(shape.k) - 1)),
       MaxDistance(shape.k) - 1};
 
@@ -209,8 +226,11 @@ TEST_P(FuzzServeTest, CachedMatchesColdOnRandomInterleavings) {
             ServeRequest::Knn(knn_backends[rng.Below(4)], query,
                               1 + rng.Below(shape.n + 4)));
       } else {
+        const Algorithm algorithm = range_algorithms[rng.Below(7)];
+        const auto algorithm_thetas = ThetasFor(algorithm, thetas, shape.k);
         requests.push_back(ServeRequest::Range(
-            range_algorithms[rng.Below(6)], query, thetas[rng.Below(3)]));
+            algorithm, query,
+            algorithm_thetas[rng.Below(algorithm_thetas.size())]));
       }
     }
     const auto responses = frontend.ServeBatch(requests);
@@ -224,8 +244,7 @@ TEST_P(FuzzServeTest, CachedMatchesColdOnRandomInterleavings) {
             << AlgorithmName(requests[i].algorithm)
             << " theta=" << requests[i].theta_raw << " threads="
             << options.num_threads << " result_cache_capacity="
-            << options.result_cache_capacity << " candidate_cache_capacity="
-            << options.candidate_cache_capacity;
+            << options.result_cache_capacity;
       } else {
         ASSERT_EQ(responses[i].neighbors,
                   LinearScanKnn(store, *requests[i].query, requests[i].j))
@@ -241,6 +260,68 @@ TEST_P(FuzzServeTest, CachedMatchesColdOnRandomInterleavings) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Rounds, FuzzServeTest, ::testing::Range(0, 8));
+
+// The dmax boundary, pinned: a uniform store over a wide domain holds
+// rankings that share no item with a query. They sit at exactly dmax and
+// appear in no posting list, so a path that validates only the posting
+// union answers dmax with a fraction of the store. Every union-validating
+// path must equal brute force at dmax and just below it.
+TEST(RangeExactnessTest, UnionPathsMatchBruteForceAtDmax) {
+  const RankingStore store = testutil::MakeUniformStore(5, 400, 300, 7);
+  const auto queries = testutil::MakeQueries(store, 6, 8);
+  const RawDistance dmax = MaxDistance(store.k());
+
+  const PlainInvertedIndex plain = PlainInvertedIndex::Build(store);
+  const auto compressed = storage::CompressedInvertedIndex::FromPlain(plain);
+  const auto augmented = storage::CompressedAugmentedIndex::Build(store);
+  QueryFrontend frontend(&store);
+  const ShardedStore sharded(store, 3, ShardingStrategy::kRoundRobin);
+  ParallelRunner runner(&sharded);
+  MutableStore live(store);
+
+  for (const auto& query : queries) {
+    size_t disjoint = 0;
+    for (RankingId id = 0; id < store.size(); ++id) {
+      if (FootruleDistance(query.sorted_view(), store.sorted(id)) == dmax) {
+        ++disjoint;
+      }
+    }
+    ASSERT_GT(disjoint, 0u) << "the store must hold a disjoint ranking";
+
+    for (const RawDistance theta : {dmax - 1, dmax}) {
+      const auto expected = testutil::BruteForce(store, query, theta);
+      for (const DropMode drop : {DropMode::kNone, DropMode::kConservative,
+                                  DropMode::kPositionRefined}) {
+        FilterValidateEngine fv(&store, &plain, {drop});
+        storage::CompressedFilterValidateEngine tier(&store, &compressed,
+                                                     {drop});
+        storage::CompressedAugmentedEngine aug(&store, &augmented,
+                                               {drop, true});
+        EXPECT_EQ(fv.Query(query, theta), expected)
+            << "FilterValidateEngine drop=" << static_cast<int>(drop)
+            << " theta=" << theta;
+        EXPECT_EQ(tier.Query(query, theta), expected)
+            << "CompressedFilterValidateEngine drop="
+            << static_cast<int>(drop) << " theta=" << theta;
+        EXPECT_EQ(aug.Query(query, theta), expected)
+            << "CompressedAugmentedEngine drop=" << static_cast<int>(drop)
+            << " theta=" << theta;
+      }
+      for (const Algorithm algorithm : {Algorithm::kFV, Algorithm::kFVDrop}) {
+        const ServeRequest request[] = {
+            ServeRequest::Range(algorithm, query, theta)};
+        EXPECT_EQ(frontend.ServeBatch(request)[0].ids, expected)
+            << "QueryFrontend " << AlgorithmName(algorithm)
+            << " theta=" << theta;
+        EXPECT_EQ(runner.RangeQuery(algorithm, query, theta), expected)
+            << "ParallelRunner " << AlgorithmName(algorithm)
+            << " theta=" << theta;
+      }
+      EXPECT_EQ(live.RangeQuery(query, theta), expected)
+          << "MutableStore theta=" << theta;
+    }
+  }
+}
 
 }  // namespace
 }  // namespace topk

@@ -1,5 +1,5 @@
-// The online serving layer: inter-query batching, exact result/candidate
-// caching, generation-based invalidation, and the concurrency contract
+// The online serving layer: inter-query batching, exact result caching,
+// generation-based invalidation, and the concurrency contract
 // (this suite runs under TSan in CI alongside the parallel harness).
 
 #include <gtest/gtest.h>
@@ -21,56 +21,65 @@
 namespace topk {
 namespace {
 
-CandidateCacheKey SetKey(std::vector<ItemId> items) {
-  CandidateCacheKey key;
-  key.hash = ItemSetFingerprint(items);
+/// Minimal ShardedLruCache key: an item sequence plus its fingerprint.
+struct SeqKey {
+  std::vector<ItemId> items;
+  uint64_t hash;
+
+  friend bool operator==(const SeqKey& a, const SeqKey& b) {
+    return a.hash == b.hash && a.items == b.items;
+  }
+};
+
+SeqKey MakeKey(std::vector<ItemId> items) {
+  SeqKey key;
+  key.hash = SequenceFingerprint(items);
   key.items = std::move(items);
   return key;
 }
 
 TEST(ShardedLruCacheTest, LruEvictionOrder) {
-  ShardedLruCache<CandidateCacheKey, int> cache(/*capacity=*/2,
-                                                /*num_shards=*/1);
-  EXPECT_EQ(cache.Insert(SetKey({1}), 0, 10), 0u);
-  EXPECT_EQ(cache.Insert(SetKey({2}), 0, 20), 0u);
+  ShardedLruCache<SeqKey, int> cache(/*capacity=*/2, /*num_shards=*/1);
+  EXPECT_EQ(cache.Insert(MakeKey({1}), 0, 10), 0u);
+  EXPECT_EQ(cache.Insert(MakeKey({2}), 0, 20), 0u);
   int value = 0;
-  EXPECT_TRUE(cache.Lookup(SetKey({1}), 0, &value));  // {1} now most recent
+  EXPECT_TRUE(cache.Lookup(MakeKey({1}), 0, &value));  // {1} now most recent
   EXPECT_EQ(value, 10);
-  EXPECT_EQ(cache.Insert(SetKey({3}), 0, 30), 1u);  // evicts LRU = {2}
-  EXPECT_FALSE(cache.Lookup(SetKey({2}), 0, &value));
-  EXPECT_TRUE(cache.Lookup(SetKey({1}), 0, &value));
-  EXPECT_TRUE(cache.Lookup(SetKey({3}), 0, &value));
+  EXPECT_EQ(cache.Insert(MakeKey({3}), 0, 30), 1u);  // evicts LRU = {2}
+  EXPECT_FALSE(cache.Lookup(MakeKey({2}), 0, &value));
+  EXPECT_TRUE(cache.Lookup(MakeKey({1}), 0, &value));
+  EXPECT_TRUE(cache.Lookup(MakeKey({3}), 0, &value));
   EXPECT_EQ(cache.size(), 2u);
 }
 
 TEST(ShardedLruCacheTest, CapacityZeroDisables) {
-  ShardedLruCache<CandidateCacheKey, int> cache(0, 8);
+  ShardedLruCache<SeqKey, int> cache(0, 8);
   EXPECT_FALSE(cache.enabled());
-  EXPECT_EQ(cache.Insert(SetKey({1}), 0, 10), 0u);
+  EXPECT_EQ(cache.Insert(MakeKey({1}), 0, 10), 0u);
   int value = 0;
-  EXPECT_FALSE(cache.Lookup(SetKey({1}), 0, &value));
+  EXPECT_FALSE(cache.Lookup(MakeKey({1}), 0, &value));
   EXPECT_EQ(cache.size(), 0u);
 }
 
 TEST(ShardedLruCacheTest, EpochMismatchInvalidatesLazily) {
-  ShardedLruCache<CandidateCacheKey, int> cache(8, 2);
-  cache.Insert(SetKey({1, 2}), /*epoch=*/0, 7);
+  ShardedLruCache<SeqKey, int> cache(8, 2);
+  cache.Insert(MakeKey({1, 2}), /*epoch=*/0, 7);
   int value = 0;
-  EXPECT_TRUE(cache.Lookup(SetKey({1, 2}), 0, &value));
-  EXPECT_FALSE(cache.Lookup(SetKey({1, 2}), 1, &value));  // stale: erased
+  EXPECT_TRUE(cache.Lookup(MakeKey({1, 2}), 0, &value));
+  EXPECT_FALSE(cache.Lookup(MakeKey({1, 2}), 1, &value));  // stale: erased
   EXPECT_EQ(cache.size(), 0u);
   // Re-inserting under the new generation serves again.
-  cache.Insert(SetKey({1, 2}), 1, 8);
-  EXPECT_TRUE(cache.Lookup(SetKey({1, 2}), 1, &value));
+  cache.Insert(MakeKey({1, 2}), 1, 8);
+  EXPECT_TRUE(cache.Lookup(MakeKey({1, 2}), 1, &value));
   EXPECT_EQ(value, 8);
 }
 
 TEST(ShardedLruCacheTest, InsertReplacesSameKey) {
-  ShardedLruCache<CandidateCacheKey, int> cache(4, 1);
-  cache.Insert(SetKey({5}), 0, 1);
-  cache.Insert(SetKey({5}), 0, 2);
+  ShardedLruCache<SeqKey, int> cache(4, 1);
+  cache.Insert(MakeKey({5}), 0, 1);
+  cache.Insert(MakeKey({5}), 0, 2);
   int value = 0;
-  EXPECT_TRUE(cache.Lookup(SetKey({5}), 0, &value));
+  EXPECT_TRUE(cache.Lookup(MakeKey({5}), 0, &value));
   EXPECT_EQ(value, 2);
   EXPECT_EQ(cache.size(), 1u);
 }
@@ -139,42 +148,10 @@ TEST_F(ServeFrontendTest, ReissuedQueriesHitTheResultCache) {
   }
 }
 
-TEST_F(ServeFrontendTest, PermutedQueriesHitTheCandidateCache) {
-  QueryFrontendOptions options;
-  options.num_threads = 1;
-  QueryFrontend frontend(&store_, options);
-
-  const PreparedQuery& original = queries_[0];
-  // Same item set, different order: a different answer key but the same
-  // candidate key.
-  std::vector<ItemId> reversed(original.view().items().begin(),
-                               original.view().items().end());
-  std::reverse(reversed.begin(), reversed.end());
-  const PreparedQuery permuted(
-      std::move(Ranking::Create(reversed)).ValueOrDie());
-
-  Statistics stats;
-  const ServeRequest warmup[] = {
-      ServeRequest::Range(Algorithm::kFV, original, theta_)};
-  frontend.ServeBatch(warmup, &stats);
-  EXPECT_EQ(stats.Get(Ticker::kCandidateCacheMisses), 1u);
-
-  Statistics permuted_stats;
-  const ServeRequest probe[] = {
-      ServeRequest::Range(Algorithm::kFV, permuted, theta_)};
-  const auto responses = frontend.ServeBatch(probe, &permuted_stats);
-  EXPECT_EQ(permuted_stats.Get(Ticker::kCandidateCacheHits), 1u);
-  EXPECT_TRUE(responses[0].candidate_cache_hit);
-  EXPECT_FALSE(responses[0].result_cache_hit);
-  EXPECT_EQ(responses[0].ids,
-            testutil::BruteForce(store_, permuted, theta_));
-}
-
 TEST_F(ServeFrontendTest, CapacityZeroStaysExactWithoutCaching) {
   QueryFrontendOptions options;
   options.num_threads = 2;
   options.result_cache_capacity = 0;
-  options.candidate_cache_capacity = 0;
   QueryFrontend frontend(&store_, options);
 
   std::vector<ServeRequest> requests;
@@ -187,9 +164,7 @@ TEST_F(ServeFrontendTest, CapacityZeroStaysExactWithoutCaching) {
   Statistics stats;
   const auto responses = frontend.ServeBatch(requests, &stats);
   EXPECT_EQ(stats.Get(Ticker::kResultCacheHits), 0u);
-  EXPECT_EQ(stats.Get(Ticker::kCandidateCacheHits), 0u);
   EXPECT_EQ(frontend.result_cache_size(), 0u);
-  EXPECT_EQ(frontend.candidate_cache_size(), 0u);
   for (size_t i = 0; i < requests.size(); ++i) {
     EXPECT_EQ(responses[i].ids,
               testutil::BruteForce(store_, *requests[i].query, theta_));
@@ -200,7 +175,6 @@ TEST_F(ServeFrontendTest, CapacityOneEvictsAndStaysExact) {
   QueryFrontendOptions options;
   options.num_threads = 1;
   options.result_cache_capacity = 1;
-  options.candidate_cache_capacity = 0;
   QueryFrontend frontend(&store_, options);
 
   const PreparedQuery& a = queries_[0];
@@ -225,7 +199,6 @@ TEST_F(ServeFrontendTest, HugeCapacityCachesEverything) {
   QueryFrontendOptions options;
   options.num_threads = 1;
   options.result_cache_capacity = size_t{1} << 20;
-  options.candidate_cache_capacity = size_t{1} << 20;
   QueryFrontend frontend(&store_, options);
 
   std::vector<ServeRequest> requests;
@@ -256,7 +229,6 @@ TEST_F(ServeFrontendTest, InvalidationMakesEveryEntryUnservable) {
   Statistics stats;
   const auto responses = frontend.ServeBatch(requests, &stats);
   EXPECT_EQ(stats.Get(Ticker::kResultCacheHits), 0u);
-  EXPECT_EQ(stats.Get(Ticker::kCandidateCacheHits), 0u);
   for (size_t i = 0; i < requests.size(); ++i) {
     EXPECT_EQ(responses[i].ids,
               testutil::BruteForce(store_, *requests[i].query, theta_));
@@ -329,19 +301,17 @@ TEST_F(ServeFrontendTest, KnnBackendsMatchLinearScanAndCache) {
   }
 }
 
-TEST_F(ServeFrontendTest, ThetaAtDmaxBypassesCandidateCacheExactly) {
+TEST_F(ServeFrontendTest, LinearScanAtDmaxServesTheWholeStore) {
   QueryFrontendOptions options;
   options.num_threads = 1;
   QueryFrontend frontend(&store_, options);
 
+  // Everything is within dmax, including rankings disjoint from the
+  // query that no posting list holds.
   const RawDistance dmax = MaxDistance(store_.k());
-  Statistics stats;
   const ServeRequest request[] = {
       ServeRequest::Range(Algorithm::kLinearScan, queries_[0], dmax)};
-  const auto responses = frontend.ServeBatch(request, &stats);
-  // Everything is within dmax; the posting union would have missed
-  // disjoint rankings, so the candidate cache must not have been used.
-  EXPECT_EQ(stats.Get(Ticker::kCandidateCacheMisses), 0u);
+  const auto responses = frontend.ServeBatch(request);
   EXPECT_EQ(responses[0].ids.size(), store_.size());
   EXPECT_EQ(responses[0].ids,
             testutil::BruteForce(store_, queries_[0], dmax));
@@ -443,44 +413,9 @@ TEST_F(ServeFrontendTest, ConcurrentServeBatchCallersSerializeSafely) {
 
 // ---- Live mutability: caches must flip atomically with the store. ----
 
-// The satellite bug, reproduced: with invalidation unwired (the pre-PR
-// state — nothing bumped the serve generation on a write), a cached
-// answer keeps being served after an insert that changed the truth.
-TEST(LiveFrontendTest, UnwiredCacheServesStaleHitAfterInsert) {
-  constexpr uint32_t kK = 5;
-  const RankingStore source = testutil::MakeClusteredStore(kK, 80, 1101);
-  MutableStore store(kK);
-  for (RankingId id = 0; id < 60; ++id) {
-    store.Insert(source.view(id));
-  }
-  LiveFrontendOptions options;
-  options.wire_invalidation = false;  // the bug seam
-  LiveFrontend frontend(&store, options);
-
-  // A query whose answer the next insert changes: the query IS row 60,
-  // so inserting row 60 adds a distance-0 member.
-  const PreparedQuery query(
-      std::move(Ranking::Create({source.view(60).items().begin(),
-                                 source.view(60).items().end()}))
-          .ValueOrDie());
-  const RawDistance theta_raw = RawThreshold(0.2, kK);
-  const std::vector<RankingId> before =
-      frontend.ServeRange(query, theta_raw);  // populates the cache
-  const uint64_t epoch_before = frontend.epoch();
-
-  store.Insert(source.view(60));  // mutation; unwired -> no epoch bump
-  EXPECT_EQ(frontend.epoch(), epoch_before);
-
-  const std::vector<RankingId> truth = store.RangeQuery(query, theta_raw);
-  ASSERT_NE(truth, before) << "insert must change this answer";
-  // The stale hit: the cache still serves the pre-insert answer.
-  EXPECT_EQ(frontend.ServeRange(query, theta_raw), before);
-  EXPECT_NE(frontend.ServeRange(query, theta_raw), truth);
-}
-
-// The fix: default wiring registers the mutation listener, every write
-// bumps the epoch under the store mutex, and the same sequence serves
-// fresh answers.
+// The constructor registers the mutation listener: every write bumps the
+// epoch under the store mutex, so a cached answer never outlives the
+// write that changed it.
 TEST(LiveFrontendTest, WiredCacheServesFreshAfterEveryMutation) {
   constexpr uint32_t kK = 5;
   const RankingStore source = testutil::MakeClusteredStore(kK, 80, 1101);
@@ -488,7 +423,7 @@ TEST(LiveFrontendTest, WiredCacheServesFreshAfterEveryMutation) {
   for (RankingId id = 0; id < 60; ++id) {
     store.Insert(source.view(id));
   }
-  LiveFrontend frontend(&store, {});  // wire_invalidation = true
+  LiveFrontend frontend(&store, {});
 
   const PreparedQuery query(
       std::move(Ranking::Create({source.view(60).items().begin(),

@@ -176,7 +176,6 @@ TEST_F(ServeRobustnessTest, CancelledTokenAbortsItsRequests) {
   QueryFrontendOptions options;
   options.num_threads = 2;
   options.result_cache_capacity = 0;  // force real execution
-  options.candidate_cache_capacity = 0;
   QueryFrontend frontend(&store_, options);
 
   CancelToken cancel;
@@ -202,7 +201,6 @@ TEST_F(ServeRobustnessTest, OverloadShedsWholeBatchesWithRetryAfter) {
   options.max_inflight_batches = 1;
   options.shed_retry_after_ms = 7.5;
   options.result_cache_capacity = 0;  // keep the long batch long
-  options.candidate_cache_capacity = 0;
   QueryFrontend frontend(&store_, options);
   frontend.Prepare(Algorithm::kFV);
 

@@ -315,16 +315,17 @@ TEST(CompressedAugmentedEngine, TightThetaSkipsBlocksOnConcentratedRanks) {
 }
 
 TEST(CompressedAugmentedEngine, CompleteSweepUsesZeroDistanceCalls) {
-  // At theta = dmax nothing is skipped or dropped, so the streaming
-  // finalization answers from the accumulators alone: ranks straight
-  // from the decode buffer, zero store probes.
+  // At theta = dmax - 1 (the largest theta the sweep serves; from dmax on
+  // RangeSearch validates the full id domain) nothing is skipped or
+  // dropped, so the streaming finalization answers from the accumulators
+  // alone: ranks straight from the decode buffer, zero store probes.
   const RankingStore store = testutil::MakeClusteredStore(8, 300, 41);
   const CompressedAugmentedIndex compressed =
       CompressedAugmentedIndex::Build(store);
   const PlainInvertedIndex plain = PlainInvertedIndex::Build(store);
   FilterValidateEngine reference(&store, &plain, {});
   CompressedAugmentedEngine engine(&store, &compressed, {});
-  const RawDistance theta = MaxDistance(store.k());
+  const RawDistance theta = MaxDistance(store.k()) - 1;
   for (const auto& query : testutil::MakeQueries(store, 5, 42)) {
     Statistics stats;
     const auto results = engine.Query(query, theta, &stats);

@@ -394,93 +394,6 @@ TEST(CompressedEngine, AgreesWithBruteForceAtModerateTheta) {
   }
 }
 
-// ---------------------------------------------------------------------
-// Id-range sweeps: the compressed engine's block-skip partial decode vs
-// the plain engine's exact CSR clip vs the id-filtered full query. All
-// three must return identical results (tickers legitimately differ —
-// whole-block granularity vs exact clipping — so only results compare).
-
-std::vector<RankingId> FilterToRange(const std::vector<RankingId>& ids,
-                                     RankingId lo, RankingId hi) {
-  std::vector<RankingId> kept;
-  for (const RankingId id : ids) {
-    if (id >= lo && id <= hi) kept.push_back(id);
-  }
-  return kept;
-}
-
-TEST(CompressedEngineIdRange, MatchesPlainAndFilteredFullQuery) {
-  const RankingStore store = testutil::MakeClusteredStore(10, 700, 33);
-  const PlainInvertedIndex plain = PlainInvertedIndex::Build(store);
-  const CompressedInvertedIndex compressed =
-      CompressedInvertedIndex::FromPlain(plain);
-  const RawDistance dmax = MaxDistance(store.k());
-  const auto n = static_cast<RankingId>(store.size());
-  const std::pair<RankingId, RankingId> ranges[] = {
-      {0, n - 1},           // whole store
-      {0, n / 3},           // prefix
-      {n / 3, 2 * n / 3},   // interior window
-      {n - 1, n - 1},       // single id
-      {n / 2, n / 4},       // lo > hi: empty by contract
-      {n / 2, UINT32_MAX},  // open-ended high bound
-  };
-  for (const DropMode drop : {DropMode::kNone, DropMode::kConservative,
-                              DropMode::kPositionRefined}) {
-    FilterValidateEngine reference(&store, &plain, {drop});
-    storage::CompressedFilterValidateEngine tier(&store, &compressed,
-                                                 {drop});
-    for (const auto& query : testutil::MakeQueries(store, 6, 34)) {
-      for (const RawDistance theta : {dmax / 4, dmax / 2}) {
-        const auto full = reference.Query(query, theta);
-        for (const auto& [lo, hi] : ranges) {
-          const auto expected = FilterToRange(full, lo, hi);
-          ASSERT_EQ(reference.QueryIdRange(query, theta, lo, hi), expected)
-              << "plain, drop=" << static_cast<int>(drop)
-              << " theta=" << theta << " range=[" << lo << "," << hi << "]";
-          ASSERT_EQ(tier.QueryIdRange(query, theta, lo, hi), expected)
-              << "compressed, drop=" << static_cast<int>(drop)
-              << " theta=" << theta << " range=[" << lo << "," << hi << "]";
-        }
-      }
-    }
-  }
-}
-
-TEST(CompressedEngineIdRangeFuzz, MatchesFilteredFullQuery) {
-  for (uint64_t seed = 1; seed <= 10; ++seed) {
-    SCOPED_TRACE("fuzz seed " + std::to_string(seed) +
-                 " (re-run with this seed to reproduce)");
-    Rng rng(seed);
-    const RankingStore store = testutil::MakeUniformStore(
-        2 + rng.Below(9), 150 + rng.Below(500), 15 + rng.Below(60),
-        seed * 13);
-    const PlainInvertedIndex plain = PlainInvertedIndex::Build(store);
-    const CompressedInvertedIndex compressed =
-        CompressedInvertedIndex::FromPlain(plain);
-    const DropMode drop_modes[] = {DropMode::kNone, DropMode::kConservative,
-                                   DropMode::kPositionRefined};
-    const DropMode drop = drop_modes[rng.Below(3)];
-    FilterValidateEngine reference(&store, &plain, {drop});
-    storage::CompressedFilterValidateEngine tier(&store, &compressed,
-                                                 {drop});
-    const RawDistance theta = rng.Below(MaxDistance(store.k()) + 1);
-    const auto n = static_cast<RankingId>(store.size());
-    for (const auto& query : testutil::MakeQueries(store, 4, seed * 17)) {
-      const auto full = reference.Query(query, theta);
-      for (int r = 0; r < 4; ++r) {
-        const auto lo = static_cast<RankingId>(rng.Below(n));
-        const auto hi = static_cast<RankingId>(rng.Below(n + n / 2));
-        const auto expected = FilterToRange(full, lo, hi);
-        ASSERT_EQ(reference.QueryIdRange(query, theta, lo, hi), expected)
-            << "plain, range=[" << lo << "," << hi << "] theta=" << theta;
-        ASSERT_EQ(tier.QueryIdRange(query, theta, lo, hi), expected)
-            << "compressed, range=[" << lo << "," << hi
-            << "] theta=" << theta;
-      }
-    }
-  }
-}
-
 TEST(CompressedEngine, CompressesZipfWorkloadAtLeastTwofold) {
   // The acceptance bar the bench reports on the real datasets, pinned
   // here on a Zipf-popularity store whose lists are long enough to
