@@ -13,8 +13,10 @@
 // kernel_filter_test pins):
 //  * lists are selected by SelectLists(query, theta_raw, drop, ...) and
 //    visited in ascending query-position order;
-//  * candidates are appended in first-encounter order (NOT sorted —
-//    RangeSearch sorts its *results*);
+//  * candidates are appended in first-encounter order (NOT sorted). Each
+//    id-sorted list's new ids still ascend, so the order is a few
+//    ascending runs, and RangeSearch merges its *results'* runs instead of
+//    sorting them;
 //  * kPostingEntriesScanned ticks once per scanned entry (counted per
 //    list); kListsDropped ticks inside SelectLists; kCandidates is left to
 //    the caller, whose accounting differs (RangeSearch counts the rows it

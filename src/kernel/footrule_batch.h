@@ -35,6 +35,15 @@
 // divisible by the lane width) always run the scalar code, which stays
 // the reference in every build.
 //
+// Row prefetch: ValidateSpan's candidates come from a posting union, so
+// their rows are scattered over the whole item matrix (40 MB for 1M
+// rankings at k = 10) and each row gather misses the private caches —
+// the loop is bound by memory latency, not arithmetic. The ids are known
+// up front, so both the lane and the scalar loop prefetch the row
+// kRowPrefetchDistance candidates ahead of the one they gather, only ever
+// from in-span ids. ValidateAll and SweepNearest walk rows sequentially
+// and leave that to the hardware prefetcher.
+//
 // Exactness: the arithmetic is the same integers the scalar kernel sums in
 // a different order, so accept/reject decisions (and Distance() values)
 // are bit-identical — scalar pinned against FootruleDistance by
@@ -88,6 +97,11 @@
 #endif
 
 namespace topk {
+
+/// How many candidates ahead ValidateSpan warms the item-matrix row of, in
+/// both its lane and its scalar loop: the row gathers of a posting union
+/// are scattered over the whole matrix.
+inline constexpr size_t kRowPrefetchDistance = 16;
 
 class FootruleValidator {
  public:
@@ -225,6 +239,12 @@ class FootruleValidator {
                                   Statistics* stats,
                                   QueryControl* control = nullptr) {
     AddTicker(stats, Ticker::kDistanceCalls, candidates.size());
+    const ItemId* flat = store.flat_items().data();
+    // Warms the row of candidates[j]; both loops pass only j < size(), so
+    // the address is always a row start inside flat_items().
+    const auto prefetch_row = [&](size_t j) {
+      PrefetchRead(flat + static_cast<size_t>(candidates[j]) * store.k());
+    };
     size_t i = 0;
 #if TOPK_SIMD_DISPATCH
     if (SimdUsable(store)) {
@@ -232,10 +252,14 @@ class FootruleValidator {
       // per-position bounds mask (new slots read absent; distances are
       // unchanged).
       EnsureItemCapacity(static_cast<size_t>(store.max_item()) + 1);
-      const ItemId* flat = store.flat_items().data();
       alignas(32) uint32_t rows[kSimdLanes];
       for (; i + kSimdLanes <= candidates.size(); i += kSimdLanes) {
         if (control != nullptr && control->ShouldStop()) return;
+        const size_t ahead_end = std::min(
+            i + kRowPrefetchDistance + kSimdLanes, candidates.size());
+        for (size_t j = i + kRowPrefetchDistance; j < ahead_end; ++j) {
+          prefetch_row(j);
+        }
         for (unsigned c = 0; c < kSimdLanes; ++c) {
           rows[c] = candidates[i + c] * k_;
         }
@@ -246,6 +270,9 @@ class FootruleValidator {
 #endif
     for (; i < candidates.size(); ++i) {
       if (control != nullptr && control->ShouldStop()) return;
+      if (i + kRowPrefetchDistance < candidates.size()) {
+        prefetch_row(i + kRowPrefetchDistance);
+      }
       if (WithinThreshold(store.view(candidates[i]), theta_raw)) {
         out->push_back(candidates[i]);
       }

@@ -14,7 +14,16 @@
 //  * otherwise: FilterPhase with the caller's DropMode (Lemma 2 for the
 //    F&V+Drop modes), the keep-predicate's rejects dropped BEFORE
 //    validation (a tombstoned row never costs a distance call), then
-//    ValidateSpan and a sort of the accepted ids.
+//    ValidateSpan and a merge of the accepted ids' ascending runs.
+//
+// Result order without a sort: the union emits ids in first-encounter
+// order, and within one id-sorted posting list the ids it adds ascend, so
+// the accepted ids form at most one ascending run per contributing list
+// (1.0-1.4 runs on average for F&V+Drop on the 1M NYT-like corpus).
+// MergeAscendingRuns merges them pairwise in O(n log runs) through
+// RangeScratch's grow-only buffer, touching only what this call appended
+// — MutableStore appends segment after segment into one output. Indexes
+// whose lists are not id-sorted (blocked, delta) just produce more runs.
 //
 // The answer therefore equals brute force at every theta for every
 // caller. Ticker contract: kCandidates ticks the rows validated,
@@ -33,6 +42,7 @@
 #include <algorithm>
 #include <span>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "core/deadline.h"
@@ -47,12 +57,41 @@ namespace topk {
 
 /// Per-caller range scratch, reused across queries so the hot path never
 /// allocates: the filter's dedup set and candidate list, the validator's
-/// query rank table, and the keep-predicate's survivors.
+/// query rank table, the keep-predicate's survivors, and the run merge's
+/// ping-pong buffer.
 struct RangeScratch {
   FilterScratch filter;
   FootruleValidator validator;
   std::vector<RankingId> kept;
+  std::vector<RankingId> merge;
 };
+
+/// Sorts (*values)[first, end) ascending by merging its ascending runs
+/// pairwise, ping-ponging through `buffer` (grown, never shrunk):
+/// O(n log runs), a single O(n) scan when the range is already sorted.
+/// The prefix [0, first) is not touched.
+inline void MergeAscendingRuns(std::vector<RankingId>* values, size_t first,
+                               std::vector<RankingId>* buffer) {
+  RankingId* const begin = values->data() + first;
+  const size_t n = values->size() - first;
+  if (std::is_sorted(begin, begin + n)) return;
+  if (buffer->size() < n) buffer->resize(n);
+  RankingId* src = begin;
+  RankingId* dst = buffer->data();
+  size_t merged_runs = 0;
+  do {
+    merged_runs = 0;
+    RankingId* out = dst;
+    for (RankingId* lo = src; lo != src + n; ++merged_runs) {
+      RankingId* const mid = std::is_sorted_until(lo, src + n);
+      RankingId* const hi = std::is_sorted_until(mid, src + n);
+      out = std::merge(lo, mid, mid, hi, out);
+      lo = hi;
+    }
+    std::swap(src, dst);
+  } while (merged_runs > 1);
+  if (src != begin) std::copy(src, src + n, begin);
+}
 
 /// The default keep-predicate: every row is alive.
 struct KeepAllRows {
@@ -108,9 +147,9 @@ bool RangeSearch(const RankingStore& store, const Index* index,
     out->resize(first);
     return false;
   }
-  // Full-domain rows ascend already; a posting union arrives in
-  // first-encounter order.
-  if (!full_domain) std::sort(out->begin() + first, out->end());
+  // Full-domain rows ascend already; a posting union's accepted ids form
+  // a few ascending runs (see the header).
+  if (!full_domain) MergeAscendingRuns(out, first, &scratch->merge);
   AddTicker(stats, Ticker::kResults, out->size() - first);
   return true;
 }

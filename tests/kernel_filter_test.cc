@@ -4,15 +4,19 @@
 // pre-refactor F&V filter loop — reproduced here verbatim as the
 // reference — across the plain, augmented, and blocked indices, all drop
 // policies, and the empty/single-item/dmax edge cases. The batched
-// Footrule validator is pinned against the scalar merge kernel, and the
-// CSR arena's memory accounting is checked as exact arithmetic.
+// Footrule validator is pinned against the scalar merge kernel, RangeSearch's
+// run merge against std::sort (and, over the many-run blocked index,
+// against brute force), and the CSR arena's memory accounting is checked
+// as exact arithmetic.
 
 #include <algorithm>
+#include <cstddef>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/footrule.h"
+#include "core/rng.h"
 #include "invidx/augmented_inverted_index.h"
 #include "invidx/blocked_inverted_index.h"
 #include "invidx/filter_validate.h"
@@ -20,6 +24,7 @@
 #include "kernel/filter_phase.h"
 #include "kernel/footrule_batch.h"
 #include "kernel/posting_arena.h"
+#include "kernel/range_search.h"
 #include "test_util.h"
 
 namespace topk {
@@ -249,6 +254,136 @@ TEST(FootruleValidatorTest, CandidateItemsBeyondTableAreAbsent) {
   EXPECT_EQ(validator.Distance(store.view(0)),
             FootruleDistance(query.sorted_view(), store.sorted(0)));
   EXPECT_EQ(validator.Distance(store.view(0)), MaxDistance(3));
+}
+
+// --- RangeSearch's run merge vs. std::sort. ---
+
+void ExpectRunMergeSorts(const std::vector<RankingId>& input, size_t first) {
+  std::vector<RankingId> got = input;
+  std::vector<RankingId> buffer;
+  MergeAscendingRuns(&got, first, &buffer);
+  std::vector<RankingId> want = input;
+  std::sort(want.begin() + static_cast<std::ptrdiff_t>(first), want.end());
+  ASSERT_EQ(got, want) << "n=" << input.size() << " first=" << first;
+}
+
+TEST(RunMergeTest, EmptyAndOneElementRanges) {
+  ExpectRunMergeSorts({}, 0);
+  ExpectRunMergeSorts({7}, 0);
+  ExpectRunMergeSorts({7}, 1);
+  ExpectRunMergeSorts({9, 3}, 2);
+}
+
+TEST(RunMergeTest, OneRunIsLeftInPlaceWithoutTheBuffer) {
+  std::vector<RankingId> values = {1, 4, 9, 12, 40};
+  std::vector<RankingId> buffer;
+  MergeAscendingRuns(&values, 0, &buffer);
+  EXPECT_EQ(values, (std::vector<RankingId>{1, 4, 9, 12, 40}));
+  EXPECT_EQ(buffer.capacity(), 0u);
+}
+
+TEST(RunMergeTest, TwoRuns) {
+  ExpectRunMergeSorts({5, 8, 20, 1, 9, 30}, 0);
+  ExpectRunMergeSorts({5, 8, 20, 1}, 0);
+  ExpectRunMergeSorts({50, 1, 2, 3}, 0);
+}
+
+TEST(RunMergeTest, KRunsOfRandomLengths) {
+  Rng rng(45);
+  for (size_t runs = 3; runs <= 40; ++runs) {
+    std::vector<RankingId> values;
+    for (size_t r = 0; r < runs; ++r) {
+      // Each run ascends from a random start; length-1 runs included.
+      RankingId id = static_cast<RankingId>(rng.Below(1000));
+      const size_t length = 1 + rng.Below(12);
+      for (size_t j = 0; j < length; ++j) {
+        values.push_back(id);
+        id += 1 + static_cast<RankingId>(rng.Below(50));
+      }
+    }
+    ExpectRunMergeSorts(values, 0);
+  }
+}
+
+TEST(RunMergeTest, FullyDescendingRangeIsNRuns) {
+  for (const size_t n : {2u, 3u, 7u, 64u, 1001u}) {
+    std::vector<RankingId> values(n);
+    for (size_t j = 0; j < n; ++j) values[j] = static_cast<RankingId>(n - j);
+    ExpectRunMergeSorts(values, 0);
+  }
+}
+
+TEST(RunMergeTest, NonZeroFirstLeavesThePrefixByteIdentical) {
+  // A MutableStore query appends segment after segment into one output:
+  // the merge may only reorder what the current segment appended.
+  const std::vector<RankingId> prefix = {90, 3, 77, 3, 0};
+  std::vector<RankingId> values = prefix;
+  for (const RankingId id : {40, 41, 60, 2, 5, 61, 1}) values.push_back(id);
+  std::vector<RankingId> buffer;
+  MergeAscendingRuns(&values, prefix.size(), &buffer);
+  EXPECT_TRUE(std::equal(prefix.begin(), prefix.end(), values.begin()));
+  EXPECT_EQ(std::vector<RankingId>(values.begin() + 5, values.end()),
+            (std::vector<RankingId>{1, 2, 5, 40, 41, 60, 61}));
+  ExpectRunMergeSorts({90, 3, 77, 8, 2, 6}, 3);
+}
+
+TEST(RunMergeTest, WarmBufferIsReusedWithoutGrowing) {
+  std::vector<RankingId> buffer;
+  std::vector<RankingId> large(500);
+  for (size_t j = 0; j < large.size(); ++j) {
+    large[j] = static_cast<RankingId>((j * 7919) % 500);
+  }
+  MergeAscendingRuns(&large, 0, &buffer);
+  ASSERT_TRUE(std::is_sorted(large.begin(), large.end()));
+  const RankingId* warm = buffer.data();
+  std::vector<RankingId> small = {9, 8, 7, 1, 2};
+  MergeAscendingRuns(&small, 0, &buffer);
+  EXPECT_EQ(small, (std::vector<RankingId>{1, 2, 7, 8, 9}));
+  EXPECT_EQ(buffer.data(), warm);
+}
+
+TEST(RunMergeTest, BlockedIndexRangeSearchMatchesBruteForce) {
+  // The blocked index's lists are rank-major, not id-sorted, so a union
+  // over it hands the merge many runs per query.
+  const uint32_t k = 8;
+  const RankingStore store = testutil::MakeClusteredStore(k, 600, 46);
+  const BlockedInvertedIndex index = BlockedInvertedIndex::Build(store);
+  const auto queries = testutil::MakeQueries(store, 25, 47);
+  RangeScratch scratch;
+  FilterScratch filter;
+  FootruleValidator validator;
+  size_t multi_run_outputs = 0;
+  for (const DropMode drop :
+       {DropMode::kNone, DropMode::kConservative, DropMode::kPositionRefined}) {
+    for (const double theta : {0.1, 0.3, 0.6, 0.9}) {
+      const RawDistance theta_raw = RawThreshold(theta, k);
+      ASSERT_LT(theta_raw, MaxDistance(k));
+      for (const PreparedQuery& query : queries) {
+        // A non-empty prefix, as a later MutableStore segment sees it.
+        std::vector<RankingId> out = {999999, 4};
+        ASSERT_TRUE(RangeSearch(store, &index, query.view(), theta_raw, drop,
+                                &scratch, &out));
+        const std::vector<RankingId> want =
+            testutil::BruteForce(store, query, theta_raw);
+        ASSERT_EQ(std::vector<RankingId>(out.begin() + 2, out.end()), want)
+            << "drop=" << DropModeName(drop) << " theta=" << theta;
+        EXPECT_EQ(out[0], 999999u);
+        EXPECT_EQ(out[1], 4u);
+
+        std::vector<RankingId> unmerged;
+        validator.BindQuery(query.view());
+        validator.ValidateSpan(
+            store,
+            FilterPhase(index, query.view(), theta_raw, drop, store.size(),
+                        &filter),
+            theta_raw, &unmerged, nullptr);
+        if (!std::is_sorted(unmerged.begin(), unmerged.end())) {
+          ++multi_run_outputs;
+        }
+      }
+    }
+  }
+  EXPECT_GT(multi_run_outputs, 0u);
 }
 
 // --- CSR arena: structure and exact memory accounting. ---

@@ -10,7 +10,8 @@
 // are the same scalar code and the suite still pins the validator to the
 // merge kernel, so it runs (and must pass) in every CI leg. ValidateAll
 // is pinned to ValidateSpan over the iota id span, and its QueryControl
-// polls to ValidateSpan's stop contract.
+// polls to ValidateSpan's stop contract. ValidateSpan's row prefetch is
+// driven over every span length around its lookahead, in both loops.
 //
 // The epoch seam tests exercise the 2^32-bind wrap path in BindQuery
 // (clear + restart past the reserved epoch 0) and the epoch-safety of
@@ -100,6 +101,55 @@ TEST(KernelSimdTest, BatchRemaindersOfEverySizeModuloLaneWidth) {
       ExpectSpanMatchesScalar(
           store, query, std::span<const RankingId>(all).subspan(0, size),
           theta_raw);
+    }
+  }
+}
+
+TEST(KernelSimdTest, RowPrefetchStaysInsideSpanAndStore) {
+  // ValidateSpan prefetches the row kRowPrefetchDistance candidates ahead
+  // in both loops. Every span length from 0 through the lookahead plus two
+  // lane batches puts that lookahead past the span's end at some point,
+  // and each span ends in the store's last row, so an address formed from
+  // candidates[i + D] past the end (or past flat_items()) is reachable. The
+  // span lives in an exactly sized heap block: under ASan an out-of-span
+  // read of an id faults.
+  const uint32_t k = 10;
+  const RankingStore store = testutil::MakeClusteredStore(k, 97, 53);
+  const auto queries = testutil::MakeQueries(store, 4, 54);
+  const size_t max_len = kRowPrefetchDistance + 2 * kSimdLanes;
+  ASSERT_LT(max_len, store.size());
+  const RankingId last = static_cast<RankingId>(store.size() - 1);
+  // Scattered distinct ids (a stride coprime to `last`), never `last`.
+  std::vector<RankingId> pool;
+  for (size_t j = 0; j < max_len; ++j) {
+    pool.push_back(static_cast<RankingId>((j * 37 + 11) % last));
+  }
+  for (const PreparedQuery& query : queries) {
+    for (const double theta : {0.0, 0.3, 0.6}) {
+      const RawDistance theta_raw = RawThreshold(theta, k);
+      for (size_t len = 0; len <= max_len; ++len) {
+        std::vector<RankingId> span(len);
+        if (len > 0) {
+          std::copy(pool.begin(), pool.begin() + (len - 1), span.begin());
+          span.back() = last;
+        }
+        std::vector<RankingId> want;
+        for (const RankingId id : span) {
+          if (FootruleDistance(query.sorted_view(), store.sorted(id)) <=
+              theta_raw) {
+            want.push_back(id);
+          }
+        }
+        for (const bool use_simd : {true, false}) {
+          FootruleValidator validator;
+          validator.set_use_simd(use_simd);
+          validator.BindQuery(query.view());
+          std::vector<RankingId> got;
+          validator.ValidateSpan(store, span, theta_raw, &got, nullptr);
+          ASSERT_EQ(got, want) << "len=" << len << " simd=" << use_simd
+                               << " theta_raw=" << theta_raw;
+        }
+      }
     }
   }
 }
