@@ -154,21 +154,22 @@ std::vector<Neighbor> CoarseIndex::Knn(const PreparedQuery& query, size_t j,
                 return a.optimistic < b.optimistic;
               });
 
+    std::vector<Neighbor> members;  // reused across partitions
     for (const Probe& probe : probes) {
       if (probe.optimistic > heap.Bound()) break;
       AddTicker(stats, Ticker::kPartitionsProbed);
       // Range-query the partition tree at the current bound and feed the
-      // matches into the heap; the bound only shrinks, so this is exact.
+      // matches, with the distances the traversal already computed, into
+      // the heap; the bound only shrinks, so this is exact.
       const RawDistance radius_budget = heap.Bound();
-      std::vector<RankingId> members;
+      members.clear();
       trees_[probe.pid].RangeQueryWithRootDistance(
           q, radius_budget == std::numeric_limits<RawDistance>::max()
                  ? MaxDistance(store_->k())
                  : radius_budget,
           probe.medoid_dist, stats, &members);
-      for (RankingId id : members) {
-        AddTicker(stats, Ticker::kDistanceCalls);
-        heap.Offer(id, FootruleDistance(q, store_->sorted(id)));
+      for (const Neighbor& member : members) {
+        heap.Offer(member.id, member.distance);
       }
     }
   }

@@ -10,7 +10,8 @@ BkTree BkTree::Build(const RankingStore* store, std::span<const RankingId> ids,
                      Statistics* stats, BkTreeOptions options) {
   BkTree tree(store, options);
   tree.nodes_.reserve(ids.size());
-  for (RankingId id : ids) tree.Insert(id, stats);
+  std::vector<uint32_t> chain_tails(ids.size(), kNoNode);
+  for (RankingId id : ids) tree.Insert(id, &chain_tails, stats);
   return tree;
 }
 
@@ -18,45 +19,50 @@ BkTree BkTree::BuildAll(const RankingStore* store, Statistics* stats,
                         BkTreeOptions options) {
   BkTree tree(store, options);
   tree.nodes_.reserve(store->size());
-  for (RankingId id = 0; id < store->size(); ++id) tree.Insert(id, stats);
+  std::vector<uint32_t> chain_tails(store->size(), kNoNode);
+  for (RankingId id = 0; id < store->size(); ++id) {
+    tree.Insert(id, &chain_tails, stats);
+  }
   return tree;
 }
 
-void BkTree::Insert(RankingId id, Statistics* stats) {
+void BkTree::Insert(RankingId id, std::vector<uint32_t>* chain_tails,
+                    Statistics* stats) {
+  const auto new_index = static_cast<uint32_t>(nodes_.size());
   if (nodes_.empty()) {
     nodes_.push_back(Node{id, 0, kNoNode, kNoNode});
     return;
   }
   const SortedRankingView inserted = store_->sorted(id);
   uint32_t current = 0;
-  // Once a distance of 0 is observed the new ranking is *identical* to
-  // the current node (the metric is regular), so every node further down
-  // the 0-edge chain is identical too: descend without recomputing.
-  bool known_zero = false;
   for (;;) {
-    RawDistance d = 0;
-    if (!known_zero) {
-      AddTicker(stats, Ticker::kDistanceCalls);
-      d = FootruleDistance(inserted, store_->sorted(nodes_[current].id));
-      known_zero = d == 0;
-    }
-    // Find the child whose edge label equals d; descend if present.
-    uint32_t child = nodes_[current].first_child;
-    uint32_t found = kNoNode;
-    while (child != kNoNode) {
-      if (nodes_[child].parent_dist == d) {
-        found = child;
-        break;
+    AddTicker(stats, Ticker::kTreeNodesVisited);
+    AddTicker(stats, Ticker::kDistanceCalls);
+    const RawDistance d =
+        FootruleDistance(inserted, store_->sorted(nodes_[current].id));
+    uint32_t parent = current;
+    if (d == 0) {
+      // The new ranking is *identical* to `current` (the metric is
+      // regular), the first such node on its path: the head of its 0-edge
+      // chain. Every node below the head on the chain is identical too and
+      // has no other child, so plain descent would walk to the chain's
+      // tail without a distance call; jump there directly instead.
+      uint32_t& tail = (*chain_tails)[current];
+      if (tail != kNoNode) parent = tail;
+      tail = new_index;
+    } else {
+      // Find the child whose edge label equals d; descend if present.
+      uint32_t child = nodes_[current].first_child;
+      while (child != kNoNode && nodes_[child].parent_dist != d) {
+        child = nodes_[child].next_sibling;
       }
-      child = nodes_[child].next_sibling;
+      if (child != kNoNode) {
+        current = child;
+        continue;
+      }
     }
-    if (found != kNoNode) {
-      current = found;
-      continue;
-    }
-    const auto new_index = static_cast<uint32_t>(nodes_.size());
-    nodes_.push_back(Node{id, d, kNoNode, nodes_[current].first_child});
-    nodes_[current].first_child = new_index;
+    nodes_.push_back(Node{id, d, kNoNode, nodes_[parent].first_child});
+    nodes_[parent].first_child = new_index;
     return;
   }
 }
@@ -68,7 +74,7 @@ void BkTree::RangeQueryInto(SortedRankingView query, RawDistance theta_raw,
   AddTicker(stats, Ticker::kDistanceCalls);
   const RawDistance root_dist =
       FootruleDistance(query, store_->sorted(nodes_[0].id));
-  QueryNode(query, theta_raw, 0, root_dist, stats, out);
+  RangeQueryWithRootDistance(query, theta_raw, root_dist, stats, out);
 }
 
 std::vector<RankingId> BkTree::RangeQuery(SortedRankingView query,
@@ -86,7 +92,26 @@ void BkTree::RangeQueryWithRootDistance(SortedRankingView query,
                                         Statistics* stats,
                                         std::vector<RankingId>* out) const {
   if (nodes_.empty()) return;
-  QueryNode(query, theta_raw, 0, root_dist, stats, out);
+  QueryNodeImpl(
+      [this, query](RankingId id) {
+        return FootruleDistance(query, store_->sorted(id));
+      },
+      [out](RankingId id, RawDistance) { out->push_back(id); }, theta_raw, 0,
+      root_dist, stats);
+}
+
+void BkTree::RangeQueryWithRootDistance(SortedRankingView query,
+                                        RawDistance theta_raw,
+                                        RawDistance root_dist,
+                                        Statistics* stats,
+                                        std::vector<Neighbor>* out) const {
+  if (nodes_.empty()) return;
+  QueryNodeImpl(
+      [this, query](RankingId id) {
+        return FootruleDistance(query, store_->sorted(id));
+      },
+      [out](RankingId id, RawDistance d) { out->push_back(Neighbor{id, d}); },
+      theta_raw, 0, root_dist, stats);
 }
 
 void BkTree::RangeQueryWithRootDistance(const FootruleValidator& validator,
@@ -95,17 +120,21 @@ void BkTree::RangeQueryWithRootDistance(const FootruleValidator& validator,
                                         Statistics* stats,
                                         std::vector<RankingId>* out) const {
   if (nodes_.empty()) return;
-  QueryNodeBatched(validator, theta_raw, 0, root_dist, stats, out);
+  QueryNodeImpl(
+      [this, &validator](RankingId id) {
+        return validator.Distance(store_->view(id));
+      },
+      [out](RankingId id, RawDistance) { out->push_back(id); }, theta_raw, 0,
+      root_dist, stats);
 }
 
-template <typename DistanceFn>
-void BkTree::QueryNodeImpl(const DistanceFn& distance, RawDistance theta_raw,
-                           uint32_t node_index, RawDistance node_dist,
-                           Statistics* stats,
-                           std::vector<RankingId>* out) const {
+template <typename DistanceFn, typename EmitFn>
+void BkTree::QueryNodeImpl(const DistanceFn& distance, const EmitFn& emit,
+                           RawDistance theta_raw, uint32_t node_index,
+                           RawDistance node_dist, Statistics* stats) const {
   AddTicker(stats, Ticker::kTreeNodesVisited);
   const Node& node = nodes_[node_index];
-  if (node_dist <= theta_raw) out->push_back(node.id);
+  if (node_dist <= theta_raw) emit(node.id, node_dist);
 
   // A child at edge distance e can contain matches only if
   // |node_dist - e| <= theta (triangle inequality on the discrete metric).
@@ -119,34 +148,13 @@ void BkTree::QueryNodeImpl(const DistanceFn& distance, RawDistance theta_raw,
       // the parent's, no Footrule call needed. This is the paper's
       // "exact matching rankings in one partition" effect that lets the
       // coarse index undercut even the Minimal F&V oracle in Figure 10.
-      QueryNodeImpl(distance, theta_raw, child, node_dist, stats, out);
+      QueryNodeImpl(distance, emit, theta_raw, child, node_dist, stats);
       continue;
     }
     AddTicker(stats, Ticker::kDistanceCalls);
     const RawDistance child_dist = distance(nodes_[child].id);
-    QueryNodeImpl(distance, theta_raw, child, child_dist, stats, out);
+    QueryNodeImpl(distance, emit, theta_raw, child, child_dist, stats);
   }
-}
-
-void BkTree::QueryNode(SortedRankingView query, RawDistance theta_raw,
-                       uint32_t node_index, RawDistance node_dist,
-                       Statistics* stats, std::vector<RankingId>* out) const {
-  QueryNodeImpl(
-      [this, query](RankingId id) {
-        return FootruleDistance(query, store_->sorted(id));
-      },
-      theta_raw, node_index, node_dist, stats, out);
-}
-
-void BkTree::QueryNodeBatched(const FootruleValidator& validator,
-                              RawDistance theta_raw, uint32_t node_index,
-                              RawDistance node_dist, Statistics* stats,
-                              std::vector<RankingId>* out) const {
-  QueryNodeImpl(
-      [this, &validator](RankingId id) {
-        return validator.Distance(store_->view(id));
-      },
-      theta_raw, node_index, node_dist, stats, out);
 }
 
 }  // namespace topk

@@ -9,6 +9,12 @@
 // no per-node maps, cache-friendly traversal, trivially serializable. The
 // coarse index additionally uses the tree's structure to carve partitions
 // (see cluster/bk_partitioner).
+//
+// Exact duplicates form 0-edge chains below the first node they match.
+// A build remembers each chain's tail, so appending a duplicate is O(1)
+// instead of a walk down the chain: a group of c identical rankings costs
+// c steps, not c^2/2. The tail index lives only for the build; the tree
+// shape is the one plain chain-walking insertion gives.
 
 #ifndef TOPK_METRIC_BK_TREE_H_
 #define TOPK_METRIC_BK_TREE_H_
@@ -16,6 +22,7 @@
 #include <span>
 #include <vector>
 
+#include "core/neighbor.h"
 #include "core/ranking.h"
 #include "core/statistics.h"
 #include "core/types.h"
@@ -49,8 +56,9 @@ class BkTree {
       : store_(store), options_(options) {}
 
   /// Builds by inserting `ids` in order (the paper's construction; the
-  /// tree shape depends on insertion order). Distance computations during
-  /// construction are tallied into `stats` if given.
+  /// tree shape depends on insertion order). Distance computations and the
+  /// nodes each insertion descends through are tallied into `stats` if
+  /// given.
   static BkTree Build(const RankingStore* store,
                       std::span<const RankingId> ids,
                       Statistics* stats = nullptr,
@@ -60,8 +68,6 @@ class BkTree {
   static BkTree BuildAll(const RankingStore* store,
                          Statistics* stats = nullptr,
                          BkTreeOptions options = {});
-
-  void Insert(RankingId id, Statistics* stats = nullptr);
 
   /// Appends all rankings within `theta_raw` of the query to `out`.
   void RangeQueryInto(SortedRankingView query, RawDistance theta_raw,
@@ -77,6 +83,13 @@ class BkTree {
                                   RawDistance theta_raw,
                                   RawDistance root_dist, Statistics* stats,
                                   std::vector<RankingId>* out) const;
+
+  /// Same traversal, but each match comes with its query distance — the
+  /// coarse k-NN feeds them to its heap without a second Footrule call.
+  void RangeQueryWithRootDistance(SortedRankingView query,
+                                  RawDistance theta_raw,
+                                  RawDistance root_dist, Statistics* stats,
+                                  std::vector<Neighbor>* out) const;
 
   /// Same traversal driven by a pre-bound kernel validator: node distances
   /// come from the query rank table instead of per-node merges. The coarse
@@ -95,21 +108,21 @@ class BkTree {
   size_t MemoryUsage() const { return nodes_.capacity() * sizeof(Node); }
 
  private:
-  /// One traversal body for both overloads: `distance(id)` supplies the
+  /// Inserts `id` below the existing nodes. `chain_tails[h]` is the tail
+  /// of the 0-edge chain headed by node h (kNoNode while h has no 0-edge
+  /// child); the build owns it and sizes it to the final node count.
+  void Insert(RankingId id, std::vector<uint32_t>* chain_tails,
+              Statistics* stats);
+
+  /// One traversal body for every overload: `distance(id)` supplies the
   /// query distance of a node's ranking (scalar merge kernel or the
-  /// pre-bound batched validator), so the pruning rule, the 0-edge
-  /// duplicate-distance reuse, and the tickers cannot diverge.
-  template <typename DistanceFn>
-  void QueryNodeImpl(const DistanceFn& distance, RawDistance theta_raw,
-                     uint32_t node_index, RawDistance node_dist,
-                     Statistics* stats, std::vector<RankingId>* out) const;
-  void QueryNode(SortedRankingView query, RawDistance theta_raw,
-                 uint32_t node_index, RawDistance node_dist,
-                 Statistics* stats, std::vector<RankingId>* out) const;
-  void QueryNodeBatched(const FootruleValidator& validator,
-                        RawDistance theta_raw, uint32_t node_index,
-                        RawDistance node_dist, Statistics* stats,
-                        std::vector<RankingId>* out) const;
+  /// pre-bound batched validator) and `emit(id, dist)` records a match,
+  /// so the pruning rule, the 0-edge duplicate-distance reuse, and the
+  /// tickers cannot diverge.
+  template <typename DistanceFn, typename EmitFn>
+  void QueryNodeImpl(const DistanceFn& distance, const EmitFn& emit,
+                     RawDistance theta_raw, uint32_t node_index,
+                     RawDistance node_dist, Statistics* stats) const;
 
   const RankingStore* store_;
   BkTreeOptions options_;

@@ -100,8 +100,10 @@ TEST(EdgeCaseTest, BkTreeDuplicateChainsBuildCheaply) {
   Statistics stats;
   const BkTree tree = BkTree::BuildAll(&store, &stats);
   EXPECT_EQ(tree.size(), 1000u);
-  // Linear, not quadratic: one distance call per insert.
+  // Linear, not quadratic: one distance call and one descent step per
+  // insert, where walking the 0-edge chain would take ~500k steps.
   EXPECT_LE(stats.Get(Ticker::kDistanceCalls), 1100u);
+  EXPECT_LE(stats.Get(Ticker::kTreeNodesVisited), 2u * 1000u);
 }
 
 TEST(EdgeCaseTest, MTreeDuplicateHeavyBuildStaysBalanced) {
