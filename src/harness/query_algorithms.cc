@@ -52,6 +52,7 @@ class FvAdapter : public QueryEngine {
                                PhaseTimes*) override {
     return engine_.Query(query, theta_raw, stats);
   }
+  FilterValidateEngine* filter_validate() override { return &engine_; }
 
  private:
   FilterValidateEngine engine_;

@@ -67,6 +67,10 @@ class QueryEngine {
                                Statistics* stats = nullptr) {
     return Query(0, query, theta_raw, stats, nullptr);
   }
+
+  /// The kernel engine behind kFV / kFVDrop, whose range queries take a
+  /// QueryControl and an id split; null for every other algorithm.
+  virtual FilterValidateEngine* filter_validate() { return nullptr; }
 };
 
 struct IndexBuildInfo {

@@ -8,7 +8,11 @@
 //                    exceptions thrown inside f surface at future.get().
 //   ParallelFor(n,f) run f(0..n-1) across the pool *and* the calling
 //                    thread, return when all are done; the first exception
-//                    (if any) is rethrown on the caller.
+//                    (if any) is rethrown on the caller. An f taking
+//                    (slot, i) also learns which thread runs iteration i:
+//                    slot 0 is the caller, 1..W the helpers, and a slot
+//                    runs one iteration at a time — per-slot scratch needs
+//                    no lock.
 //
 // A pool constructed with 0 workers degrades to inline execution in
 // ParallelFor — that is the exact single-threaded code path, which makes
@@ -93,23 +97,32 @@ class ThreadPool {
     return result;
   }
 
-  /// Runs `fn(i)` for every i in [0, n). The calling thread participates,
-  /// so a pool of W workers gives up to W+1-way parallelism. Returns after
+  /// Runs `fn(i)` — or `fn(slot, i)` — for every i in [0, n). The calling
+  /// thread participates as slot 0, so a pool of W workers gives up to
+  /// W+1-way parallelism over slots [0, min(W, n - 1)]. Returns after
   /// every iteration finished; if any threw, the first captured exception
   /// is rethrown (the remaining iterations still run to completion, so the
   /// pool is reusable afterwards).
   template <typename F>
   void ParallelFor(size_t n, const F& fn) {
+    const auto call = [&fn](size_t slot, size_t i) {
+      if constexpr (std::is_invocable_v<const F&, size_t, size_t>) {
+        fn(slot, i);
+      } else {
+        (void)slot;
+        fn(i);
+      }
+    };
     if (n == 0) return;
     if (workers_.empty() || n == 1) {
-      for (size_t i = 0; i < n; ++i) fn(i);
+      for (size_t i = 0; i < n; ++i) call(0, i);
       return;
     }
     auto state = std::make_shared<ParallelForState>();
-    auto drain = [state, n, &fn] {
+    auto drain = [state, n, &call](size_t slot) {
       for (size_t i; (i = state->next.fetch_add(1)) < n;) {
         try {
-          fn(i);
+          call(slot, i);
         } catch (...) {
           MutexLock lock(&state->error_mutex);
           if (!state->error) state->error = std::current_exception();
@@ -121,8 +134,10 @@ class ThreadPool {
     const size_t helpers = std::min(workers_.size(), n - 1);
     std::vector<std::future<void>> pending;
     pending.reserve(helpers);
-    for (size_t i = 0; i < helpers; ++i) pending.push_back(Submit(drain));
-    drain();
+    for (size_t i = 0; i < helpers; ++i) {
+      pending.push_back(Submit([drain, i] { drain(i + 1); }));
+    }
+    drain(0);
     // Join EVERY helper before surfacing any error: rethrowing out of the
     // first get() while later helpers were still draining would race them
     // against a caller that has already unwound `fn` off its stack.

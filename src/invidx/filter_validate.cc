@@ -14,11 +14,19 @@ FilterValidateEngine::FilterValidateEngine(const RankingStore* store,
 std::vector<RankingId> FilterValidateEngine::Query(const PreparedQuery& query,
                                                    RawDistance theta_raw,
                                                    Statistics* stats) {
-  TOPK_DCHECK(query.k() == store_->k());
   std::vector<RankingId> results;
-  RangeSearch(*store_, index_, query.view(), theta_raw, options_.drop,
-              &scratch_, &results, stats);
+  Query(query, theta_raw, &results, stats, nullptr);
   return results;
+}
+
+bool FilterValidateEngine::Query(const PreparedQuery& query,
+                                 RawDistance theta_raw,
+                                 std::vector<RankingId>* out,
+                                 Statistics* stats, QueryControl* control,
+                                 const RangeSplit* split) {
+  TOPK_DCHECK(query.k() == store_->k());
+  return RangeSearch(*store_, index_, query.view(), theta_raw, options_.drop,
+                     &scratch_, out, stats, control, KeepAllRows{}, split);
 }
 
 }  // namespace topk

@@ -16,6 +16,7 @@
 
 #include <vector>
 
+#include "core/deadline.h"
 #include "core/ranking.h"
 #include "core/statistics.h"
 #include "core/types.h"
@@ -41,6 +42,19 @@ class FilterValidateEngine {
   std::vector<RankingId> Query(const PreparedQuery& query,
                                RawDistance theta_raw,
                                Statistics* stats = nullptr);
+
+  /// Appends the same answer to `*out` and returns true, or returns false
+  /// with `*out` unchanged when `control` stopped the query. `split`
+  /// (optional) runs the union and validate as id-window parts on its
+  /// workers (kernel/range_search.h); the answer and the summed tickers
+  /// are the serial ones.
+  bool Query(const PreparedQuery& query, RawDistance theta_raw,
+             std::vector<RankingId>* out, Statistics* stats,
+             QueryControl* control, const RangeSplit* split = nullptr);
+
+  /// This engine's scratch, lent as a split's worker slot while the
+  /// engine itself is idle.
+  RangeScratch* scratch() { return &scratch_; }
 
  private:
   const RankingStore* store_;

@@ -4,10 +4,21 @@
 // (kernel/range_search.h), which every union-validating range path goes
 // through — FilterValidateEngine, CompressedFilterValidateEngine,
 // ResilientReader and each MutableStore segment — and CoarseIndex's medoid
-// retrieval. Both run the same loop: pick the accessible posting lists (drop policy), scan
-// them, and deduplicate ranking ids through an epoch-stamped VisitedSet
-// (scripts/check_invariants.py `filter-phase-callers` keeps a third caller
-// from appearing).
+// retrieval. Both run the same loop: pick the accessible posting lists
+// (drop policy), scan them, and deduplicate ranking ids through an
+// epoch-stamped VisitedSet (scripts/check_invariants.py
+// `filter-phase-callers` keeps a third caller from appearing).
+//
+// Two overloads, one loop: FilterPhase(theta, drop) selects the lists and
+// unions them over the whole id domain; FilterPhase(positions, window)
+// unions already-selected lists restricted to an id window [lo, hi), which
+// is how RangeSearch runs one query as id-range parts with SelectLists
+// called once. An id-sorted index cuts each list to the window by binary
+// search, so a window scans only its own entries, and the one-list,
+// two-list and visited-set paths below all apply to the slices. A
+// window's candidates are exactly the whole union's candidates inside it,
+// in the same order; the whole domain is byte-identical to the
+// unwindowed union.
 //
 // Contract (bit-compatible with the historical loops, which
 // kernel_filter_test pins):
@@ -18,7 +29,8 @@
 //    ascending runs, and RangeSearch merges its *results'* runs instead of
 //    sorting them;
 //  * kPostingEntriesScanned ticks once per scanned entry (counted per
-//    list); kListsDropped ticks inside SelectLists; kCandidates is left to
+//    list slice, so a split's windows sum to the whole query's tick);
+//    kListsDropped ticks inside SelectLists; kCandidates is left to
 //    the caller, whose accounting differs (RangeSearch counts the rows it
 //    validates after the keep-predicate).
 //
@@ -54,6 +66,7 @@
 #include "core/types.h"
 #include "invidx/drop_policy.h"
 #include "invidx/visited_set.h"
+#include "kernel/id_split.h"
 #include "kernel/simd.h"
 
 namespace topk {
@@ -199,33 +212,69 @@ void TwoListUnion(const List& first, const List& second,
   }
 }
 
+/// The entries of an id-sorted list whose ids lie in `window`: a binary
+/// search for the first, then a gallop over the (usually short) slice for
+/// the end. The whole domain returns the list unchanged.
+template <typename List>
+List SliceToWindow(const List& list, IdWindow window) {
+  size_t begin = 0;
+  if (!list.empty() && PostingEntryId(list.front()) < window.lo) {
+    const auto below = [](const auto& entry, RankingId id) {
+      return PostingEntryId(entry) < id;
+    };
+    begin = static_cast<size_t>(
+        std::lower_bound(list.begin(), list.end(), window.lo, below) -
+        list.begin());
+  }
+  size_t end = list.size();
+  if (begin < end && PostingEntryId(list.back()) >= window.hi) {
+    end = GallopLowerBound(list, begin, window.hi);
+  }
+  return list.subspan(begin, end - begin);
+}
+
 }  // namespace filter_detail
 
-/// Unions the accessible posting lists of `query` into
-/// `scratch->candidates` (first-encounter order) and returns a view of
-/// them. `id_capacity` bounds the ids the lists may contain (the store
-/// size, or the medoid count for subset indexes).
+/// Unions the posting lists of `query` at `positions` (SelectLists'
+/// output, visited in that order) into `scratch->candidates`, keeping
+/// only ids inside `window`, in first-encounter order, and returns a view
+/// of them. For an id-sorted index each list is sliced to the window by
+/// binary search, so a part touches only its own entries and
+/// kPostingEntriesScanned ticks the slice lengths; the windows of a split
+/// therefore sum to the whole query's tick, and the candidates of a
+/// window are exactly the whole union's candidates inside it, in the same
+/// order. Other indexes take only the whole domain [0, id_capacity).
+/// `id_capacity` bounds the ids the lists may contain (the store size,
+/// or the medoid count for subset indexes).
 template <typename Index>
 std::span<const RankingId> FilterPhase(const Index& index, RankingView query,
-                                       RawDistance theta_raw, DropMode drop,
-                                       size_t id_capacity,
+                                       std::span<const uint32_t> positions,
+                                       IdWindow window, size_t id_capacity,
                                        FilterScratch* scratch,
                                        Statistics* stats = nullptr) {
   scratch->candidates.clear();
-  const std::vector<uint32_t> positions = SelectLists(
-      query, theta_raw, drop,
-      [&index](ItemId item) { return index.list_length(item); }, stats);
+  if constexpr (!IndexHasIdSortedLists<Index>()) {
+    TOPK_DCHECK(window.lo == 0 && window.hi >= id_capacity);
+    (void)window;
+  }
 
   // One access path for both storage tiers: a decoded-lists index lands
   // the list in the given scratch buffer (inline-tier lists come back as
   // direct spans, zero decode); a CSR index returns its arena span and
-  // the buffer goes unused.
+  // the buffer goes unused. Id-sorted lists are then cut to the window.
   auto list_at = [&](uint32_t position, auto* landing) {
-    if constexpr (IndexHasDecodedLists<Index>()) {
-      return index.DecodeList(query[position], landing);
+    const auto list = [&] {
+      if constexpr (IndexHasDecodedLists<Index>()) {
+        return index.DecodeList(query[position], landing);
+      } else {
+        (void)landing;
+        return index.list(query[position]);
+      }
+    }();
+    if constexpr (IndexHasIdSortedLists<Index>()) {
+      return filter_detail::SliceToWindow(list, window);
     } else {
-      (void)landing;
-      return index.list(query[position]);
+      return list;
     }
   };
 
@@ -273,6 +322,22 @@ std::span<const RankingId> FilterPhase(const Index& index, RankingView query,
     }
   }
   return scratch->candidates;
+}
+
+/// The whole query: SelectLists(query, theta_raw, drop, ...) picks the
+/// accessible lists (ticking kListsDropped), and their union over the
+/// whole id domain lands in `scratch->candidates`.
+template <typename Index>
+std::span<const RankingId> FilterPhase(const Index& index, RankingView query,
+                                       RawDistance theta_raw, DropMode drop,
+                                       size_t id_capacity,
+                                       FilterScratch* scratch,
+                                       Statistics* stats = nullptr) {
+  const std::vector<uint32_t> positions = SelectLists(
+      query, theta_raw, drop,
+      [&index](ItemId item) { return index.list_length(item); }, stats);
+  return FilterPhase(index, query, positions, kAllIds, id_capacity, scratch,
+                     stats);
 }
 
 }  // namespace topk

@@ -59,7 +59,8 @@
 // Store-wide sweep: ValidateAll (range, constant theta) and SweepNearest
 // (k-NN, theta = the heap's current j-th distance) share one loop over
 // every row, Sweep(); only what is accepted, and the threshold it is
-// accepted at, differ.
+// accepted at, differ. SweepNearest also takes a row window, so a split
+// k-NN scan sweeps disjoint windows into per-part heaps.
 //
 // Epoch discipline (scalar table): slot = epoch << 32 | rank, and epoch 0
 // is RESERVED as the never-matches stamp — BindQuery skips it when the
@@ -84,6 +85,7 @@
 #include "core/statistics.h"
 #include "core/types.h"
 #include "kernel/footrule_simd.h"
+#include "kernel/id_split.h"
 #include "kernel/simd.h"
 
 // Whether a vector backend was compiled (kernel/simd.h resolved one from
@@ -287,15 +289,16 @@ class FootruleValidator {
                    std::vector<RankingId>* out, Statistics* stats,
                    QueryControl* control = nullptr) {
     Sweep(
-        store, [theta_raw] { return theta_raw; },
+        store, kAllIds, [theta_raw] { return theta_raw; },
         [out](RankingId id) { out->push_back(id); }, stats, control);
   }
 
-  /// k-NN over every id in the store: offers each row that can still
-  /// enter `heap` (the caller's best-j set, capacity j) with its exact
-  /// Distance(). The sweep threshold is re-read from the heap once per
-  /// lane batch / scalar row, so it tightens as the heap does; rejected
-  /// rows cost only the early-exiting lane kernel.
+  /// k-NN over the store's ids inside `rows` (every id by default):
+  /// offers each row that can still enter `heap` (the caller's best-j
+  /// set, capacity j) with its exact Distance(). The sweep threshold is
+  /// re-read from the heap once per lane batch / scalar row, so it
+  /// tightens as the heap does; rejected rows cost only the
+  /// early-exiting lane kernel.
   ///
   /// Tie contract: ids ascend during the sweep, so once the heap is full
   /// a row at distance equal to the current worst has a larger id than
@@ -304,15 +307,19 @@ class FootruleValidator {
   /// equal-distance rows by id. The admitted set is exactly the scalar
   /// oracle's (LinearScanKnn in metric/knn.h).
   ///
-  /// Ticker contract: kDistanceCalls ticks store.size(), as the scalar
-  /// scan does (every row costs one distance evaluation in the paper's
-  /// DFC accounting, pruned or not). `control` is polled as in
-  /// ValidateSpan; on a stop the heap holds a partial answer the caller
-  /// must discard.
+  /// The tie argument holds inside any window, so the best-j sets of
+  /// disjoint windows merge by (distance, id) into the whole answer.
+  ///
+  /// Ticker contract: kDistanceCalls ticks the rows swept — store.size()
+  /// for the whole store, as the scalar scan does (every row costs one
+  /// distance evaluation in the paper's DFC accounting, pruned or not).
+  /// `control` is polled as in ValidateSpan; on a stop the heap holds a
+  /// partial answer the caller must discard.
   void SweepNearest(const RankingStore& store, NeighborHeap* heap,
-                    Statistics* stats, QueryControl* control = nullptr) {
+                    Statistics* stats, QueryControl* control = nullptr,
+                    IdWindow rows = kAllIds) {
     Sweep(
-        store,
+        store, rows,
         [heap] {
           const RawDistance worst = heap->Bound();
           return heap->full() && worst > 0 ? worst - 1 : worst;
@@ -347,21 +354,25 @@ class FootruleValidator {
 
  private:
   /// The one store-wide loop: calls accept(id), ids ascending, for every
-  /// row within threshold() of the bound query. Full lane-width batches
-  /// run the vector kernel when available, the remainder (and every row
-  /// when SIMD is off) the scalar early-exit loop; threshold() and
-  /// `control` are read once per lane batch / scalar row.
+  /// row of `window` (clamped to the store) within threshold() of the
+  /// bound query. Full lane-width batches run the vector kernel when
+  /// available, the remainder (and every row when SIMD is off) the scalar
+  /// early-exit loop; threshold() and `control` are read once per lane
+  /// batch / scalar row.
   template <typename Threshold, typename Accept>
-  void Sweep(const RankingStore& store, const Threshold& threshold,
-             const Accept& accept, Statistics* stats, QueryControl* control) {
-    AddTicker(stats, Ticker::kDistanceCalls, store.size());
-    RankingId id = 0;
+  void Sweep(const RankingStore& store, IdWindow window,
+             const Threshold& threshold, const Accept& accept,
+             Statistics* stats, QueryControl* control) {
+    const size_t end = std::min<size_t>(window.hi, store.size());
+    RankingId id = window.lo;
+    if (id >= end) return;
+    AddTicker(stats, Ticker::kDistanceCalls, end - id);
 #if TOPK_SIMD_DISPATCH
     if (SimdUsable(store)) {
       EnsureItemCapacity(static_cast<size_t>(store.max_item()) + 1);
       const ItemId* flat = store.flat_items().data();
       alignas(32) uint32_t rows[kSimdLanes];
-      for (; id + kSimdLanes <= store.size(); id += kSimdLanes) {
+      for (; id + kSimdLanes <= end; id += kSimdLanes) {
         if (control != nullptr && control->ShouldStop()) return;
         for (unsigned c = 0; c < kSimdLanes; ++c) {
           rows[c] = (id + c) * k_;
@@ -373,7 +384,7 @@ class FootruleValidator {
       }
     }
 #endif
-    for (; id < store.size(); ++id) {
+    for (; id < end; ++id) {
       if (control != nullptr && control->ShouldStop()) return;
       if (WithinThreshold(store.view(id), threshold())) accept(id);
     }

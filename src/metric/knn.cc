@@ -23,10 +23,33 @@ std::vector<Neighbor> LinearScanKnnBatched(const RankingStore& store,
                                            size_t j,
                                            FootruleValidator* validator,
                                            Statistics* stats,
-                                           QueryControl* control) {
+                                           QueryControl* control,
+                                           const KnnSplit* split) {
   NeighborHeap heap(j);
-  validator->BindQuery(query.view(),
-                       static_cast<size_t>(store.max_item()) + 1);
+  const size_t item_domain = static_cast<size_t>(store.max_item()) + 1;
+  if (split != nullptr && split->parts > 1 && j > 0 &&
+      store.size() >= split->min_volume) {
+    std::vector<std::vector<Neighbor>> parts(split->parts);
+    const bool completed = RunParts(
+        *split, control,
+        [&](const SplitWorker<FootruleValidator>& worker, size_t p,
+            QueryControl* part_control) {
+          NeighborHeap part_heap(j);
+          worker.scratch->BindQuery(query.view(), item_domain);
+          worker.scratch->SweepNearest(
+              store, &part_heap, worker.stats, part_control,
+              PartWindow(store.size(), split->parts, p));
+          parts[p] = std::move(part_heap).Finish();
+        });
+    if (!completed) return {};
+    for (const std::vector<Neighbor>& part : parts) {
+      for (const Neighbor& neighbor : part) {
+        heap.Offer(neighbor.id, neighbor.distance);
+      }
+    }
+    return std::move(heap).Finish();
+  }
+  validator->BindQuery(query.view(), item_domain);
   validator->SweepNearest(store, &heap, stats, control);
   if (control != nullptr && control->stopped()) return {};
   return std::move(heap).Finish();

@@ -38,19 +38,27 @@ std::vector<Neighbor> LinearScanKnn(const RankingStore& store,
                                     const PreparedQuery& query, size_t j,
                                     Statistics* stats = nullptr);
 
+/// A LinearScan k-NN sweep split over id windows (kernel/id_split.h); a
+/// worker slot brings its own validator.
+using KnnSplit = IdSplit<FootruleValidator>;
+
 /// Same answer via the batched kernel: binds `query` on the caller-owned
 /// validator and runs its SweepNearest over the store (the lane kernel at
 /// the heap's current j-th distance; see kernel/footrule_batch.h). Ticks
 /// kDistanceCalls n times, as LinearScanKnn does. `control` (optional) is
 /// polled per lane batch / per scalar row; on a stop the partial answer
 /// is dropped and the result is empty — the owning layer maps the stop
-/// to a Status.
+/// to a Status. `split` (optional) sweeps its id windows on its workers,
+/// each into its own best-j heap, and merges the heaps by (distance, id)
+/// — the same answer and tick — once the store holds at least
+/// split->min_volume rows.
 std::vector<Neighbor> LinearScanKnnBatched(const RankingStore& store,
                                            const PreparedQuery& query,
                                            size_t j,
                                            FootruleValidator* validator,
                                            Statistics* stats = nullptr,
-                                           QueryControl* control = nullptr);
+                                           QueryControl* control = nullptr,
+                                           const KnnSplit* split = nullptr);
 
 /// BK-tree KNN: depth-first traversal keeping the j best seen; a subtree
 /// is entered only while |d(q, node) - edge| can still beat the current

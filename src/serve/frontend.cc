@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <exception>
-#include <future>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -110,40 +109,34 @@ std::vector<ServeResponse> QueryFrontend::ServeBatchLocked(
   // an InvalidateCaches racing the batch linearizes after these requests.
   const uint64_t epoch = epoch_.load(std::memory_order_acquire);
 
-  // Work sharing as in ThreadPool::ParallelFor, but with an explicit
-  // executor id so every in-flight request has private engines/scratch.
-  std::atomic<size_t> next{0};
-  Mutex error_mutex;
-  std::exception_ptr error;
-  // The drain tasks reach their slot through this pointer, not through
-  // the guarded executors_ member: the per-slot discipline (task e owns
-  // slot e for the whole fan-out) is what makes that sound, and the
+  // Whole requests are work-shared across the pool; ParallelFor's slot
+  // is the executor id, so every in-flight request has private
+  // engines/scratch. The tasks reach their slot through this pointer, not
+  // through the guarded executors_ member: the per-slot discipline (slot
+  // e runs one request at a time) is what makes that sound, and the
   // coordinator only touches the slots again after the join below.
   Executor* const executor_slots = executors_.data();
-  auto drain = [&, executor_slots](size_t e) {
-    Executor& executor = executor_slots[e];
-    for (size_t i; (i = next.fetch_add(1)) < requests.size();) {
+  // A lone request leaves every other executor idle, so it may lend all
+  // of their slots to an id split of its own; a larger batch keeps them
+  // busy with whole requests instead.
+  const std::span<Executor> lone_workers =
+      requests.size() == 1 && num_threads_ > 1
+          ? std::span<Executor>(executor_slots, num_threads_)
+          : std::span<Executor>();
+  std::exception_ptr error;
+  try {
+    pool_.ParallelFor(requests.size(), [&](size_t slot, size_t i) {
       Stopwatch watch;
-      try {
-        ServeOne(&executor, requests[i], epoch, &responses[i]);
-      } catch (...) {
-        // First exception wins; the batch still drains so the frontend
-        // (and its pool) stays usable after the rethrow below.
-        MutexLock error_lock(&error_mutex);
-        if (!error) error = std::current_exception();
-      }
+      ServeOne(&executor_slots[slot], requests[i], epoch, lone_workers,
+               &responses[i]);
       if (latencies != nullptr) (*latencies)[i] = watch.ElapsedMillis();
-    }
-  };
-  const size_t helpers =
-      requests.empty() ? 0 : std::min(num_threads_ - 1, requests.size() - 1);
-  std::vector<std::future<void>> pending;
-  pending.reserve(helpers);
-  for (size_t e = 0; e < helpers; ++e) {
-    pending.push_back(pool_.Submit([&drain, e] { drain(e + 1); }));
+    });
+  } catch (...) {
+    // ParallelFor drained every other request before rethrowing the first
+    // exception, so the frontend (and its pool) stays usable after the
+    // rethrow below.
+    error = std::current_exception();
   }
-  drain(0);
-  for (std::future<void>& f : pending) f.get();
 
   // Per-executor accounting merges only after the join (the future
   // handshake is the happens-before edge), mirroring ParallelRunner.
@@ -156,7 +149,8 @@ std::vector<ServeResponse> QueryFrontend::ServeBatchLocked(
 }
 
 void QueryFrontend::ServeOne(Executor* executor, const ServeRequest& request,
-                             uint64_t epoch, ServeResponse* response) {
+                             uint64_t epoch, std::span<Executor> lone_workers,
+                             ServeResponse* response) {
   if (request.query == nullptr) {
     throw std::invalid_argument("ServeRequest.query must not be null");
   }
@@ -196,9 +190,10 @@ void QueryFrontend::ServeOne(Executor* executor, const ServeRequest& request,
       return;
     }
     if (request.kind == ServeKind::kRange) {
-      response->ids = ServeRange(executor, request);
+      response->ids = ServeRange(executor, request, &control, lone_workers);
     } else {
-      response->neighbors = ServeKnn(executor, request, &control);
+      response->neighbors =
+          ServeKnn(executor, request, &control, lone_workers);
     }
     // A stopped request discards its partial answer and is NEVER
     // cached: a truncated result under an OK-looking cache entry would
@@ -218,9 +213,9 @@ void QueryFrontend::ServeOne(Executor* executor, const ServeRequest& request,
     return;
   }
   if (request.kind == ServeKind::kRange) {
-    response->ids = ServeRange(executor, request);
+    response->ids = ServeRange(executor, request, &control, lone_workers);
   } else {
-    response->neighbors = ServeKnn(executor, request, &control);
+    response->neighbors = ServeKnn(executor, request, &control, lone_workers);
   }
   if (control.ShouldStop()) {
     response->ids.clear();
@@ -229,26 +224,56 @@ void QueryFrontend::ServeOne(Executor* executor, const ServeRequest& request,
   }
 }
 
-std::vector<RankingId> QueryFrontend::ServeRange(Executor* executor,
-                                                 const ServeRequest& request) {
-  const auto it = executor->engines.find(request.algorithm);
+QueryEngine& QueryFrontend::EngineFor(Executor* executor,
+                                      Algorithm algorithm) {
+  const auto it = executor->engines.find(algorithm);
   if (it == executor->engines.end()) {
     throw std::invalid_argument(
         std::string("algorithm not servable through the frontend: ") +
-        AlgorithmName(request.algorithm));
+        AlgorithmName(algorithm));
   }
-  return it->second->Query(0, *request.query, request.theta_raw,
-                           &executor->stats, &executor->phases);
+  return *it->second;
 }
 
-std::vector<Neighbor> QueryFrontend::ServeKnn(Executor* executor,
-                                              const ServeRequest& request,
-                                              QueryControl* control) {
+std::vector<RankingId> QueryFrontend::ServeRange(
+    Executor* executor, const ServeRequest& request, QueryControl* control,
+    std::span<Executor> lone_workers) {
+  QueryEngine& engine = EngineFor(executor, request.algorithm);
+  FilterValidateEngine* const fv = engine.filter_validate();
+  if (fv == nullptr) {
+    return engine.Query(0, *request.query, request.theta_raw,
+                        &executor->stats, &executor->phases);
+  }
+  std::vector<SplitWorker<RangeScratch>> workers;
+  workers.reserve(lone_workers.size());
+  for (Executor& worker : lone_workers) {
+    workers.push_back(
+        {EngineFor(&worker, request.algorithm).filter_validate()->scratch(),
+         &worker.stats});
+  }
+  const RangeSplit split = LoneSplit<RangeScratch>(workers);
+  std::vector<RankingId> ids;
+  fv->Query(*request.query, request.theta_raw, &ids, &executor->stats,
+            control, workers.empty() ? nullptr : &split);
+  return ids;
+}
+
+std::vector<Neighbor> QueryFrontend::ServeKnn(
+    Executor* executor, const ServeRequest& request, QueryControl* control,
+    std::span<Executor> lone_workers) {
   Statistics* stats = &executor->stats;
   switch (request.algorithm) {
-    case Algorithm::kLinearScan:
+    case Algorithm::kLinearScan: {
+      std::vector<SplitWorker<FootruleValidator>> workers;
+      workers.reserve(lone_workers.size());
+      for (Executor& worker : lone_workers) {
+        workers.push_back({&worker.validator, &worker.stats});
+      }
+      const KnnSplit split = LoneSplit<FootruleValidator>(workers);
       return LinearScanKnnBatched(*store_, *request.query, request.j,
-                                  &executor->validator, stats, control);
+                                  &executor->validator, stats, control,
+                                  workers.empty() ? nullptr : &split);
+    }
     case Algorithm::kBkTree:
       return BkTreeKnn(*bk_tree_, *request.query, request.j, stats);
     case Algorithm::kMTree:

@@ -1,9 +1,10 @@
 // Online serving frontend: inter-query batched execution with exact
-// result caching.
+// result caching, and intra-query parallelism for a lone request.
 //
-// The harness so far parallelizes *within* one query (ParallelRunner fans
-// a query across shards); production query streams are instead dominated
-// by many small, often repeated queries. QueryFrontend closes that gap:
+// ParallelRunner parallelizes within one query by sharding the store and
+// building an index per shard; production query streams are instead
+// dominated by many small, often repeated queries. QueryFrontend serves
+// both shapes over one store and one set of indexes:
 //
 //   batching      a batch of range/k-NN requests is scheduled across a
 //                 reusable ThreadPool as *whole queries* (work sharing:
@@ -11,6 +12,18 @@
 //                 calling thread participates). Responses land at the
 //                 index of their request, so ordering per request id is
 //                 deterministic regardless of execution interleaving.
+//   lone request  a batch of exactly one request would leave every other
+//                 executor idle, so a kFV / kFVDrop range request or a
+//                 kLinearScan k-NN request splits its own work into
+//                 kLoneRequestParts id windows (kernel/id_split.h),
+//                 work-shared over every executor through the same
+//                 ThreadPool::ParallelFor join, each part on its
+//                 executor's existing scratch. Ascending window answers
+//                 concatenate, k-NN heaps merge by (distance, id), and
+//                 the summed tickers equal the serial ones. Below
+//                 kLoneRequestMinVolume posting entries (or store rows)
+//                 the request stays serial on the caller; Coarse, the
+//                 metric trees and the theta >= dmax sweep always do.
 //   result cache  an exact sharded LRU keyed by the canonical query
 //                 sequence + (kind, algorithm, theta or j): an identical
 //                 re-issued query is answered without touching any engine.
@@ -25,9 +38,11 @@
 //
 // A range request that misses the result cache runs its engine; the F&V
 // family reaches the kernel RangeSearch through FilterValidateEngine, so
-// the frontend adds no second filter/validate path of its own. The serve
-// differential suites (serve_frontend_test, FuzzServeTest in
-// fuzz_differential_test) compare served answers with brute force.
+// the frontend adds no second filter/validate path of its own, and it
+// passes the request's QueryControl down, so a deadline or cancel stops
+// the engine mid-query. The serve differential suites
+// (serve_frontend_test, FuzzServeTest in fuzz_differential_test) compare
+// served answers with brute force, lone requests included.
 //
 // Concurrency contract (compiler-enforced where the analysis can see
 // it): the coordinator methods (Prepare/ServeBatch/ServeWorkload) run
@@ -41,7 +56,9 @@
 //
 // Engine thread safety: each executor owns a private QueryEngine per
 // algorithm (per-engine scratch), all sharing the suite's immutable
-// indexes; the coarse index takes a per-executor CoarseScratch. Exceptions
+// indexes; the coarse index takes a per-executor CoarseScratch. A lone
+// request's part running on ParallelFor slot e uses only executor e's
+// scratch and counters, and a slot runs one part at a time. Exceptions
 // thrown while serving a request are captured and the first one is
 // rethrown on the caller after the batch joins (remaining requests still
 // complete, so the frontend stays usable).
@@ -67,6 +84,7 @@
 #include "harness/runner.h"
 #include "harness/thread_pool.h"
 #include "kernel/footrule_batch.h"
+#include "kernel/id_split.h"
 #include "metric/knn.h"
 #include "serve/fingerprint.h"
 #include "serve/result_cache.h"
@@ -144,6 +162,19 @@ struct QueryFrontendOptions {
 
 class QueryFrontend {
  public:
+  /// A batch holding exactly one kFV / kFVDrop range or kLinearScan k-NN
+  /// request splits that request into this many id windows, work-shared
+  /// over every executor. Many small windows keep the executors evenly
+  /// busy even where a store's ids cluster.
+  static constexpr size_t kLoneRequestParts = 32;
+  /// ...unless its selected posting lists hold fewer entries (range) or
+  /// the store fewer rows (k-NN) than this: then it stays serial on the
+  /// caller, because waking the workers would cost more than they save.
+  /// (On a 4-vCPU VM with 3 executors the join costs ~0.05-0.1 ms, and a
+  /// split F&V+Drop query on a 1M NYT-like store first wins at roughly
+  /// 16k-48k postings.)
+  static constexpr size_t kLoneRequestMinVolume = 32768;
+
   explicit QueryFrontend(const RankingStore* store,
                          QueryFrontendOptions options = {});
 
@@ -225,17 +256,42 @@ class QueryFrontend {
   /// ticking kLoadShed per request; no engine, cache, or pool touched.
   std::vector<ServeResponse> ShedBatch(std::span<const ServeRequest> requests,
                                        Statistics* stats) const;
+  /// Serves one request on `executor`. `lone_workers` is every executor
+  /// slot when the request is its batch's only one (empty otherwise): the
+  /// idle slots its F&V range engine or LinearScan k-NN sweep may split
+  /// over.
   void ServeOne(Executor* executor, const ServeRequest& request,
-                uint64_t epoch, ServeResponse* response);
-  /// Runs the range engine behind `request.algorithm`.
+                uint64_t epoch, std::span<Executor> lone_workers,
+                ServeResponse* response);
+  /// The executor's engine for `algorithm`; throws for one never prepared.
+  static QueryEngine& EngineFor(Executor* executor, Algorithm algorithm);
+  /// Runs the range engine behind `request.algorithm`. The F&V family
+  /// polls `control` (a stopped query returns empty and the caller maps
+  /// the stop to a Status) and splits over `lone_workers`.
   std::vector<RankingId> ServeRange(Executor* executor,
-                                    const ServeRequest& request);
+                                    const ServeRequest& request,
+                                    QueryControl* control,
+                                    std::span<Executor> lone_workers);
   /// k-NN dispatch. kLinearScan sweeps the store through the executor's
-  /// batched validator and polls `control`; a stopped sweep returns
-  /// empty and the caller maps the stop to a Status.
+  /// batched validator, split over `lone_workers`, and polls `control`; a
+  /// stopped sweep returns empty and the caller maps the stop to a
+  /// Status.
   std::vector<Neighbor> ServeKnn(Executor* executor,
                                  const ServeRequest& request,
-                                 QueryControl* control);
+                                 QueryControl* control,
+                                 std::span<Executor> lone_workers);
+  /// A lone request's split over `workers`: kLoneRequestParts windows
+  /// work-shared through the pool's ParallelFor, whose slot w is
+  /// workers[w].
+  template <typename Scratch>
+  IdSplit<Scratch> LoneSplit(std::span<const SplitWorker<Scratch>> workers) {
+    return IdSplit<Scratch>{
+        kLoneRequestParts, kLoneRequestMinVolume,
+        [this](size_t parts, const PartBody& body) {
+          pool_.ParallelFor(parts, body);
+        },
+        workers};
+  }
 
   const RankingStore* store_;
   QueryFrontendOptions options_;

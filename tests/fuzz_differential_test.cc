@@ -187,7 +187,10 @@ INSTANTIATE_TEST_SUITE_P(Rounds, FuzzShardedTest, ::testing::Range(0, 8));
 // generation bumps. Every response — whether it came from an engine or
 // the result cache — must be bit-identical to the cold path (brute force for range, linear-scan for
 // k-NN), so the result multisets (and their hashes) cannot diverge. On
-// mismatch the assertion prints the failing base seed.
+// mismatch the assertion prints the failing base seed. Lone-request
+// rounds serve one request per batch, the shape that splits its work over
+// every executor, on the same store and on a larger one whose requests
+// clear the split floor.
 class FuzzServeTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(FuzzServeTest, CachedMatchesColdOnRandomInterleavings) {
@@ -216,9 +219,40 @@ TEST_P(FuzzServeTest, CachedMatchesColdOnRandomInterleavings) {
       0, 1 + static_cast<RawDistance>(rng.Below(MaxDistance(shape.k) - 1)),
       MaxDistance(shape.k) - 1};
 
-  for (int round = 0; round < 6; ++round) {
+  // Serves `requests` as one batch and checks every answer against the
+  // reference scans.
+  const auto serve_and_check = [&](QueryFrontend* served_by,
+                                   const RankingStore& over,
+                                   const std::vector<ServeRequest>& requests,
+                                   int round) {
+    const auto responses = served_by->ServeBatch(requests);
+    for (size_t i = 0; i < requests.size(); ++i) {
+      if (requests[i].kind == ServeKind::kRange) {
+        ASSERT_EQ(responses[i].ids,
+                  testutil::BruteForce(over, *requests[i].query,
+                                       requests[i].theta_raw))
+            << "failing seed=" << seed << " round=" << round
+            << " request=" << i << " of " << requests.size()
+            << " algorithm=" << AlgorithmName(requests[i].algorithm)
+            << " theta=" << requests[i].theta_raw << " threads="
+            << options.num_threads << " result_cache_capacity="
+            << options.result_cache_capacity;
+      } else {
+        ASSERT_EQ(responses[i].neighbors,
+                  LinearScanKnn(over, *requests[i].query, requests[i].j))
+            << "failing seed=" << seed << " round=" << round
+            << " request=" << i << " of " << requests.size()
+            << " backend=" << AlgorithmName(requests[i].algorithm)
+            << " j=" << requests[i].j;
+      }
+    }
+  };
+
+  // Rounds 0-5 serve random batches; rounds 6-11 serve lone requests,
+  // which may split their work over every executor.
+  for (int round = 0; round < 12; ++round) {
     std::vector<ServeRequest> requests;
-    const size_t batch_size = 1 + rng.Below(24);
+    const size_t batch_size = round < 6 ? 1 + rng.Below(24) : 1;
     for (size_t r = 0; r < batch_size; ++r) {
       const PreparedQuery& query = queries[rng.Below(queries.size())];
       if (rng.Below(4) == 0) {
@@ -233,29 +267,37 @@ TEST_P(FuzzServeTest, CachedMatchesColdOnRandomInterleavings) {
             algorithm_thetas[rng.Below(algorithm_thetas.size())]));
       }
     }
-    const auto responses = frontend.ServeBatch(requests);
-    for (size_t i = 0; i < requests.size(); ++i) {
-      if (requests[i].kind == ServeKind::kRange) {
-        ASSERT_EQ(responses[i].ids,
-                  testutil::BruteForce(store, *requests[i].query,
-                                       requests[i].theta_raw))
-            << "failing seed=" << seed << " round=" << round
-            << " request=" << i << " algorithm="
-            << AlgorithmName(requests[i].algorithm)
-            << " theta=" << requests[i].theta_raw << " threads="
-            << options.num_threads << " result_cache_capacity="
-            << options.result_cache_capacity;
-      } else {
-        ASSERT_EQ(responses[i].neighbors,
-                  LinearScanKnn(store, *requests[i].query, requests[i].j))
-            << "failing seed=" << seed << " round=" << round
-            << " request=" << i << " backend="
-            << AlgorithmName(requests[i].algorithm)
-            << " j=" << requests[i].j;
-      }
-    }
+    serve_and_check(&frontend, store, requests, round);
     // Random interleaving of generation bumps with query traffic.
     if (rng.Below(3) == 0) frontend.InvalidateCaches();
+  }
+
+  // Lone F&V-family and LinearScan requests over a larger store: its
+  // rows clear the frontend's split floor, so every lone LinearScan k-NN
+  // fans out, and its narrow item domain makes the posting lists long,
+  // so the F&V requests of most shapes (the larger k) fan out too.
+  FuzzShape wide = shape;
+  wide.n = static_cast<uint32_t>(QueryFrontend::kLoneRequestMinVolume +
+                                 rng.Below(2000));
+  wide.domain = 3 * shape.k + static_cast<uint32_t>(rng.Below(40));
+  const RankingStore wide_store = MakeStore(wide, rng.Next());
+  const auto wide_queries = testutil::MakeQueries(wide_store, 4, rng.Next());
+  QueryFrontend wide_frontend(&wide_store, options);
+  const Algorithm lone_algorithms[] = {Algorithm::kFV, Algorithm::kFVDrop,
+                                       Algorithm::kLinearScan};
+  for (int round = 0; round < 6; ++round) {
+    const PreparedQuery& query = wide_queries[rng.Below(wide_queries.size())];
+    const Algorithm algorithm = lone_algorithms[rng.Below(3)];
+    std::vector<ServeRequest> lone;
+    if (algorithm == Algorithm::kLinearScan && rng.Below(2) == 0) {
+      lone.push_back(ServeRequest::Knn(algorithm, query, 1 + rng.Below(120)));
+    } else {
+      const auto algorithm_thetas = ThetasFor(algorithm, thetas, shape.k);
+      lone.push_back(ServeRequest::Range(
+          algorithm, query,
+          algorithm_thetas[rng.Below(algorithm_thetas.size())]));
+    }
+    serve_and_check(&wide_frontend, wide_store, lone, round);
   }
 }
 

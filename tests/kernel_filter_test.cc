@@ -7,7 +7,9 @@
 // Footrule validator is pinned against the scalar merge kernel, RangeSearch's
 // run merge against std::sort (and, over the many-run blocked index,
 // against brute force), and the CSR arena's memory accounting is checked
-// as exact arithmetic.
+// as exact arithmetic. Id-window splits are pinned against the whole
+// query: each window's candidates are the whole union's inside it, and a
+// split RangeSearch returns the serial answer with the serial tickers.
 
 #include <algorithm>
 #include <cstddef>
@@ -15,14 +17,17 @@
 
 #include <gtest/gtest.h>
 
+#include "core/deadline.h"
 #include "core/footrule.h"
 #include "core/rng.h"
+#include "harness/thread_pool.h"
 #include "invidx/augmented_inverted_index.h"
 #include "invidx/blocked_inverted_index.h"
 #include "invidx/filter_validate.h"
 #include "invidx/plain_inverted_index.h"
 #include "kernel/filter_phase.h"
 #include "kernel/footrule_batch.h"
+#include "kernel/id_split.h"
 #include "kernel/posting_arena.h"
 #include "kernel/range_search.h"
 #include "test_util.h"
@@ -428,6 +433,291 @@ TEST(PostingArenaTest, MemoryUsageIsExactArithmetic) {
             blocked.num_entries() * sizeof(AugmentedEntry) +
                 (num_items + 1) * sizeof(uint32_t) +
                 num_items * (store.k() + 1) * sizeof(uint32_t));
+}
+
+// --- Id-window splits: FilterPhase windows and split RangeSearch. ---
+
+/// Runs the parts in order, part p on worker slot p % workers.
+PartRunner LoopRunner(size_t workers) {
+  return [workers](size_t parts, const PartBody& body) {
+    for (size_t p = 0; p < parts; ++p) body(p % workers, p);
+  };
+}
+
+/// Worker slots of a split: each its own scratch and counters.
+struct SplitWorkers {
+  explicit SplitWorkers(size_t count) : scratch(count), stats(count) {
+    for (size_t w = 0; w < count; ++w) {
+      slots.push_back({&scratch[w], &stats[w]});
+    }
+  }
+  Statistics Summed() const {
+    Statistics sum;
+    for (const Statistics& s : stats) sum.MergeFrom(s);
+    return sum;
+  }
+  std::vector<RangeScratch> scratch;
+  std::vector<Statistics> stats;
+  std::vector<SplitWorker<RangeScratch>> slots;
+};
+
+/// Part counts from one part to more parts than ids (empty windows).
+std::vector<size_t> PartCounts(const RankingStore& store) {
+  return {1, 2, 3, 7, 64, store.size() + 5};
+}
+
+template <typename Index>
+void ExpectWindowsMatchTheWholeUnion(const Index& index,
+                                     const RankingStore& store,
+                                     const std::vector<PreparedQuery>& queries,
+                                     RawDistance theta_raw, DropMode drop) {
+  FilterScratch scratch;
+  for (const PreparedQuery& query : queries) {
+    const std::vector<uint32_t> positions = SelectLists(
+        query.view(), theta_raw, drop,
+        [&index](ItemId item) { return index.list_length(item); });
+    const std::vector<RankingId> whole = ReferenceFilter(
+        index, query.view(), theta_raw, drop, store.size());
+    Statistics whole_stats;
+    FilterPhase(index, query.view(), theta_raw, drop, store.size(), &scratch,
+                &whole_stats);
+    for (const size_t parts : PartCounts(store)) {
+      Statistics summed;
+      for (size_t p = 0; p < parts; ++p) {
+        const IdWindow window = PartWindow(store.size(), parts, p);
+        const auto got = FilterPhase(index, query.view(), positions, window,
+                                     store.size(), &scratch, &summed);
+        std::vector<RankingId> want;
+        for (const RankingId id : whole) {
+          if (id >= window.lo && id < window.hi) want.push_back(id);
+        }
+        ASSERT_EQ(std::vector<RankingId>(got.begin(), got.end()), want)
+            << "drop=" << DropModeName(drop) << " theta_raw=" << theta_raw
+            << " parts=" << parts << " part=" << p;
+      }
+      EXPECT_EQ(summed.Get(Ticker::kPostingEntriesScanned),
+                whole_stats.Get(Ticker::kPostingEntriesScanned));
+    }
+  }
+}
+
+TEST(FilterWindowTest, WindowCandidatesAreTheWholeUnionInsideTheWindow) {
+  // One window over [0, n) is the whole union byte for byte; P windows
+  // are its candidates inside each window, in the same order, and their
+  // scanned-entry ticks sum to the whole query's.
+  const uint32_t k = 8;
+  const RankingStore store = testutil::MakeClusteredStore(k, 700, 51);
+  const PlainInvertedIndex plain = PlainInvertedIndex::Build(store);
+  const AugmentedInvertedIndex augmented =
+      AugmentedInvertedIndex::Build(store);
+  const auto queries = testutil::MakeQueries(store, 12, 52);
+  for (const DropMode drop :
+       {DropMode::kNone, DropMode::kConservative, DropMode::kPositionRefined}) {
+    for (const double theta : {0.1, 0.3, 0.6, 0.9}) {
+      const RawDistance theta_raw = RawThreshold(theta, k);
+      ExpectWindowsMatchTheWholeUnion(plain, store, queries, theta_raw, drop);
+      ExpectWindowsMatchTheWholeUnion(augmented, store, queries, theta_raw,
+                                      drop);
+    }
+  }
+}
+
+/// Serial RangeSearch vs the same query split into every part count over
+/// three worker slots: equal answers (after a kept prefix), and the
+/// caller's plus the workers' tickers sum to the serial ones with
+/// kListsDropped ticked once, by the caller.
+template <typename Index>
+void ExpectSplitMatchesSerial(const Index& index, const RankingStore& store,
+                              const std::vector<PreparedQuery>& queries,
+                              RawDistance theta_raw, DropMode drop) {
+  RangeScratch serial_scratch;
+  RangeScratch caller_scratch;
+  for (const PreparedQuery& query : queries) {
+    std::vector<RankingId> want;
+    Statistics serial_stats;
+    ASSERT_TRUE(RangeSearch(store, &index, query.view(), theta_raw, drop,
+                            &serial_scratch, &want, &serial_stats));
+    for (const size_t parts : PartCounts(store)) {
+      SplitWorkers workers(3);
+      const RangeSplit split{parts, 0, LoopRunner(3), workers.slots};
+      std::vector<RankingId> out = {999999, 4};
+      Statistics caller_stats;
+      ASSERT_TRUE(RangeSearch(store, &index, query.view(), theta_raw, drop,
+                              &caller_scratch, &out, &caller_stats, nullptr,
+                              KeepAllRows{}, &split));
+      ASSERT_EQ(std::vector<RankingId>(out.begin() + 2, out.end()), want)
+          << "drop=" << DropModeName(drop) << " theta_raw=" << theta_raw
+          << " parts=" << parts;
+      EXPECT_EQ(out[0], 999999u);
+      EXPECT_EQ(out[1], 4u);
+      const Statistics summed = workers.Summed();
+      EXPECT_EQ(Merge(caller_stats, summed), serial_stats)
+          << "parts=" << parts;
+      EXPECT_EQ(summed.Get(Ticker::kListsDropped), 0u);
+      if (parts > 1) {
+        // The split really ran: the caller validated nothing itself.
+        EXPECT_EQ(caller_stats.Get(Ticker::kCandidates), 0u);
+      } else {
+        EXPECT_EQ(summed, Statistics());
+      }
+    }
+  }
+}
+
+TEST(RangeSplitTest, PartsMatchSerialAnswerAndTickers) {
+  const uint32_t k = 8;
+  const RankingStore store = testutil::MakeClusteredStore(k, 700, 53);
+  const PlainInvertedIndex plain = PlainInvertedIndex::Build(store);
+  const AugmentedInvertedIndex augmented =
+      AugmentedInvertedIndex::Build(store);
+  const auto queries = testutil::MakeQueries(store, 12, 54);
+  for (const DropMode drop :
+       {DropMode::kNone, DropMode::kConservative, DropMode::kPositionRefined}) {
+    for (const double theta : {0.1, 0.3, 0.6, 0.9}) {
+      const RawDistance theta_raw = RawThreshold(theta, k);
+      ExpectSplitMatchesSerial(plain, store, queries, theta_raw, drop);
+      ExpectSplitMatchesSerial(augmented, store, queries, theta_raw, drop);
+    }
+  }
+}
+
+TEST(RangeSplitTest, ThreadPoolRunnerMatchesSerial) {
+  // The frontend's runner: ParallelFor's slot picks the worker.
+  const uint32_t k = 10;
+  const RankingStore store = testutil::MakeClusteredStore(k, 2000, 55);
+  const PlainInvertedIndex index = PlainInvertedIndex::Build(store);
+  const auto queries = testutil::MakeQueries(store, 10, 56);
+  ThreadPool pool(3);
+  SplitWorkers workers(4);
+  RangeScratch serial_scratch;
+  RangeScratch caller_scratch;
+  for (const size_t parts : {size_t{2}, size_t{7}, size_t{64}}) {
+    const RangeSplit split{
+        parts, 0,
+        [&pool](size_t n, const PartBody& body) { pool.ParallelFor(n, body); },
+        workers.slots};
+    for (const PreparedQuery& query : queries) {
+      for (const double theta : {0.2, 0.5}) {
+        const RawDistance theta_raw = RawThreshold(theta, k);
+        std::vector<RankingId> want;
+        ASSERT_TRUE(RangeSearch(store, &index, query.view(), theta_raw,
+                                DropMode::kPositionRefined, &serial_scratch,
+                                &want));
+        std::vector<RankingId> got;
+        ASSERT_TRUE(RangeSearch(store, &index, query.view(), theta_raw,
+                                DropMode::kPositionRefined, &caller_scratch,
+                                &got, nullptr, nullptr, KeepAllRows{},
+                                &split));
+        ASSERT_EQ(got, want) << "parts=" << parts << " theta=" << theta;
+      }
+    }
+  }
+}
+
+TEST(RangeSplitTest, StoppedControlLeavesOutputAtItsEntrySize) {
+  const uint32_t k = 8;
+  const RankingStore store = testutil::MakeClusteredStore(k, 700, 57);
+  const PlainInvertedIndex index = PlainInvertedIndex::Build(store);
+  const auto queries = testutil::MakeQueries(store, 4, 58);
+  const RawDistance theta_raw = RawThreshold(0.6, k);
+  RangeScratch scratch;
+  for (const size_t parts : PartCounts(store)) {
+    SplitWorkers workers(3);
+    const RangeSplit split{parts, 0, LoopRunner(3), workers.slots};
+    for (const PreparedQuery& query : queries) {
+      // Stopped before the query starts: cancelled, or past the deadline.
+      CancelToken token;
+      token.Cancel();
+      QueryControl cancelled(Deadline::Infinite(), &token);
+      QueryControl expired(Deadline::AfterMillis(-1.0));
+      for (QueryControl* control : {&cancelled, &expired}) {
+        std::vector<RankingId> out = {7};
+        EXPECT_FALSE(RangeSearch(store, &index, query.view(), theta_raw,
+                                 DropMode::kNone, &scratch, &out, nullptr,
+                                 control, KeepAllRows{}, &split));
+        EXPECT_EQ(out, std::vector<RankingId>{7}) << "parts=" << parts;
+        EXPECT_TRUE(control->stopped());
+      }
+
+      // Cancelled while the first part runs: the other parts see it, the
+      // query stops, and the caller's control reports the cancel.
+      CancelToken mid_token;
+      QueryControl mid(Deadline::Infinite(), &mid_token);
+      const RangeSplit cancelling{
+          parts, 0,
+          [&mid_token](size_t n, const PartBody& body) {
+            for (size_t p = 0; p < n; ++p) {
+              body(0, p);
+              mid_token.Cancel();
+            }
+          },
+          workers.slots};
+      std::vector<RankingId> out = {7};
+      const bool completed =
+          RangeSearch(store, &index, query.view(), theta_raw, DropMode::kNone,
+                      &scratch, &out, nullptr, &mid, KeepAllRows{},
+                      &cancelling);
+      if (parts > 1) {
+        EXPECT_FALSE(completed) << "parts=" << parts;
+        EXPECT_EQ(out, std::vector<RankingId>{7}) << "parts=" << parts;
+        EXPECT_TRUE(mid.stopped());
+        EXPECT_TRUE(mid.cancelled());
+      }
+    }
+  }
+}
+
+TEST(RangeSplitTest, UnsplittablePathsAndSmallVolumesRunSerial) {
+  // Blocked lists are not id-sorted, a keep-predicate filters rows, theta
+  // at dmax sweeps the full domain, and a volume floor above the query's
+  // postings keeps it on the caller: no worker ticks anything, and the
+  // answers equal the serial ones.
+  const uint32_t k = 6;
+  const RankingStore store = testutil::MakeClusteredStore(k, 500, 59);
+  const PlainInvertedIndex plain = PlainInvertedIndex::Build(store);
+  const BlockedInvertedIndex blocked = BlockedInvertedIndex::Build(store);
+  const auto queries = testutil::MakeQueries(store, 8, 60);
+  const auto odd = [](RankingId id) { return id % 2 == 1; };
+  RangeScratch scratch;
+  SplitWorkers workers(3);
+  const RangeSplit split{16, 0, LoopRunner(3), workers.slots};
+  const RangeSplit floored{16, store.size() * k + 1, LoopRunner(3),
+                           workers.slots};
+  for (const PreparedQuery& query : queries) {
+    for (const RawDistance theta_raw :
+         {RawThreshold(0.4, k), MaxDistance(k)}) {
+      std::vector<RankingId> want;
+      ASSERT_TRUE(RangeSearch(store, &plain, query.view(), theta_raw,
+                              DropMode::kNone, &scratch, &want));
+      std::vector<RankingId> got;
+      ASSERT_TRUE(RangeSearch(store, &blocked, query.view(), theta_raw,
+                              DropMode::kNone, &scratch, &got, nullptr,
+                              nullptr, KeepAllRows{}, &split));
+      EXPECT_EQ(got, want);
+      got.clear();
+      ASSERT_TRUE(RangeSearch(store, &plain, query.view(), theta_raw,
+                              DropMode::kNone, &scratch, &got, nullptr,
+                              nullptr, KeepAllRows{}, &floored));
+      EXPECT_EQ(got, want);
+      if (theta_raw == MaxDistance(k)) {
+        got.clear();
+        ASSERT_TRUE(RangeSearch(store, &plain, query.view(), theta_raw,
+                                DropMode::kNone, &scratch, &got, nullptr,
+                                nullptr, KeepAllRows{}, &split));
+        EXPECT_EQ(got, want);
+      }
+      std::vector<RankingId> want_odd;
+      for (const RankingId id : want) {
+        if (odd(id)) want_odd.push_back(id);
+      }
+      got.clear();
+      ASSERT_TRUE(RangeSearch(store, &plain, query.view(), theta_raw,
+                              DropMode::kNone, &scratch, &got, nullptr,
+                              nullptr, odd, &split));
+      EXPECT_EQ(got, want_odd);
+    }
+  }
+  EXPECT_EQ(workers.Summed(), Statistics());
 }
 
 // --- End-to-end: the refactored engines still answer exactly. ---

@@ -1,11 +1,13 @@
 // KNN queries (extension beyond the paper's range-only evaluation):
 // exactness of every searcher against the linear-scan oracle, pruning
 // effectiveness, and edge cases — including the batched sweep's lane
-// remainder, tie and ticker contracts, with SIMD on and off.
+// remainder, tie and ticker contracts, with SIMD on and off — and its
+// id-window split against the scalar oracle on tie-heavy stores.
 
 #include "metric/knn.h"
 
 #include <algorithm>
+#include <utility>
 #include <limits>
 #include <vector>
 
@@ -13,6 +15,8 @@
 
 #include "coarse/coarse_index.h"
 #include "core/deadline.h"
+#include "harness/thread_pool.h"
+#include "kernel/id_split.h"
 #include "test_util.h"
 
 namespace topk {
@@ -203,6 +207,127 @@ TEST(KnnSweepTest, StoppedSweepReturnsNothing) {
   EXPECT_TRUE(expired.stopped());
   // The same validator still answers an unconstrained query exactly.
   EXPECT_EQ(LinearScanKnnBatched(store, query, 5, &validator),
+            LinearScanKnn(store, query, 5));
+}
+
+/// Runs the parts in order, part p on worker slot p % workers.
+PartRunner LoopRunner(size_t workers) {
+  return [workers](size_t parts, const PartBody& body) {
+    for (size_t p = 0; p < parts; ++p) body(p % workers, p);
+  };
+}
+
+/// Tie-heavy stores: every row equal; two alternating rows; a clustered
+/// store with exact copies of its first query spread over its ids.
+std::vector<std::pair<RankingStore, std::vector<PreparedQuery>>>
+TieHeavyStores() {
+  std::vector<std::pair<RankingStore, std::vector<PreparedQuery>>> cases;
+  const std::vector<ItemId> a = {1, 2, 3, 4, 5};
+  const std::vector<ItemId> b = {1, 2, 3, 5, 4};
+  std::vector<PreparedQuery> ab_queries;
+  ab_queries.emplace_back(std::move(Ranking::Create(a)).ValueOrDie());
+  ab_queries.emplace_back(std::move(Ranking::Create(b)).ValueOrDie());
+  ab_queries.emplace_back(
+      std::move(Ranking::Create({9, 2, 7, 1, 8})).ValueOrDie());
+  cases.emplace_back(RepeatedStore(a, 301), ab_queries);
+  RankingStore alternating(5);
+  for (int i = 0; i < 250; ++i) {
+    alternating.AddUnchecked(a);
+    alternating.AddUnchecked(b);
+  }
+  cases.emplace_back(std::move(alternating), ab_queries);
+  RankingStore clustered = testutil::MakeClusteredStore(10, 900, 237);
+  std::vector<PreparedQuery> queries = testutil::MakeQueries(clustered, 6, 238);
+  RankingStore copies(10);
+  for (RankingId id = 0; id < clustered.size(); ++id) {
+    copies.AddUnchecked(clustered.view(id).items());
+    if (id % 7 == 0) copies.AddUnchecked(queries[0].view().items());
+  }
+  cases.emplace_back(std::move(copies), std::move(queries));
+  return cases;
+}
+
+TEST(KnnSplitTest, SplitSweepMatchesLinearScanOnTieHeavyStores) {
+  // Every part count (empty windows included) gives the scalar oracle's
+  // (distance, id) answer, and the rows swept still tick kDistanceCalls
+  // store.size() times in all.
+  for (const auto& [store, queries] : TieHeavyStores()) {
+    for (const PreparedQuery& query : queries) {
+      for (const size_t j : {size_t{1}, size_t{10}, size_t{100}}) {
+        const auto truth = LinearScanKnn(store, query, j);
+        for (const size_t parts : {size_t{1}, size_t{2}, size_t{3},
+                                   size_t{7}, size_t{64}, store.size() + 5}) {
+          for (const bool simd : {true, false}) {
+            std::vector<FootruleValidator> validators(3);
+            std::vector<Statistics> stats(3);
+            std::vector<SplitWorker<FootruleValidator>> slots;
+            for (size_t w = 0; w < 3; ++w) {
+              validators[w].set_use_simd(simd);
+              slots.push_back({&validators[w], &stats[w]});
+            }
+            const KnnSplit split{parts, 0, LoopRunner(3), slots};
+            FootruleValidator caller;
+            caller.set_use_simd(simd);
+            Statistics caller_stats;
+            EXPECT_EQ(LinearScanKnnBatched(store, query, j, &caller,
+                                           &caller_stats, nullptr, &split),
+                      truth)
+                << "j=" << j << " parts=" << parts << " simd=" << simd;
+            for (const Statistics& s : stats) caller_stats.MergeFrom(s);
+            EXPECT_EQ(caller_stats.Get(Ticker::kDistanceCalls), store.size());
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(KnnSplitTest, ThreadPoolSplitMatchesLinearScan) {
+  const RankingStore store = testutil::MakeClusteredStore(10, 3000, 239);
+  const auto queries = testutil::MakeQueries(store, 6, 240);
+  ThreadPool pool(3);
+  std::vector<FootruleValidator> validators(4);
+  std::vector<Statistics> stats(4);
+  std::vector<SplitWorker<FootruleValidator>> slots;
+  for (size_t w = 0; w < 4; ++w) slots.push_back({&validators[w], &stats[w]});
+  const KnnSplit split{
+      32, 0,
+      [&pool](size_t n, const PartBody& body) { pool.ParallelFor(n, body); },
+      slots};
+  FootruleValidator caller;
+  for (const PreparedQuery& query : queries) {
+    for (const size_t j : {size_t{1}, size_t{10}, size_t{100}}) {
+      EXPECT_EQ(LinearScanKnnBatched(store, query, j, &caller, nullptr,
+                                     nullptr, &split),
+                LinearScanKnn(store, query, j))
+          << "j=" << j;
+    }
+  }
+}
+
+TEST(KnnSplitTest, StoppedSplitReturnsNothing) {
+  const RankingStore store = testutil::MakeClusteredStore(10, 500, 241);
+  const PreparedQuery query(store.Materialize(0));
+  std::vector<FootruleValidator> validators(2);
+  std::vector<SplitWorker<FootruleValidator>> slots = {
+      {&validators[0], nullptr}, {&validators[1], nullptr}};
+  const KnnSplit split{8, 0, LoopRunner(2), slots};
+  FootruleValidator caller;
+  CancelToken token;
+  token.Cancel();
+  QueryControl cancelled(Deadline::Infinite(), &token);
+  EXPECT_TRUE(LinearScanKnnBatched(store, query, 5, &caller, nullptr,
+                                   &cancelled, &split)
+                  .empty());
+  EXPECT_TRUE(cancelled.stopped());
+  EXPECT_TRUE(cancelled.cancelled());
+  QueryControl expired(Deadline::AfterMillis(-1.0));
+  EXPECT_TRUE(LinearScanKnnBatched(store, query, 5, &caller, nullptr,
+                                   &expired, &split)
+                  .empty());
+  EXPECT_TRUE(expired.stopped());
+  EXPECT_EQ(LinearScanKnnBatched(store, query, 5, &caller, nullptr, nullptr,
+                                 &split),
             LinearScanKnn(store, query, 5));
 }
 

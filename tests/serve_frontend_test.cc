@@ -1,16 +1,21 @@
 // The online serving layer: inter-query batching, exact result caching,
 // generation-based invalidation, and the concurrency contract
-// (this suite runs under TSan in CI alongside the parallel harness).
+// (this suite runs under TSan in CI alongside the parallel harness), and
+// lone requests, whose F&V range or LinearScan k-NN work fans out over
+// every executor as id windows.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <span>
 #include <stdexcept>
 #include <thread>
 #include <utility>
 #include <vector>
 
+#include "core/deadline.h"
+#include "invidx/plain_inverted_index.h"
 #include "metric/knn.h"
 #include "mutate/mutable_store.h"
 #include "serve/frontend.h"
@@ -409,6 +414,179 @@ TEST_F(ServeFrontendTest, ConcurrentServeBatchCallersSerializeSafely) {
   caller();
   other.join();
   EXPECT_EQ(failures.load(), 0);
+}
+
+// ---- Lone requests: one request fans out over every executor. ----
+
+class LoneRequestTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    // A small item domain makes every posting list long (~3750 entries),
+    // so the F&V lists of a query hold more than the split floor, and
+    // the wide store has more rows than it: lone requests really fan out.
+    store_ = testutil::MakeUniformStore(/*k=*/10, /*n=*/6000,
+                                        /*domain=*/16, /*seed=*/61);
+    queries_ = testutil::MakeQueries(store_, 3, /*seed=*/62);
+    wide_ = testutil::MakeUniformStore(
+        /*k=*/10, /*n=*/QueryFrontend::kLoneRequestMinVolume + 1000,
+        /*domain=*/60, /*seed=*/63);
+    wide_queries_ = testutil::MakeQueries(wide_, 2, /*seed=*/64);
+    const RawDistance dmax = MaxDistance(store_.k());
+    thetas_ = {RawThreshold(0.1, store_.k()), RawThreshold(0.3, store_.k()),
+               RawThreshold(0.6, store_.k()), dmax - 1, dmax};
+  }
+
+  RankingStore store_{10};
+  std::vector<PreparedQuery> queries_;
+  RankingStore wide_{10};
+  std::vector<PreparedQuery> wide_queries_;
+  std::vector<RawDistance> thetas_;
+};
+
+TEST_F(LoneRequestTest, LoneRangeRequestsMatchBruteForceAndTheirBatchedTwin) {
+  // A lone kFV / kFVDrop request gives the brute-force answer at every
+  // executor count, and the same answer and tickers as when it shares a
+  // batch with a second request (whole-request scheduling, no split).
+  ASSERT_GT(QueryFrontend::kLoneRequestParts, 1u);
+  const PlainInvertedIndex index = PlainInvertedIndex::Build(store_);
+  for (const PreparedQuery& query : queries_) {
+    size_t volume = 0;
+    for (const ItemId item : query.view().items()) {
+      volume += index.list_length(item);
+    }
+    ASSERT_GE(volume, QueryFrontend::kLoneRequestMinVolume);
+  }
+  std::vector<std::vector<std::vector<RankingId>>> truth;
+  for (const RawDistance theta : thetas_) {
+    truth.emplace_back();
+    for (const PreparedQuery& query : queries_) {
+      truth.back().push_back(testutil::BruteForce(store_, query, theta));
+    }
+  }
+  for (const size_t threads : {1, 2, 3, 4}) {
+    QueryFrontendOptions options;
+    options.num_threads = threads;
+    options.result_cache_capacity = 0;  // every request runs its engine
+    QueryFrontend frontend(&store_, options);
+    for (const Algorithm algorithm : {Algorithm::kFV, Algorithm::kFVDrop}) {
+      for (size_t t = 0; t < thetas_.size(); ++t) {
+        std::vector<ServeRequest> requests;
+        for (const PreparedQuery& query : queries_) {
+          requests.push_back(
+              ServeRequest::Range(algorithm, query, thetas_[t]));
+        }
+        std::vector<Statistics> lone_stats(requests.size());
+        for (size_t q = 0; q < requests.size(); ++q) {
+          const auto lone = frontend.ServeBatch(
+              std::span(&requests[q], 1), &lone_stats[q]);
+          ASSERT_TRUE(lone[0].status.ok());
+          EXPECT_EQ(lone[0].ids, truth[t][q])
+              << AlgorithmName(algorithm) << " threads=" << threads
+              << " theta=" << thetas_[t] << " query=" << q;
+        }
+        // Request q shares a batch with request q + 1.
+        for (size_t q = 0; q < requests.size(); ++q) {
+          const size_t next = (q + 1) % requests.size();
+          const ServeRequest pair[] = {requests[q], requests[next]};
+          Statistics pair_stats;
+          const auto served = frontend.ServeBatch(pair, &pair_stats);
+          EXPECT_EQ(served[0].ids, truth[t][q]);
+          EXPECT_EQ(served[1].ids, truth[t][next]);
+          EXPECT_EQ(Merge(lone_stats[q], lone_stats[next]), pair_stats)
+              << AlgorithmName(algorithm) << " threads=" << threads
+              << " theta=" << thetas_[t] << " query=" << q;
+        }
+      }
+    }
+  }
+}
+
+TEST_F(LoneRequestTest, LoneLinearScanKnnMatchesTheScalarOracle) {
+  ASSERT_GE(wide_.size(), QueryFrontend::kLoneRequestMinVolume);
+  const size_t js[] = {1, 10, 100};
+  std::vector<std::vector<Neighbor>> truth;
+  for (const PreparedQuery& query : wide_queries_) {
+    for (const size_t j : js) truth.push_back(LinearScanKnn(wide_, query, j));
+  }
+  for (const size_t threads : {1, 2, 3, 4}) {
+    QueryFrontendOptions options;
+    options.num_threads = threads;
+    options.result_cache_capacity = 0;
+    QueryFrontend frontend(&wide_, options);
+    size_t next_truth = 0;
+    for (const PreparedQuery& query : wide_queries_) {
+      for (const size_t j : js) {
+        const ServeRequest lone[] = {
+            ServeRequest::Knn(Algorithm::kLinearScan, query, j)};
+        Statistics stats;
+        const auto response = frontend.ServeBatch(lone, &stats);
+        EXPECT_EQ(response[0].neighbors, truth[next_truth++])
+            << "threads=" << threads << " j=" << j;
+        EXPECT_EQ(stats.Get(Ticker::kDistanceCalls), wide_.size());
+      }
+    }
+  }
+}
+
+TEST_F(LoneRequestTest, LoneRequestsHonourCancelAndDeadline) {
+  // Stopped before the batch: the request fails fast. Cancelled by
+  // another thread while it runs: it either finished first (exact
+  // answer) or stopped (Aborted, empty, not cached) — never a partial
+  // answer, and never a cached one.
+  QueryFrontendOptions options;
+  options.num_threads = 3;
+  QueryFrontend frontend(&wide_, options);
+  const RawDistance theta = RawThreshold(0.6, wide_.k());
+  for (const PreparedQuery& query : wide_queries_) {
+    CancelToken tripped;
+    tripped.Cancel();
+    ServeRequest range = ServeRequest::Range(Algorithm::kFVDrop, query, theta);
+    ServeRequest knn = ServeRequest::Knn(Algorithm::kLinearScan, query, 10);
+    for (ServeRequest request : {range, knn}) {
+      request.cancel = &tripped;
+      const ServeRequest batch[] = {request};
+      const auto aborted = frontend.ServeBatch(batch);
+      EXPECT_EQ(aborted[0].status.code(), Status::Code::kAborted);
+      request.cancel = nullptr;
+      request.deadline = Deadline::AfterMillis(-1.0);
+      const ServeRequest late[] = {request};
+      const auto expired = frontend.ServeBatch(late);
+      EXPECT_EQ(expired[0].status.code(), Status::Code::kDeadlineExceeded);
+      EXPECT_TRUE(expired[0].ids.empty());
+      EXPECT_TRUE(expired[0].neighbors.empty());
+    }
+
+    for (ServeRequest request : {range, knn}) {
+      CancelToken racing;
+      request.cancel = &racing;
+      const ServeRequest batch[] = {request};
+      std::thread canceller([&racing] { racing.Cancel(); });
+      const auto response = frontend.ServeBatch(batch);
+      canceller.join();
+      if (response[0].status.ok()) {
+        if (request.kind == ServeKind::kRange) {
+          EXPECT_EQ(response[0].ids,
+                    testutil::BruteForce(wide_, query, theta));
+        } else {
+          EXPECT_EQ(response[0].neighbors, LinearScanKnn(wide_, query, 10));
+        }
+      } else {
+        EXPECT_EQ(response[0].status.code(), Status::Code::kAborted);
+        EXPECT_TRUE(response[0].ids.empty());
+        EXPECT_TRUE(response[0].neighbors.empty());
+      }
+      // Whatever happened, the next identical request is served exactly.
+      request.cancel = nullptr;
+      const ServeRequest again[] = {request};
+      const auto served = frontend.ServeBatch(again);
+      ASSERT_TRUE(served[0].status.ok());
+      if (request.kind == ServeKind::kRange) {
+        EXPECT_EQ(served[0].ids, testutil::BruteForce(wide_, query, theta));
+      } else {
+        EXPECT_EQ(served[0].neighbors, LinearScanKnn(wide_, query, 10));
+      }
+    }
+  }
 }
 
 // ---- Live mutability: caches must flip atomically with the store. ----
