@@ -33,7 +33,6 @@
 #include "json_writer.h"
 #include "kernel_bench.h"
 #include "mutability_bench.h"
-#include "parallel_util.h"
 #include "storage_bench.h"
 
 namespace topk {
@@ -236,60 +235,6 @@ void EmitQueryLatency(bench::JsonWriter* json, const bench::BenchArgs& args,
   json->EndArray();
 }
 
-/// Sharded parallel throughput vs. the sequential runner: threads ==
-/// shards sweeps per algorithm on the NYT-like dataset, each row
-/// checksum-verified against the sequential result multiset. This is the
-/// scaling trajectory (PR 2 onward); absolute speedups depend on the
-/// machine's core count, recorded in the meta section.
-void EmitParallelScaling(bench::JsonWriter* json, const bench::BenchArgs& args,
-                         const std::vector<DatasetRun>& datasets) {
-  const Algorithm algorithms[] = {Algorithm::kFV, Algorithm::kCoarse,
-                                  Algorithm::kLinearScan};
-  const DatasetRun& dataset = datasets.front();  // nyt_like
-  const auto queries = bench::MakeBenchWorkload(*dataset.store, args);
-  const RawDistance theta_raw = RawThreshold(0.3, dataset.store->k());
-  json->Key("parallel_scaling");
-  json->BeginArray();
-  for (const Algorithm algorithm : algorithms) {
-    auto engine = dataset.suite->MakeEngine(algorithm);
-    const RunResult sequential = RunQueries(engine.get(), queries, theta_raw);
-    for (const size_t threads : {1u, 2u, 4u, 8u}) {
-      const bench::ShardedRunConfig config{threads, threads,
-                                           ShardingStrategy::kHashById};
-      const RunResult run = bench::RunSharded(*dataset.store, queries,
-                                              algorithm, theta_raw, config);
-      json->BeginObject();
-      json->Key("dataset");
-      json->String(dataset.name);
-      json->Key("algorithm");
-      json->String(AlgorithmName(algorithm));
-      json->Key("threads");
-      json->Uint(threads);
-      json->Key("shards");
-      json->Uint(config.shards);
-      json->Key("strategy");
-      json->String(ShardingStrategyName(config.strategy));
-      json->Key("theta");
-      json->Double(0.3);
-      json->Key("wall_ms");
-      json->Double(run.wall_ms);
-      json->Key("mean_ms_per_query");
-      json->Double(run.mean_ms_per_query());
-      json->Key("p99_ms");
-      json->Double(run.p99_ms);
-      json->Key("speedup_vs_sequential");
-      json->Double(run.wall_ms > 0 ? sequential.wall_ms / run.wall_ms : 0);
-      json->Key("exact_match");
-      json->Bool(run.result_hash == sequential.result_hash &&
-                 run.total_results == sequential.total_results);
-      json->EndObject();
-    }
-    std::cerr << "  parallel scaling " << AlgorithmName(algorithm)
-              << " done\n";
-  }
-  json->EndArray();
-}
-
 std::string UtcTimestamp() {
   const std::time_t now = std::time(nullptr);
   char buffer[32];
@@ -353,7 +298,6 @@ int Run(int argc, char** argv) {
   bench::EmitSimdSection(&json, args);
   EmitIndexBuild(&json, datasets);
   EmitQueryLatency(&json, args, datasets);
-  EmitParallelScaling(&json, args, datasets);
   bench::EmitMutabilitySection(&json, args);
   bench::EmitStorageSection(&json, args);
 

@@ -45,12 +45,10 @@ Checks (each is a named rule; any violation exits non-zero):
                   skip decision silently faults in mmap-cold pages the
                   sweep promised to leave on disk.
   generation-bump every live-store mutation entry point (Insert / Delete /
-                  InstallMergedLocked in src/mutate/ and the sharded
-                  router) must bump the store generation via
-                  BumpGenerationLocked, or carry an explicit
-                  `generation: delegated` marker comment naming who bumps
-                  instead. A mutation that skips the bump leaves serve-layer
-                  caches answering from a world that no longer exists.
+                  InstallMergedLocked in src/mutate/) must bump the store
+                  generation via BumpGenerationLocked. A mutation that
+                  skips the bump leaves serve-layer caches answering from
+                  a world that no longer exists.
   syscall-status  In src/storage/, a fallible syscall whose result is
                   discarded (the call IS the statement: `fsync(fd);` rather
                   than `if (fsync(fd) != 0) ...`) silently converts an I/O
@@ -124,10 +122,8 @@ ALLOC_ALLOWED: set[str] = set()  # arenas use std::vector storage today
 BENCH_REQUIRED_SECTIONS = {
     "BENCH_baseline.json": [
         "schema_version", "meta", "footrule_kernel", "kernel", "simd",
-        "index_build", "query_latency", "parallel_scaling", "mutability",
-        "storage",
+        "index_build", "query_latency", "mutability", "storage",
     ],
-    "BENCH_parallel.json": ["schema_version", "hardware_concurrency", "rows"],
     "BENCH_serving.json": ["schema_version", "hardware_concurrency", "rows"],
     "BENCH_mutability.json": ["schema_version", "mutability"],
     "BENCH_storage.json": ["schema_version", "storage"],
@@ -137,14 +133,11 @@ BENCH_REQUIRED_SECTIONS = {
 # generation-bump -----------------------------------------------------------
 
 # Files holding live-store mutation entry points. Every matching method
-# definition must either bump the generation (BumpGenerationLocked) or
-# carry the `generation: delegated` marker comment saying who bumps.
-GENERATION_FILE_PREFIXES = ("src/mutate/",
-                            "src/harness/sharded_mutable_store")
+# definition must bump the generation (BumpGenerationLocked).
+GENERATION_FILE_PREFIXES = ("src/mutate/",)
 GENERATION_ENTRY_RE = re.compile(
     r"\b\w+::(Insert|Delete|InstallMergedLocked)\s*\(")
 GENERATION_BUMP_RE = re.compile(r"\bBumpGenerationLocked\s*\(")
-GENERATION_DELEGATED_MARKER = "generation: delegated"
 
 # decode-noalloc ------------------------------------------------------------
 
@@ -344,17 +337,13 @@ def check_generation_bump(path: Path, lines: list[str]) -> list[Failure]:
         if not match:
             i += 1
             continue
-        # Walk the definition body by brace balance. The delegated marker
-        # is a comment, so it is checked against the raw line; it may also
-        # sit in the comment block directly above the signature.
+        # Walk the definition body by brace balance.
         name, start = match.group(1), i
         depth, seen_open = 0, False
-        satisfied = any(GENERATION_DELEGATED_MARKER in l
-                        for l in lines[max(0, start - 3):start])
+        satisfied = False
         while i < n:
             code = strip_comments_and_strings(lines[i])
-            if (GENERATION_BUMP_RE.search(code)
-                    or GENERATION_DELEGATED_MARKER in lines[i]):
+            if GENERATION_BUMP_RE.search(code):
                 satisfied = True
             depth += code.count("{") - code.count("}")
             seen_open = seen_open or "{" in code
@@ -364,10 +353,9 @@ def check_generation_bump(path: Path, lines: list[str]) -> list[Failure]:
         if not satisfied:
             failures.append(Failure(
                 "generation-bump", f"{rel}:{start + 1}",
-                f"mutation entry point {name}() neither calls "
-                "BumpGenerationLocked nor carries a "
-                f"'{GENERATION_DELEGATED_MARKER}' marker — serve-layer "
-                "caches would keep answering from the pre-mutation world"))
+                f"mutation entry point {name}() does not call "
+                "BumpGenerationLocked — serve-layer caches would keep "
+                "answering from the pre-mutation world"))
         i += 1
     return failures
 
@@ -574,6 +562,11 @@ def self_test() -> int:
              "RankingId MutableStore::Insert(RankingView record) {",
              "  delta_.store.AddUnchecked(record.items());",
              "  return 0;", "}"])),
+        ("generation-bump comment is not a bump",
+         lambda: check_generation_bump(fake_mutate, [
+             "bool MutableStore::Delete(RankingId id) {",
+             "  // BumpGenerationLocked() happens elsewhere.",
+             "  return true;", "}"])),
         ("decode-noalloc push_back in hot loop",
          lambda: check_decode_noalloc(fake_storage, [
              "const uint8_t* DecodeBlock(std::vector<int>* out) {",
@@ -639,11 +632,6 @@ def self_test() -> int:
              "RankingId MutableStore::Insert(RankingView record) {",
              "  delta_.store.AddUnchecked(record.items());",
              "  BumpGenerationLocked();", "  return 0;", "}"])),
-        ("generation-bump delegated marker",
-         lambda: check_generation_bump(fake_mutate, [
-             "RankingId ShardedMutableStore::Insert(RankingView record) {",
-             "  // generation: delegated to the owning shard's Insert bump.",
-             "  return shards_[0]->Insert(record);", "}"])),
         ("generation-bump non-mutating method",
          lambda: check_generation_bump(fake_mutate, [
              "bool MutableStore::Contains(RankingId id) const {",

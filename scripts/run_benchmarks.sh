@@ -1,8 +1,7 @@
 #!/usr/bin/env bash
 # Builds (Release) and runs the bench_baseline binary, emitting the
 # machine-readable benchmark baseline every perf PR measures against,
-# then the bench_parallel scaling study (BENCH_parallel.json next to it),
-# the bench_serving cache study (BENCH_serving.json), the
+# then the bench_serving cache study (BENCH_serving.json next to it), the
 # bench_mutability write-path study (BENCH_mutability.json), and the
 # bench_storage compressed-tier study (BENCH_storage.json), and the
 # bench_robustness fault-tolerance overhead study
@@ -12,11 +11,10 @@
 #
 # Usage:
 #   scripts/run_benchmarks.sh                 # CI-scale run -> BENCH_baseline.json
-#                                             # + BENCH_parallel.json + BENCH_serving.json
-#                                             # + BENCH_mutability.json + BENCH_storage.json
+#                                             # + BENCH_serving.json + BENCH_mutability.json
+#                                             # + BENCH_storage.json + BENCH_robustness.json
 #   scripts/run_benchmarks.sh --full          # paper-scale collection sizes
 #   OUT=my.json BUILD_DIR=build-rel scripts/run_benchmarks.sh --queries=500
-#   PARALLEL_OUT= scripts/run_benchmarks.sh   # skip the parallel study
 #   SERVING_OUT= scripts/run_benchmarks.sh    # skip the serving study
 #   MUTABILITY_OUT= scripts/run_benchmarks.sh # skip the mutability study
 #   STORAGE_OUT= scripts/run_benchmarks.sh    # skip the storage study
@@ -41,7 +39,6 @@ cd "$(dirname "$0")/.."
 
 BUILD_DIR=${BUILD_DIR:-build}
 OUT=${OUT:-BENCH_baseline.json}
-PARALLEL_OUT=${PARALLEL_OUT-BENCH_parallel.json}
 SERVING_OUT=${SERVING_OUT-BENCH_serving.json}
 MUTABILITY_OUT=${MUTABILITY_OUT-BENCH_mutability.json}
 STORAGE_OUT=${STORAGE_OUT-BENCH_storage.json}
@@ -83,8 +80,8 @@ MARCH=${MARCH:-}
 cmake -B "$BUILD_DIR" -S . -DCMAKE_BUILD_TYPE=Release -DTOPK_SANITIZE= \
   ${MARCH:+"-DCMAKE_CXX_FLAGS=-march=$MARCH"}
 cmake --build "$BUILD_DIR" -j"$(nproc)" \
-  --target bench_baseline bench_parallel bench_serving bench_mutability \
-  bench_storage bench_robustness
+  --target bench_baseline bench_serving bench_mutability bench_storage \
+  bench_robustness
 
 # ${arr[@]+...} keeps the empty-array expansion safe under set -u on
 # bash < 4.4 (macOS ships 3.2).
@@ -92,13 +89,6 @@ cmake --build "$BUILD_DIR" -j"$(nproc)" \
   ${DEFAULT_ARGS[@]+"${DEFAULT_ARGS[@]}"} "$@" --out="$OUT"
 echo "baseline written to $OUT"
 compare_against_committed BENCH_baseline.json "$OUT"
-
-if [[ -n "$PARALLEL_OUT" ]]; then
-  "$BUILD_DIR/bench/bench_parallel" \
-    ${DEFAULT_ARGS[@]+"${DEFAULT_ARGS[@]}"} "$@" --out="$PARALLEL_OUT"
-  echo "parallel scaling written to $PARALLEL_OUT"
-  compare_against_committed BENCH_parallel.json "$PARALLEL_OUT"
-fi
 
 if [[ -n "$SERVING_OUT" ]]; then
   "$BUILD_DIR/bench/bench_serving" \

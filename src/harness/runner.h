@@ -25,17 +25,14 @@ struct RunResult {
   // match of every query. The check is one-sided: unequal hashes prove
   // the overall result multisets differ; equal hashes imply agreement
   // only with overwhelming probability (a wrapping sum can collide in
-  // principle). The scaling bench uses it to flag parallel answers that
+  // principle). The serving bench uses it to flag frontend answers that
   // diverge from the sequential run without retaining the results; the
   // exactness *guarantee* comes from the differential test suites.
   uint64_t result_hash = 0;
 
-  // Execution-shape metadata: the sequential runner reports 1/1 and leaves
-  // shard_phases empty; the ParallelRunner fills in its fan-out. phases
-  // and stats above are always the cross-shard aggregate.
+  // Threads that served the workload: 1 for the sequential runner, the
+  // frontend's executor count for QueryFrontend::RunQueries.
   size_t num_threads = 1;
-  size_t num_shards = 1;
-  std::vector<PhaseTimes> shard_phases;  // one entry per shard when sharded
 
   // Per-query latency distribution (tail behaviour matters for ad-hoc
   // query serving; the paper reports only totals).
@@ -56,8 +53,8 @@ RunResult RunQueries(QueryEngine* engine,
                      RawDistance theta_raw);
 
 /// Sorts `latencies` in place and fills result's p50/p95/p99/max fields —
-/// shared by the sequential and parallel runners so both compute the tail
-/// the same way.
+/// shared by the sequential runner and QueryFrontend::RunQueries so both
+/// compute the tail the same way.
 void FinalizeLatencyStats(std::vector<double>* latencies, RunResult* result);
 
 }  // namespace topk

@@ -2,10 +2,8 @@
 //
 // The pool is created once and reused across query batches: workers block
 // on a condition variable between tasks, so an idle pool costs nothing on
-// the query path. Two usage styles:
+// the query path. Its one entry point:
 //
-//   Submit(f)        enqueue one task, get a std::future for its result;
-//                    exceptions thrown inside f surface at future.get().
 //   ParallelFor(n,f) run f(0..n-1) across the pool *and* the calling
 //                    thread, return when all are done; the first exception
 //                    (if any) is rethrown on the caller. An f taking
@@ -15,9 +13,8 @@
 //                    no lock.
 //
 // A pool constructed with 0 workers degrades to inline execution in
-// ParallelFor — that is the exact single-threaded code path, which makes
-// "1 thread" a fair baseline in scaling benchmarks (no queueing overhead
-// is charged to it).
+// ParallelFor — that is the exact single-threaded code path, so a
+// one-executor frontend pays no queueing overhead.
 
 #ifndef TOPK_HARNESS_THREAD_POOL_H_
 #define TOPK_HARNESS_THREAD_POOL_H_
@@ -41,8 +38,7 @@ namespace topk {
 
 class ThreadPool {
  public:
-  /// Spawns `num_workers` threads (0 is valid: ParallelFor runs inline and
-  /// Submit executes on the calling thread at enqueue time).
+  /// Spawns `num_workers` threads (0 is valid: ParallelFor runs inline).
   explicit ThreadPool(size_t num_workers) {
     workers_.reserve(num_workers);
     for (size_t i = 0; i < num_workers; ++i) {
@@ -63,39 +59,6 @@ class ThreadPool {
   ThreadPool& operator=(const ThreadPool&) = delete;
 
   size_t num_workers() const { return workers_.size(); }
-
-  /// Enqueues `f` and returns a future for its result. Exceptions escape
-  /// through the future, never into the worker loop. With zero workers the
-  /// task runs synchronously here (the future is already ready).
-  template <typename F>
-  auto Submit(F f) -> std::future<std::invoke_result_t<F>> {
-    using R = std::invoke_result_t<F>;
-    // The failpoint probe lives INSIDE the packaged task so an injected
-    // worker failure surfaces through the future exactly like an
-    // exception from f itself — never into WorkerLoop (where a throw
-    // would std::terminate) and never swallowed where a caller joining
-    // the future would hang on a forever-unready result.
-    auto probed = [f = std::move(f)]() mutable -> R {
-      if (TOPK_FAILPOINT("harness.thread_pool.task")) {
-        throw std::runtime_error("injected failure: harness.thread_pool.task");
-      }
-      return f();
-    };
-    // packaged_task is move-only but std::function wants copyable targets;
-    // the shared_ptr wrapper is the standard bridge.
-    auto task = std::make_shared<std::packaged_task<R()>>(std::move(probed));
-    std::future<R> result = task->get_future();
-    if (workers_.empty()) {
-      (*task)();
-      return result;
-    }
-    {
-      MutexLock lock(&mutex_);
-      queue_.emplace_back([task] { (*task)(); });
-    }
-    wake_.NotifyOne();
-    return result;
-  }
 
   /// Runs `fn(i)` — or `fn(slot, i)` — for every i in [0, n). The calling
   /// thread participates as slot 0, so a pool of W workers gives up to
@@ -165,6 +128,35 @@ class ThreadPool {
   }
 
  private:
+  /// Enqueues one ParallelFor helper and returns a future for its end.
+  /// Exceptions escape through the future, never into the worker loop.
+  /// Only called with at least one worker (ParallelFor runs inline
+  /// otherwise).
+  template <typename F>
+  std::future<void> Submit(F f) {
+    // The failpoint probe lives INSIDE the packaged task so an injected
+    // worker failure surfaces through the future exactly like an
+    // exception from f itself — never into WorkerLoop (where a throw
+    // would std::terminate) and never swallowed where a caller joining
+    // the future would hang on a forever-unready result.
+    auto probed = [f = std::move(f)]() mutable {
+      if (TOPK_FAILPOINT("harness.thread_pool.task")) {
+        throw std::runtime_error("injected failure: harness.thread_pool.task");
+      }
+      f();
+    };
+    // packaged_task is move-only but std::function wants copyable targets;
+    // the shared_ptr wrapper is the standard bridge.
+    auto task = std::make_shared<std::packaged_task<void()>>(std::move(probed));
+    std::future<void> result = task->get_future();
+    {
+      MutexLock lock(&mutex_);
+      queue_.emplace_back([task] { (*task)(); });
+    }
+    wake_.NotifyOne();
+    return result;
+  }
+
   struct ParallelForState {
     std::atomic<size_t> next{0};
     Mutex error_mutex;

@@ -12,9 +12,9 @@
 // Two exhaustive entry points, as in metric/linear_scan.h: LinearScanKnn
 // runs the scalar merge kernel per ranking and stays the *independent*
 // reference the differential suites and the benchmark's answer checker
-// trust; LinearScanKnnBatched is the served path (QueryFrontend,
-// ParallelRunner), which sweeps the store through the batched kernel
-// validator pruned by the heap's current j-th distance.
+// trust; LinearScanKnnBatched is the served path (QueryFrontend), which
+// sweeps the store through the batched kernel validator pruned by the
+// heap's current j-th distance.
 
 #ifndef TOPK_METRIC_KNN_H_
 #define TOPK_METRIC_KNN_H_

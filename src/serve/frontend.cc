@@ -139,7 +139,7 @@ std::vector<ServeResponse> QueryFrontend::ServeBatchLocked(
   }
 
   // Per-executor accounting merges only after the join (the future
-  // handshake is the happens-before edge), mirroring ParallelRunner.
+  // handshake is the happens-before edge).
   for (const Executor& executor : executors_) {
     if (stats != nullptr) stats->MergeFrom(executor.stats);
     if (phases != nullptr) phases->MergeFrom(executor.phases);

@@ -1,10 +1,9 @@
 // Online serving frontend: inter-query batched execution with exact
 // result caching, and intra-query parallelism for a lone request.
 //
-// ParallelRunner parallelizes within one query by sharding the store and
-// building an index per shard; production query streams are instead
-// dominated by many small, often repeated queries. QueryFrontend serves
-// both shapes over one store and one set of indexes:
+// Production query streams are dominated by many small, often repeated
+// queries. QueryFrontend serves them, and a lone request, over one store
+// and one set of indexes:
 //
 //   batching      a batch of range/k-NN requests is scheduled across a
 //                 reusable ThreadPool as *whole queries* (work sharing:

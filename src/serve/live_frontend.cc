@@ -24,25 +24,6 @@ LiveFrontend::LiveFrontend(MutableStore* store, LiveFrontendOptions options)
   store_->AddMutationListener([this] { InvalidateCaches(); });
 }
 
-std::vector<RankingId> LiveFrontend::ServeRange(const PreparedQuery& query,
-                                                RawDistance theta_raw,
-                                                Statistics* stats) {
-  std::vector<RankingId> out;
-  const Status status = ServeRange(query, theta_raw, nullptr, &out, stats);
-  // Infinite deadline and (per the header contract) no admission limit:
-  // the only losable statuses cannot occur here.
-  TOPK_DCHECK(status.ok());
-  return out;
-}
-
-std::vector<Neighbor> LiveFrontend::ServeKnn(const PreparedQuery& query,
-                                             size_t j, Statistics* stats) {
-  std::vector<Neighbor> out;
-  const Status status = ServeKnn(query, j, nullptr, &out, stats);
-  TOPK_DCHECK(status.ok());
-  return out;
-}
-
 Status LiveFrontend::ServeRange(const PreparedQuery& query,
                                 RawDistance theta_raw, QueryControl* control,
                                 std::vector<RankingId>* out,

@@ -72,27 +72,18 @@ class LiveFrontend {
   /// max_inflight sheds on; an operator load signal).
   size_t inflight() const { return inflight_.load(std::memory_order_acquire); }
 
-  /// Exact range answer (ascending global ids), from cache when the
-  /// identical query+theta was served in the current epoch. Requires the
-  /// default options (no admission limit): with limits configured use
-  /// the Status overload, which can report the shed.
-  std::vector<RankingId> ServeRange(const PreparedQuery& query,
-                                    RawDistance theta_raw,
-                                    Statistics* stats = nullptr);
-
-  /// Exact k-NN answer ((distance, id) ascending, min(j, live) entries).
-  std::vector<Neighbor> ServeKnn(const PreparedQuery& query, size_t j,
-                                 Statistics* stats = nullptr);
-
-  /// Deadline/cancel/admission-aware range serving. `*out` holds the
-  /// exact answer on OK; on Unavailable (shed, see retry_after_ms()),
-  /// DeadlineExceeded, or Aborted it is empty, and nothing non-OK is
-  /// ever cached. `control` may be null (no deadline).
+  /// Deadline/cancel/admission-aware range serving. On OK `*out` holds
+  /// the exact answer (ascending global ids), from cache when the
+  /// identical query+theta was served in the current epoch. On
+  /// Unavailable (shed, see retry_after_ms()), DeadlineExceeded, or
+  /// Aborted it is empty, and nothing non-OK is ever cached. `control`
+  /// may be null (no deadline).
   Status ServeRange(const PreparedQuery& query, RawDistance theta_raw,
                     QueryControl* control, std::vector<RankingId>* out,
                     Statistics* stats = nullptr);
 
-  /// Deadline/cancel/admission-aware k-NN serving; same contract.
+  /// Deadline/cancel/admission-aware k-NN serving ((distance, id)
+  /// ascending, min(j, live) entries on OK); same contract.
   Status ServeKnn(const PreparedQuery& query, size_t j, QueryControl* control,
                   std::vector<Neighbor>* out, Statistics* stats = nullptr);
 

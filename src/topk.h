@@ -31,11 +31,9 @@
 #include "data/dataset_stats.h"
 #include "data/generator.h"
 #include "data/workload.h"
-#include "harness/parallel_runner.h"
 #include "harness/query_algorithms.h"
 #include "harness/report.h"
 #include "harness/runner.h"
-#include "harness/sharded_store.h"
 #include "harness/thread_pool.h"
 #include "invidx/augmented_inverted_index.h"
 #include "invidx/blocked_inverted_index.h"

@@ -6,9 +6,7 @@
 
 #include <gtest/gtest.h>
 
-#include "harness/parallel_runner.h"
 #include "harness/query_algorithms.h"
-#include "harness/sharded_store.h"
 #include "metric/knn.h"
 #include "mutate/mutable_store.h"
 #include "serve/frontend.h"
@@ -113,73 +111,6 @@ TEST_P(FuzzDifferentialTest, AllEnginesAgreeOnRandomConfigurations) {
 
 INSTANTIATE_TEST_SUITE_P(Rounds, FuzzDifferentialTest,
                          ::testing::Range(0, 12));
-
-// Sharded-vs-unsharded differential mode: the parallel merge logic is
-// fuzzed over random shapes, shard counts, strategies and thread counts,
-// not just example-tested. On mismatch the assertion prints the failing
-// base seed — rerun by constructing Rng(seed) with that value.
-class FuzzShardedTest : public ::testing::TestWithParam<int> {};
-
-TEST_P(FuzzShardedTest, ShardedMatchesUnshardedOnRandomConfigurations) {
-  const uint64_t seed = 9000 + static_cast<uint64_t>(GetParam());
-  Rng rng(seed);
-  const FuzzShape shape = RandomShape(&rng);
-  const RankingStore store = MakeStore(shape, rng.Next());
-  const auto queries = testutil::MakeQueries(store, 6, rng.Next());
-
-  const size_t num_shards = 1 + rng.Below(8);
-  const ShardingStrategy strategy = rng.Below(2) == 0
-                                        ? ShardingStrategy::kRoundRobin
-                                        : ShardingStrategy::kHashById;
-  ParallelRunnerOptions options;
-  options.num_threads = 1 + rng.Below(4);
-  const ShardedStore sharded(store, num_shards, strategy);
-  ParallelRunner runner(&sharded, options);
-
-  const std::vector<RawDistance> thetas = {
-      0, 1 + static_cast<RawDistance>(rng.Below(MaxDistance(shape.k) - 1)),
-      MaxDistance(shape.k) - 1};
-
-  const Algorithm algorithms[] = {
-      Algorithm::kFV,           Algorithm::kFVDrop,
-      Algorithm::kListMerge,    Algorithm::kLaatPrune,
-      Algorithm::kBlockedPrune, Algorithm::kBlockedPruneDrop,
-      Algorithm::kCoarse,       Algorithm::kCoarseDrop,
-      Algorithm::kAdaptSearch,  Algorithm::kBkTree,
-      Algorithm::kMTree,        Algorithm::kLinearScan};
-  for (Algorithm algorithm : algorithms) {
-    for (RawDistance theta : ThetasFor(algorithm, thetas, shape.k)) {
-      for (const auto& query : queries) {
-        ASSERT_EQ(runner.RangeQuery(algorithm, query, theta),
-                  testutil::BruteForce(store, query, theta))
-            << "failing seed=" << seed << " algorithm="
-            << AlgorithmName(algorithm) << " shards=" << num_shards
-            << " strategy=" << ShardingStrategyName(strategy)
-            << " threads=" << options.num_threads << " k=" << shape.k
-            << " n=" << shape.n << " theta=" << theta;
-      }
-    }
-  }
-
-  // KNN merge: every backend against the unsharded linear-scan oracle.
-  const size_t js[] = {1, 1 + rng.Below(shape.n), shape.n + 3};
-  const Algorithm backends[] = {Algorithm::kLinearScan, Algorithm::kBkTree,
-                                Algorithm::kMTree};
-  for (Algorithm backend : backends) {
-    for (size_t j : js) {
-      for (const auto& query : queries) {
-        ASSERT_EQ(runner.KnnQuery(backend, query, j),
-                  LinearScanKnn(store, query, j))
-            << "failing seed=" << seed << " backend="
-            << AlgorithmName(backend) << " shards=" << num_shards
-            << " strategy=" << ShardingStrategyName(strategy)
-            << " j=" << j;
-      }
-    }
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Rounds, FuzzShardedTest, ::testing::Range(0, 8));
 
 // Cached-vs-uncached differential mode: the serving frontend is fuzzed
 // over random shapes, thread counts, cache capacities (including tiny
@@ -317,8 +248,6 @@ TEST(RangeExactnessTest, UnionPathsMatchBruteForceAtDmax) {
   const auto compressed = storage::CompressedInvertedIndex::FromPlain(plain);
   const auto augmented = storage::CompressedAugmentedIndex::Build(store);
   QueryFrontend frontend(&store);
-  const ShardedStore sharded(store, 3, ShardingStrategy::kRoundRobin);
-  ParallelRunner runner(&sharded);
   MutableStore live(store);
 
   for (const auto& query : queries) {
@@ -354,9 +283,6 @@ TEST(RangeExactnessTest, UnionPathsMatchBruteForceAtDmax) {
             ServeRequest::Range(algorithm, query, theta)};
         EXPECT_EQ(frontend.ServeBatch(request)[0].ids, expected)
             << "QueryFrontend " << AlgorithmName(algorithm)
-            << " theta=" << theta;
-        EXPECT_EQ(runner.RangeQuery(algorithm, query, theta), expected)
-            << "ParallelRunner " << AlgorithmName(algorithm)
             << " theta=" << theta;
       }
       EXPECT_EQ(live.RangeQuery(query, theta), expected)

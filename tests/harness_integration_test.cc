@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <utility>
+#include <vector>
 
 #include "harness/query_algorithms.h"
 #include "harness/report.h"
@@ -78,6 +80,49 @@ TEST(EngineSuiteTest, BuildInfoReportsTimeAndMemory) {
     const IndexBuildInfo info = suite.BuildInfo(algorithm);
     EXPECT_GT(info.memory_bytes, 0u) << AlgorithmName(algorithm);
     EXPECT_GE(info.build_ms, 0.0) << AlgorithmName(algorithm);
+  }
+}
+
+const Algorithm kRangeAlgorithms[] = {
+    Algorithm::kFV,           Algorithm::kFVDrop,
+    Algorithm::kListMerge,    Algorithm::kLaatPrune,
+    Algorithm::kBlockedPrune, Algorithm::kBlockedPruneDrop,
+    Algorithm::kCoarse,       Algorithm::kCoarseDrop,
+    Algorithm::kAdaptSearch,  Algorithm::kBkTree,
+    Algorithm::kMTree,        Algorithm::kLinearScan};
+
+TEST(EngineSuiteTest, EmptyResultOnDisjointQuery) {
+  const uint32_t k = 8;
+  const RankingStore store = testutil::MakeClusteredStore(k, 400, 178);
+  EngineSuite suite(&store);
+  // Items far outside the generated domain: nothing overlaps, so with a
+  // sub-disjoint threshold every engine returns the empty list.
+  std::vector<ItemId> alien(k);
+  for (uint32_t p = 0; p < k; ++p) alien[p] = 1000000 + p;
+  const PreparedQuery query(
+      std::move(Ranking::Create(std::move(alien))).ValueOrDie());
+  for (const Algorithm algorithm : kRangeAlgorithms) {
+    auto engine = suite.MakeEngine(algorithm);
+    EXPECT_TRUE(engine->Query(0, query, 0, nullptr, nullptr).empty())
+        << AlgorithmName(algorithm);
+  }
+}
+
+TEST(EngineSuiteTest, ThetaAtDmaxReturnsWholeCollection) {
+  // Domain of k + 2 forces every pair of rankings to share items, so the
+  // theta == dmax edge is exact for all engines (candidate enumeration
+  // covers the whole collection) and each must return every id.
+  const uint32_t k = 8;
+  const RankingStore store = testutil::MakeUniformStore(k, 300, k + 2, 179);
+  EngineSuite suite(&store);
+  const auto queries = testutil::MakeQueries(store, 1, 180);
+  std::vector<RankingId> everything(store.size());
+  for (RankingId id = 0; id < store.size(); ++id) everything[id] = id;
+  for (const Algorithm algorithm : kRangeAlgorithms) {
+    auto engine = suite.MakeEngine(algorithm);
+    EXPECT_EQ(engine->Query(0, queries[0], MaxDistance(k), nullptr, nullptr),
+              everything)
+        << AlgorithmName(algorithm);
   }
 }
 

@@ -1,11 +1,11 @@
-// Differential suite for the live write path (mutate/MutableStore and
-// harness/ShardedMutableStore): a store mutated incrementally — inserts,
-// deletes, foreground and background merges, arbitrary interleavings —
-// must answer range and k-NN queries bit-identically to a store rebuilt
-// from scratch out of the alive rows in global-id order. The oracle is a
-// shadow map of alive (global id -> items) replayed into a fresh
-// RankingStore and checked with the canonical reference scans
-// (testutil::BruteForce, LinearScanKnn).
+// Differential suite for the live write path (mutate/MutableStore): a
+// store mutated incrementally — inserts, deletes, foreground and
+// background merges, arbitrary interleavings — must answer range and
+// k-NN queries bit-identically to a store rebuilt from scratch out of
+// the alive rows in global-id order. The oracle is a shadow map of alive
+// (global id -> items) replayed into a fresh RankingStore and checked
+// with the canonical reference scans (testutil::BruteForce,
+// LinearScanKnn).
 //
 // The concurrent cases run under the TSan CI leg: writers, a merging
 // worker, and readers race freely; exactness is re-established from
@@ -25,7 +25,6 @@
 #include "core/ranking.h"
 #include "core/rng.h"
 #include "core/types.h"
-#include "harness/sharded_mutable_store.h"
 #include "metric/knn.h"
 #include "mutate/mutable_store.h"
 #include "test_util.h"
@@ -71,10 +70,8 @@ std::vector<Neighbor> ExpectedKnn(const Rebuilt& r,
   return expected;
 }
 
-// Checks one store (any of the two mutable front doors share this
-// signature shape) against the rebuilt oracle on a mixed query set.
-template <typename Store>
-void ExpectBitExact(Store& store, const ShadowMap& alive, uint32_t k,
+// Checks the store against the rebuilt oracle on a mixed query set.
+void ExpectBitExact(MutableStore& store, const ShadowMap& alive, uint32_t k,
                     const std::vector<PreparedQuery>& queries,
                     const char* where) {
   const Rebuilt r = RebuildFromShadow(k, alive);
@@ -280,65 +277,6 @@ TEST(MutableStoreTest, BackgroundWorkerMergesAndStaysExact) {
   ExpectBitExact(store, alive, kK, queries, "after-worker");
 }
 
-TEST(ShardedMutableStoreTest, MatchesUnshardedBitExact) {
-  constexpr uint32_t kK = 7;
-  const RankingStore source = testutil::MakeClusteredStore(kK, 400, 1051);
-  const auto queries = testutil::MakeQueries(source, 6, 1052);
-
-  for (const ShardingStrategy strategy :
-       {ShardingStrategy::kRoundRobin, ShardingStrategy::kHashById}) {
-    for (const size_t num_shards : {size_t{1}, size_t{3}}) {
-      ShardedMutableStore store(kK, num_shards, strategy);
-      ShadowMap alive;
-      Rng rng(1053);
-      size_t next_source = 0;
-      std::vector<RankingId> alive_ids;
-      for (int step = 0; step < 4; ++step) {
-        for (int op = 0; op < 80; ++op) {
-          if (rng.Below(10) < 7 && next_source < source.size()) {
-            const auto items = source.view(
-                static_cast<RankingId>(next_source++)).items();
-            const RankingId id = store.Insert(RankingView(items.data(), kK));
-            // Wrapper ids are dense in insertion order, same as the
-            // unsharded store's.
-            EXPECT_EQ(id, static_cast<RankingId>(store.total_inserted() - 1));
-            alive[id] = {items.begin(), items.end()};
-          } else if (!alive.empty()) {
-            alive_ids.clear();
-            for (const auto& [id, items] : alive) alive_ids.push_back(id);
-            const RankingId victim = alive_ids[rng.Below(alive_ids.size())];
-            EXPECT_TRUE(store.Delete(victim));
-            EXPECT_FALSE(store.Contains(victim));
-            alive.erase(victim);
-          }
-        }
-        if (step == 2) store.MergeAllNow();
-        ExpectBitExact(store, alive, kK, queries,
-                       ShardingStrategyName(strategy));
-      }
-    }
-  }
-}
-
-TEST(ShardedMutableStoreTest, GenerationSumsShardsAndListenersFanOut) {
-  constexpr uint32_t kK = 4;
-  const RankingStore source = testutil::MakeUniformStore(kK, 6, 24, 1061);
-  ShardedMutableStore store(kK, 3, ShardingStrategy::kHashById);
-  uint64_t fires = 0;
-  store.AddMutationListener([&fires] { ++fires; });
-  const uint64_t g0 = store.generation();
-  for (RankingId id = 0; id < 6; ++id) {
-    const auto items = source.view(id).items();
-    store.Insert(RankingView(items.data(), kK));
-  }
-  EXPECT_EQ(fires, 6u);
-  EXPECT_EQ(store.generation(), g0 + 6);
-  EXPECT_TRUE(store.Delete(3));
-  EXPECT_EQ(fires, 7u);
-  EXPECT_TRUE(store.MergeAllNow());
-  EXPECT_GT(store.generation(), g0 + 7);
-}
-
 // TSan leg target: writers, background merge worker, and readers race on
 // one store. Readers check structural sanity live; exactness is checked
 // against the per-writer insert logs after the join.
@@ -400,43 +338,6 @@ TEST(MutableStoreTest, ConcurrentWritersAndReadersUnderMerges) {
   ExpectBitExact(store, alive, kK, queries, "post-join");
   store.MergeNow();
   ExpectBitExact(store, alive, kK, queries, "post-join-merged");
-}
-
-// TSan leg target for the sharded wrapper: concurrent writers through the
-// coordinator, per-shard background workers underneath.
-TEST(ShardedMutableStoreTest, ConcurrentWritersUnderShardMerges) {
-  constexpr uint32_t kK = 5;
-  constexpr size_t kPerWriter = 200;
-  const RankingStore source =
-      testutil::MakeClusteredStore(kK, 2 * kPerWriter, 1081);
-  const auto queries = testutil::MakeQueries(source, 3, 1082);
-
-  MutableStoreOptions shard_options;
-  shard_options.merge_threshold = 16;
-  ShardedMutableStore store(kK, 3, ShardingStrategy::kRoundRobin,
-                            shard_options);
-  std::vector<ShadowMap> writer_alive(2);
-  std::vector<std::thread> writers;
-  for (size_t w = 0; w < 2; ++w) {
-    writers.emplace_back([&, w] {
-      for (size_t i = 0; i < kPerWriter; ++i) {
-        const auto items =
-            source.view(static_cast<RankingId>(w * kPerWriter + i)).items();
-        const RankingId id = store.Insert(RankingView(items.data(), kK));
-        if (i % 4 == 3) {
-          EXPECT_TRUE(store.Delete(id));
-        } else {
-          writer_alive[w][id] = {items.begin(), items.end()};
-        }
-      }
-    });
-  }
-  for (std::thread& t : writers) t.join();
-  ShadowMap alive;
-  for (const ShadowMap& log : writer_alive) alive.insert(log.begin(),
-                                                         log.end());
-  store.MergeAllNow();
-  ExpectBitExact(store, alive, kK, queries, "sharded-post-join");
 }
 
 }  // namespace

@@ -608,32 +608,38 @@ TEST(LiveFrontendTest, WiredCacheServesFreshAfterEveryMutation) {
                                  source.view(60).items().end()}))
           .ValueOrDie());
   const RawDistance theta_raw = RawThreshold(0.2, kK);
-  const std::vector<RankingId> before =
-      frontend.ServeRange(query, theta_raw);
-  const std::vector<Neighbor> knn_before = frontend.ServeKnn(query, 5);
+  std::vector<RankingId> before;
+  ASSERT_TRUE(frontend.ServeRange(query, theta_raw, nullptr, &before).ok());
+  std::vector<Neighbor> knn_before;
+  ASSERT_TRUE(frontend.ServeKnn(query, 5, nullptr, &knn_before).ok());
   const uint64_t epoch0 = frontend.epoch();
 
   const RankingId added = store.Insert(source.view(60));
   EXPECT_GT(frontend.epoch(), epoch0);  // listener fired
-  const std::vector<RankingId> after = frontend.ServeRange(query, theta_raw);
-  EXPECT_EQ(after, store.RangeQuery(query, theta_raw));
-  EXPECT_NE(after, before);
-  EXPECT_EQ(frontend.ServeKnn(query, 5), store.KnnQuery(query, 5));
-  EXPECT_NE(frontend.ServeKnn(query, 5), knn_before);
+  std::vector<RankingId> ids;
+  ASSERT_TRUE(frontend.ServeRange(query, theta_raw, nullptr, &ids).ok());
+  EXPECT_EQ(ids, store.RangeQuery(query, theta_raw));
+  EXPECT_NE(ids, before);
+  std::vector<Neighbor> neighbors;
+  ASSERT_TRUE(frontend.ServeKnn(query, 5, nullptr, &neighbors).ok());
+  EXPECT_EQ(neighbors, store.KnnQuery(query, 5));
+  EXPECT_NE(neighbors, knn_before);
 
   // Delete and merge invalidate too (the merge via the swap's bump).
   const uint64_t epoch1 = frontend.epoch();
   EXPECT_TRUE(store.Delete(added));
   EXPECT_GT(frontend.epoch(), epoch1);
-  EXPECT_EQ(frontend.ServeRange(query, theta_raw), before);
+  ASSERT_TRUE(frontend.ServeRange(query, theta_raw, nullptr, &ids).ok());
+  EXPECT_EQ(ids, before);
   const uint64_t epoch2 = frontend.epoch();
   EXPECT_TRUE(store.MergeNow());
   EXPECT_GT(frontend.epoch(), epoch2);
-  EXPECT_EQ(frontend.ServeRange(query, theta_raw),
-            store.RangeQuery(query, theta_raw));
+  ASSERT_TRUE(frontend.ServeRange(query, theta_raw, nullptr, &ids).ok());
+  EXPECT_EQ(ids, store.RangeQuery(query, theta_raw));
   // Repeat hit within a quiet generation stays exact (and cached).
-  EXPECT_EQ(frontend.ServeRange(query, theta_raw),
-            frontend.ServeRange(query, theta_raw));
+  std::vector<RankingId> repeat;
+  ASSERT_TRUE(frontend.ServeRange(query, theta_raw, nullptr, &repeat).ok());
+  EXPECT_EQ(repeat, ids);
 }
 
 // QueryFrontend::WatchStore: the batched frontend's epoch follows store
@@ -675,19 +681,25 @@ TEST(LiveFrontendTest, ConcurrentServeAndMutateStaysExact) {
       if (id % 3 == 2) store.Delete(id - 1);
     }
   });
+  // EXPECT, not ASSERT, while the writer runs: returning early would
+  // destroy a joinable std::thread.
+  std::vector<RankingId> ids;
+  std::vector<Neighbor> neighbors;
   for (int round = 0; round < 40; ++round) {
     for (const PreparedQuery& query : queries) {
-      const std::vector<RankingId> ids = frontend.ServeRange(query, theta_raw);
+      EXPECT_TRUE(frontend.ServeRange(query, theta_raw, nullptr, &ids).ok());
       EXPECT_TRUE(std::is_sorted(ids.begin(), ids.end()));
-      EXPECT_LE(frontend.ServeKnn(query, 6).size(), 6u);
+      EXPECT_TRUE(frontend.ServeKnn(query, 6, nullptr, &neighbors).ok());
+      EXPECT_LE(neighbors.size(), 6u);
     }
   }
   writer.join();
   store.MergeNow();
   for (const PreparedQuery& query : queries) {
-    EXPECT_EQ(frontend.ServeRange(query, theta_raw),
-              store.RangeQuery(query, theta_raw));
-    EXPECT_EQ(frontend.ServeKnn(query, 6), store.KnnQuery(query, 6));
+    ASSERT_TRUE(frontend.ServeRange(query, theta_raw, nullptr, &ids).ok());
+    EXPECT_EQ(ids, store.RangeQuery(query, theta_raw));
+    ASSERT_TRUE(frontend.ServeKnn(query, 6, nullptr, &neighbors).ok());
+    EXPECT_EQ(neighbors, store.KnnQuery(query, 6));
   }
 }
 

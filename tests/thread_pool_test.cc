@@ -1,17 +1,15 @@
-// ThreadPool unit tests: result/exception plumbing through Submit,
-// ParallelFor completeness independent of scheduling order, pool reuse
-// across batches, and a many-tiny-tasks stress case that the sanitizer CI
-// jobs (ASan/UBSan and TSan) run to catch data races in the pool itself.
+// ThreadPool unit tests: ParallelFor completeness independent of
+// scheduling order, exception plumbing (including an injected task-layer
+// fault), pool reuse across batches, and a many-tiny-tasks stress case
+// that the sanitizer CI jobs (ASan/UBSan and TSan) run to catch data
+// races in the pool itself.
 
 #include "harness/thread_pool.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
-#include <numeric>
 #include <stdexcept>
-#include <string>
 #include <thread>
 #include <vector>
 
@@ -19,45 +17,6 @@
 
 namespace topk {
 namespace {
-
-TEST(ThreadPoolTest, SubmitReturnsTaskResult) {
-  ThreadPool pool(2);
-  std::future<int> result = pool.Submit([] { return 6 * 7; });
-  EXPECT_EQ(result.get(), 42);
-}
-
-TEST(ThreadPoolTest, SubmitWorksWithZeroWorkers) {
-  ThreadPool pool(0);
-  EXPECT_EQ(pool.num_workers(), 0u);
-  std::future<std::string> result =
-      pool.Submit([] { return std::string("inline"); });
-  EXPECT_EQ(result.get(), "inline");
-}
-
-TEST(ThreadPoolTest, SubmitPropagatesExceptionThroughFuture) {
-  ThreadPool pool(2);
-  std::future<void> result = pool.Submit(
-      [] { throw std::runtime_error("worker exploded"); });
-  EXPECT_THROW(result.get(), std::runtime_error);
-  // The worker that ran the throwing task must still be alive.
-  EXPECT_EQ(pool.Submit([] { return 7; }).get(), 7);
-}
-
-TEST(ThreadPoolTest, ResultsIndependentOfCompletionOrder) {
-  // Tasks finish in roughly reverse submission order (later tasks sleep
-  // less); every future must still hold its own task's value.
-  ThreadPool pool(4);
-  constexpr int kTasks = 8;
-  std::vector<std::future<int>> results;
-  results.reserve(kTasks);
-  for (int i = 0; i < kTasks; ++i) {
-    results.push_back(pool.Submit([i] {
-      std::this_thread::sleep_for(std::chrono::milliseconds(kTasks - i));
-      return i;
-    }));
-  }
-  for (int i = 0; i < kTasks; ++i) EXPECT_EQ(results[i].get(), i);
-}
 
 TEST(ThreadPoolTest, ParallelForCoversEveryIndexExactlyOnce) {
   ThreadPool pool(3);
@@ -88,6 +47,10 @@ TEST(ThreadPoolTest, ParallelForRethrowsFirstExceptionAndCompletesRest) {
   // Every iteration still ran (the pool does not abandon the batch), so
   // the pool is in a clean, reusable state.
   for (size_t i = 0; i < kN; ++i) EXPECT_EQ(hits[i].load(), 1) << "i=" << i;
+  // Both helpers survived the throw and serve the next batch.
+  std::vector<std::atomic<int>> again(kN);
+  pool.ParallelFor(kN, [&again](size_t i) { again[i].fetch_add(1); });
+  for (size_t i = 0; i < kN; ++i) EXPECT_EQ(again[i].load(), 1) << "i=" << i;
 }
 
 TEST(ThreadPoolTest, ReusableAcrossManyBatches) {
@@ -106,42 +69,19 @@ TEST(ThreadPoolTest, ReusableAcrossManyBatches) {
 }
 
 TEST(ThreadPoolTest, StressManyTinyTasks) {
-  // Many tiny tasks through both entry points, exercising queue
-  // contention; the sanitizer jobs turn any race in the pool into a
-  // failure here.
+  // Many tiny batches, each queueing its helpers and joining them again,
+  // exercising queue contention and the wake/join handshake; the
+  // sanitizer jobs turn any race in the pool into a failure here.
   ThreadPool pool(4);
   std::atomic<uint64_t> sum{0};
-  std::vector<std::future<void>> pending;
-  constexpr uint64_t kSubmitted = 2000;
-  pending.reserve(kSubmitted);
-  for (uint64_t i = 0; i < kSubmitted; ++i) {
-    pending.push_back(pool.Submit([&sum, i] { sum.fetch_add(i); }));
+  constexpr uint64_t kBatches = 2000;
+  for (uint64_t batch = 0; batch < kBatches; ++batch) {
+    pool.ParallelFor(5, [&sum, batch](size_t i) { sum.fetch_add(batch + i); });
   }
   constexpr uint64_t kLooped = 5000;
   pool.ParallelFor(kLooped, [&sum](size_t) { sum.fetch_add(1); });
-  for (std::future<void>& f : pending) f.get();
-  EXPECT_EQ(sum.load(), kSubmitted * (kSubmitted - 1) / 2 + kLooped);
-}
-
-TEST(ThreadPoolTest, SubmitInjectedFaultSurfacesThroughFuture) {
-  if (!FailpointsCompiledIn()) {
-    GTEST_SKIP() << "needs -DTOPK_FAILPOINTS=ON";
-  }
-  auto& registry = FailpointRegistry::Instance();
-  registry.DisarmAll();
-  registry.ResetCounts();
-  FailpointSpec one_shot;
-  one_shot.max_fires = 1;
-  registry.Arm("harness.thread_pool.task", one_shot);
-  ThreadPool pool(2);
-  // The probe lives inside the packaged task, so an injected fault takes
-  // the same path as an exception from the task body: into the future,
-  // never into WorkerLoop (which would std::terminate).
-  EXPECT_THROW(pool.Submit([] { return 1; }).get(), std::runtime_error);
-  // One-shot spent: the worker survived and the pool keeps working.
-  EXPECT_EQ(pool.Submit([] { return 7; }).get(), 7);
-  registry.DisarmAll();
-  registry.ResetCounts();
+  EXPECT_EQ(sum.load(),
+            5 * kBatches * (kBatches - 1) / 2 + kBatches * 10 + kLooped);
 }
 
 TEST(ThreadPoolTest, ParallelForInjectedTaskFaultNoDeadlock) {
@@ -159,7 +99,7 @@ TEST(ThreadPoolTest, ParallelForInjectedTaskFaultNoDeadlock) {
   std::vector<std::atomic<int>> hits(kN);
   // The fault kills one helper's drain before it claims any index, but
   // ParallelFor joins every helper and the caller's own drain (which
-  // never goes through Submit, so it is never probed) covers whatever
+  // is never queued, so it is never probed) covers whatever
   // the dead helper would have done: all indices run, exactly once, and
   // the injected error is rethrown instead of hanging the join.
   EXPECT_THROW(pool.ParallelFor(kN,
@@ -173,21 +113,6 @@ TEST(ThreadPoolTest, ParallelForInjectedTaskFaultNoDeadlock) {
   std::vector<std::atomic<int>> again(kN);
   pool.ParallelFor(kN, [&again](size_t i) { again[i].fetch_add(1); });
   for (size_t i = 0; i < kN; ++i) EXPECT_EQ(again[i].load(), 1);
-}
-
-TEST(ThreadPoolTest, DestructorJoinsWithQueuedWork) {
-  std::atomic<int> done{0};
-  {
-    ThreadPool pool(1);
-    for (int i = 0; i < 20; ++i) {
-      pool.Submit([&done] {
-        std::this_thread::sleep_for(std::chrono::microseconds(100));
-        done.fetch_add(1);
-      });
-    }
-    // Destructor must wait for the single worker to drain the queue.
-  }
-  EXPECT_EQ(done.load(), 20);
 }
 
 }  // namespace
