@@ -210,21 +210,29 @@ inline void EmitRobustnessSection(JsonWriter* json, const BenchArgs& args) {
         ResilientReader* reader;
         double wall_ms = 0;
         std::vector<std::vector<RankingId>> results;
+        bool ok = true;
       };
-      Tier tiers[] = {{"snapshot", &snapshot_reader, 0, {}},
-                      {"ram_fallback", &ram_reader, 0, {}}};
+      Tier tiers[] = {{"snapshot", &snapshot_reader, 0, {}, true},
+                      {"ram_fallback", &ram_reader, 0, {}, true}};
       for (Tier& tier : tiers) {
         tier.results.resize(queries.size());
         for (uint32_t rep = 0; rep < kReps; ++rep) {
           const auto start = Clock::now();
           for (size_t i = 0; i < queries.size(); ++i) {
-            tier.results[i] = tier.reader->RangeQuery(queries[i], theta_raw);
+            const Status status = tier.reader->RangeQuery(
+                queries[i], theta_raw, nullptr, &tier.results[i]);
+            if (!status.ok()) {
+              std::cerr << "  robustness degraded_read " << tier.name
+                        << " query FAILED: " << status.ToString() << "\n";
+              tier.ok = false;
+            }
           }
           const double ms = ElapsedMsSince(start);
           if (rep == 0 || ms < tier.wall_ms) tier.wall_ms = ms;
         }
       }
-      const bool exact = tiers[0].results == tiers[1].results;
+      const bool exact = tiers[0].ok && tiers[1].ok &&
+                         tiers[0].results == tiers[1].results;
       for (const Tier& tier : tiers) {
         json->BeginObject();
         json->Key("bench");

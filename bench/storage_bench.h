@@ -2,7 +2,7 @@
 // mmap snapshot load path, shared by the standalone bench_storage binary
 // and bench_baseline (which embeds the section into BENCH_baseline.json).
 //
-// Five experiments per dataset over storage/:
+// Four experiments per dataset over storage/:
 //
 //   compress           posting-arena footprint: uncompressed CSR bytes vs
 //                      the block-encoded arena (bytes/entry, ratio,
@@ -14,13 +14,8 @@
 //                      before timing.
 //   query              mean query latency through the serving tiers —
 //                      RAM uncompressed, RAM compressed, mmap cold (page
-//                      cache evicted), mmap warm, plus the compressed
-//                      rank-augmented engine served from RAM and from
-//                      the snapshot's augmented arena — every tier
-//                      checked bit-exact against the RAM baseline.
-//   block_skip         rank-window sweep evidence: blocks discarded on
-//                      metadata alone vs blocks decoded
-//                      (block_skip_ratio), results still exact.
+//                      cache evicted), mmap warm — every tier checked
+//                      bit-exact against the RAM baseline.
 //   snapshot           the zero-copy evidence: snapshot file size vs
 //                      bytes resident right after OpenStoreSnapshot
 //                      (mincore), plus whether the adopted store/index
@@ -44,11 +39,9 @@
 #include <vector>
 
 #include "bench_util.h"
-#include "core/statistics.h"
 #include "invidx/filter_validate.h"
 #include "invidx/plain_inverted_index.h"
 #include "json_writer.h"
-#include "storage/compressed_augmented.h"
 #include "storage/compressed_index.h"
 #include "storage/posting_codec.h"
 #include "storage/snapshot.h"
@@ -299,17 +292,10 @@ inline void EmitStorageSection(JsonWriter* json, const BenchArgs& args) {
                 << (bit_identical ? "" : " NOT-BIT-IDENTICAL") << "\n";
     }
 
-    // The rank-augmented twin of the arena: the same store compressed
-    // with per-block rank ranges, shared by the snapshot writer, the
-    // augmented serving tiers, and the block-skip experiment below.
-    const storage::CompressedAugmentedIndex augmented =
-        storage::CompressedAugmentedIndex::Build(store);
-
     // --- snapshot: write, evict, open, and record residency. ---
     const std::string path =
         std::string("BENCH_storage_snapshot_") + dataset.name + ".tmp";
-    const Status written =
-        storage::WriteStoreSnapshot(store, arena, augmented.arena(), path);
+    const Status written = storage::WriteStoreSnapshot(store, arena, path);
     if (!written.ok()) {
       std::cerr << "  storage snapshot write FAILED: " << written.ToString()
                 << "\n";
@@ -390,19 +376,6 @@ inline void EmitStorageSection(JsonWriter* json, const BenchArgs& args) {
     wall_ms = storage_detail::TimedPass(&mmap_engine, queries, theta_raw,
                                         expected, &exact);
     tiers.push_back({"mmap_warm", wall_ms, exact});
-    // Augmented serving: the rank-interleaved codec end to end, from RAM
-    // and straight off the snapshot's frozen augmented arena.
-    storage::CompressedAugmentedEngine ram_augmented(&store, &augmented);
-    exact = true;
-    wall_ms = storage_detail::TimedPass(&ram_augmented, queries, theta_raw,
-                                        expected, &exact);
-    tiers.push_back({"ram_augmented", wall_ms, exact});
-    storage::CompressedAugmentedEngine mmap_augmented(
-        &snapshot.value().store(), &snapshot.value().augmented_index());
-    exact = true;
-    wall_ms = storage_detail::TimedPass(&mmap_augmented, queries, theta_raw,
-                                        expected, &exact);
-    tiers.push_back({"mmap_augmented", wall_ms, exact});
 
     for (const Tier& tier : tiers) {
       json->BeginObject();
@@ -429,55 +402,6 @@ inline void EmitStorageSection(JsonWriter* json, const BenchArgs& args) {
       json->EndObject();
       std::cerr << "  storage query " << dataset.name << "/" << tier.name
                 << (tier.exact ? " exact" : " MISMATCH") << "\n";
-    }
-
-    // --- block_skip: sweep accounting through the skip-enabled engine. ---
-    {
-      Statistics stats;
-      storage::CompressedAugmentedEngine skip_engine(&store, &augmented);
-      bool skip_exact = true;
-      const auto start = Clock::now();
-      for (size_t i = 0; i < queries.size(); ++i) {
-        const auto got = skip_engine.Query(queries[i], theta_raw, &stats);
-        skip_exact = skip_exact && got == expected[i];
-      }
-      const double skip_ms = ElapsedMsSince(start);
-      const uint64_t skipped = stats.Get(Ticker::kBlocksSkipped);
-      const uint64_t decoded = stats.Get(Ticker::kBlocksDecoded);
-      const uint64_t swept = skipped + decoded;
-      json->BeginObject();
-      json->Key("bench");
-      json->String("block_skip");
-      json->Key("dataset");
-      json->String(dataset.name);
-      json->Key("n");
-      json->Uint(store.size());
-      json->Key("k");
-      json->Uint(kK);
-      json->Key("theta");
-      json->Double(theta);
-      json->Key("queries");
-      json->Uint(queries.size());
-      json->Key("blocks_skipped");
-      json->Uint(skipped);
-      json->Key("blocks_decoded");
-      json->Uint(decoded);
-      json->Key("block_skip_ratio");
-      json->Double(swept > 0 ? static_cast<double>(skipped) /
-                                   static_cast<double>(swept)
-                             : 0);
-      json->Key("posting_entries_skipped");
-      json->Uint(stats.Get(Ticker::kPostingEntriesSkipped));
-      json->Key("exact_match");
-      json->Bool(skip_exact);
-      json->Key("wall_ms");
-      json->Double(skip_ms);
-      json->EndObject();
-      std::cerr << "  storage block_skip " << dataset.name << " ratio="
-                << (swept > 0 ? static_cast<double>(skipped) /
-                                    static_cast<double>(swept)
-                              : 0)
-                << (skip_exact ? " exact" : " MISMATCH") << "\n";
     }
 
     std::remove(path.c_str());

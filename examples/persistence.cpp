@@ -50,9 +50,7 @@ int main(int argc, char** argv) {
     const PlainInvertedIndex plain = PlainInvertedIndex::Build(store);
     const auto arena =
         storage::CompressedPostingArena<RankingId>::FromArena(plain.arena());
-    const auto augmented = storage::CompressedAugmentedIndex::Build(store);
-    if (Status s = manager.WriteSnapshot(store, arena, augmented.arena(),
-                                         &partitioning);
+    if (Status s = manager.WriteSnapshot(store, arena, &partitioning);
         !s.ok()) {
       std::cerr << s.ToString() << "\n";
       return 1;

@@ -36,14 +36,16 @@ Checks (each is a named rule; any violation exits non-zero):
                   kernels too: any column-0 definition whose name contains
                   Decode (GroupVarintDecodeGroup, DecodeValuesSimd) or the
                   DeltaPrefixSum variants.
-  block-skip-guard Skip-metadata readers in src/storage/ (DecodeSelected-
-                  Blocks and the *InRange / *InRankWindow sweeps) must
-                  discard a block on metadata alone — a guard `continue`
-                  before the first BlockBytes() call — so a skipped
-                  block's payload byte range is never computed, never
-                  read. A reader that touches payload bytes before the
-                  skip decision silently faults in mmap-cold pages the
-                  sweep promised to leave on disk.
+  block-skip-guard Skip-metadata readers in src/storage/ (any
+                  *SelectedBlocks / *InRange / *InRankWindow sweep; none
+                  exists today, the rule waits for the next block-
+                  selective decoder) must discard a block on metadata
+                  alone — a guard `continue` before the first
+                  BlockBytes() call — so a skipped block's payload byte
+                  range is never computed, never read. A reader that
+                  touches payload bytes before the skip decision silently
+                  faults in mmap-cold pages the sweep promised to leave
+                  on disk.
   generation-bump every live-store mutation entry point (Insert / Delete /
                   InstallMergedLocked in src/mutate/) must bump the store
                   generation via BumpGenerationLocked. A mutation that

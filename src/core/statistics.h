@@ -26,8 +26,9 @@ enum class Ticker : int {
   kListsDropped,
   /// Blocks skipped by the |j - q(i)| > theta rule (Section 6.3).
   kBlocksSkipped,
-  /// Compressed posting blocks actually decoded (denominator partner of
-  /// kBlocksSkipped for the storage tier's block-skip ratio).
+  /// Compressed posting blocks actually decoded by a block-selective
+  /// decode. No decoder ticks it today: the full-list DecodeList does not
+  /// count blocks.
   kBlocksDecoded,
   /// Distinct candidates produced by a filtering phase.
   kCandidates,

@@ -106,9 +106,6 @@ class EngineSuite {
   /// (partitioning + trees + medoid index).
   IndexBuildInfo BuildInfo(Algorithm algorithm);
 
-  const RankingStore& store() const { return *store_; }
-  const EngineSuiteConfig& config() const { return config_; }
-
   // Direct index access (built on demand) for benches that need it.
   const PlainInvertedIndex& plain_index();
   const AugmentedInvertedIndex& augmented_index();

@@ -10,12 +10,19 @@
 
 #include <span>
 
-#include "core/posting_entry.h"  // IWYU pragma: export (AugmentedEntry)
 #include "core/ranking.h"
 #include "core/types.h"
 #include "kernel/posting_arena.h"
 
 namespace topk {
+
+/// Rank-augmented posting entry: the rank at which the ranking places the
+/// list's item rides next to the ranking id, so Footrule contributions can
+/// be computed from the list alone.
+struct AugmentedEntry {
+  RankingId id;
+  Rank rank;
+};
 
 /// Two-pass counting build of the rank-augmented CSR arena over the whole
 /// store (lists id-sorted, directory sized max_item + 1). Shared by the

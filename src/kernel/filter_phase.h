@@ -57,10 +57,8 @@
 
 #include <algorithm>
 #include <span>
-#include <type_traits>
 #include <vector>
 
-#include "core/posting_entry.h"
 #include "core/ranking.h"
 #include "core/statistics.h"
 #include "core/types.h"
@@ -80,14 +78,9 @@ struct FilterScratch {
   /// DecodeList(item, scratch) instead of list(item) — the storage
   /// tier's block-compressed arena. At most two lists are live at once
   /// (the sorted two-list union), so two grow-only buffers cover every
-  /// sweep path with zero allocation inside the per-list loops. Plain
-  /// and rank-augmented decoded indexes land in separate buffers (the
-  /// entry types differ); an index picks its pair via its PostingEntry
-  /// typedef, see DecodeLandingA/B.
+  /// sweep path with zero allocation inside the per-list loops.
   std::vector<RankingId> decode_a;
   std::vector<RankingId> decode_b;
-  std::vector<AugmentedEntry> decode_aug_a;
-  std::vector<AugmentedEntry> decode_aug_b;
 };
 
 /// Whether the posting-list union of a k-item query is a superset of its
@@ -129,37 +122,6 @@ constexpr bool IndexHasDecodedLists() {
     return Index::kDecodedLists;
   } else {
     return false;
-  }
-}
-
-/// Whether a decoded-lists index serves rank-augmented entries (its
-/// PostingEntry typedef names AugmentedEntry); plain RankingId lists
-/// otherwise.
-template <typename Index>
-constexpr bool IndexHasAugmentedEntries() {
-  if constexpr (requires { typename Index::PostingEntry; }) {
-    return std::is_same_v<typename Index::PostingEntry, AugmentedEntry>;
-  } else {
-    return false;
-  }
-}
-
-/// The landing buffer matching the index's decoded entry type.
-template <typename Index>
-auto* DecodeLandingA(FilterScratch* scratch) {
-  if constexpr (IndexHasAugmentedEntries<Index>()) {
-    return &scratch->decode_aug_a;
-  } else {
-    return &scratch->decode_a;
-  }
-}
-
-template <typename Index>
-auto* DecodeLandingB(FilterScratch* scratch) {
-  if constexpr (IndexHasAugmentedEntries<Index>()) {
-    return &scratch->decode_aug_b;
-  } else {
-    return &scratch->decode_b;
   }
 }
 
@@ -262,7 +224,7 @@ std::span<const RankingId> FilterPhase(const Index& index, RankingView query,
   // the list in the given scratch buffer (inline-tier lists come back as
   // direct spans, zero decode); a CSR index returns its arena span and
   // the buffer goes unused. Id-sorted lists are then cut to the window.
-  auto list_at = [&](uint32_t position, auto* landing) {
+  auto list_at = [&](uint32_t position, std::vector<RankingId>* landing) {
     const auto list = [&] {
       if constexpr (IndexHasDecodedLists<Index>()) {
         return index.DecodeList(query[position], landing);
@@ -279,7 +241,7 @@ std::span<const RankingId> FilterPhase(const Index& index, RankingView query,
   };
 
   if (positions.size() == 1) {
-    const auto list = list_at(positions[0], DecodeLandingA<Index>(scratch));
+    const auto list = list_at(positions[0], &scratch->decode_a);
     AddTicker(stats, Ticker::kPostingEntriesScanned, list.size());
     for (const auto& entry : list) {
       scratch->candidates.push_back(PostingEntryId(entry));
@@ -288,9 +250,8 @@ std::span<const RankingId> FilterPhase(const Index& index, RankingView query,
   }
   if constexpr (IndexHasIdSortedLists<Index>()) {
     if (positions.size() == 2) {
-      const auto first = list_at(positions[0], DecodeLandingA<Index>(scratch));
-      const auto second =
-          list_at(positions[1], DecodeLandingB<Index>(scratch));
+      const auto first = list_at(positions[0], &scratch->decode_a);
+      const auto second = list_at(positions[1], &scratch->decode_b);
       AddTicker(stats, Ticker::kPostingEntriesScanned,
                 first.size() + second.size());
       filter_detail::TwoListUnion(first, second, &scratch->candidates);
@@ -301,7 +262,7 @@ std::span<const RankingId> FilterPhase(const Index& index, RankingView query,
   scratch->visited.EnsureCapacity(id_capacity);
   scratch->visited.NextEpoch();
   for (size_t li = 0; li < positions.size(); ++li) {
-    const auto list = list_at(positions[li], DecodeLandingA<Index>(scratch));
+    const auto list = list_at(positions[li], &scratch->decode_a);
     if constexpr (!IndexHasDecodedLists<Index>()) {
       if (li + 1 < positions.size()) {
         // Warm the next list's head while this one is scanned; its arena

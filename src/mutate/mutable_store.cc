@@ -10,7 +10,6 @@
 #include "core/failpoint.h"
 #include "invidx/drop_policy.h"
 #include "storage/compressed_arena.h"
-#include "storage/compressed_augmented.h"
 #include "storage/snapshot_manager.h"
 
 namespace topk {
@@ -463,10 +462,6 @@ void MutableStore::MaybeEmitSnapshot(const MainSegment& segment) {
   } else {
     const auto arena = storage::CompressedPostingArena<RankingId>::FromArena(
         segment.index.arena());
-    // Freeze the augmented arena alongside the plain one so the snapshot
-    // serves the compressed augmented engine too.
-    const auto augmented =
-        storage::CompressedAugmentedIndex::Build(segment.store);
     // Emission gets the same retry-with-backoff treatment as the
     // rebuild: a transient write failure must not cost the durability of
     // this merge's image. Exhausted attempts are recorded, not thrown —
@@ -476,8 +471,7 @@ void MutableStore::MaybeEmitSnapshot(const MainSegment& segment) {
       if (TOPK_FAILPOINT("mutate.snapshot.emit")) {
         status = Status::IOError("injected failure: mutate.snapshot.emit");
       } else {
-        status = snapshot_manager_->WriteSnapshot(segment.store, arena,
-                                                  augmented.arena());
+        status = snapshot_manager_->WriteSnapshot(segment.store, arena);
       }
       if (status.ok() || attempt >= max_attempts) break;
       merge_retries_.fetch_add(1, std::memory_order_acq_rel);

@@ -159,22 +159,17 @@ void QueryFrontend::ServeOne(Executor* executor, const ServeRequest& request,
   }
   QueryControl control(request.deadline, request.cancel);
   // A request already past its deadline (it sat behind slower batch
-  // peers) fails fast — except through the result cache below, whose
-  // lookup is cheaper than building the rejection.
+  // peers) fails fast — except through the result cache, whose lookup is
+  // cheaper than building the rejection.
   const bool cacheable = result_cache_.enabled();
-  if (!cacheable && control.ShouldStop()) {
-    response->status = StopStatus(control, &executor->stats);
-    return;
-  }
+  ResultCacheKey key{};
   if (cacheable) {
-    const ResultCacheKey key =
-        request.kind == ServeKind::kRange
-            ? MakeResultCacheKey(ServeKind::kRange,
-                                 static_cast<uint32_t>(request.algorithm),
-                                 request.theta_raw, *request.query)
-            : MakeResultCacheKey(ServeKind::kKnn,
-                                 static_cast<uint32_t>(request.algorithm),
-                                 request.j, *request.query);
+    key = MakeResultCacheKey(request.kind,
+                             static_cast<uint32_t>(request.algorithm),
+                             request.kind == ServeKind::kRange
+                                 ? request.theta_raw
+                                 : request.j,
+                             *request.query);
     const bool hit =
         request.kind == ServeKind::kRange
             ? result_cache_.LookupRange(key, epoch, &response->ids,
@@ -185,31 +180,9 @@ void QueryFrontend::ServeOne(Executor* executor, const ServeRequest& request,
       response->result_cache_hit = true;
       return;
     }
-    if (control.ShouldStop()) {
-      response->status = StopStatus(control, &executor->stats);
-      return;
-    }
-    if (request.kind == ServeKind::kRange) {
-      response->ids = ServeRange(executor, request, &control, lone_workers);
-    } else {
-      response->neighbors =
-          ServeKnn(executor, request, &control, lone_workers);
-    }
-    // A stopped request discards its partial answer and is NEVER
-    // cached: a truncated result under an OK-looking cache entry would
-    // poison every later identical query.
-    if (control.ShouldStop()) {
-      response->ids.clear();
-      response->neighbors.clear();
-      response->status = StopStatus(control, &executor->stats);
-      return;
-    }
-    if (request.kind == ServeKind::kRange) {
-      result_cache_.InsertRange(key, epoch, response->ids, &executor->stats);
-    } else {
-      result_cache_.InsertKnn(key, epoch, response->neighbors,
-                              &executor->stats);
-    }
+  }
+  if (control.ShouldStop()) {
+    response->status = StopStatus(control, &executor->stats);
     return;
   }
   if (request.kind == ServeKind::kRange) {
@@ -217,10 +190,21 @@ void QueryFrontend::ServeOne(Executor* executor, const ServeRequest& request,
   } else {
     response->neighbors = ServeKnn(executor, request, &control, lone_workers);
   }
+  // A stopped request discards its partial answer and is NEVER cached: a
+  // truncated result under an OK-looking cache entry would poison every
+  // later identical query.
   if (control.ShouldStop()) {
     response->ids.clear();
     response->neighbors.clear();
     response->status = StopStatus(control, &executor->stats);
+    return;
+  }
+  if (!cacheable) return;
+  if (request.kind == ServeKind::kRange) {
+    result_cache_.InsertRange(key, epoch, response->ids, &executor->stats);
+  } else {
+    result_cache_.InsertKnn(key, epoch, response->neighbors,
+                            &executor->stats);
   }
 }
 

@@ -89,15 +89,6 @@ Status ResilientReader::RangeQuery(const PreparedQuery& query,
   return Status::OK();
 }
 
-std::vector<RankingId> ResilientReader::RangeQuery(const PreparedQuery& query,
-                                                   RawDistance theta_raw,
-                                                   Statistics* stats) {
-  std::vector<RankingId> out;
-  const Status status = RangeQuery(query, theta_raw, nullptr, &out, stats);
-  TOPK_DCHECK(status.ok());  // no deadline, no fault surfaces as a status
-  return out;
-}
-
 std::unique_ptr<RangeScratch> ResilientReader::BorrowScratch() {
   MutexLock lock(&pool_mutex_);
   // Allocated lazily: the pool grows to the peak number of readers.

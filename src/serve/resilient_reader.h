@@ -103,12 +103,6 @@ class ResilientReader {
                     Statistics* stats = nullptr)
       TOPK_EXCLUDES(view_mutex_, pool_mutex_);
 
-  /// Convenience wrapper: no deadline, asserts OK.
-  std::vector<RankingId> RangeQuery(const PreparedQuery& query,
-                                    RawDistance theta_raw,
-                                    Statistics* stats = nullptr)
-      TOPK_EXCLUDES(view_mutex_, pool_mutex_);
-
  private:
   using View = std::shared_ptr<const storage::OpenedSnapshot>;
   /// Per-query kernel scratch, borrowed from pool_ for one call.

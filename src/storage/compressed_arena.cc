@@ -2,61 +2,17 @@
 
 #include <algorithm>
 #include <cstring>
-#include <type_traits>
 
 namespace topk {
 namespace storage {
 
 namespace {
 
-inline RankingId EntryIdOf(RankingId entry) { return entry; }
-inline RankingId EntryIdOf(const AugmentedEntry& entry) { return entry.id; }
-
-/// Conservative 16-bit rank bounds of one block (see BlockRankRange:
-/// min saturates downward-safe, max saturates to the unbounded marker).
-inline BlockRankRange RankRangeOf(std::span<const AugmentedEntry> block) {
-  uint32_t lo = block.front().rank;
-  uint32_t hi = block.front().rank;
-  for (const AugmentedEntry& entry : block) {
-    lo = std::min<uint32_t>(lo, entry.rank);
-    hi = std::max<uint32_t>(hi, entry.rank);
-  }
-  BlockRankRange range;
-  range.min_rank = static_cast<uint16_t>(
-      std::min<uint32_t>(lo, BlockRankRange::kRankRangeUnbounded));
-  range.max_rank =
-      hi >= BlockRankRange::kRankRangeUnbounded
-          ? BlockRankRange::kRankRangeUnbounded
-          : static_cast<uint16_t>(hi);
-  return range;
-}
-
-template <typename Entry>
-bool StrictlyAscendingIds(std::span<const Entry> list) {
+bool StrictlyAscendingIds(std::span<const RankingId> list) {
   for (size_t i = 1; i < list.size(); ++i) {
-    if (EntryIdOf(list[i]) <= EntryIdOf(list[i - 1])) return false;
+    if (list[i] <= list[i - 1]) return false;
   }
   return true;
-}
-
-inline void EncodeBlock(std::span<const RankingId> block,
-                        std::vector<uint8_t>* bytes) {
-  EncodeIdBlock(block, bytes);
-}
-inline void EncodeBlock(std::span<const AugmentedEntry> block,
-                        std::vector<uint8_t>* bytes) {
-  EncodeAugmentedBlock(block, bytes);
-}
-
-inline bool DecodeBlock(uint32_t first_id, uint32_t count,
-                        const uint8_t* begin, const uint8_t* end,
-                        RankingId* out) {
-  return DecodeIdBlock(first_id, count, begin, end, out);
-}
-inline bool DecodeBlock(uint32_t first_id, uint32_t count,
-                        const uint8_t* begin, const uint8_t* end,
-                        AugmentedEntry* out) {
-  return DecodeAugmentedBlock(first_id, count, begin, end, out);
 }
 
 }  // namespace
@@ -76,8 +32,7 @@ CompressedPostingArena<Entry> CompressedPostingArena<Entry>::FromArena(
     CompressedListMeta meta;
     meta.length = static_cast<uint32_t>(list.size());
     // Short lists — and lists the delta codec cannot represent (ids not
-    // strictly ascending, e.g. the blocked index's rank-major lists) —
-    // take the inline tier verbatim.
+    // strictly ascending) — take the inline tier verbatim.
     if (list.size() <= kInlineMaxEntries || !StrictlyAscendingIds(list)) {
       TOPK_DCHECK(inline_entries->size() < CompressedListMeta::kInlineBit);
       meta.head = CompressedListMeta::kInlineBit |
@@ -93,13 +48,9 @@ CompressedPostingArena<Entry> CompressedPostingArena<Entry>::FromArena(
                                               list.size() - offset);
         const std::span<const Entry> block = list.subspan(offset, count);
         blocks->push_back(CompressedBlockMeta{
-            EntryIdOf(block.front()), EntryIdOf(block.back()),
-            static_cast<uint32_t>(count),
+            block.front(), block.back(), static_cast<uint32_t>(count),
             static_cast<uint32_t>(bytes->size())});
-        if constexpr (std::is_same_v<Entry, AugmentedEntry>) {
-          result.ranks_.mutable_owned()->push_back(RankRangeOf(block));
-        }
-        EncodeBlock(block, bytes);
+        EncodeIdBlock(block, bytes);
       }
     }
     lists->push_back(meta);
@@ -112,19 +63,9 @@ template <typename Entry>
 Result<CompressedPostingArena<Entry>> CompressedPostingArena<Entry>::Adopt(
     std::span<const CompressedListMeta> lists,
     std::span<const CompressedBlockMeta> blocks,
-    std::span<const Entry> inline_entries, std::span<const uint8_t> bytes,
-    std::span<const BlockRankRange> rank_ranges) {
+    std::span<const Entry> inline_entries, std::span<const uint8_t> bytes) {
   // Bounds-validate all metadata up front (O(lists + blocks), metadata
   // sections only) so no later decode can index outside the sections.
-  if (!rank_ranges.empty() && rank_ranges.size() != blocks.size()) {
-    return Status::InvalidArgument(
-        "snapshot rank-range section does not match the block count");
-  }
-  for (const BlockRankRange& range : rank_ranges) {
-    if (range.min_rank > range.max_rank) {
-      return Status::InvalidArgument("snapshot block rank range inverted");
-    }
-  }
   uint32_t previous_offset = 0;
   for (const CompressedBlockMeta& block : blocks) {
     if (block.count == 0 || block.count > kBlockEntries) {
@@ -171,7 +112,6 @@ Result<CompressedPostingArena<Entry>> CompressedPostingArena<Entry>::Adopt(
   CompressedPostingArena result;
   result.lists_.Adopt(lists.data(), lists.size());
   result.blocks_.Adopt(blocks.data(), blocks.size());
-  result.ranks_.Adopt(rank_ranges.data(), rank_ranges.size());
   result.inline_.Adopt(inline_entries.data(), inline_entries.size());
   result.bytes_.Adopt(bytes.data(), bytes.size());
   result.num_entries_ = num_entries;
@@ -203,8 +143,8 @@ bool CompressedPostingArena<Entry>::DecodeListInto(size_t i,
   size_t cursor = 0;
   for (size_t b = head; cursor < meta.length; ++b) {
     const auto [begin, end] = BlockBytes(b);
-    if (!DecodeBlock(blocks[b].first_id, blocks[b].count, begin, end,
-                     out + cursor)) {
+    if (!DecodeIdBlock(blocks[b].first_id, blocks[b].count, begin, end,
+                       out + cursor)) {
       return false;
     }
     cursor += blocks[b].count;
@@ -234,73 +174,7 @@ std::span<const Entry> CompressedPostingArena<Entry>::DecodeList(
   return {scratch->data(), meta.length};
 }
 
-template <typename Entry>
-template <typename DiscardFn>
-std::span<const Entry> CompressedPostingArena<Entry>::DecodeSelectedBlocks(
-    size_t i, std::vector<Entry>* scratch, BlockSkipStats* skip,
-    const DiscardFn& discard) const {
-  if (i >= lists_.size()) return {};
-  const CompressedListMeta meta = lists_.data()[i];
-  const uint32_t head = meta.head & ~CompressedListMeta::kInlineBit;
-  if ((meta.head & CompressedListMeta::kInlineBit) != 0) {
-    // Inline lists carry no block metadata to skip on: hand out the
-    // stored entries whole (superset semantics, caller filters).
-    return {inline_.data() + head, meta.length};
-  }
-  if (scratch->size() < meta.length) {
-    scratch->resize(meta.length);  // alloc-ok: scratch setup, grow-only
-  }
-  const auto blocks = blocks_.span();
-  size_t cursor = 0;
-  size_t remaining = meta.length;
-  for (size_t b = head; remaining > 0; ++b) {
-    const CompressedBlockMeta& block = blocks[b];
-    remaining -= block.count;
-    if (skip != nullptr) ++skip->blocks_considered;
-    if (discard(b)) {
-      // Skipped on metadata alone: the block's payload byte range is
-      // never computed, never read (scripts/check_invariants.py lints
-      // this continue-before-BlockBytes shape).
-      if (skip != nullptr) {
-        ++skip->blocks_skipped;
-        skip->entries_skipped += block.count;
-      }
-      continue;
-    }
-    const auto [begin, end] = BlockBytes(b);
-    if (!DecodeBlock(block.first_id, block.count, begin, end,
-                     scratch->data() + cursor)) {
-      // Same policy as DecodeList: malformed payload (unverified
-      // snapshot) serves zeros; memory safety never depended on this.
-      TOPK_DCHECK(false && "malformed compressed posting payload");
-      std::fill(scratch->data() + cursor,
-                scratch->data() + cursor + block.count, Entry{});
-    }
-    cursor += block.count;
-  }
-  return {scratch->data(), cursor};
-}
-
-template <typename Entry>
-std::span<const Entry>
-CompressedPostingArena<Entry>::DecodeBlocksInRankWindow(
-    size_t i, uint32_t rank_lo, uint32_t rank_hi,
-    std::vector<Entry>* scratch, BlockSkipStats* skip) const {
-  const auto ranks = ranks_.span();
-  if (ranks.empty()) {
-    // No rank metadata (plain arena, or an adoption without the
-    // section): nothing can be proven disjoint, decode everything.
-    return DecodeSelectedBlocks(i, scratch, skip,
-                                [](size_t) { return false; });
-  }
-  return DecodeSelectedBlocks(
-      i, scratch, skip, [&ranks, rank_lo, rank_hi](size_t b) {
-        return ranks[b].DisjointFrom(rank_lo, rank_hi);
-      });
-}
-
 template class CompressedPostingArena<RankingId>;
-template class CompressedPostingArena<AugmentedEntry>;
 
 }  // namespace storage
 }  // namespace topk

@@ -10,9 +10,6 @@
 //             entries: first id, last id, count, byte offset — kept
 //             uncompressed so a block's bounds are readable without
 //             touching the byte stream;
-//   ranks_    (AugmentedEntry arenas only) one BlockRankRange per block:
-//             min/max rank in the block, so a rank-windowed sweep can
-//             discard a block on metadata alone;
 //   inline_   raw entries of the short-list tier, concatenated: lists
 //             of <= kInlineMaxEntries entries are stored uncompressed
 //             (block + metadata overhead would exceed the savings) and
@@ -20,10 +17,9 @@
 //   bytes_    the delta + group-varint payload (storage/posting_codec.h)
 //             of every block, in block order.
 //
-// Lists whose ids are not strictly ascending (the blocked index's
-// rank-major lists) fall back to the inline tier whatever their length:
-// the arena never produces wrong bytes, it just declines to compress
-// what the delta codec cannot represent.
+// Lists whose ids are not strictly ascending fall back to the inline
+// tier whatever their length: the arena never produces wrong bytes, it
+// just declines to compress what the delta codec cannot represent.
 //
 // Every section is a SpanArray: owned vectors when built via FromArena,
 // non-owning views over an mmap'd snapshot section when adopted via
@@ -75,27 +71,6 @@ struct CompressedBlockMeta {
 };
 static_assert(sizeof(CompressedBlockMeta) == 16);
 
-/// Per-block rank bounds (4 bytes), present only for AugmentedEntry
-/// arenas: the min/max rank occurring in the block, so a rank-windowed
-/// sweep (the compressed augmented engine's discovery-tightened mode)
-/// can discard a block on metadata alone. The bounds are conservative
-/// supersets: max_rank saturates to kRankRangeUnbounded when the true
-/// maximum does not fit 16 bits, which window tests must treat as
-/// "+infinity" — a saturated block is never skipped on its high bound.
-struct BlockRankRange {
-  static constexpr uint16_t kRankRangeUnbounded = 0xFFFF;
-  uint16_t min_rank;
-  uint16_t max_rank;
-
-  /// Whether every rank in the block lies outside [lo, hi] — the sound
-  /// skip test (conservative under saturation in both directions).
-  bool DisjointFrom(uint32_t lo, uint32_t hi) const {
-    if (min_rank > hi) return true;
-    return max_rank != kRankRangeUnbounded && max_rank < lo;
-  }
-};
-static_assert(sizeof(BlockRankRange) == 4);
-
 /// A section that is either an owned vector (build path) or a borrowed
 /// view into externally owned memory (mmap adoption). Copy/move safe:
 /// accessors re-derive the view from whichever storage is live.
@@ -134,8 +109,7 @@ class SpanArray {
   size_t mapped_size_ = 0;
 };
 
-/// Entry types: RankingId (plain lists) and AugmentedEntry (rank-
-/// augmented lists); explicit instantiations live in the .cc.
+/// Instantiated for RankingId (plain posting lists) in the .cc.
 template <typename Entry>
 class CompressedPostingArena {
  public:
@@ -151,14 +125,10 @@ class CompressedPostingArena {
   /// Wraps mmap'd snapshot sections (which must outlive the arena) after
   /// bounds-validating all metadata. Fails with InvalidArgument on any
   /// inconsistency instead of risking an out-of-mapping decode.
-  /// `rank_ranges` is either empty (plain arenas, or augmented snapshots
-  /// that never exercised the rank-window path — skipping degrades to
-  /// full decode) or exactly one range per block.
   static Result<CompressedPostingArena> Adopt(
       std::span<const CompressedListMeta> lists,
       std::span<const CompressedBlockMeta> blocks,
-      std::span<const Entry> inline_entries, std::span<const uint8_t> bytes,
-      std::span<const BlockRankRange> rank_ranges = {});
+      std::span<const Entry> inline_entries, std::span<const uint8_t> bytes);
 
   size_t num_lists() const { return lists_.size(); }
   size_t num_entries() const { return num_entries_; }
@@ -186,27 +156,11 @@ class CompressedPostingArena {
   /// up front; decode stays memory-safe regardless).
   bool DecodeListInto(size_t i, Entry* out) const;
 
-  /// Partial decode of list `i` by rank window: only blocks whose
-  /// [min_rank, max_rank] intersects [rank_lo, rank_hi] are decoded
-  /// (concatenated into `scratch`); disjoint blocks are discarded on
-  /// metadata alone — their payload bytes are never read. The result is
-  /// a SUPERSET of the list's in-window entries (whole overlapping
-  /// blocks may hold out-of-window ranks; the caller filters), in list
-  /// order. Inline lists come back whole, as a direct span. Without a
-  /// rank-range section (plain arenas, legacy adoptions) no block is
-  /// skipped and the call degrades to a full decode. `skip`, when given,
-  /// accounts the blocks considered/skipped.
-  std::span<const Entry> DecodeBlocksInRankWindow(size_t i, uint32_t rank_lo,
-                                                  uint32_t rank_hi,
-                                                  std::vector<Entry>* scratch,
-                                                  BlockSkipStats* skip) const;
-
   /// Compressed footprint in bytes across all sections (whether owned
   /// or mapped) — the numerator of bytes/entry.
   size_t CompressedBytes() const {
     return lists_.size() * sizeof(CompressedListMeta) +
            blocks_.size() * sizeof(CompressedBlockMeta) +
-           ranks_.size() * sizeof(BlockRankRange) +
            inline_.size() * sizeof(Entry) + bytes_.size();
   }
 
@@ -218,8 +172,8 @@ class CompressedPostingArena {
 
   /// Heap bytes actually held: ~0 when adopted from a mapping.
   size_t MemoryUsage() const {
-    return lists_.OwnedBytes() + blocks_.OwnedBytes() + ranks_.OwnedBytes() +
-           inline_.OwnedBytes() + bytes_.OwnedBytes();
+    return lists_.OwnedBytes() + blocks_.OwnedBytes() + inline_.OwnedBytes() +
+           bytes_.OwnedBytes();
   }
 
   size_t num_blocks() const { return blocks_.size(); }
@@ -231,11 +185,6 @@ class CompressedPostingArena {
   }
   std::span<const CompressedBlockMeta> block_metas() const {
     return blocks_.span();
-  }
-  /// One range per block for AugmentedEntry arenas built by FromArena;
-  /// empty for plain arenas (and legacy adoptions without the section).
-  std::span<const BlockRankRange> rank_ranges() const {
-    return ranks_.span();
   }
   std::span<const Entry> inline_entries() const { return inline_.span(); }
   std::span<const uint8_t> byte_stream() const { return bytes_.span(); }
@@ -253,19 +202,8 @@ class CompressedPostingArena {
     return {begin, end};
   }
 
-  /// Shared skeleton of the partial decodes: walks list `i`'s blocks,
-  /// skipping every block for which `discard(block_index)` is true
-  /// without touching its payload bytes, decoding the rest into
-  /// `scratch` back to back.
-  template <typename DiscardFn>
-  std::span<const Entry> DecodeSelectedBlocks(size_t i,
-                                              std::vector<Entry>* scratch,
-                                              BlockSkipStats* skip,
-                                              const DiscardFn& discard) const;
-
   SpanArray<CompressedListMeta> lists_;
   SpanArray<CompressedBlockMeta> blocks_;
-  SpanArray<BlockRankRange> ranks_;
   SpanArray<Entry> inline_;
   SpanArray<uint8_t> bytes_;
   size_t num_entries_ = 0;

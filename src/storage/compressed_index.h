@@ -39,8 +39,6 @@ class CompressedInvertedIndex {
   static constexpr bool kIdSortedLists = true;
   /// Lists are served through DecodeList(item, scratch), not list(item).
   static constexpr bool kDecodedLists = true;
-  /// Decoded entry type (selects the FilterScratch landing buffers).
-  using PostingEntry = RankingId;
 
   CompressedInvertedIndex() = default;
 

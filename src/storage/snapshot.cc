@@ -141,11 +141,10 @@ uint64_t SnapshotChecksum(const void* data, size_t size) {
   return FnvUpdate(kFnvOffset, data, size);
 }
 
-Status WriteStoreSnapshot(
-    const RankingStore& store,
-    const CompressedPostingArena<RankingId>& arena,
-    const CompressedPostingArena<AugmentedEntry>& augmented_arena,
-    const std::string& path, const Partitioning* partitioning) {
+Status WriteStoreSnapshot(const RankingStore& store,
+                          const CompressedPostingArena<RankingId>& arena,
+                          const std::string& path,
+                          const Partitioning* partitioning) {
   if (store.empty()) {
     return Status::InvalidArgument("cannot snapshot an empty store");
   }
@@ -170,11 +169,6 @@ Status WriteStoreSnapshot(
       Payload(arena.block_metas()),
       Payload(arena.inline_entries()),
       Payload(arena.byte_stream()),
-      Payload(augmented_arena.list_metas()),
-      Payload(augmented_arena.block_metas()),
-      Payload(augmented_arena.rank_ranges()),
-      Payload(augmented_arena.inline_entries()),
-      Payload(augmented_arena.byte_stream()),
       Payload<SnapshotPartition>(partitions),
       Payload<RankingId>(members),
   };
@@ -200,7 +194,6 @@ Status WriteStoreSnapshot(
   header.max_item = store.max_item();
   header.num_rankings = store.size();
   header.num_arena_entries = arena.num_entries();
-  header.num_augmented_entries = augmented_arena.num_entries();
   header.directory_checksum = SnapshotChecksum(table, sizeof(table));
 
   // Crash-safe protocol: write everything to `path`.tmp, fsync the file,
@@ -284,14 +277,6 @@ Status WriteStoreSnapshot(
     return Status::IOErrorFromErrno("fsync directory " + dir, dirsync_errno);
   }
   return Status::OK();
-}
-
-Status WriteStoreSnapshot(const RankingStore& store,
-                          const CompressedPostingArena<RankingId>& arena,
-                          const std::string& path) {
-  const CompressedAugmentedIndex augmented =
-      CompressedAugmentedIndex::Build(store);
-  return WriteStoreSnapshot(store, arena, augmented.arena(), path);
 }
 
 /// RAII mmap of a whole file, read-only.
@@ -389,15 +374,10 @@ constexpr size_t kSectionElementSize[kSnapshotSectionCount] = {
     sizeof(ItemId),               // items
     sizeof(ItemId),               // sorted_items
     sizeof(Rank),                 // sorted_ranks
-    sizeof(CompressedListMeta),   // plain list metas
-    sizeof(CompressedBlockMeta),  // plain block metas
-    sizeof(RankingId),            // plain inline entries
-    1,                            // plain byte stream
-    sizeof(CompressedListMeta),   // augmented list metas
-    sizeof(CompressedBlockMeta),  // augmented block metas
-    sizeof(BlockRankRange),       // augmented rank ranges
-    sizeof(AugmentedEntry),       // augmented inline entries
-    1,                            // augmented byte stream
+    sizeof(CompressedListMeta),   // list metas
+    sizeof(CompressedBlockMeta),  // block metas
+    sizeof(RankingId),            // inline entries
+    1,                            // byte stream
     sizeof(SnapshotPartition),    // partition records
     sizeof(RankingId),            // partition members
 };
@@ -406,7 +386,7 @@ constexpr size_t kSectionElementSize[kSnapshotSectionCount] = {
 /// header's tags and counts, the section-table checksum, and per
 /// section its id, page alignment, bounds within a `file_size`-byte
 /// file and element-size multiple, plus the n * k column sizes and the
-/// max_item + 1 list directories.
+/// max_item + 1 list directory.
 Status CheckLayout(const SnapshotHeader& header,
                    const SnapshotSection (&table)[kSnapshotSectionCount],
                    uint64_t file_size) {
@@ -471,8 +451,7 @@ Status CheckLayout(const SnapshotHeader& header,
       return Status::InvalidArgument("snapshot column sections do not match "
                                      "n * k");
     }
-    if ((section.id == SnapshotSection::kListMetas ||
-         section.id == SnapshotSection::kAugListMetas) &&
+    if (section.id == SnapshotSection::kListMetas &&
         section.size != directory_bytes) {
       return Status::InvalidArgument("snapshot list directory does not cover "
                                      "max_item");
@@ -509,7 +488,7 @@ Result<StoreSnapshot> OpenStoreSnapshot(const std::string& path) {
   Status layout = CheckLayout(header, table, file_size);
   if (!layout.ok()) return layout;
 
-  // The partitioning sections (table[12], table[13]) are only
+  // The partitioning sections (table[7], table[8]) are only
   // bounds-checked here; ReadPartitioning reads them on demand.
   auto arena = CompressedPostingArena<RankingId>::Adopt(
       Typed<CompressedListMeta>(base, table[3]),
@@ -518,16 +497,6 @@ Result<StoreSnapshot> OpenStoreSnapshot(const std::string& path) {
   if (!arena.ok()) return arena.status();
   if (arena.value().num_entries() != header.num_arena_entries) {
     return Status::InvalidArgument("snapshot arena entry count mismatch");
-  }
-  auto aug_arena = CompressedPostingArena<AugmentedEntry>::Adopt(
-      Typed<CompressedListMeta>(base, table[7]),
-      Typed<CompressedBlockMeta>(base, table[8]),
-      Typed<AugmentedEntry>(base, table[10]), Typed<uint8_t>(base, table[11]),
-      Typed<BlockRankRange>(base, table[9]));
-  if (!aug_arena.ok()) return aug_arena.status();
-  if (aug_arena.value().num_entries() != header.num_augmented_entries) {
-    return Status::InvalidArgument("snapshot augmented arena entry count "
-                                   "mismatch");
   }
 
   RankingStore store = RankingStore::AdoptExternal(
@@ -538,12 +507,8 @@ Result<StoreSnapshot> OpenStoreSnapshot(const std::string& path) {
   CompressedInvertedIndex index = CompressedInvertedIndex::FromParts(
       std::move(arena).ValueOrDie(),
       static_cast<size_t>(header.num_rankings));
-  CompressedAugmentedIndex augmented = CompressedAugmentedIndex::FromParts(
-      std::move(aug_arena).ValueOrDie(),
-      static_cast<size_t>(header.num_rankings));
   return StoreSnapshot(std::move(mapping), std::move(store),
-                       std::move(index), std::move(augmented), table[12],
-                       table[13]);
+                       std::move(index), table[7], table[8]);
 }
 
 Result<Partitioning> StoreSnapshot::ReadPartitioning() const {

@@ -1,17 +1,15 @@
 // mmap-backed store snapshots: the larger-than-RAM load path.
 //
 // A snapshot file freezes a RankingStore plus the compressed posting
-// arenas of BOTH its serving indexes — the plain inverted index and the
-// rank-augmented index — into one page-aligned, sectioned image, so
-// OpenStoreSnapshot can mmap the file and serve queries zero-copy: the
-// three store columns and the arena sections are pointed at in place
-// (RankingStore::AdoptExternal, CompressedPostingArena::Adopt) and page
-// in on demand. Nothing but the header, the section table, and the
-// arena *metadata* sections is touched at open time — the posting
-// payloads and the row columns stay cold until a query walks them,
-// which is what makes a collection larger than RAM servable
-// (bench/bench_storage.cc evidences this with mincore residency
-// counts).
+// arena of its plain inverted index into one page-aligned, sectioned
+// image, so OpenStoreSnapshot can mmap the file and serve queries
+// zero-copy: the three store columns and the arena sections are pointed
+// at in place (RankingStore::AdoptExternal, CompressedPostingArena::Adopt)
+// and page in on demand. Nothing but the header, the section table, and
+// the arena *metadata* sections is touched at open time — the posting
+// payloads and the row columns stay cold until a query walks them, which
+// is what makes a collection larger than RAM servable
+// (bench/bench_storage.cc evidences this with mincore residency counts).
 //
 // The snapshot is the repo's only persistence format. Besides the
 // serving image it can carry the coarse index's partitioning — the
@@ -25,22 +23,19 @@
 // reader on a foreign ABI fails with a Status instead of misinterpreting
 // the sections):
 //
-//   SnapshotHeader        magic "TOPKSNP3", version, byte-order and
+//   SnapshotHeader        magic "TOPKSNP4", version, byte-order and
 //                         layout tags, counts (k, n, max_item, arena
-//                         entries for both tiers), and an FNV-1a
-//                         checksum over the section table;
-//   SectionEntry[14]      id, byte offset, byte size, FNV-1a checksum
+//                         entries), and an FNV-1a checksum over the
+//                         section table;
+//   SectionEntry[9]       id, byte offset, byte size, FNV-1a checksum
 //                         of the payload;
 //   sections              each padded to a 4096-byte boundary:
 //                         1 items, 2 sorted_items, 3 sorted_ranks,
 //                         4 list metas, 5 block metas, 6 inline
-//                         entries, 7 block byte stream (the plain
-//                         arena), then the augmented arena:
-//                         8 list metas, 9 block metas, 10 per-block
-//                         rank ranges, 11 inline entries, 12 byte
-//                         stream, then the optional partitioning:
-//                         13 SnapshotPartition records (medoid, radius,
-//                         member-end offset), 14 member ids. Both
+//                         entries, 7 block byte stream (the compressed
+//                         plain arena), then the optional partitioning:
+//                         8 SnapshotPartition records (medoid, radius,
+//                         member-end offset), 9 member ids. Both
 //                         partitioning sections are empty when the
 //                         snapshot was written without one.
 //
@@ -64,16 +59,15 @@
 #include "cluster/partitioner.h"
 #include "core/ranking.h"
 #include "core/status.h"
-#include "storage/compressed_augmented.h"
 #include "storage/compressed_index.h"
 
 namespace topk {
 namespace storage {
 
 inline constexpr char kSnapshotMagic[8] = {'T', 'O', 'P', 'K',
-                                           'S', 'N', 'P', '3'};
-inline constexpr uint32_t kSnapshotVersion = 3;
-inline constexpr uint32_t kSnapshotSectionCount = 14;
+                                           'S', 'N', 'P', '4'};
+inline constexpr uint32_t kSnapshotVersion = 4;
+inline constexpr uint32_t kSnapshotSectionCount = 9;
 inline constexpr size_t kSnapshotPageSize = 4096;
 
 /// Stored in the header as a native integer: a reader whose byte order
@@ -86,9 +80,7 @@ inline constexpr uint32_t kSnapshotByteOrder = 0x01020304u;
 /// the reader rejects instead of walking misaligned metadata.
 inline constexpr uint32_t kSnapshotLayout =
     (static_cast<uint32_t>(sizeof(CompressedListMeta)) << 0) |
-    (static_cast<uint32_t>(sizeof(CompressedBlockMeta)) << 8) |
-    (static_cast<uint32_t>(sizeof(BlockRankRange)) << 16) |
-    (static_cast<uint32_t>(sizeof(AugmentedEntry)) << 24);
+    (static_cast<uint32_t>(sizeof(CompressedBlockMeta)) << 8);
 
 struct SnapshotHeader {
   char magic[8];
@@ -99,11 +91,10 @@ struct SnapshotHeader {
   uint32_t k;
   uint32_t max_item;
   uint64_t num_rankings;
-  uint64_t num_arena_entries;      // plain arena
-  uint64_t num_augmented_entries;  // augmented arena
-  uint64_t directory_checksum;     // FNV-1a over the section table bytes
+  uint64_t num_arena_entries;
+  uint64_t directory_checksum;  // FNV-1a over the section table bytes
 };
-static_assert(sizeof(SnapshotHeader) == 64);
+static_assert(sizeof(SnapshotHeader) == 56);
 
 struct SnapshotSection {
   enum Id : uint32_t {
@@ -114,13 +105,8 @@ struct SnapshotSection {
     kBlockMetas = 5,
     kInlineEntries = 6,
     kByteStream = 7,
-    kAugListMetas = 8,
-    kAugBlockMetas = 9,
-    kAugRankRanges = 10,
-    kAugInlineEntries = 11,
-    kAugByteStream = 12,
-    kPartitions = 13,
-    kPartitionMembers = 14,
+    kPartitions = 8,
+    kPartitionMembers = 9,
   };
   uint32_t id;
   uint32_t reserved;  // zero; keeps the 64-bit fields aligned
@@ -145,28 +131,20 @@ static_assert(sizeof(SnapshotPartition) == 24);
 /// FNV-1a 64-bit over `size` bytes (section payloads and the table).
 uint64_t SnapshotChecksum(const void* data, size_t size);
 
-/// Writes `store` + both compressed arenas (plain inverted index and
-/// rank-augmented index over the same store) as a snapshot at `path`,
-/// plus `partitioning` when non-null. The store must not be empty; both
-/// arenas must have one list per item id in [0, max_item]; a
-/// partitioning must pass the checks ReadPartitioning makes
-/// (InvalidArgument otherwise, and nothing is written).
-Status WriteStoreSnapshot(
-    const RankingStore& store,
-    const CompressedPostingArena<RankingId>& arena,
-    const CompressedPostingArena<AugmentedEntry>& augmented_arena,
-    const std::string& path, const Partitioning* partitioning = nullptr);
-
-/// Convenience overload: builds and compresses the augmented arena from
-/// `store` (one extra indexing pass at write time).
+/// Writes `store` + the compressed arena of its plain inverted index as
+/// a snapshot at `path`, plus `partitioning` when non-null. The store
+/// must not be empty; the arena must have one list per item id in
+/// [0, max_item]; a partitioning must pass the checks ReadPartitioning
+/// makes (InvalidArgument otherwise, and nothing is written).
 Status WriteStoreSnapshot(const RankingStore& store,
                           const CompressedPostingArena<RankingId>& arena,
-                          const std::string& path);
+                          const std::string& path,
+                          const Partitioning* partitioning = nullptr);
 
-/// An open snapshot: a frozen RankingStore plus the compressed plain
-/// AND augmented indexes, all served zero-copy out of one shared
-/// mmap'd region. Move-only; the mapping unmaps when the last
-/// StoreSnapshot referencing it dies.
+/// An open snapshot: a frozen RankingStore plus its compressed plain
+/// index, both served zero-copy out of one shared mmap'd region.
+/// Move-only; the mapping unmaps when the last StoreSnapshot referencing
+/// it dies.
 class StoreSnapshot {
  public:
   StoreSnapshot(StoreSnapshot&&) = default;
@@ -174,9 +152,6 @@ class StoreSnapshot {
 
   const RankingStore& store() const { return store_; }
   const CompressedInvertedIndex& index() const { return index_; }
-  const CompressedAugmentedIndex& augmented_index() const {
-    return augmented_;
-  }
 
   /// Total bytes mapped (the file size).
   size_t mapped_bytes() const;
@@ -204,26 +179,23 @@ class StoreSnapshot {
 
   StoreSnapshot(std::shared_ptr<Mapping> mapping, RankingStore store,
                 CompressedInvertedIndex index,
-                CompressedAugmentedIndex augmented,
                 const SnapshotSection& partitions,
                 const SnapshotSection& members)
       : mapping_(std::move(mapping)),
         store_(std::move(store)),
         index_(std::move(index)),
-        augmented_(std::move(augmented)),
         partitions_(partitions),
         members_(members) {}
 
   std::shared_ptr<Mapping> mapping_;
   RankingStore store_;
   CompressedInvertedIndex index_;
-  CompressedAugmentedIndex augmented_;
   /// Table entries of the partitioning sections, bounds-checked at open.
   SnapshotSection partitions_;
   SnapshotSection members_;
 };
 
-/// Maps `path` and wires the zero-copy store + indexes. Verifies the
+/// Maps `path` and wires the zero-copy store + index. Verifies the
 /// header (including the byte-order and layout tags), the
 /// section-table checksum, section bounds/alignment, and the arena
 /// metadata; does NOT read the payload sections (see the header

@@ -57,14 +57,9 @@ class SnapshotManager {
   /// `partitioning` when non-null (see WriteStoreSnapshot), and prunes
   /// old ones. Creates the directory on first use. Failures leave prior
   /// generations untouched.
-  Status WriteSnapshot(
-      const RankingStore& store,
-      const CompressedPostingArena<RankingId>& arena,
-      const CompressedPostingArena<AugmentedEntry>& augmented_arena,
-      const Partitioning* partitioning = nullptr);
-  /// Convenience overload building the augmented arena at write time.
   Status WriteSnapshot(const RankingStore& store,
-                       const CompressedPostingArena<RankingId>& arena);
+                       const CompressedPostingArena<RankingId>& arena,
+                       const Partitioning* partitioning = nullptr);
 
   /// Startup recovery: sweep orphans, then walk generations newest-first
   /// verifying full payload checksums; corrupt/torn files are

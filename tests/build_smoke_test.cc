@@ -124,9 +124,8 @@ TEST(BuildSmokeTest, EverySrcModuleLinks) {
   const PlainInvertedIndex plain = PlainInvertedIndex::Build(store);
   const auto arena =
       storage::CompressedPostingArena<RankingId>::FromArena(plain.arena());
-  const auto augmented = storage::CompressedAugmentedIndex::Build(store);
-  const Status written = storage::WriteStoreSnapshot(
-      store, arena, augmented.arena(), path, &bk);
+  const Status written =
+      storage::WriteStoreSnapshot(store, arena, path, &bk);
   ASSERT_TRUE(written.ok()) << written.ToString();
   Result<storage::StoreSnapshot> loaded = storage::OpenStoreSnapshot(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();

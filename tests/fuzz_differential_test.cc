@@ -10,7 +10,6 @@
 #include "metric/knn.h"
 #include "mutate/mutable_store.h"
 #include "serve/frontend.h"
-#include "storage/compressed_augmented.h"
 #include "storage/compressed_index.h"
 #include "test_util.h"
 
@@ -246,7 +245,6 @@ TEST(RangeExactnessTest, UnionPathsMatchBruteForceAtDmax) {
 
   const PlainInvertedIndex plain = PlainInvertedIndex::Build(store);
   const auto compressed = storage::CompressedInvertedIndex::FromPlain(plain);
-  const auto augmented = storage::CompressedAugmentedIndex::Build(store);
   QueryFrontend frontend(&store);
   MutableStore live(store);
 
@@ -266,17 +264,12 @@ TEST(RangeExactnessTest, UnionPathsMatchBruteForceAtDmax) {
         FilterValidateEngine fv(&store, &plain, {drop});
         storage::CompressedFilterValidateEngine tier(&store, &compressed,
                                                      {drop});
-        storage::CompressedAugmentedEngine aug(&store, &augmented,
-                                               {drop, true});
         EXPECT_EQ(fv.Query(query, theta), expected)
             << "FilterValidateEngine drop=" << static_cast<int>(drop)
             << " theta=" << theta;
         EXPECT_EQ(tier.Query(query, theta), expected)
             << "CompressedFilterValidateEngine drop="
             << static_cast<int>(drop) << " theta=" << theta;
-        EXPECT_EQ(aug.Query(query, theta), expected)
-            << "CompressedAugmentedEngine drop=" << static_cast<int>(drop)
-            << " theta=" << theta;
       }
       for (const Algorithm algorithm : {Algorithm::kFV, Algorithm::kFVDrop}) {
         const ServeRequest request[] = {

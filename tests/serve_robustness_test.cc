@@ -487,6 +487,17 @@ TEST(MergeCircuitBreakerTest, OpensAfterRetriesAndMergeNowRecovers) {
 
 // ---------------------------------------------------------------------------
 
+/// One range read through the reader's Status API with no deadline and no
+/// cancel, which must succeed.
+std::vector<RankingId> ReadOk(ResilientReader* reader,
+                              const PreparedQuery& query, RawDistance theta,
+                              Statistics* stats = nullptr) {
+  std::vector<RankingId> out;
+  const Status status = reader->RangeQuery(query, theta, nullptr, &out, stats);
+  EXPECT_TRUE(status.ok()) << status.ToString();
+  return out;
+}
+
 class ResilientReaderTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -523,7 +534,7 @@ TEST_F(ResilientReaderTest, RamOnlyWhenNoSnapshotExists) {
   EXPECT_FALSE(reader.degraded());
   for (const RawDistance theta : Thetas()) {
     for (const PreparedQuery& query : queries_) {
-      EXPECT_EQ(reader.RangeQuery(query, theta),
+      EXPECT_EQ(ReadOk(&reader, query, theta),
                 testutil::BruteForce(store_, query, theta));
     }
   }
@@ -538,7 +549,7 @@ TEST_F(ResilientReaderTest, SnapshotTierAnswersBitExactly) {
   Statistics stats;
   for (const RawDistance theta : Thetas()) {
     for (const PreparedQuery& query : queries_) {
-      EXPECT_EQ(reader.RangeQuery(query, theta, &stats),
+      EXPECT_EQ(ReadOk(&reader, query, theta, &stats),
                 testutil::BruteForce(store_, query, theta))
           << "theta=" << theta;
     }
@@ -563,7 +574,7 @@ TEST_F(ResilientReaderTest, SnapshotFaultDegradesStickilyThenRestores) {
     // The faulting read degrades to RAM and STILL answers exactly — the
     // user sees a correct result, the operator sees the ticker.
     Statistics stats;
-    EXPECT_EQ(reader.RangeQuery(queries_[0], theta, &stats),
+    EXPECT_EQ(ReadOk(&reader, queries_[0], theta, &stats),
               testutil::BruteForce(store_, queries_[0], theta));
     EXPECT_EQ(stats.Get(Ticker::kDegradedReads), 1u);
     EXPECT_TRUE(reader.degraded());
@@ -573,7 +584,7 @@ TEST_F(ResilientReaderTest, SnapshotFaultDegradesStickilyThenRestores) {
   // Sticky: the failpoint no longer fires, but the reader does not
   // re-trust the failed tier on its own.
   Statistics stats;
-  EXPECT_EQ(reader.RangeQuery(queries_[1], theta, &stats),
+  EXPECT_EQ(ReadOk(&reader, queries_[1], theta, &stats),
             testutil::BruteForce(store_, queries_[1], theta));
   EXPECT_EQ(stats.Get(Ticker::kDegradedReads), 1u);
   EXPECT_TRUE(reader.degraded());
@@ -584,7 +595,7 @@ TEST_F(ResilientReaderTest, SnapshotFaultDegradesStickilyThenRestores) {
   EXPECT_TRUE(reader.snapshot_open());
   Statistics healthy;
   for (const RawDistance t : Thetas()) {
-    EXPECT_EQ(reader.RangeQuery(queries_[2], t, &healthy),
+    EXPECT_EQ(ReadOk(&reader, queries_[2], t, &healthy),
               testutil::BruteForce(store_, queries_[2], t));
   }
   EXPECT_EQ(healthy.Get(Ticker::kDegradedReads), 0u);
@@ -686,7 +697,7 @@ TEST_F(ConcurrentReaderTest, ConcurrentReadersMatchBruteForce) {
   // has w >= 2, so SelectLists skips some.
   Statistics quarter;
   for (const PreparedQuery& query : queries_) {
-    reader.RangeQuery(query, MaxDistance(store_.k()) / 4, &quarter);
+    ReadOk(&reader, query, MaxDistance(store_.k()) / 4, &quarter);
   }
   EXPECT_GT(quarter.Get(Ticker::kListsDropped), 0u);
 }

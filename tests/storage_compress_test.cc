@@ -1,6 +1,6 @@
 // Differential suite for the compressed storage tier: every decoded
 // list and every query answer must be bit-identical to the uncompressed
-// path. Codec round-trips (crafted and fuzzed, both entry types), arena
+// path. Codec round-trips (crafted and fuzzed), arena
 // round-trips at block-boundary lengths, Adopt validation, and the
 // engine differential (compressed vs plain F&V / F&V+Drop, tickers
 // included) all live here; the mmap snapshot path has its own suite in
@@ -19,7 +19,6 @@
 #include "core/rng.h"
 #include "core/statistics.h"
 #include "core/types.h"
-#include "invidx/augmented_inverted_index.h"
 #include "invidx/filter_validate.h"
 #include "invidx/plain_inverted_index.h"
 #include "kernel/posting_arena.h"
@@ -73,27 +72,6 @@ TEST(PostingCodec, IdBlockRoundTrips) {
     full_block.push_back(i * 17);
   }
   EXPECT_EQ(DecodedIds(full_block), full_block);
-}
-
-TEST(PostingCodec, AugmentedBlockRoundTrips) {
-  std::vector<AugmentedEntry> entries;
-  for (uint32_t i = 0; i < kBlockEntries; ++i) {
-    entries.push_back(AugmentedEntry{i * 1000003u, i % 25});
-  }
-  for (const size_t count : {size_t{1}, size_t{2}, size_t{5},
-                             size_t{kBlockEntries}}) {
-    const std::span<const AugmentedEntry> block(entries.data(), count);
-    std::vector<uint8_t> bytes;
-    storage::EncodeAugmentedBlock(block, &bytes);
-    std::vector<AugmentedEntry> out(count);
-    ASSERT_TRUE(storage::DecodeAugmentedBlock(
-        block.front().id, static_cast<uint32_t>(count), bytes.data(),
-        bytes.data() + bytes.size(), out.data()));
-    for (size_t i = 0; i < count; ++i) {
-      EXPECT_EQ(out[i].id, block[i].id);
-      EXPECT_EQ(out[i].rank, block[i].rank);
-    }
-  }
 }
 
 TEST(PostingCodec, DecodeRejectsTruncatedPayload) {
@@ -244,14 +222,10 @@ TEST(CompressedArena, AdoptRejectsMalformedMetadata) {
 }
 
 // ---------------------------------------------------------------------
-// Fuzzed arena round-trips (both entry types). Any failure prints the
-// seed that reproduces it.
+// Fuzzed arena round-trips. Any failure prints the seed that reproduces
+// it.
 
-template <typename Entry>
-PostingArena<Entry> RandomArena(Rng* rng, bool ascending);
-
-template <>
-PostingArena<RankingId> RandomArena<RankingId>(Rng* rng, bool ascending) {
+PostingArena<RankingId> RandomArena(Rng* rng, bool ascending) {
   const size_t num_lists = 1 + rng->Below(40);
   std::vector<std::vector<RankingId>> lists(num_lists);
   for (auto& list : lists) {
@@ -273,53 +247,28 @@ PostingArena<RankingId> RandomArena<RankingId>(Rng* rng, bool ascending) {
   return std::move(builder).Build();
 }
 
-template <>
-PostingArena<AugmentedEntry> RandomArena<AugmentedEntry>(Rng* rng,
-                                                         bool ascending) {
-  const PostingArena<RankingId> ids = RandomArena<RankingId>(rng, ascending);
-  PostingArenaBuilder<AugmentedEntry> builder(ids.num_lists());
-  for (size_t i = 0; i < ids.num_lists(); ++i) {
-    for (size_t j = 0; j < ids.list_length(i); ++j) builder.Count(i);
-  }
-  builder.FinishCounting();
-  for (size_t i = 0; i < ids.num_lists(); ++i) {
-    for (const RankingId id : ids.list(i)) {
-      builder.Append(i,
-                     AugmentedEntry{id, static_cast<Rank>(rng->Below(25))});
-    }
-  }
-  return std::move(builder).Build();
-}
-
-template <typename Entry>
 void FuzzRoundTrip(uint64_t seed) {
   SCOPED_TRACE("fuzz seed " + std::to_string(seed) +
                " (re-run with this seed to reproduce)");
   Rng rng(seed);
   const bool ascending = rng.Below(4) != 0;  // mostly codec, some fallback
-  const PostingArena<Entry> arena = RandomArena<Entry>(&rng, ascending);
-  const auto compressed = CompressedPostingArena<Entry>::FromArena(arena);
+  const PostingArena<RankingId> arena = RandomArena(&rng, ascending);
+  const auto compressed = CompressedPostingArena<RankingId>::FromArena(arena);
   ASSERT_EQ(compressed.num_lists(), arena.num_lists());
   ASSERT_EQ(compressed.num_entries(), arena.num_entries());
-  std::vector<Entry> scratch;
+  std::vector<RankingId> scratch;
   for (size_t i = 0; i < arena.num_lists(); ++i) {
     const auto expected = arena.list(i);
     const auto decoded = compressed.DecodeList(i, &scratch);
     ASSERT_EQ(decoded.size(), expected.size()) << "list " << i;
     ASSERT_EQ(0, std::memcmp(decoded.data(), expected.data(),
-                             expected.size() * sizeof(Entry)))
+                             expected.size() * sizeof(RankingId)))
         << "list " << i;
   }
 }
 
 TEST(CompressedArenaFuzz, PlainEntriesRoundTrip) {
-  for (uint64_t seed = 1; seed <= 25; ++seed) FuzzRoundTrip<RankingId>(seed);
-}
-
-TEST(CompressedArenaFuzz, AugmentedEntriesRoundTrip) {
-  for (uint64_t seed = 100; seed <= 124; ++seed) {
-    FuzzRoundTrip<AugmentedEntry>(seed);
-  }
+  for (uint64_t seed = 1; seed <= 25; ++seed) FuzzRoundTrip(seed);
 }
 
 // ---------------------------------------------------------------------

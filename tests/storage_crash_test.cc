@@ -28,7 +28,6 @@
 #include "core/ranking.h"
 #include "invidx/plain_inverted_index.h"
 #include "storage/compressed_arena.h"
-#include "storage/compressed_augmented.h"
 #include "storage/snapshot_manager.h"
 #include "test_util.h"
 
@@ -225,13 +224,10 @@ TEST(SnapshotCrashTest, RecoversBitExactAfterSigkillAtEveryWriteSite) {
   const RankingStore new_store = testutil::MakeClusteredStore(8, 220, 62);
   const auto old_arena = ArenaOf(old_store);
   const auto new_arena = ArenaOf(new_store);
-  const auto new_augmented =
-      storage::CompressedAugmentedIndex::Build(new_store);
   const Partitioning new_partitioning = BkPartition(
       new_store, RawThreshold(0.3, new_store.k()), BkPartitionMode::kStrict);
   const auto write_new = [&](SnapshotManager* manager) {
-    return manager->WriteSnapshot(new_store, new_arena,
-                                  new_augmented.arena(), &new_partitioning);
+    return manager->WriteSnapshot(new_store, new_arena, &new_partitioning);
   };
 
   // Trace which storage-layer sites one clean emission crosses.

@@ -10,18 +10,16 @@
 // where an off-by-one in the byte-range walk would live.
 //
 // Only the bool-returning APIs (DecodeListInto, Adopt) may ever see
-// corrupt payload bytes: the span-returning decodes document malformed
-// payloads as a checksum-verification bug and TOPK_DCHECK on them,
-// which would abort the Debug/ASan builds this suite targets.
+// corrupt payload bytes: the span-returning DecodeList documents
+// malformed payloads as a checksum-verification bug and TOPK_DCHECKs on
+// them, which would abort the Debug/ASan builds this suite targets.
 
 #include <cstdint>
-#include <cstring>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "core/posting_entry.h"
 #include "core/rng.h"
 #include "core/types.h"
 #include "kernel/posting_arena.h"
@@ -31,8 +29,6 @@
 namespace topk {
 namespace {
 
-using storage::BlockRankRange;
-
 using storage::CompressedBlockMeta;
 using storage::CompressedListMeta;
 using storage::CompressedPostingArena;
@@ -41,44 +37,33 @@ using storage::kBlockEntries;
 constexpr RankingId kCanaryId = 0xCAFEF00Du;
 constexpr size_t kCanaryEntries = 4;
 
-template <typename Entry>
-CompressedPostingArena<Entry> Compress(
-    const std::vector<std::vector<Entry>>& lists) {
-  PostingArenaBuilder<Entry> builder(lists.size());
+using Arena = CompressedPostingArena<RankingId>;
+using Lists = std::vector<std::vector<RankingId>>;
+
+Arena Compress(const Lists& lists) {
+  PostingArenaBuilder<RankingId> builder(lists.size());
   for (size_t i = 0; i < lists.size(); ++i) {
     for (size_t j = 0; j < lists[i].size(); ++j) builder.Count(i);
   }
   builder.FinishCounting();
   for (size_t i = 0; i < lists.size(); ++i) {
-    for (const Entry& entry : lists[i]) builder.Append(i, entry);
+    for (const RankingId id : lists[i]) builder.Append(i, id);
   }
-  return CompressedPostingArena<Entry>::FromArena(
-      std::move(builder).Build());
-}
-
-RankingId MakeEntry(RankingId id, uint32_t rank, RankingId*) {
-  (void)rank;
-  return id;
-}
-AugmentedEntry MakeEntry(RankingId id, uint32_t rank, AugmentedEntry*) {
-  return AugmentedEntry{id, rank};
+  return Arena::FromArena(std::move(builder).Build());
 }
 
 /// Lengths straddling the inline tier (<= 8) and the block boundary:
 /// 0, 1, 8, 9, 127, 128, 129, 300 — every tier transition the format
 /// has. Ids stride with mixed widths so every group-varint byte class
 /// appears in the payload.
-template <typename Entry>
-std::vector<std::vector<Entry>> FixtureLists(uint64_t seed) {
+Lists FixtureLists(uint64_t seed) {
   Rng rng(seed);
-  std::vector<std::vector<Entry>> lists;
+  Lists lists;
   for (const size_t length : {0u, 1u, 8u, 9u, 127u, 128u, 129u, 300u}) {
-    std::vector<Entry> list;
+    std::vector<RankingId> list;
     RankingId id = static_cast<RankingId>(rng.Below(1000));
     for (size_t i = 0; i < length; ++i) {
-      list.push_back(MakeEntry(
-          id, static_cast<uint32_t>(rng.Below(64)),
-          static_cast<Entry*>(nullptr)));
+      list.push_back(id);
       id += 1 + static_cast<RankingId>(rng.Below(1u << (rng.Below(4) * 8)));
     }
     lists.push_back(std::move(list));
@@ -86,61 +71,33 @@ std::vector<std::vector<Entry>> FixtureLists(uint64_t seed) {
   return lists;
 }
 
-template <typename Entry>
-Result<CompressedPostingArena<Entry>> AdoptClone(
-    const CompressedPostingArena<Entry>& source,
-    const std::vector<CompressedListMeta>& lists,
-    const std::vector<CompressedBlockMeta>& blocks,
-    const std::vector<Entry>& inline_entries,
-    const std::vector<uint8_t>& bytes,
-    const std::vector<BlockRankRange>& ranks) {
-  (void)source;
-  return CompressedPostingArena<Entry>::Adopt(lists, blocks, inline_entries,
-                                              bytes, ranks);
-}
-
 /// Decodes every list of `arena` through the bool-returning path into a
 /// canary-guarded buffer: whatever the payload contains, the decoder
 /// must stay within the list's `length` entries. Returns one bool per
 /// list.
-template <typename Entry>
-std::vector<bool> DecodeAllWithCanaries(
-    const CompressedPostingArena<Entry>& arena) {
+std::vector<bool> DecodeAllWithCanaries(const Arena& arena) {
   std::vector<bool> ok(arena.num_lists());
   for (size_t i = 0; i < arena.num_lists(); ++i) {
     const size_t length = arena.list_length(i);
-    std::vector<Entry> out(length + kCanaryEntries);
-    for (size_t c = 0; c < kCanaryEntries; ++c) {
-      out[length + c] = MakeEntry(kCanaryId, 0x3F,
-                                  static_cast<Entry*>(nullptr));
-    }
+    std::vector<RankingId> out(length + kCanaryEntries, kCanaryId);
     ok[i] = arena.DecodeListInto(i, out.data());
     for (size_t c = 0; c < kCanaryEntries; ++c) {
-      const Entry canary =
-          MakeEntry(kCanaryId, 0x3F, static_cast<Entry*>(nullptr));
-      EXPECT_EQ(0, std::memcmp(&out[length + c], &canary, sizeof(Entry)))
+      EXPECT_EQ(out[length + c], kCanaryId)
           << "decode wrote past list length, list " << i;
     }
   }
   return ok;
 }
 
-template <typename Entry>
-class DecodeFuzzTest : public ::testing::Test {};
-using EntryTypes = ::testing::Types<RankingId, AugmentedEntry>;
-TYPED_TEST_SUITE(DecodeFuzzTest, EntryTypes);
-
-TYPED_TEST(DecodeFuzzTest, TruncatedByteStreamFailsCleanly) {
-  const auto lists = FixtureLists<TypeParam>(11);
+TEST(DecodeFuzzTest, TruncatedByteStreamFailsCleanly) {
+  const auto lists = FixtureLists(11);
   const auto arena = Compress(lists);
   const std::vector<CompressedListMeta> metas(arena.list_metas().begin(),
                                               arena.list_metas().end());
   const std::vector<CompressedBlockMeta> blocks(arena.block_metas().begin(),
                                                 arena.block_metas().end());
-  const std::vector<TypeParam> inline_entries(arena.inline_entries().begin(),
+  const std::vector<RankingId> inline_entries(arena.inline_entries().begin(),
                                               arena.inline_entries().end());
-  const std::vector<BlockRankRange> ranks(arena.rank_ranges().begin(),
-                                          arena.rank_ranges().end());
   const auto full_bytes = arena.byte_stream();
   // Every truncation length: either Adopt rejects (an interior block's
   // byte offset now points past the stream) or adoption succeeds and
@@ -149,8 +106,7 @@ TYPED_TEST(DecodeFuzzTest, TruncatedByteStreamFailsCleanly) {
   for (size_t keep = 0; keep <= full_bytes.size(); ++keep) {
     const std::vector<uint8_t> bytes(full_bytes.begin(),
                                      full_bytes.begin() + keep);
-    auto adopted = AdoptClone(arena, metas, blocks, inline_entries, bytes,
-                              ranks);
+    auto adopted = Arena::Adopt(metas, blocks, inline_entries, bytes);
     if (!adopted.ok()) continue;
     const std::vector<bool> ok = DecodeAllWithCanaries(adopted.value());
     for (size_t i = 0; i < lists.size(); ++i) {
@@ -158,31 +114,26 @@ TYPED_TEST(DecodeFuzzTest, TruncatedByteStreamFailsCleanly) {
         EXPECT_TRUE(ok[i]) << "full stream, list " << i;
       }
       if (!ok[i]) continue;
-      std::vector<TypeParam> out(lists[i].size());
+      std::vector<RankingId> out(lists[i].size());
       ASSERT_TRUE(adopted.value().DecodeListInto(i, out.data()));
       if (!lists[i].empty() &&
           (keep == full_bytes.size() ||
-           lists[i].size() <=
-               CompressedPostingArena<TypeParam>::kInlineMaxEntries)) {
-        EXPECT_EQ(0, std::memcmp(out.data(), lists[i].data(),
-                                 lists[i].size() * sizeof(TypeParam)))
-            << "keep=" << keep << " list=" << i;
+           lists[i].size() <= Arena::kInlineMaxEntries)) {
+        EXPECT_EQ(out, lists[i]) << "keep=" << keep << " list=" << i;
       }
     }
   }
 }
 
-TYPED_TEST(DecodeFuzzTest, CorruptPayloadBytesFailCleanlyOrDecodeInBounds) {
-  const auto lists = FixtureLists<TypeParam>(13);
+TEST(DecodeFuzzTest, CorruptPayloadBytesFailCleanlyOrDecodeInBounds) {
+  const auto lists = FixtureLists(13);
   const auto arena = Compress(lists);
   const std::vector<CompressedListMeta> metas(arena.list_metas().begin(),
                                               arena.list_metas().end());
   const std::vector<CompressedBlockMeta> blocks(arena.block_metas().begin(),
                                                 arena.block_metas().end());
-  const std::vector<TypeParam> inline_entries(arena.inline_entries().begin(),
+  const std::vector<RankingId> inline_entries(arena.inline_entries().begin(),
                                               arena.inline_entries().end());
-  const std::vector<BlockRankRange> ranks(arena.rank_ranges().begin(),
-                                          arena.rank_ranges().end());
   const auto full_bytes = arena.byte_stream();
   ASSERT_FALSE(full_bytes.empty());
   for (uint64_t seed = 1; seed <= 60; ++seed) {
@@ -195,8 +146,7 @@ TYPED_TEST(DecodeFuzzTest, CorruptPayloadBytesFailCleanlyOrDecodeInBounds) {
       bytes[rng.Below(bytes.size())] ^=
           static_cast<uint8_t>(1 + rng.Below(255));
     }
-    auto adopted = AdoptClone(arena, metas, blocks, inline_entries, bytes,
-                              ranks);
+    auto adopted = Arena::Adopt(metas, blocks, inline_entries, bytes);
     // Payload corruption is invisible to the metadata bounds checks.
     ASSERT_TRUE(adopted.ok());
     // Every decode must come back as a bool — true or false, corrupt
@@ -206,17 +156,15 @@ TYPED_TEST(DecodeFuzzTest, CorruptPayloadBytesFailCleanlyOrDecodeInBounds) {
   }
 }
 
-TYPED_TEST(DecodeFuzzTest, CorruptMetadataRejectedOrDecodesInBounds) {
-  const auto lists = FixtureLists<TypeParam>(17);
+TEST(DecodeFuzzTest, CorruptMetadataRejectedOrDecodesInBounds) {
+  const auto lists = FixtureLists(17);
   const auto arena = Compress(lists);
   const std::vector<CompressedListMeta> base_metas(arena.list_metas().begin(),
                                                    arena.list_metas().end());
   const std::vector<CompressedBlockMeta> base_blocks(
       arena.block_metas().begin(), arena.block_metas().end());
-  const std::vector<TypeParam> inline_entries(arena.inline_entries().begin(),
+  const std::vector<RankingId> inline_entries(arena.inline_entries().begin(),
                                               arena.inline_entries().end());
-  const std::vector<BlockRankRange> base_ranks(arena.rank_ranges().begin(),
-                                               arena.rank_ranges().end());
   const std::vector<uint8_t> bytes(arena.byte_stream().begin(),
                                    arena.byte_stream().end());
   size_t rejected = 0;
@@ -226,30 +174,15 @@ TYPED_TEST(DecodeFuzzTest, CorruptMetadataRejectedOrDecodesInBounds) {
     Rng rng(seed);
     std::vector<CompressedListMeta> metas = base_metas;
     std::vector<CompressedBlockMeta> blocks = base_blocks;
-    std::vector<BlockRankRange> ranks = base_ranks;
     // Smash one random 32-bit word in one of the metadata sections.
-    switch (rng.Below(3)) {
-      case 0: {
-        auto* words = reinterpret_cast<uint32_t*>(metas.data());
-        words[rng.Below(metas.size() * 2)] =
-            static_cast<uint32_t>(rng.Next());
-        break;
-      }
-      case 1: {
-        auto* words = reinterpret_cast<uint32_t*>(blocks.data());
-        words[rng.Below(blocks.size() * 4)] =
-            static_cast<uint32_t>(rng.Next());
-        break;
-      }
-      default: {
-        if (ranks.empty()) continue;
-        auto* words = reinterpret_cast<uint32_t*>(ranks.data());
-        words[rng.Below(ranks.size())] = static_cast<uint32_t>(rng.Next());
-        break;
-      }
+    if (rng.Below(2) == 0) {
+      auto* words = reinterpret_cast<uint32_t*>(metas.data());
+      words[rng.Below(metas.size() * 2)] = static_cast<uint32_t>(rng.Next());
+    } else {
+      auto* words = reinterpret_cast<uint32_t*>(blocks.data());
+      words[rng.Below(blocks.size() * 4)] = static_cast<uint32_t>(rng.Next());
     }
-    auto adopted =
-        AdoptClone(arena, metas, blocks, inline_entries, bytes, ranks);
+    auto adopted = Arena::Adopt(metas, blocks, inline_entries, bytes);
     if (!adopted.ok()) {
       ++rejected;
       continue;
@@ -261,17 +194,15 @@ TYPED_TEST(DecodeFuzzTest, CorruptMetadataRejectedOrDecodesInBounds) {
   EXPECT_GT(rejected, 0u);
 }
 
-TYPED_TEST(DecodeFuzzTest, TruncatedMetadataSectionsRejected) {
-  const auto lists = FixtureLists<TypeParam>(19);
+TEST(DecodeFuzzTest, TruncatedMetadataSectionsRejected) {
+  const auto lists = FixtureLists(19);
   const auto arena = Compress(lists);
   const std::vector<CompressedListMeta> metas(arena.list_metas().begin(),
                                               arena.list_metas().end());
   const std::vector<CompressedBlockMeta> blocks(arena.block_metas().begin(),
                                                 arena.block_metas().end());
-  const std::vector<TypeParam> inline_entries(arena.inline_entries().begin(),
+  const std::vector<RankingId> inline_entries(arena.inline_entries().begin(),
                                               arena.inline_entries().end());
-  const std::vector<BlockRankRange> ranks(arena.rank_ranges().begin(),
-                                          arena.rank_ranges().end());
   const std::vector<uint8_t> bytes(arena.byte_stream().begin(),
                                    arena.byte_stream().end());
   ASSERT_FALSE(blocks.empty());
@@ -279,85 +210,13 @@ TYPED_TEST(DecodeFuzzTest, TruncatedMetadataSectionsRejected) {
   {
     const std::vector<CompressedBlockMeta> cut(blocks.begin(),
                                                blocks.end() - 1);
-    const std::vector<BlockRankRange> cut_ranks(
-        ranks.begin(), ranks.empty() ? ranks.end() : ranks.end() - 1);
-    auto adopted =
-        AdoptClone(arena, metas, cut, inline_entries, bytes, cut_ranks);
-    EXPECT_FALSE(adopted.ok());
+    EXPECT_FALSE(Arena::Adopt(metas, cut, inline_entries, bytes).ok());
   }
   // Cut the inline section under the inline lists.
   if (!inline_entries.empty()) {
-    const std::vector<TypeParam> cut(inline_entries.begin(),
+    const std::vector<RankingId> cut(inline_entries.begin(),
                                      inline_entries.end() - 1);
-    auto adopted = AdoptClone(arena, metas, blocks, cut, bytes, ranks);
-    EXPECT_FALSE(adopted.ok());
-  }
-  // A rank-range section whose size disagrees with the block count.
-  if (!ranks.empty()) {
-    const std::vector<BlockRankRange> cut(ranks.begin(), ranks.end() - 1);
-    auto adopted =
-        AdoptClone(arena, metas, blocks, inline_entries, bytes, cut);
-    EXPECT_FALSE(adopted.ok());
-  }
-}
-
-// Corrupt *rank ranges* with intact payload: every partial decode stays
-// memory-safe and still returns a pure subsequence of the true list —
-// wrong ranges can only change WHICH blocks decode, never their bytes.
-// (Payload is sound here, so the span-returning window decode cannot
-// hit its malformed-payload DCHECK.)
-TEST(RankWindowFuzz, CorruptRankRangesStillDecodeSubsequences) {
-  const auto lists = FixtureLists<AugmentedEntry>(23);
-  const auto arena = Compress(lists);
-  const std::vector<CompressedListMeta> metas(arena.list_metas().begin(),
-                                              arena.list_metas().end());
-  const std::vector<CompressedBlockMeta> blocks(arena.block_metas().begin(),
-                                                arena.block_metas().end());
-  const std::vector<AugmentedEntry> inline_entries(
-      arena.inline_entries().begin(), arena.inline_entries().end());
-  const std::vector<uint8_t> bytes(arena.byte_stream().begin(),
-                                   arena.byte_stream().end());
-  const std::vector<BlockRankRange> base_ranks(arena.rank_ranges().begin(),
-                                               arena.rank_ranges().end());
-  ASSERT_FALSE(base_ranks.empty());
-  for (uint64_t seed = 1; seed <= 40; ++seed) {
-    SCOPED_TRACE("rank-range fuzz seed " + std::to_string(seed) +
-                 " (re-run with this seed to reproduce)");
-    Rng rng(seed);
-    std::vector<BlockRankRange> ranks = base_ranks;
-    const size_t flips = 1 + rng.Below(4);
-    for (size_t f = 0; f < flips; ++f) {
-      BlockRankRange& range = ranks[rng.Below(ranks.size())];
-      const uint16_t a = static_cast<uint16_t>(rng.Below(0x10000));
-      const uint16_t b = static_cast<uint16_t>(rng.Below(0x10000));
-      range.min_rank = a < b ? a : b;  // keep min <= max: Adopt-valid
-      range.max_rank = a < b ? b : a;
-    }
-    auto adopted = CompressedPostingArena<AugmentedEntry>::Adopt(
-        metas, blocks, inline_entries, bytes, ranks);
-    ASSERT_TRUE(adopted.ok());
-    std::vector<AugmentedEntry> scratch;
-    for (size_t i = 0; i < lists.size(); ++i) {
-      const uint32_t lo = static_cast<uint32_t>(rng.Below(64));
-      const uint32_t hi = lo + static_cast<uint32_t>(rng.Below(64));
-      BlockSkipStats skip;
-      const auto decoded = adopted.value().DecodeBlocksInRankWindow(
-          i, lo, hi, &scratch, &skip);
-      ASSERT_LE(decoded.size(), lists[i].size());
-      // Subsequence check: decoded entries appear in the source list in
-      // order (whole blocks, so matching resumes monotonically).
-      size_t cursor = 0;
-      for (const AugmentedEntry& entry : decoded) {
-        while (cursor < lists[i].size() &&
-               (lists[i][cursor].id != entry.id ||
-                lists[i][cursor].rank != entry.rank)) {
-          ++cursor;
-        }
-        ASSERT_LT(cursor, lists[i].size())
-            << "decoded an entry the source list never held, list " << i;
-        ++cursor;
-      }
-    }
+    EXPECT_FALSE(Arena::Adopt(metas, blocks, cut, bytes).ok());
   }
 }
 

@@ -8,7 +8,6 @@
 // the >= 2x decode speedup the storage bench reports.
 
 #include <cstdint>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -139,30 +138,6 @@ TEST(SimdBlockDecode, IdBlocksMatchScalarAtEveryCount) {
                                              end, scalar.data()));
     ASSERT_EQ(dispatched, scalar) << "count=" << count;
     ASSERT_EQ(dispatched, ids) << "count=" << count;
-  }
-}
-
-TEST(SimdBlockDecode, AugmentedBlocksMatchScalarAtEveryCount) {
-  Rng rng(43);
-  for (uint32_t count = 1; count <= kBlockEntries; ++count) {
-    std::vector<AugmentedEntry> entries(count);
-    RankingId id = static_cast<RankingId>(rng.Below(1000));
-    for (auto& entry : entries) {
-      entry = AugmentedEntry{id, static_cast<Rank>(rng.Below(50))};
-      id += 1 + static_cast<RankingId>(rng.Below(100000));
-    }
-    std::vector<uint8_t> bytes;
-    storage::EncodeAugmentedBlock(entries, &bytes);
-    std::vector<AugmentedEntry> dispatched(count);
-    std::vector<AugmentedEntry> scalar(count);
-    const uint8_t* end = bytes.data() + bytes.size();
-    ASSERT_TRUE(storage::DecodeAugmentedBlock(
-        entries.front().id, count, bytes.data(), end, dispatched.data()));
-    ASSERT_TRUE(storage::DecodeAugmentedBlockScalar(
-        entries.front().id, count, bytes.data(), end, scalar.data()));
-    ASSERT_EQ(0, std::memcmp(dispatched.data(), scalar.data(),
-                             count * sizeof(AugmentedEntry)))
-        << "count=" << count;
   }
 }
 

@@ -28,7 +28,6 @@
 #include "invidx/plain_inverted_index.h"
 #include "mutate/mutable_store.h"
 #include "storage/compressed_arena.h"
-#include "storage/compressed_augmented.h"
 #include "storage/snapshot.h"
 #include "storage/snapshot_manager.h"
 #include "test_util.h"
@@ -60,9 +59,8 @@ CompressedPostingArena<RankingId> ArenaOf(const RankingStore& store) {
 /// `partitioning` when non-null.
 void WriteSnapshotOf(const RankingStore& store, const std::string& path,
                      const Partitioning* partitioning = nullptr) {
-  const auto augmented = storage::CompressedAugmentedIndex::Build(store);
-  const Status written = WriteStoreSnapshot(
-      store, ArenaOf(store), augmented.arena(), path, partitioning);
+  const Status written =
+      WriteStoreSnapshot(store, ArenaOf(store), path, partitioning);
   ASSERT_TRUE(written.ok()) << written.ToString();
 }
 
@@ -152,7 +150,8 @@ void Restamp(std::vector<uint8_t>* bytes, size_t index) {
 /// Section indexes (table position = id - 1).
 constexpr size_t kItemsIndex = SnapshotSection::kItems - 1;
 constexpr size_t kSortedItemsIndex = SnapshotSection::kSortedItems - 1;
-constexpr size_t kAugByteStreamIndex = SnapshotSection::kAugByteStream - 1;
+constexpr size_t kListMetasIndex = SnapshotSection::kListMetas - 1;
+constexpr size_t kBlockMetasIndex = SnapshotSection::kBlockMetas - 1;
 constexpr size_t kPartitionsIndex = SnapshotSection::kPartitions - 1;
 constexpr size_t kMembersIndex = SnapshotSection::kPartitionMembers - 1;
 
@@ -304,12 +303,16 @@ TEST(StoreSnapshot, RejectsHeaderAndTableCorruption) {
     WriteBytes(path, bad);
     EXPECT_FALSE(OpenStoreSnapshot(path).ok()) << "offset=" << offset;
   }
-  {
-    // A TOPKSNP2 file (the magic's last byte and the version field) is an
-    // unsupported version, not a stranger.
+  // A TOPKSNP2 or TOPKSNP3 file (the magic's last byte and the version
+  // field) is an unsupported version, not a stranger, and recovery
+  // quarantines it. The magic and version are checked before anything
+  // else is read, so the older formats' other header fields and section
+  // tables need no emulation.
+  for (const uint32_t version : {2u, 3u}) {
+    SCOPED_TRACE(version);
     std::vector<uint8_t> older = good;
-    older[7] = '2';
-    Poke<uint32_t>(&older, offsetof(SnapshotHeader, version), 2);
+    older[7] = static_cast<uint8_t>('0' + version);
+    Poke<uint32_t>(&older, offsetof(SnapshotHeader, version), version);
     WriteBytes(path, older);
     const auto opened = OpenStoreSnapshot(path);
     EXPECT_EQ(opened.status().code(), Status::Code::kInvalidArgument);
@@ -318,6 +321,19 @@ TEST(StoreSnapshot, RejectsHeaderAndTableCorruption) {
         << opened.status().ToString();
     EXPECT_EQ(VerifySnapshotChecksums(path).code(),
               Status::Code::kInvalidArgument);
+
+    const std::string dir = TempPath("older-version");
+    std::filesystem::remove_all(dir);
+    ASSERT_TRUE(std::filesystem::create_directories(dir));
+    SnapshotManager manager(dir);
+    WriteBytes(manager.GenerationPath(1), older);
+    Statistics stats;
+    EXPECT_EQ(manager.OpenNewestValid(&stats).status().code(),
+              Status::Code::kNotFound);
+    EXPECT_EQ(manager.QuarantinedCount(), 1u);
+    EXPECT_EQ(stats.Get(Ticker::kSnapshotsQuarantined), 1u);
+    EXPECT_TRUE(manager.ListGenerations().empty());
+    std::filesystem::remove_all(dir);
   }
   // Hostile ranking counts: one whose n * k * 4 wraps 64 bits (only the
   // overflow-safe division-form check catches it) and one merely larger
@@ -341,27 +357,35 @@ TEST(StoreSnapshot, PayloadCorruptionIsCaughtByVerifyNotOpen) {
   const std::string path = TempPath("corrupt-payload.snap");
   WriteSnapshotOf(fixture.store, path, &fixture.partitioning);
   const std::vector<uint8_t> good = ReadFile(path);
-  // Flip one byte inside a section's payload (NOT the trailing page
-  // padding, which no checksum covers): open stays lazy and cheap, the
-  // full verify must catch it — and ReadPartitioning, which checksums
-  // the partitioning sections it reads.
-  for (const size_t index :
-       {kAugByteStreamIndex, kPartitionsIndex, kMembersIndex}) {
-    SCOPED_TRACE(index);
-    std::vector<uint8_t> bad = good;
-    const SnapshotSection section = TableOf(bad).sections[index];
-    ASSERT_GT(section.size, uint64_t{0});
-    bad[static_cast<size_t>(section.offset + section.size / 2)] ^= 0x10;
-    WriteBytes(path, bad);
-    auto opened = OpenStoreSnapshot(path);
-    ASSERT_TRUE(opened.ok()) << opened.status().ToString();
-    EXPECT_EQ(VerifySnapshotChecksums(path).code(),
-              Status::Code::kInvalidArgument);
-    if (index != kAugByteStreamIndex) {
-      const auto read = opened.value().ReadPartitioning();
-      EXPECT_EQ(read.status().code(), Status::Code::kInvalidArgument);
-      EXPECT_NE(read.status().ToString().find("checksum"), std::string::npos)
-          << read.status().ToString();
+  // Flip one bit at the first, the middle and the last payload byte of
+  // every section (NOT the trailing page padding, which no checksum
+  // covers): the full verify must catch each flip. Open stays lazy and
+  // cheap — of the payloads it reads only the two arena metadata
+  // sections, which Adopt bounds-checks — so a flip anywhere else still
+  // opens, and ReadPartitioning, which checksums the partitioning
+  // sections it reads, rejects a flip there.
+  for (size_t index = 0; index < storage::kSnapshotSectionCount; ++index) {
+    const SnapshotSection section = TableOf(good).sections[index];
+    ASSERT_GT(section.size, uint64_t{0}) << "section index " << index;
+    for (const uint64_t at : {uint64_t{0}, section.size / 2,
+                              section.size - 1}) {
+      SCOPED_TRACE("section index " + std::to_string(index) + " byte " +
+                   std::to_string(at));
+      std::vector<uint8_t> bad = good;
+      bad[static_cast<size_t>(section.offset + at)] ^= 0x10;
+      WriteBytes(path, bad);
+      EXPECT_EQ(VerifySnapshotChecksums(path).code(),
+                Status::Code::kInvalidArgument);
+      auto opened = OpenStoreSnapshot(path);
+      if (index == kListMetasIndex || index == kBlockMetasIndex) continue;
+      ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+      if (index == kPartitionsIndex || index == kMembersIndex) {
+        const auto read = opened.value().ReadPartitioning();
+        EXPECT_EQ(read.status().code(), Status::Code::kInvalidArgument);
+        EXPECT_NE(read.status().ToString().find("checksum"),
+                  std::string::npos)
+            << read.status().ToString();
+      }
     }
   }
   std::remove(path.c_str());
@@ -444,34 +468,6 @@ TEST(StoreSnapshot, RejectsForeignByteOrderAndLayout) {
     EXPECT_NE(opened.status().ToString().find("layout"), std::string::npos)
         << opened.status().ToString();
     EXPECT_FALSE(VerifySnapshotChecksums(path).ok());
-  }
-  std::remove(path.c_str());
-}
-
-TEST(StoreSnapshot, AugmentedIndexServesIdenticallyFromMmap) {
-  const RankingStore store = testutil::MakeClusteredStore(10, 600, 41);
-  const std::string path = TempPath("augmented.snap");
-  WriteSnapshotOf(store, path);
-  auto opened = OpenStoreSnapshot(path);
-  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
-  const StoreSnapshot& snapshot = opened.value();
-  // The augmented arena is adopted zero-copy like everything else.
-  EXPECT_EQ(snapshot.augmented_index().MemoryUsage(), size_t{0});
-  EXPECT_GT(snapshot.augmented_index().num_entries(), size_t{0});
-
-  const PlainInvertedIndex plain = PlainInvertedIndex::Build(store);
-  const RawDistance dmax = MaxDistance(store.k());
-  for (const DropMode drop : {DropMode::kNone, DropMode::kConservative,
-                              DropMode::kPositionRefined}) {
-    FilterValidateEngine reference(&store, &plain, {drop});
-    storage::CompressedAugmentedEngine tier(
-        &snapshot.store(), &snapshot.augmented_index(), {drop, true});
-    for (const auto& query : testutil::MakeQueries(store, 8, 43)) {
-      for (const RawDistance theta : {dmax / 8, dmax / 2, dmax}) {
-        ASSERT_EQ(tier.Query(query, theta), reference.Query(query, theta))
-            << "drop=" << static_cast<int>(drop) << " theta=" << theta;
-      }
-    }
   }
   std::remove(path.c_str());
 }
@@ -661,15 +657,12 @@ TEST(StoreSnapshot, ReadPartitioningRejectsHostileSections) {
   // The writer refuses the id cases instead of producing a file the
   // reader would reject.
   const auto arena = ArenaOf(fixture.store);
-  const auto augmented =
-      storage::CompressedAugmentedIndex::Build(fixture.store);
   for (const RankingId id : {n, taken}) {
     Partitioning hostile = parts;
     hostile.partitions[0].members[victim] = id;
     const std::string refused = TempPath("refused.snap");
     std::remove(refused.c_str());
-    EXPECT_EQ(WriteStoreSnapshot(fixture.store, arena, augmented.arena(),
-                                 refused, &hostile)
+    EXPECT_EQ(WriteStoreSnapshot(fixture.store, arena, refused, &hostile)
                   .code(),
               Status::Code::kInvalidArgument);
     EXPECT_FALSE(std::filesystem::exists(refused));
