@@ -26,9 +26,10 @@ enum class Ticker : int {
   kListsDropped,
   /// Blocks skipped by the |j - q(i)| > theta rule (Section 6.3).
   kBlocksSkipped,
-  /// Compressed posting blocks actually decoded by a block-selective
-  /// decode. No decoder ticks it today: the full-list DecodeList does not
-  /// count blocks.
+  /// Compressed posting blocks decoded (storage/compressed_arena.h), once
+  /// per block: by the whole-list decode, and by a split query's id-window
+  /// decode, whose parts decode a block straddling a window boundary once
+  /// per window it meets. Inline-tier lists decode no block.
   kBlocksDecoded,
   /// Distinct candidates produced by a filtering phase.
   kCandidates,

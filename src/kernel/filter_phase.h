@@ -16,9 +16,11 @@
 // called once. An id-sorted index cuts each list to the window by binary
 // search, so a window scans only its own entries, and the one-list,
 // two-list and visited-set paths below all apply to the slices. A
-// window's candidates are exactly the whole union's candidates inside it,
-// in the same order; the whole domain is byte-identical to the
-// unwindowed union.
+// compressed index decodes only the blocks a window meets before that
+// cut, so a split's parts decode each block about once, not each list
+// once per part. A window's candidates are exactly the whole union's
+// candidates inside it, in the same order; the whole domain is
+// byte-identical to the unwindowed union.
 //
 // Contract (bit-compatible with the historical loops, which
 // kernel_filter_test pins):
@@ -30,6 +32,8 @@
 //    sorting them;
 //  * kPostingEntriesScanned ticks once per scanned entry (counted per
 //    list slice, so a split's windows sum to the whole query's tick);
+//    kBlocksDecoded ticks inside a compressed index's decode (a block
+//    straddling a window boundary counts once per window it meets);
 //    kListsDropped ticks inside SelectLists; kCandidates is left to
 //    the caller, whose accounting differs (RangeSearch counts the rows it
 //    validates after the keep-predicate).
@@ -75,10 +79,11 @@ struct FilterScratch {
   VisitedSet visited{0};
   std::vector<RankingId> candidates;
   /// Landing buffers for indexes that serve lists through
-  /// DecodeList(item, scratch) instead of list(item) — the storage
-  /// tier's block-compressed arena. At most two lists are live at once
-  /// (the sorted two-list union), so two grow-only buffers cover every
-  /// sweep path with zero allocation inside the per-list loops.
+  /// DecodeListInRange(item, window, scratch, stats) instead of
+  /// list(item) — the storage tier's block-compressed arena. At most two
+  /// lists are live at once (the sorted two-list union), so two grow-only
+  /// buffers cover every sweep path with zero allocation inside the
+  /// per-list loops.
   std::vector<RankingId> decode_a;
   std::vector<RankingId> decode_b;
 };
@@ -111,11 +116,13 @@ constexpr bool IndexHasIdSortedLists() {
   }
 }
 
-/// Whether the index serves posting lists through DecodeList(item,
-/// scratch) — the storage tier's compressed arena — instead of the
-/// zero-cost list(item) span of the RAM-resident CSR arena. Decoded
-/// lists land in the FilterScratch buffers; the candidate stream and
-/// tickers stay bit-identical either way.
+/// Whether the index serves posting lists through
+/// DecodeListInRange(item, window, scratch, stats) — the storage tier's
+/// compressed arena — instead of the zero-cost list(item) span of the
+/// RAM-resident CSR arena. The decode lands only the blocks that meet the
+/// window, ascending, in the FilterScratch buffers, and ticks
+/// kBlocksDecoded per block; SliceToWindow then trims them exactly, so the
+/// candidate stream and every other ticker stay bit-identical either way.
 template <typename Index>
 constexpr bool IndexHasDecodedLists() {
   if constexpr (requires { Index::kDecodedLists; }) {
@@ -221,13 +228,15 @@ std::span<const RankingId> FilterPhase(const Index& index, RankingView query,
   }
 
   // One access path for both storage tiers: a decoded-lists index lands
-  // the list in the given scratch buffer (inline-tier lists come back as
-  // direct spans, zero decode); a CSR index returns its arena span and
-  // the buffer goes unused. Id-sorted lists are then cut to the window.
+  // the blocks of the list that meet the window in the given scratch
+  // buffer (inline-tier lists come back whole as direct spans, zero
+  // decode); a CSR index returns its arena span and the buffer goes
+  // unused. Id-sorted lists are then cut to the window exactly.
   auto list_at = [&](uint32_t position, std::vector<RankingId>* landing) {
     const auto list = [&] {
       if constexpr (IndexHasDecodedLists<Index>()) {
-        return index.DecodeList(query[position], landing);
+        return index.DecodeListInRange(query[position], window, landing,
+                                       stats);
       } else {
         (void)landing;
         return index.list(query[position]);

@@ -235,7 +235,7 @@ std::vector<RankingId> QueryFrontend::ServeRange(
         {EngineFor(&worker, request.algorithm).filter_validate()->scratch(),
          &worker.stats});
   }
-  const RangeSplit split = LoneSplit<RangeScratch>(workers);
+  const RangeSplit split = PoolSplit<RangeScratch>(&pool_, workers);
   std::vector<RankingId> ids;
   fv->Query(*request.query, request.theta_raw, &ids, &executor->stats,
             control, workers.empty() ? nullptr : &split);
@@ -253,7 +253,7 @@ std::vector<Neighbor> QueryFrontend::ServeKnn(
       for (Executor& worker : lone_workers) {
         workers.push_back({&worker.validator, &worker.stats});
       }
-      const KnnSplit split = LoneSplit<FootruleValidator>(workers);
+      const KnnSplit split = PoolSplit<FootruleValidator>(&pool_, workers);
       return LinearScanKnnBatched(*store_, *request.query, request.j,
                                   &executor->validator, stats, control,
                                   workers.empty() ? nullptr : &split);

@@ -14,15 +14,16 @@
 //   lone request  a batch of exactly one request would leave every other
 //                 executor idle, so a kFV / kFVDrop range request or a
 //                 kLinearScan k-NN request splits its own work into
-//                 kLoneRequestParts id windows (kernel/id_split.h),
+//                 kSplitParts id windows through PoolSplit
+//                 (kernel/id_split.h, the policy ResilientReader shares),
 //                 work-shared over every executor through the same
 //                 ThreadPool::ParallelFor join, each part on its
 //                 executor's existing scratch. Ascending window answers
 //                 concatenate, k-NN heaps merge by (distance, id), and
 //                 the summed tickers equal the serial ones. Below
-//                 kLoneRequestMinVolume posting entries (or store rows)
-//                 the request stays serial on the caller; Coarse, the
-//                 metric trees and the theta >= dmax sweep always do.
+//                 kSplitMinVolume posting entries (or store rows) the
+//                 request stays serial on the caller; Coarse, the metric
+//                 trees and the theta >= dmax sweep always do.
 //   result cache  an exact sharded LRU keyed by the canonical query
 //                 sequence + (kind, algorithm, theta or j): an identical
 //                 re-issued query is answered without touching any engine.
@@ -161,19 +162,6 @@ struct QueryFrontendOptions {
 
 class QueryFrontend {
  public:
-  /// A batch holding exactly one kFV / kFVDrop range or kLinearScan k-NN
-  /// request splits that request into this many id windows, work-shared
-  /// over every executor. Many small windows keep the executors evenly
-  /// busy even where a store's ids cluster.
-  static constexpr size_t kLoneRequestParts = 32;
-  /// ...unless its selected posting lists hold fewer entries (range) or
-  /// the store fewer rows (k-NN) than this: then it stays serial on the
-  /// caller, because waking the workers would cost more than they save.
-  /// (On a 4-vCPU VM with 3 executors the join costs ~0.05-0.1 ms, and a
-  /// split F&V+Drop query on a 1M NYT-like store first wins at roughly
-  /// 16k-48k postings.)
-  static constexpr size_t kLoneRequestMinVolume = 32768;
-
   explicit QueryFrontend(const RankingStore* store,
                          QueryFrontendOptions options = {});
 
@@ -279,19 +267,6 @@ class QueryFrontend {
                                  const ServeRequest& request,
                                  QueryControl* control,
                                  std::span<Executor> lone_workers);
-  /// A lone request's split over `workers`: kLoneRequestParts windows
-  /// work-shared through the pool's ParallelFor, whose slot w is
-  /// workers[w].
-  template <typename Scratch>
-  IdSplit<Scratch> LoneSplit(std::span<const SplitWorker<Scratch>> workers) {
-    return IdSplit<Scratch>{
-        kLoneRequestParts, kLoneRequestMinVolume,
-        [this](size_t parts, const PartBody& body) {
-          pool_.ParallelFor(parts, body);
-        },
-        workers};
-  }
-
   const RankingStore* store_;
   QueryFrontendOptions options_;
   size_t num_threads_;

@@ -25,6 +25,25 @@
 // owns the theta >= dmax rule for both. tests/serve_robustness_test.cc
 // differentials pin this.
 //
+// Split reads: the reader owns a ThreadPool of min(hardware threads,
+// kSplitParts) - 1 workers (none on a one-CPU host, where every read runs
+// inline). A snapshot-tier read hands RangeSearch a PoolSplit
+// (kernel/id_split.h, the policy QueryFrontend's lone request shares):
+// above kSplitMinVolume selected postings its posting union and validate
+// run as kSplitParts id windows, work-shared between the caller (slot 0,
+// on the caller's own scratch and counters) and the workers. There is no
+// "lone" gate: the reader has no batch peers to keep busy, so every read
+// above the floor splits, and concurrent readers share the workers. Each
+// window decodes only the compressed blocks it meets
+// (CompressedInvertedIndex::DecodeListInRange), so the parts together
+// decode about what the serial query does. Worker slots 1..W borrow their
+// RangeScratch from the same free-list as callers, per query, and tick
+// private Statistics merged into the caller's after the join; the answer
+// and every ticker but kBlocksDecoded equal the serial query's. The
+// degraded RAM tier (no index) and theta >= dmax stay serial, as
+// RangeSearch decides. Nothing is allocated up front: scratch is built on
+// first use, so opening a generation costs only its mapping.
+//
 // Thread safety: any number of concurrent readers. The open generation
 // is an immutable shared_ptr view; a query pins it under the leaf
 // view_mutex_ (held only for the failpoint check and the pointer copy)
@@ -33,10 +52,16 @@
 // swap the pointer under view_mutex_, so they linearize against pins: a
 // query pinned before a degrade or restore finishes on its old view
 // (the mapping lives until its last reader drops it), one pinned after
-// sees the new state. Recovery scans run under the coordinator
-// open_mutex_, never under view_mutex_, so serving continues during a
-// scan. Deadlines/cancellation thread through QueryControl into the
-// validate kernels at candidate granularity.
+// sees the new state. A split read's workers reach the mapping only
+// through the caller's pin, which the caller holds until every part has
+// joined, so a degrade mid-split drops the reader's reference while the
+// parts finish on the old mapping. The split takes only pool_mutex_ (to
+// borrow and return worker scratch) and the pool's queue mutex, both
+// leaves, never under view_mutex_. Recovery scans run under the
+// coordinator open_mutex_, never under view_mutex_, so serving continues
+// during a scan. Deadlines/cancellation thread through QueryControl into
+// the validate kernels at candidate granularity; each part of a split
+// polls its own copy, and a stop in any part stops the read.
 
 #ifndef TOPK_SERVE_RESILIENT_READER_H_
 #define TOPK_SERVE_RESILIENT_READER_H_
@@ -52,6 +77,7 @@
 #include "core/status.h"
 #include "core/thread_annotations.h"
 #include "core/types.h"
+#include "harness/thread_pool.h"
 #include "kernel/range_search.h"
 #include "storage/snapshot_manager.h"
 
@@ -93,6 +119,9 @@ class ResilientReader {
   bool snapshot_open() const TOPK_EXCLUDES(view_mutex_);
   /// Generation of the open snapshot (0 when closed).
   uint64_t snapshot_generation() const TOPK_EXCLUDES(view_mutex_);
+  /// Worker threads a split read runs on besides the caller (0: every
+  /// read is serial).
+  size_t split_workers() const { return split_pool_.num_workers(); }
 
   /// Exact range query (ascending ids) from whichever tier is healthy.
   /// On a deadline/cancel stop `*out` is left empty and the status is
@@ -109,6 +138,14 @@ class ResilientReader {
   std::unique_ptr<RangeScratch> BorrowScratch() TOPK_EXCLUDES(pool_mutex_);
   void ReturnScratch(std::unique_ptr<RangeScratch> scratch)
       TOPK_EXCLUDES(pool_mutex_);
+  /// RangeSearch over the pinned snapshot `view`, split over split_pool_:
+  /// slot 0 runs on the caller's `scratch` and `stats`, slots 1..W on
+  /// scratch borrowed for this query.
+  bool SplitRangeSearch(const storage::OpenedSnapshot& view,
+                        const PreparedQuery& query, RawDistance theta_raw,
+                        RangeScratch* scratch, std::vector<RankingId>* out,
+                        Statistics* stats, QueryControl* control)
+      TOPK_EXCLUDES(pool_mutex_);
 
   const RankingStore* ram_store_;
   ResilientReaderOptions options_;
@@ -123,6 +160,10 @@ class ResilientReader {
   Mutex pool_mutex_;
   std::vector<std::unique_ptr<RangeScratch>> pool_
       TOPK_GUARDED_BY(pool_mutex_);
+
+  /// The split's workers; ParallelFor is safe to call from any number of
+  /// readers at once (each call brings its own counter and slots).
+  ThreadPool split_pool_;
 };
 
 }  // namespace topk

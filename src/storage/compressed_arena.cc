@@ -125,9 +125,11 @@ Result<CompressedPostingArena<Entry>> CompressedPostingArena<Entry>::Adopt(
 }
 
 template <typename Entry>
-bool CompressedPostingArena<Entry>::DecodeListInto(size_t i,
-                                                   Entry* out) const {
+bool CompressedPostingArena<Entry>::DecodeBlocksInRange(
+    size_t i, IdWindow window, Entry* out, size_t* written,
+    Statistics* stats) const {
   TOPK_DCHECK(i < lists_.size());
+  *written = 0;
   const CompressedListMeta meta = lists_.data()[i];
   // Nothing to write for an empty list; `out` may then legitimately be
   // null (e.g. an empty caller buffer), which memcpy's nonnull contract
@@ -137,24 +139,58 @@ bool CompressedPostingArena<Entry>::DecodeListInto(size_t i,
   if ((meta.head & CompressedListMeta::kInlineBit) != 0) {
     std::memcpy(out, inline_.data() + head,
                 static_cast<size_t>(meta.length) * sizeof(Entry));
+    *written = meta.length;
     return true;
   }
-  const auto blocks = blocks_.span();
+  if (window.lo >= window.hi) return true;
+  // Adopt checked that these blocks exist and that their counts sum to
+  // the list length, so `out` never overflows whichever blocks decode.
+  const std::span<const CompressedBlockMeta> blocks = blocks_.span().subspan(
+      head, (static_cast<size_t>(meta.length) + kBlockEntries - 1) /
+                kBlockEntries);
+  // A list's blocks ascend by id, so a binary search over their last ids
+  // finds the first that can meet the window, and the first block past
+  // the window ends the walk. Metadata alone decides either way; the
+  // guard below also keeps a block of a corrupt, unordered directory that
+  // misses the window from being decoded.
+  size_t b = static_cast<size_t>(
+      std::partition_point(blocks.begin(), blocks.end(),
+                           [lo = window.lo](const CompressedBlockMeta& m) {
+                             return m.last_id < lo;
+                           }) -
+      blocks.begin());
   size_t cursor = 0;
-  for (size_t b = head; cursor < meta.length; ++b) {
-    const auto [begin, end] = BlockBytes(b);
-    if (!DecodeIdBlock(blocks[b].first_id, blocks[b].count, begin, end,
+  uint64_t decoded = 0;
+  bool ok = true;
+  for (; b < blocks.size(); ++b) {
+    const CompressedBlockMeta& block = blocks[b];
+    if (block.first_id >= window.hi) break;
+    if (block.last_id < window.lo) continue;
+    const auto [begin, end] = BlockBytes(head + b);
+    if (!DecodeIdBlock(block.first_id, block.count, begin, end,
                        out + cursor)) {
-      return false;
+      ok = false;
+      break;
     }
-    cursor += blocks[b].count;
+    cursor += block.count;
+    ++decoded;
   }
-  return true;
+  AddTicker(stats, Ticker::kBlocksDecoded, decoded);
+  *written = cursor;
+  return ok;
 }
 
 template <typename Entry>
-std::span<const Entry> CompressedPostingArena<Entry>::DecodeList(
-    size_t i, std::vector<Entry>* scratch) const {
+bool CompressedPostingArena<Entry>::DecodeListInto(size_t i,
+                                                   Entry* out) const {
+  size_t written = 0;
+  return DecodeBlocksInRange(i, kAllIds, out, &written);
+}
+
+template <typename Entry>
+std::span<const Entry> CompressedPostingArena<Entry>::DecodeListInRange(
+    size_t i, IdWindow window, std::vector<Entry>* scratch,
+    Statistics* stats) const {
   if (i >= lists_.size()) return {};
   const CompressedListMeta meta = lists_.data()[i];
   if ((meta.head & CompressedListMeta::kInlineBit) != 0) {
@@ -164,14 +200,15 @@ std::span<const Entry> CompressedPostingArena<Entry>::DecodeList(
   if (scratch->size() < meta.length) {
     scratch->resize(meta.length);  // alloc-ok: scratch setup, grow-only
   }
-  if (!DecodeListInto(i, scratch->data())) {
+  size_t written = 0;
+  if (!DecodeBlocksInRange(i, window, scratch->data(), &written, stats)) {
     // Malformed payload (possible only for an adopted snapshot whose
-    // checksums were never verified): serve zeros rather than stale
+    // checksums were never verified): serve nothing rather than stale
     // scratch. Memory safety never depended on this branch.
     TOPK_DCHECK(false && "malformed compressed posting payload");
-    std::fill(scratch->data(), scratch->data() + meta.length, Entry{});
+    return {};
   }
-  return {scratch->data(), meta.length};
+  return {scratch->data(), written};
 }
 
 template class CompressedPostingArena<RankingId>;

@@ -30,12 +30,21 @@
 // adopt time (that would defeat the zero-copy load) and is covered by
 // the snapshot's per-section checksums on demand.
 //
-// Decode contract: DecodeList lands in a caller-owned scratch vector
-// (grow-only resize up front, then raw writes — the per-block loop
-// never allocates, linted by scripts/check_invariants.py) and returns a
-// span; inline lists return the stored entries directly. Decoded
-// content is byte-identical to the source arena's lists, which is what
-// keeps every consumer bit-exact (tests/storage_compress_test.cc).
+// Decode contract: one block loop, DecodeBlocksInRange, serves every
+// decode. It lands the blocks of a list whose [first_id, last_id] meets
+// an id window in a caller-owned buffer, deciding on the uncompressed
+// block metadata alone, so a block outside the window is never located
+// in the byte stream (scripts/check_invariants.py `block-skip-guard`),
+// and ticks kBlocksDecoded once per block it decodes. The whole-list
+// decodes (DecodeList, DecodeListInto) are its kAllIds window; a split
+// query's parts pass their own window (kernel/filter_phase.h), so P parts
+// decode each block once, plus at most one block per list at each of the
+// P - 1 window boundaries. DecodeList/DecodeListInRange grow the
+// caller's scratch vector once up front and return a span (the per-block
+// loop never allocates, linted by scripts/check_invariants.py); inline
+// lists return the stored entries directly, whatever the window. The
+// decoded blocks are byte-identical to the source arena's entries, which
+// is what keeps every consumer bit-exact (tests/storage_compress_test.cc).
 
 #ifndef TOPK_STORAGE_COMPRESSED_ARENA_H_
 #define TOPK_STORAGE_COMPRESSED_ARENA_H_
@@ -44,8 +53,10 @@
 #include <span>
 #include <vector>
 
+#include "core/statistics.h"
 #include "core/status.h"
 #include "core/types.h"
+#include "kernel/id_split.h"
 #include "kernel/posting_arena.h"
 #include "storage/posting_codec.h"
 
@@ -145,9 +156,23 @@ class CompressedPostingArena {
   /// List `i` as a span: inline lists come straight from the inline
   /// section (no copy, no decode); block lists decode into `scratch`
   /// (grown once, reused across calls). Ids outside the directory yield
-  /// an empty span, mirroring PostingArena::list.
-  std::span<const Entry> DecodeList(size_t i,
-                                    std::vector<Entry>* scratch) const;
+  /// an empty span, mirroring PostingArena::list. The kAllIds window of
+  /// DecodeListInRange.
+  std::span<const Entry> DecodeList(size_t i, std::vector<Entry>* scratch,
+                                    Statistics* stats = nullptr) const {
+    return DecodeListInRange(i, kAllIds, scratch, stats);
+  }
+
+  /// The blocks of list `i` that meet `window`, decoded into `scratch`,
+  /// ascending: every entry of the list inside the window, plus the rest
+  /// of the blocks that straddle its ends (a caller trims those by binary
+  /// search). Inline lists come back whole as direct spans, whatever the
+  /// window; a block list over an empty window as an empty span. A
+  /// malformed payload (an adopted snapshot whose checksums were never
+  /// verified) yields an empty span rather than stale scratch.
+  std::span<const Entry> DecodeListInRange(size_t i, IdWindow window,
+                                           std::vector<Entry>* scratch,
+                                           Statistics* stats = nullptr) const;
 
   /// Decodes list `i` into `out` (pre-sized to list_length(i)); no
   /// allocation. Returns false if the payload is malformed — impossible
@@ -155,6 +180,19 @@ class CompressedPostingArena {
   /// bytes are corrupt (run VerifySnapshotChecksums to detect that
   /// up front; decode stays memory-safe regardless).
   bool DecodeListInto(size_t i, Entry* out) const;
+
+  /// The one block loop: writes to `out` (room for list_length(i)
+  /// entries) every block of list `i` whose [first_id, last_id] meets
+  /// `window`, in list order, and sets `*written` to the entries written;
+  /// an inline list is copied whole whatever the window, and an empty
+  /// window decodes no block. A block outside the window is skipped on
+  /// its metadata alone, before its payload bytes are located.
+  /// kBlocksDecoded ticks once per block decoded. Returns false, with
+  /// `*written` covering the blocks before it, on the first malformed
+  /// block payload; memory-safe either way.
+  bool DecodeBlocksInRange(size_t i, IdWindow window, Entry* out,
+                           size_t* written,
+                           Statistics* stats = nullptr) const;
 
   /// Compressed footprint in bytes across all sections (whether owned
   /// or mapped) — the numerator of bytes/entry.

@@ -4,12 +4,15 @@
 //
 // The kernel FilterPhase consumes it through the decoded-lists protocol
 // (kernel/filter_phase.h): list_length() answers O(1) from metadata (so
-// SelectLists never decodes), and each selected list is decoded once
-// into the caller-owned FilterScratch landing buffers — the short-list
-// inline tier is handed out as a direct span with zero decode. The
-// candidate stream, tickers, and results are bit-identical to the
-// uncompressed index (tests/storage_compress_test.cc pins every engine
-// configuration, fuzzed).
+// SelectLists never decodes), and each selected list is decoded through
+// DecodeListInRange into the caller-owned FilterScratch landing buffers
+// — the whole list for a serial query, only the blocks that meet its id
+// window for a part of a split one; the short-list inline tier is handed
+// out as a direct span with zero decode. The candidate stream, results
+// and every ticker but kBlocksDecoded (which the plain index never
+// ticks) are bit-identical to the uncompressed index
+// (tests/storage_compress_test.cc pins every engine configuration,
+// fuzzed).
 //
 // CompressedFilterValidateEngine mirrors FilterValidateEngine exactly —
 // both bind the kernel RangeSearch (kernel/range_search.h) — so the only
@@ -70,6 +73,15 @@ class CompressedInvertedIndex {
   std::span<const RankingId> DecodeList(
       ItemId item, std::vector<RankingId>* scratch) const {
     return arena_.DecodeList(item, scratch);
+  }
+
+  /// The blocks of `item`'s list that meet `window` (a superset of the
+  /// list's entries inside it, ascending); see
+  /// CompressedPostingArena::DecodeListInRange.
+  std::span<const RankingId> DecodeListInRange(
+      ItemId item, IdWindow window, std::vector<RankingId>* scratch,
+      Statistics* stats = nullptr) const {
+    return arena_.DecodeListInRange(item, window, scratch, stats);
   }
 
   size_t list_length(ItemId item) const { return arena_.list_length(item); }

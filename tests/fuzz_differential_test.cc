@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "harness/query_algorithms.h"
+#include "kernel/id_split.h"
 #include "metric/knn.h"
 #include "mutate/mutable_store.h"
 #include "serve/frontend.h"
@@ -207,8 +208,7 @@ TEST_P(FuzzServeTest, CachedMatchesColdOnRandomInterleavings) {
   // fans out, and its narrow item domain makes the posting lists long,
   // so the F&V requests of most shapes (the larger k) fan out too.
   FuzzShape wide = shape;
-  wide.n = static_cast<uint32_t>(QueryFrontend::kLoneRequestMinVolume +
-                                 rng.Below(2000));
+  wide.n = static_cast<uint32_t>(kSplitMinVolume + rng.Below(2000));
   wide.domain = 3 * shape.k + static_cast<uint32_t>(rng.Below(40));
   const RankingStore wide_store = MakeStore(wide, rng.Next());
   const auto wide_queries = testutil::MakeQueries(wide_store, 4, rng.Next());

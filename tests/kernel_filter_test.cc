@@ -9,7 +9,9 @@
 // against brute force), and the CSR arena's memory accounting is checked
 // as exact arithmetic. Id-window splits are pinned against the whole
 // query: each window's candidates are the whole union's inside it, and a
-// split RangeSearch returns the serial answer with the serial tickers.
+// split RangeSearch returns the serial answer with the serial tickers —
+// over the RAM indexes and over the storage tier's compressed index,
+// whose windows decode only the blocks they meet.
 
 #include <algorithm>
 #include <cstddef>
@@ -30,10 +32,28 @@
 #include "kernel/id_split.h"
 #include "kernel/posting_arena.h"
 #include "kernel/range_search.h"
+#include "storage/compressed_index.h"
 #include "test_util.h"
 
 namespace topk {
 namespace {
+
+/// The ids of `item`'s posting list, whole: a CSR index's arena span, or
+/// a compressed index's whole-list decode.
+template <typename Index>
+std::vector<RankingId> ListIds(const Index& index, ItemId item) {
+  std::vector<RankingId> ids;
+  if constexpr (IndexHasDecodedLists<Index>()) {
+    std::vector<RankingId> landing;
+    const auto list = index.DecodeList(item, &landing);
+    ids.assign(list.begin(), list.end());
+  } else {
+    for (const auto& entry : index.list(item)) {
+      ids.push_back(PostingEntryId(entry));
+    }
+  }
+  return ids;
+}
 
 // The historical F&V filter loop (invidx/filter_validate.cc before the
 // kernel refactor): SelectLists, then scan each kept list and dedup
@@ -50,8 +70,7 @@ std::vector<RankingId> ReferenceFilter(const Index& index, RankingView query,
       query, theta_raw, drop,
       [&index](ItemId item) { return index.list_length(item); }, nullptr);
   for (uint32_t pos : positions) {
-    for (const auto& entry : index.list(query[pos])) {
-      const RankingId id = PostingEntryId(entry);
+    for (const RankingId id : ListIds(index, query[pos])) {
       if (!visited.TestAndSet(id)) candidates.push_back(id);
     }
   }
@@ -466,6 +485,39 @@ std::vector<size_t> PartCounts(const RankingStore& store) {
   return {1, 2, 3, 7, 64, store.size() + 5};
 }
 
+/// kBlocksDecoded over a split's windows: a compressed index's parts
+/// decode every block the serial query decodes, plus at most one
+/// straddling block per block-tier list at each of the parts - 1 window
+/// boundaries, and the serial count is every block of the selected lists
+/// when the query reads them (`reads_lists`: RangeSearch reads none from
+/// dmax on). A CSR index decodes nothing.
+template <typename Index>
+void ExpectBlocksDecodedBound(const Index& index, RankingView query,
+                              RawDistance theta_raw, DropMode drop,
+                              bool reads_lists, const Statistics& summed,
+                              const Statistics& serial, size_t parts) {
+  const uint64_t serial_blocks = serial.Get(Ticker::kBlocksDecoded);
+  const uint64_t summed_blocks = summed.Get(Ticker::kBlocksDecoded);
+  if constexpr (IndexHasDecodedLists<Index>()) {
+    const testutil::SelectedBlocks selected =
+        reads_lists
+            ? testutil::SelectedBlockTier(index, query, theta_raw, drop)
+            : testutil::SelectedBlocks{};
+    EXPECT_EQ(serial_blocks, selected.blocks);
+    EXPECT_GE(summed_blocks, serial_blocks) << "parts=" << parts;
+    EXPECT_LE(summed_blocks, serial_blocks + (parts - 1) * selected.lists)
+        << "parts=" << parts;
+  } else {
+    (void)index;
+    (void)query;
+    (void)theta_raw;
+    (void)drop;
+    (void)reads_lists;
+    EXPECT_EQ(serial_blocks, 0u);
+    EXPECT_EQ(summed_blocks, 0u);
+  }
+}
+
 template <typename Index>
 void ExpectWindowsMatchTheWholeUnion(const Index& index,
                                      const RankingStore& store,
@@ -497,6 +549,9 @@ void ExpectWindowsMatchTheWholeUnion(const Index& index,
       }
       EXPECT_EQ(summed.Get(Ticker::kPostingEntriesScanned),
                 whole_stats.Get(Ticker::kPostingEntriesScanned));
+      ExpectBlocksDecodedBound(index, query.view(), theta_raw, drop,
+                               /*reads_lists=*/true, summed, whole_stats,
+                               parts);
     }
   }
 }
@@ -525,7 +580,8 @@ TEST(FilterWindowTest, WindowCandidatesAreTheWholeUnionInsideTheWindow) {
 /// Serial RangeSearch vs the same query split into every part count over
 /// three worker slots: equal answers (after a kept prefix), and the
 /// caller's plus the workers' tickers sum to the serial ones with
-/// kListsDropped ticked once, by the caller.
+/// kListsDropped ticked once, by the caller (kBlocksDecoded within the
+/// straddling-block bound of ExpectBlocksDecodedBound).
 template <typename Index>
 void ExpectSplitMatchesSerial(const Index& index, const RankingStore& store,
                               const std::vector<PreparedQuery>& queries,
@@ -551,13 +607,19 @@ void ExpectSplitMatchesSerial(const Index& index, const RankingStore& store,
       EXPECT_EQ(out[0], 999999u);
       EXPECT_EQ(out[1], 4u);
       const Statistics summed = workers.Summed();
-      EXPECT_EQ(Merge(caller_stats, summed), serial_stats)
+      const Statistics total = Merge(caller_stats, summed);
+      EXPECT_TRUE(testutil::TickersEqualExcept(total, serial_stats,
+                                               Ticker::kBlocksDecoded))
           << "parts=" << parts;
+      ExpectBlocksDecodedBound(index, query.view(), theta_raw, drop,
+                               UnionCoversRange(store.k(), theta_raw), total,
+                               serial_stats, parts);
       EXPECT_EQ(summed.Get(Ticker::kListsDropped), 0u);
-      if (parts > 1) {
+      if (parts > 1 && UnionCoversRange(store.k(), theta_raw)) {
         // The split really ran: the caller validated nothing itself.
         EXPECT_EQ(caller_stats.Get(Ticker::kCandidates), 0u);
       } else {
+        // One part, or the full-domain sweep from dmax on: serial.
         EXPECT_EQ(summed, Statistics());
       }
     }
@@ -577,6 +639,83 @@ TEST(RangeSplitTest, PartsMatchSerialAnswerAndTickers) {
       const RawDistance theta_raw = RawThreshold(theta, k);
       ExpectSplitMatchesSerial(plain, store, queries, theta_raw, drop);
       ExpectSplitMatchesSerial(augmented, store, queries, theta_raw, drop);
+    }
+  }
+}
+
+/// A store whose lists take every compressed-tier shape: items 0..8 hold
+/// 1, 8 (the inline limit), 9, 127, 128, 129, 255, 256 and 257 postings,
+/// spread over the whole id range so split windows cut through their
+/// blocks, and item 9 holds none; the other slots of each ranking are
+/// random filler items from a 30-item domain, whose lists are long.
+RankingStore MakeListLengthStore() {
+  constexpr uint32_t kK = 10;
+  constexpr size_t kN = 300;
+  const size_t lengths[] = {1, 8, 9, 127, 128, 129, 255, 256, 257};
+  std::vector<std::vector<ItemId>> rows(kN);
+  for (size_t s = 0; s < std::size(lengths); ++s) {
+    for (size_t j = 0; j < lengths[s]; ++j) {
+      rows[j * kN / lengths[s]].push_back(static_cast<ItemId>(s));
+    }
+  }
+  Rng rng(71);
+  RankingStore store(kK);
+  for (std::vector<ItemId>& items : rows) {
+    while (items.size() < kK) {
+      const auto item = static_cast<ItemId>(20 + rng.Below(30));
+      if (std::find(items.begin(), items.end(), item) == items.end()) {
+        items.push_back(item);
+      }
+    }
+    // Shuffle so the special items do not always take the top ranks.
+    for (size_t i = items.size(); i > 1; --i) {
+      std::swap(items[i - 1], items[rng.Below(i)]);
+    }
+    store.AddUnchecked(items);
+  }
+  return store;
+}
+
+/// Queries over the list-length store: stored rankings (ranking 0 holds
+/// every special item), their perturbed copies, and one query of all nine
+/// special items plus the empty item 9.
+std::vector<PreparedQuery> ListLengthQueries(const RankingStore& store) {
+  std::vector<PreparedQuery> queries = testutil::MakeQueries(store, 3, 72);
+  queries.emplace_back(store.Materialize(0));
+  queries.emplace_back(store.Materialize(150));
+  queries.emplace_back(
+      Ranking::Create({9, 0, 1, 2, 3, 4, 5, 6, 7, 8}).ValueOrDie());
+  return queries;
+}
+
+TEST(CompressedSplitTest, WindowsAndSplitsMatchTheWholeQuery) {
+  // The storage tier's index under the same window and split checks as
+  // the RAM indexes: each window decodes only the blocks it meets, yet
+  // its candidates are the whole union's inside it, and a split returns
+  // the serial answer with the serial tickers (kBlocksDecoded within one
+  // straddling block per list per boundary). Every drop mode, theta up to
+  // dmax - 1 and dmax, lists of length 0, 1, 8, 9, 127-129 and 255-257,
+  // and a long-list uniform store.
+  const RankingStore lengths = MakeListLengthStore();
+  const RankingStore uniform =
+      testutil::MakeUniformStore(/*k=*/8, /*n=*/400, /*domain=*/24, 73);
+  for (const RankingStore* store : {&lengths, &uniform}) {
+    const storage::CompressedInvertedIndex index =
+        storage::CompressedInvertedIndex::Build(*store);
+    const std::vector<PreparedQuery> queries =
+        store == &lengths ? ListLengthQueries(*store)
+                          : testutil::MakeQueries(*store, 4, 74);
+    const uint32_t k = store->k();
+    const RawDistance dmax = MaxDistance(k);
+    for (const DropMode drop : {DropMode::kNone, DropMode::kConservative,
+                                DropMode::kPositionRefined}) {
+      for (const RawDistance theta_raw :
+           {RawThreshold(0.1, k), RawThreshold(0.3, k), RawThreshold(0.6, k),
+            dmax - 1, dmax}) {
+        ExpectWindowsMatchTheWholeUnion(index, *store, queries, theta_raw,
+                                        drop);
+        ExpectSplitMatchesSerial(index, *store, queries, theta_raw, drop);
+      }
     }
   }
 }
@@ -609,6 +748,55 @@ TEST(RangeSplitTest, ThreadPoolRunnerMatchesSerial) {
                                 &got, nullptr, nullptr, KeepAllRows{},
                                 &split));
         ASSERT_EQ(got, want) << "parts=" << parts << " theta=" << theta;
+      }
+    }
+  }
+}
+
+TEST(RangeSplitTest, ThreadPoolRunnerMatchesSerialOverCompressedIndex) {
+  // The snapshot reader's runner: the pool's ParallelFor over a
+  // compressed index, whose parts decode only the blocks of their
+  // windows. Answers equal the serial query's, tickers too apart from
+  // kBlocksDecoded's straddling blocks.
+  const uint32_t k = 10;
+  const RankingStore store =
+      testutil::MakeUniformStore(k, /*n=*/3000, /*domain=*/50, 75);
+  const storage::CompressedInvertedIndex index =
+      storage::CompressedInvertedIndex::Build(store);
+  const auto queries = testutil::MakeQueries(store, 6, 76);
+  ThreadPool pool(3);
+  SplitWorkers workers(4);
+  RangeScratch serial_scratch;
+  RangeScratch caller_scratch;
+  for (const size_t parts : {size_t{2}, size_t{7}, kSplitParts}) {
+    const RangeSplit split{
+        parts, 0,
+        [&pool](size_t n, const PartBody& body) { pool.ParallelFor(n, body); },
+        workers.slots};
+    for (const PreparedQuery& query : queries) {
+      for (const double theta : {0.2, 0.5}) {
+        const RawDistance theta_raw = RawThreshold(theta, k);
+        std::vector<RankingId> want;
+        Statistics serial_stats;
+        ASSERT_TRUE(RangeSearch(store, &index, query.view(), theta_raw,
+                                DropMode::kPositionRefined, &serial_scratch,
+                                &want, &serial_stats));
+        for (Statistics& stats : workers.stats) stats.Reset();
+        std::vector<RankingId> got;
+        Statistics caller_stats;
+        ASSERT_TRUE(RangeSearch(store, &index, query.view(), theta_raw,
+                                DropMode::kPositionRefined, &caller_scratch,
+                                &got, &caller_stats, nullptr, KeepAllRows{},
+                                &split));
+        ASSERT_EQ(got, want) << "parts=" << parts << " theta=" << theta;
+        const Statistics total = Merge(caller_stats, workers.Summed());
+        EXPECT_TRUE(testutil::TickersEqualExcept(total, serial_stats,
+                                                 Ticker::kBlocksDecoded))
+            << "parts=" << parts << " theta=" << theta;
+        ExpectBlocksDecodedBound(index, query.view(), theta_raw,
+                                 DropMode::kPositionRefined,
+                                 /*reads_lists=*/true, total, serial_stats,
+                                 parts);
       }
     }
   }

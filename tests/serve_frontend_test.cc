@@ -16,6 +16,7 @@
 
 #include "core/deadline.h"
 #include "invidx/plain_inverted_index.h"
+#include "kernel/id_split.h"
 #include "metric/knn.h"
 #include "mutate/mutable_store.h"
 #include "serve/frontend.h"
@@ -428,7 +429,7 @@ class LoneRequestTest : public ::testing::Test {
                                         /*domain=*/16, /*seed=*/61);
     queries_ = testutil::MakeQueries(store_, 3, /*seed=*/62);
     wide_ = testutil::MakeUniformStore(
-        /*k=*/10, /*n=*/QueryFrontend::kLoneRequestMinVolume + 1000,
+        /*k=*/10, /*n=*/kSplitMinVolume + 1000,
         /*domain=*/60, /*seed=*/63);
     wide_queries_ = testutil::MakeQueries(wide_, 2, /*seed=*/64);
     const RawDistance dmax = MaxDistance(store_.k());
@@ -447,14 +448,14 @@ TEST_F(LoneRequestTest, LoneRangeRequestsMatchBruteForceAndTheirBatchedTwin) {
   // A lone kFV / kFVDrop request gives the brute-force answer at every
   // executor count, and the same answer and tickers as when it shares a
   // batch with a second request (whole-request scheduling, no split).
-  ASSERT_GT(QueryFrontend::kLoneRequestParts, 1u);
+  ASSERT_GT(kSplitParts, 1u);
   const PlainInvertedIndex index = PlainInvertedIndex::Build(store_);
   for (const PreparedQuery& query : queries_) {
     size_t volume = 0;
     for (const ItemId item : query.view().items()) {
       volume += index.list_length(item);
     }
-    ASSERT_GE(volume, QueryFrontend::kLoneRequestMinVolume);
+    ASSERT_GE(volume, kSplitMinVolume);
   }
   std::vector<std::vector<std::vector<RankingId>>> truth;
   for (const RawDistance theta : thetas_) {
@@ -502,7 +503,7 @@ TEST_F(LoneRequestTest, LoneRangeRequestsMatchBruteForceAndTheirBatchedTwin) {
 }
 
 TEST_F(LoneRequestTest, LoneLinearScanKnnMatchesTheScalarOracle) {
-  ASSERT_GE(wide_.size(), QueryFrontend::kLoneRequestMinVolume);
+  ASSERT_GE(wide_.size(), kSplitMinVolume);
   const size_t js[] = {1, 10, 100};
   std::vector<std::vector<Neighbor>> truth;
   for (const PreparedQuery& query : wide_queries_) {

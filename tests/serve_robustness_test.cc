@@ -2,8 +2,9 @@
 // front door (QueryFrontend batches, LiveFrontend, MutableStore),
 // admission-control shedding under real overload, the merge circuit
 // breaker with MergeNow recovery, and ResilientReader's degraded-read
-// fallback (including concurrent readers racing a degrade
-// and a restore). Stopped or shed queries must return Status
+// fallback and split reads (including concurrent readers, split or not,
+// racing a degrade and a restore). Stopped or shed queries must return
+// Status
 // errors with empty results — never hang, never cache, never publish a
 // partial answer — while every OK answer stays bit-exact. The
 // failpoint-driven cases need -DTOPK_FAILPOINTS=ON and skip elsewhere;
@@ -24,12 +25,16 @@
 #include "core/failpoint.h"
 #include "core/ranking.h"
 #include "core/types.h"
+#include "invidx/drop_policy.h"
 #include "invidx/plain_inverted_index.h"
+#include "kernel/id_split.h"
+#include "kernel/range_search.h"
 #include "mutate/mutable_store.h"
 #include "serve/frontend.h"
 #include "serve/live_frontend.h"
 #include "serve/resilient_reader.h"
 #include "storage/compressed_arena.h"
+#include "storage/compressed_index.h"
 #include "storage/snapshot_manager.h"
 #include "test_util.h"
 
@@ -623,6 +628,15 @@ void RunReaders(size_t readers, size_t pairs, size_t rounds,
   for (std::thread& thread : threads) thread.join();
 }
 
+/// A store whose snapshot-tier reads all split, built like the frontend
+/// lone-request suite's wide store: 12 items over k = 10 make every
+/// posting list hold ~34k entries, above kSplitMinVolume on its own, so
+/// however many lists Lemma 2 drops, a read below dmax clears the floor.
+RankingStore MakeSplitStore() {
+  return testutil::MakeUniformStore(/*k=*/10, /*n=*/kSplitMinVolume + 8192,
+                                    /*domain=*/12, /*seed=*/141);
+}
+
 class ConcurrentReaderTest : public ResilientReaderTest {
  protected:
   void SetUp() override {
@@ -658,6 +672,31 @@ class ConcurrentReaderTest : public ResilientReaderTest {
     }
   }
 
+  /// Swaps in the split store (see MakeSplitStore): every read below
+  /// dmax clears the split floor, so the snapshot tier fans it out.
+  void UseSplitStore() {
+    store_ = MakeSplitStore();
+    queries_ = testutil::MakeQueries(store_, 3, /*seed=*/142);
+    const uint32_t k = store_.k();
+    const RawDistance dmax = MaxDistance(k);
+    thetas_ = {RawThreshold(0.1, k), RawThreshold(0.3, k),
+               RawThreshold(0.6, k), dmax - 1, dmax};
+    expected_.clear();
+    for (const PreparedQuery& query : queries_) {
+      // One distance pass per query serves every theta.
+      std::vector<RawDistance> distances(store_.size());
+      for (RankingId id = 0; id < store_.size(); ++id) {
+        distances[id] = FootruleDistance(query.sorted_view(), store_.sorted(id));
+      }
+      for (const RawDistance theta : thetas_) {
+        expected_.emplace_back();
+        for (RankingId id = 0; id < store_.size(); ++id) {
+          if (distances[id] <= theta) expected_.back().push_back(id);
+        }
+      }
+    }
+  }
+
   /// Serves (query, theta) pair `pair` and reports whether it was exact.
   bool ReadExact(ResilientReader* reader, size_t pair,
                  Statistics* stats) const {
@@ -668,6 +707,11 @@ class ConcurrentReaderTest : public ResilientReaderTest {
         reader->RangeQuery(query, theta, nullptr, &out, stats);
     return status.ok() && out == expected_[pair];
   }
+
+  /// Four readers race a one-shot "serve.snapshot.query" fault (the
+  /// sticky degrade) and the operator's restore: every read is exact, and
+  /// no read that starts after the restore returned is degraded.
+  void ExpectReadersSurviveDegradeAndRestore();
 
   std::vector<RawDistance> thetas_;
   std::vector<std::vector<RankingId>> expected_;  // query-major
@@ -702,10 +746,7 @@ TEST_F(ConcurrentReaderTest, ConcurrentReadersMatchBruteForce) {
   EXPECT_GT(quarter.Get(Ticker::kListsDropped), 0u);
 }
 
-TEST_F(ConcurrentReaderTest, ConcurrentReadersSurviveDegradeAndRestore) {
-  if (!FailpointsCompiledIn()) {
-    GTEST_SKIP() << "needs -DTOPK_FAILPOINTS=ON";
-  }
+void ConcurrentReaderTest::ExpectReadersSurviveDegradeAndRestore() {
   WriteSnapshot();
   ResilientReader reader(&store_, {dir_, 3});
   ASSERT_TRUE(reader.OpenSnapshotTier().ok());
@@ -769,6 +810,43 @@ TEST_F(ConcurrentReaderTest, ConcurrentReadersSurviveDegradeAndRestore) {
   EXPECT_EQ(degraded_after_restore.load(), 0u);
 }
 
+TEST_F(ConcurrentReaderTest, ConcurrentReadersSurviveDegradeAndRestore) {
+  if (!FailpointsCompiledIn()) {
+    GTEST_SKIP() << "needs -DTOPK_FAILPOINTS=ON";
+  }
+  ExpectReadersSurviveDegradeAndRestore();
+}
+
+TEST_F(ConcurrentReaderTest, ConcurrentSplitReadersMatchBruteForce) {
+  // Four readers whose every read below dmax splits over the reader's one
+  // pool at once: their parts share the workers, each read borrows its
+  // own worker scratch.
+  UseSplitStore();
+  WriteSnapshot();
+  ResilientReader reader(&store_, {dir_, 3});
+  ASSERT_TRUE(reader.OpenSnapshotTier().ok());
+  std::atomic<size_t> mismatches{0};
+  const std::atomic<bool> never_stop{false};
+  RunReaders(/*readers=*/4, expected_.size(), /*rounds=*/1, never_stop,
+             [&](size_t, size_t pair) {
+               Statistics stats;
+               if (!ReadExact(&reader, pair, &stats)) ++mismatches;
+             });
+  EXPECT_EQ(mismatches.load(), 0u);
+  EXPECT_FALSE(reader.degraded());
+}
+
+TEST_F(ConcurrentReaderTest, ConcurrentSplitReadersSurviveDegradeAndRestore) {
+  // The degrade lands while split reads are in flight: their parts finish
+  // on the mapping the caller pinned, and later reads serve from RAM
+  // until the restore.
+  if (!FailpointsCompiledIn()) {
+    GTEST_SKIP() << "needs -DTOPK_FAILPOINTS=ON";
+  }
+  UseSplitStore();
+  ExpectReadersSurviveDegradeAndRestore();
+}
+
 TEST_F(ResilientReaderTest, ExpiredDeadlineStopsEitherTier) {
   WriteSnapshot();
   ResilientReader reader(&store_, {dir_, 3});
@@ -781,6 +859,159 @@ TEST_F(ResilientReaderTest, ExpiredDeadlineStopsEitherTier) {
   EXPECT_EQ(status.code(), Status::Code::kDeadlineExceeded);
   EXPECT_TRUE(out.empty());
   EXPECT_GE(stats.Get(Ticker::kDeadlineExceeded), 1u);
+}
+
+/// Single-reader checks of the split on the split store.
+class SplitReaderTest : public ConcurrentReaderTest {
+ protected:
+  void SetUp() override {
+    ConcurrentReaderTest::SetUp();
+    UseSplitStore();
+    WriteSnapshot();
+  }
+};
+
+TEST_F(SplitReaderTest, SplitReadsMatchBruteForceRamTierAndSerialTickers) {
+  // Precondition: every read below dmax clears the split floor.
+  storage::SnapshotManager manager(dir_);
+  Result<storage::OpenedSnapshot> opened = manager.OpenNewestValid();
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  const storage::StoreSnapshot& snapshot = opened.value().snapshot;
+  const storage::CompressedInvertedIndex& index = snapshot.index();
+  const uint32_t k = store_.k();
+  for (const PreparedQuery& query : queries_) {
+    for (const RawDistance theta : thetas_) {
+      if (!UnionCoversRange(k, theta)) continue;
+      size_t volume = 0;
+      for (const uint32_t position : SelectLists(
+               query.view(), theta, DropMode::kPositionRefined,
+               [&](ItemId item) { return index.list_length(item); })) {
+        volume += index.list_length(query.view()[position]);
+      }
+      ASSERT_GE(volume, kSplitMinVolume) << "theta=" << theta;
+    }
+  }
+
+  ResilientReader reader(&store_, {dir_, 3});
+  ASSERT_TRUE(reader.OpenSnapshotTier().ok());
+  ResilientReader ram_only(&store_, {"", 3});
+  RangeScratch scratch;
+  uint64_t split_blocks = 0;
+  uint64_t serial_blocks = 0;
+  for (size_t pair = 0; pair < expected_.size(); ++pair) {
+    const PreparedQuery& query = queries_[pair / thetas_.size()];
+    const RawDistance theta = thetas_[pair % thetas_.size()];
+    SCOPED_TRACE("pair " + std::to_string(pair) + " theta " +
+                 std::to_string(theta));
+    Statistics stats;
+    const std::vector<RankingId> got = ReadOk(&reader, query, theta, &stats);
+    EXPECT_EQ(got, expected_[pair]);
+    EXPECT_EQ(ReadOk(&ram_only, query, theta), expected_[pair]);
+
+    // The summed tickers of the parts are the serial query's; only
+    // straddling blocks add to kBlocksDecoded.
+    std::vector<RankingId> serial;
+    Statistics serial_stats;
+    ASSERT_TRUE(RangeSearch(snapshot.store(), &index, query.view(), theta,
+                            DropMode::kPositionRefined, &scratch, &serial,
+                            &serial_stats));
+    EXPECT_EQ(serial, expected_[pair]);
+    EXPECT_TRUE(testutil::TickersEqualExcept(stats, serial_stats,
+                                             Ticker::kBlocksDecoded));
+    const uint64_t blocks = stats.Get(Ticker::kBlocksDecoded);
+    EXPECT_GE(blocks, serial_stats.Get(Ticker::kBlocksDecoded));
+    const uint64_t lists =
+        UnionCoversRange(k, theta)
+            ? testutil::SelectedBlockTier(index, query.view(), theta,
+                                          DropMode::kPositionRefined)
+                  .lists
+            : 0;
+    EXPECT_LE(blocks, serial_stats.Get(Ticker::kBlocksDecoded) +
+                          (kSplitParts - 1) * lists);
+    split_blocks += blocks;
+    serial_blocks += serial_stats.Get(Ticker::kBlocksDecoded);
+  }
+  // The reads really split (when the host gives the reader workers): 32
+  // windows over ~34k-entry lists cut through blocks.
+  if (reader.split_workers() > 0) {
+    EXPECT_GT(split_blocks, serial_blocks);
+  } else {
+    EXPECT_EQ(split_blocks, serial_blocks);
+  }
+}
+
+TEST_F(SplitReaderTest, StoppedSplitReadsReturnNothing) {
+  ResilientReader reader(&store_, {dir_, 3});
+  ASSERT_TRUE(reader.OpenSnapshotTier().ok());
+  const RawDistance theta = RawThreshold(0.6, store_.k());
+  const size_t pair = 2;  // query 0 at 0.6 dmax
+  ASSERT_EQ(thetas_[pair], theta);
+
+  // Stopped before the read: expired, or cancelled.
+  {
+    QueryControl expired(Deadline::AfterMillis(0));
+    std::vector<RankingId> out{7};
+    Statistics stats;
+    EXPECT_EQ(reader.RangeQuery(queries_[0], theta, &expired, &out, &stats)
+                  .code(),
+              Status::Code::kDeadlineExceeded);
+    EXPECT_TRUE(out.empty());
+    EXPECT_EQ(stats.Get(Ticker::kDeadlineExceeded), 1u);
+    CancelToken token;
+    token.Cancel();
+    QueryControl cancelled(Deadline::Infinite(), &token);
+    out = {7};
+    EXPECT_EQ(reader.RangeQuery(queries_[0], theta, &cancelled, &out, &stats)
+                  .code(),
+              Status::Code::kAborted);
+    EXPECT_TRUE(out.empty());
+  }
+
+  // Deadlines that land anywhere in the read, mid-split included: a read
+  // is either whole and exact, or stopped and empty.
+  size_t stops = 0;
+  for (const double ms : {0.0, 0.02, 0.05, 0.1, 0.2, 0.4, 0.8, 1.6, 3.2,
+                          1000.0}) {
+    QueryControl control(Deadline::AfterMillis(ms));
+    std::vector<RankingId> out{7};
+    const Status status =
+        reader.RangeQuery(queries_[0], theta, &control, &out);
+    if (status.ok()) {
+      EXPECT_EQ(out, expected_[pair]) << "deadline " << ms << " ms";
+    } else {
+      EXPECT_EQ(status.code(), Status::Code::kDeadlineExceeded);
+      EXPECT_TRUE(out.empty()) << "deadline " << ms << " ms";
+      ++stops;
+    }
+  }
+  EXPECT_GE(stops, 1u);
+
+  // A cancel racing the reads: each one whole, or aborted and empty.
+  CancelToken token;
+  std::atomic<bool> started{false};
+  std::thread canceller([&] {
+    SpinUntil([&] { return started.load(); });
+    std::this_thread::sleep_for(std::chrono::microseconds(300));
+    token.Cancel();
+  });
+  size_t aborted = 0;
+  // At least one read starts after the cancel, so at least one aborts.
+  for (int read = 0; read < 50 || !token.cancelled(); ++read) {
+    QueryControl control(Deadline::Infinite(), &token);
+    std::vector<RankingId> out{7};
+    started.store(true);
+    const Status status =
+        reader.RangeQuery(queries_[0], theta, &control, &out);
+    if (status.ok()) {
+      EXPECT_EQ(out, expected_[pair]);
+    } else {
+      EXPECT_EQ(status.code(), Status::Code::kAborted);
+      EXPECT_TRUE(out.empty());
+      ++aborted;
+    }
+  }
+  canceller.join();
+  EXPECT_GE(aborted, 1u);
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 // included) all live here; the mmap snapshot path has its own suite in
 // storage_snapshot_test.cc.
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <span>
@@ -21,6 +22,8 @@
 #include "core/types.h"
 #include "invidx/filter_validate.h"
 #include "invidx/plain_inverted_index.h"
+#include "kernel/filter_phase.h"
+#include "kernel/id_split.h"
 #include "kernel/posting_arena.h"
 #include "storage/compressed_arena.h"
 #include "storage/compressed_index.h"
@@ -222,6 +225,113 @@ TEST(CompressedArena, AdoptRejectsMalformedMetadata) {
 }
 
 // ---------------------------------------------------------------------
+// Id-window decode: only the blocks that meet the window, by metadata.
+
+/// Windows over the ids [0, 3 * length) of a stride-3 list: the whole
+/// domain, empty windows, every split part count's windows, windows
+/// starting exactly at a block's first id, windows that touch only a
+/// block's last id, windows that fall in the gap between two blocks, and
+/// windows past the list.
+std::vector<IdWindow> DecodeWindows(size_t length) {
+  const auto span = static_cast<RankingId>(3 * length);
+  std::vector<IdWindow> windows = {kAllIds, {0, 0}, {5, 5}, {0, 1},
+                                   {span, kInvalidRankingId}};
+  for (const size_t parts : {size_t{1}, size_t{2}, size_t{3}, size_t{7},
+                             size_t{64}, length + 5}) {
+    for (size_t p = 0; p < parts; ++p) {
+      windows.push_back(PartWindow(span, parts, p));
+    }
+  }
+  for (RankingId b = 1; b <= 2; ++b) {
+    const RankingId first = 3 * kBlockEntries * b;  // block b's first id
+    const RankingId last = first - 3;               // block b-1's last id
+    windows.push_back({first, first + 1});
+    windows.push_back({last, last + 1});
+    windows.push_back({last, first + 1});
+    windows.push_back({last + 1, first});  // between the blocks
+  }
+  return windows;
+}
+
+TEST(CompressedArena, WindowDecodeLandsOnlyTheBlocksMeetingTheWindow) {
+  // List lengths around the inline limit (8) and the first two block
+  // boundaries: each window decode must land exactly the stored blocks
+  // whose [first_id, last_id] meets the window — whole, in list order —
+  // tick kBlocksDecoded once per such block, and hold every entry of the
+  // window, which SliceToWindow then cuts out exactly. Inline lists come
+  // back whole and decode no block.
+  using Arena = CompressedPostingArena<RankingId>;
+  for (const size_t length :
+       {size_t{0}, size_t{1}, size_t{Arena::kInlineMaxEntries},
+        size_t{Arena::kInlineMaxEntries + 1}, size_t{kBlockEntries - 1},
+        size_t{kBlockEntries}, size_t{kBlockEntries + 1},
+        size_t{2 * kBlockEntries - 1}, size_t{2 * kBlockEntries},
+        size_t{2 * kBlockEntries + 1}}) {
+    const PostingArena<RankingId> arena = SingleListArena(length, 3);
+    const Arena compressed = Arena::FromArena(arena);
+    const std::span<const RankingId> list = arena.list(0);
+    const bool is_inline = length <= Arena::kInlineMaxEntries;
+    std::vector<RankingId> scratch;
+    std::vector<RankingId> out(length);
+    for (const IdWindow window : DecodeWindows(length)) {
+      SCOPED_TRACE("length " + std::to_string(length) + " window [" +
+                   std::to_string(window.lo) + ", " +
+                   std::to_string(window.hi) + ")");
+      std::vector<RankingId> want_blocks;
+      uint64_t want_decoded = 0;
+      if (is_inline) {
+        want_blocks.assign(list.begin(), list.end());
+      } else if (window.lo < window.hi) {
+        for (size_t begin = 0; begin < length; begin += kBlockEntries) {
+          const size_t end = std::min<size_t>(begin + kBlockEntries, length);
+          if (list[begin] < window.hi && list[end - 1] >= window.lo) {
+            want_blocks.insert(want_blocks.end(), list.begin() + begin,
+                               list.begin() + end);
+            ++want_decoded;
+          }
+        }
+      }
+      std::vector<RankingId> want_window;
+      for (const RankingId id : list) {
+        if (id >= window.lo && id < window.hi) want_window.push_back(id);
+      }
+
+      Statistics stats;
+      const auto decoded =
+          compressed.DecodeListInRange(0, window, &scratch, &stats);
+      EXPECT_EQ(std::vector<RankingId>(decoded.begin(), decoded.end()),
+                want_blocks);
+      EXPECT_EQ(stats.Get(Ticker::kBlocksDecoded), want_decoded);
+      const auto sliced = filter_detail::SliceToWindow(decoded, window);
+      EXPECT_EQ(std::vector<RankingId>(sliced.begin(), sliced.end()),
+                want_window);
+      if (is_inline) {
+        // A direct span into the inline section, not a copy.
+        EXPECT_TRUE(decoded.empty() ||
+                    decoded.data() == compressed.inline_entries().data());
+      }
+
+      // The bool-returning loop writes the same entries.
+      size_t written = 0;
+      Statistics bool_stats;
+      EXPECT_TRUE(compressed.DecodeBlocksInRange(0, window, out.data(),
+                                                 &written, &bool_stats));
+      ASSERT_EQ(written, want_blocks.size());
+      EXPECT_TRUE(std::equal(out.begin(), out.begin() + written,
+                             want_blocks.begin()));
+      EXPECT_EQ(bool_stats.Get(Ticker::kBlocksDecoded), want_decoded);
+    }
+    // The whole-list decode is the kAllIds window: every block once.
+    Statistics whole;
+    const auto decoded = compressed.DecodeList(0, &scratch, &whole);
+    EXPECT_EQ(std::vector<RankingId>(decoded.begin(), decoded.end()),
+              std::vector<RankingId>(list.begin(), list.end()));
+    EXPECT_EQ(whole.Get(Ticker::kBlocksDecoded),
+              is_inline ? 0 : (length + kBlockEntries - 1) / kBlockEntries);
+  }
+}
+
+// ---------------------------------------------------------------------
 // Fuzzed arena round-trips. Any failure prints the seed that reproduces
 // it.
 
@@ -273,7 +383,9 @@ TEST(CompressedArenaFuzz, PlainEntriesRoundTrip) {
 
 // ---------------------------------------------------------------------
 // Engine differential: compressed vs plain F&V must be bit-identical —
-// results AND tickers — for every drop mode and theta, k = 1 included.
+// results AND tickers — for every drop mode and theta, k = 1 included;
+// kBlocksDecoded, which only the compressed tier ticks, is pinned to the
+// blocks of the selected lists.
 
 void ExpectEngineEquivalence(const RankingStore& store, uint64_t seed) {
   const PlainInvertedIndex plain = PlainInvertedIndex::Build(store);
@@ -295,7 +407,14 @@ void ExpectEngineEquivalence(const RankingStore& store, uint64_t seed) {
         const auto actual = tier.Query(query, theta, &tier_stats);
         ASSERT_EQ(actual, expected)
             << "drop=" << static_cast<int>(drop) << " theta=" << theta;
-        ASSERT_EQ(tier_stats, ref_stats)
+        // The compressed tier also counts the blocks it decodes, which
+        // the plain index has none of.
+        ASSERT_TRUE(testutil::TickersEqualExcept(tier_stats, ref_stats,
+                                                 Ticker::kBlocksDecoded))
+            << "drop=" << static_cast<int>(drop) << " theta=" << theta;
+        ASSERT_EQ(tier_stats.Get(Ticker::kBlocksDecoded),
+                  testutil::RangeSearchBlocks(compressed, store.k(),
+                                                query.view(), theta, drop))
             << "drop=" << static_cast<int>(drop) << " theta=" << theta;
       }
     }

@@ -9,11 +9,14 @@
 // kBlockEntries boundary (127/128/129), since the boundary block is
 // where an off-by-one in the byte-range walk would live.
 //
-// Only the bool-returning APIs (DecodeListInto, Adopt) may ever see
-// corrupt payload bytes: the span-returning DecodeList documents
-// malformed payloads as a checksum-verification bug and TOPK_DCHECKs on
-// them, which would abort the Debug/ASan builds this suite targets.
+// Only the bool-returning APIs (DecodeListInto; DecodeBlocksInRange,
+// the id-window block loop a split query's parts decode through; and
+// Adopt) may ever see corrupt payload bytes: the span-returning
+// DecodeList/DecodeListInRange document malformed payloads as a
+// checksum-verification bug and TOPK_DCHECK on them, which would abort
+// the Debug/ASan builds this suite targets.
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -22,6 +25,7 @@
 
 #include "core/rng.h"
 #include "core/types.h"
+#include "kernel/id_split.h"
 #include "kernel/posting_arena.h"
 #include "storage/compressed_arena.h"
 #include "storage/posting_codec.h"
@@ -89,6 +93,37 @@ std::vector<bool> DecodeAllWithCanaries(const Arena& arena) {
   return ok;
 }
 
+/// Window decodes of every list of `arena` through the bool-returning
+/// block loop (DecodeBlocksInRange), over the whole domain and the seven
+/// parts of a split of [0, id_span): whatever the payload, each decode
+/// returns a clean bool and writes at most the list's `length` entries.
+void WindowDecodeAllWithCanaries(const Arena& arena, RankingId id_span) {
+  std::vector<IdWindow> windows = {kAllIds};
+  for (size_t p = 0; p < 7; ++p) windows.push_back(PartWindow(id_span, 7, p));
+  for (size_t i = 0; i < arena.num_lists(); ++i) {
+    const size_t length = arena.list_length(i);
+    for (const IdWindow window : windows) {
+      std::vector<RankingId> out(length + kCanaryEntries, kCanaryId);
+      size_t written = 0;
+      arena.DecodeBlocksInRange(i, window, out.data(), &written);
+      EXPECT_LE(written, length) << "list " << i;
+      for (size_t c = 0; c < kCanaryEntries; ++c) {
+        EXPECT_EQ(out[length + c], kCanaryId)
+            << "window decode wrote past list length, list " << i;
+      }
+    }
+  }
+}
+
+/// One past the largest id of `lists`: the span a split would cut.
+RankingId IdSpan(const Lists& lists) {
+  RankingId span = 1;
+  for (const auto& list : lists) {
+    for (const RankingId id : list) span = std::max(span, id + 1);
+  }
+  return span;
+}
+
 TEST(DecodeFuzzTest, TruncatedByteStreamFailsCleanly) {
   const auto lists = FixtureLists(11);
   const auto arena = Compress(lists);
@@ -109,6 +144,7 @@ TEST(DecodeFuzzTest, TruncatedByteStreamFailsCleanly) {
     auto adopted = Arena::Adopt(metas, blocks, inline_entries, bytes);
     if (!adopted.ok()) continue;
     const std::vector<bool> ok = DecodeAllWithCanaries(adopted.value());
+    WindowDecodeAllWithCanaries(adopted.value(), IdSpan(lists));
     for (size_t i = 0; i < lists.size(); ++i) {
       if (keep == full_bytes.size()) {
         EXPECT_TRUE(ok[i]) << "full stream, list " << i;
@@ -151,8 +187,10 @@ TEST(DecodeFuzzTest, CorruptPayloadBytesFailCleanlyOrDecodeInBounds) {
     ASSERT_TRUE(adopted.ok());
     // Every decode must come back as a bool — true or false, corrupt
     // values are fine — without ever leaving the list's entry budget
-    // (the canaries assert the write side; ASan asserts the read side).
+    // (the canaries assert the write side; ASan asserts the read side),
+    // over the whole list and over a split's windows alike.
     DecodeAllWithCanaries(adopted.value());
+    WindowDecodeAllWithCanaries(adopted.value(), IdSpan(lists));
   }
 }
 
@@ -188,6 +226,7 @@ TEST(DecodeFuzzTest, CorruptMetadataRejectedOrDecodesInBounds) {
       continue;
     }
     DecodeAllWithCanaries(adopted.value());
+    WindowDecodeAllWithCanaries(adopted.value(), IdSpan(lists));
   }
   // The bounds validation must be doing real work: random 32-bit smashes
   // of cursors/counts/offsets overwhelmingly produce inconsistencies.

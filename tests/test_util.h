@@ -10,9 +10,14 @@
 #include "core/footrule.h"
 #include "core/ranking.h"
 #include "core/rng.h"
+#include "core/statistics.h"
 #include "core/types.h"
 #include "data/generator.h"
 #include "data/workload.h"
+#include "invidx/drop_policy.h"
+#include "kernel/filter_phase.h"
+#include "storage/compressed_index.h"
+#include "storage/posting_codec.h"
 
 namespace topk {
 namespace testutil {
@@ -71,6 +76,51 @@ inline std::vector<PreparedQuery> MakeQueries(const RankingStore& store,
   options.perturbed_fraction = 0.5;
   options.seed = seed;
   return MakeWorkload(store, options);
+}
+
+/// Whether `a` and `b` agree on every ticker except `skip`.
+inline bool TickersEqualExcept(const Statistics& a, const Statistics& b,
+                               Ticker skip) {
+  for (int t = 0; t < kNumTickers; ++t) {
+    const auto ticker = static_cast<Ticker>(t);
+    if (ticker != skip && a.Get(ticker) != b.Get(ticker)) return false;
+  }
+  return true;
+}
+
+/// The block-tier lists SelectLists keeps over `index`, and their blocks:
+/// `blocks` is what a serial union of those lists decodes
+/// (kBlocksDecoded; the inline tier decodes none), `lists` how many lists
+/// a split may decode one straddling block of once more per window
+/// boundary.
+struct SelectedBlocks {
+  uint64_t blocks = 0;
+  uint64_t lists = 0;
+};
+inline SelectedBlocks SelectedBlockTier(
+    const storage::CompressedInvertedIndex& index, RankingView query,
+    RawDistance theta_raw, DropMode drop) {
+  SelectedBlocks selected;
+  for (const uint32_t position : SelectLists(
+           query, theta_raw, drop,
+           [&index](ItemId item) { return index.list_length(item); })) {
+    const size_t length = index.list_length(query[position]);
+    if (length == 0 || index.arena().is_inline(query[position])) continue;
+    selected.blocks +=
+        (length + storage::kBlockEntries - 1) / storage::kBlockEntries;
+    ++selected.lists;
+  }
+  return selected;
+}
+
+/// The blocks a serial RangeSearch over `index` decodes: the selected
+/// lists' blocks below dmax, none from dmax on.
+inline uint64_t RangeSearchBlocks(
+    const storage::CompressedInvertedIndex& index, uint32_t k,
+    RankingView query, RawDistance theta_raw, DropMode drop) {
+  return UnionCoversRange(k, theta_raw)
+             ? SelectedBlockTier(index, query, theta_raw, drop).blocks
+             : 0;
 }
 
 }  // namespace testutil
