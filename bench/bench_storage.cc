@@ -1,7 +1,8 @@
 // bench_storage: standalone benchmark of the compressed storage tier.
 //
 // Prints the same `storage` section bench_baseline embeds into
-// BENCH_baseline.json (posting-arena compression footprint, query
+// BENCH_baseline.json (snapshot checksum throughput, posting-arena
+// compression footprint, query
 // latency through the four serving tiers with a bit-exactness check
 // against the RAM baseline, snapshot residency right after a page-cache
 // evicted open — the zero-copy evidence), as its own JSON document

@@ -2,8 +2,14 @@
 // mmap snapshot load path, shared by the standalone bench_storage binary
 // and bench_baseline (which embeds the section into BENCH_baseline.json).
 //
-// Four experiments per dataset over storage/:
+// Four experiments per dataset over storage/, after one that needs no
+// dataset:
 //
+//   checksum_throughput  snapshot checksum speed (SnapshotChecksum, the
+//                      CRC32C of storage/crc32c.h) over a 64 MB seeded
+//                      buffer — the dispatched body vs the scalar
+//                      slicing-by-8 twin, GB/s, with the two values
+//                      compared for bit identity.
 //   compress           posting-arena footprint: uncompressed CSR bytes vs
 //                      the block-encoded arena (bytes/entry, ratio,
 //                      encode time).
@@ -43,6 +49,7 @@
 #include "invidx/plain_inverted_index.h"
 #include "json_writer.h"
 #include "storage/compressed_index.h"
+#include "storage/crc32c.h"
 #include "storage/posting_codec.h"
 #include "storage/snapshot.h"
 #include "storage/varint_simd.h"
@@ -119,6 +126,77 @@ inline double TimeBlockDecode(
   return ElapsedMsSince(start);
 }
 
+/// The checksum_throughput rows: the dispatched CRC32C body behind
+/// SnapshotChecksum and its scalar twin, each timed over the same 64 MB
+/// of seeded bytes.
+inline void EmitChecksumThroughput(JsonWriter* json) {
+  constexpr size_t kBytes = size_t{64} << 20;
+  constexpr uint32_t kReps = 3;
+  std::vector<uint8_t> buffer(kBytes);
+  uint64_t state = 0x9E3779B97F4A7C15ull;
+  for (size_t at = 0; at < kBytes; at += sizeof(state)) {
+    state = state * 6364136223846793005ull + 1442695040888963407ull;
+    std::memcpy(buffer.data() + at, &state, sizeof(state));
+  }
+  // Bit identity first: the snapshot field against the scalar twin.
+  bool bit_identical =
+      storage::SnapshotChecksum(buffer.data(), kBytes) ==
+      uint64_t{storage::Crc32cUpdateScalar(0, buffer.data(), kBytes)};
+  // Each timed rep carries the previous value in, so no rep is dead code
+  // to the optimizer; the carried values must agree too.
+  uint32_t dispatched = 0;
+  uint32_t scalar = 0;
+  auto start = Clock::now();
+  for (uint32_t rep = 0; rep < kReps; ++rep) {
+    dispatched = storage::Crc32cUpdate(dispatched, buffer.data(), kBytes);
+  }
+  const double dispatched_ms = ElapsedMsSince(start);
+  start = Clock::now();
+  for (uint32_t rep = 0; rep < kReps; ++rep) {
+    scalar = storage::Crc32cUpdateScalar(scalar, buffer.data(), kBytes);
+  }
+  const double scalar_ms = ElapsedMsSince(start);
+  bit_identical = bit_identical && dispatched == scalar;
+  const double total_bytes = static_cast<double>(kBytes) * kReps;
+  struct Impl {
+    const char* impl;
+    const char* backend;
+    double wall_ms;
+  };
+  const Impl impls[] = {
+      {"dispatched", storage::kCrc32cBackendName, dispatched_ms},
+      {"scalar_reference", "scalar", scalar_ms},
+  };
+  for (const Impl& impl : impls) {
+    json->BeginObject();
+    json->Key("bench");
+    json->String("checksum_throughput");
+    json->Key("impl");
+    json->String(impl.impl);
+    json->Key("backend");
+    json->String(impl.backend);
+    json->Key("bytes");
+    json->Uint(kBytes);
+    json->Key("reps");
+    json->Uint(kReps);
+    json->Key("bit_identical");
+    json->Bool(bit_identical);
+    json->Key("wall_ms");
+    json->Double(impl.wall_ms);
+    json->Key("gb_per_sec");
+    json->Double(impl.wall_ms > 0 ? total_bytes / (impl.wall_ms * 1e6) : 0);
+    if (impl.impl[0] == 'd') {
+      json->Key("speedup_vs_scalar");
+      json->Double(impl.wall_ms > 0 ? scalar_ms / impl.wall_ms : 0);
+    }
+    json->EndObject();
+  }
+  std::cerr << "  storage checksum backend=" << storage::kCrc32cBackendName
+            << " speedup="
+            << (dispatched_ms > 0 ? scalar_ms / dispatched_ms : 0)
+            << (bit_identical ? "" : " NOT-BIT-IDENTICAL") << "\n";
+}
+
 }  // namespace storage_detail
 
 /// Emits the `storage` array (caller owns the surrounding object).
@@ -140,6 +218,7 @@ inline void EmitStorageSection(JsonWriter* json, const BenchArgs& args) {
 
   json->Key("storage");
   json->BeginArray();
+  storage_detail::EmitChecksumThroughput(json);
   for (Dataset& dataset : datasets) {
     const RankingStore& store = dataset.store;
     const auto queries = MakeBenchWorkload(store, args);

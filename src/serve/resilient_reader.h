@@ -42,7 +42,9 @@
 // and every ticker but kBlocksDecoded equal the serial query's. The
 // degraded RAM tier (no index) and theta >= dmax stay serial, as
 // RangeSearch decides. Nothing is allocated up front: scratch is built on
-// first use, so opening a generation costs only its mapping.
+// first use. Opening a generation costs its mapping plus the full verify
+// OpenNewestValid runs first — one fread pass over the whole file with a
+// CRC32C of every section (VerifySnapshotChecksums).
 //
 // Thread safety: any number of concurrent readers. The open generation
 // is an immutable shared_ptr view; a query pins it under the leaf

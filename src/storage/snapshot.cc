@@ -12,23 +12,12 @@
 #include <unistd.h>
 
 #include "core/failpoint.h"
+#include "storage/crc32c.h"
 
 namespace topk {
 namespace storage {
 
 namespace {
-
-constexpr uint64_t kFnvOffset = 14695981039346656037ull;
-constexpr uint64_t kFnvPrime = 1099511628211ull;
-
-uint64_t FnvUpdate(uint64_t hash, const void* data, size_t size) {
-  const auto* bytes = static_cast<const uint8_t*>(data);
-  for (size_t i = 0; i < size; ++i) {
-    hash ^= bytes[i];
-    hash *= kFnvPrime;
-  }
-  return hash;
-}
 
 size_t PageAlign(size_t offset) {
   return (offset + kSnapshotPageSize - 1) & ~(kSnapshotPageSize - 1);
@@ -138,7 +127,7 @@ bool RowsStrictlyAscend(std::span<const ItemId> rows, uint32_t k) {
 }  // namespace
 
 uint64_t SnapshotChecksum(const void* data, size_t size) {
-  return FnvUpdate(kFnvOffset, data, size);
+  return Crc32cUpdate(0, data, size);
 }
 
 Status WriteStoreSnapshot(const RankingStore& store,
@@ -581,7 +570,7 @@ Status VerifySnapshotChecksums(const std::string& path) {
         0) {
       return Status::InvalidArgument("snapshot section unreadable");
     }
-    uint64_t hash = kFnvOffset;
+    uint32_t crc = 0;
     uint64_t remaining = section.size;
     while (remaining > 0) {
       const size_t chunk = remaining < buffer_bytes
@@ -590,7 +579,7 @@ Status VerifySnapshotChecksums(const std::string& path) {
       if (std::fread(buffer.data(), 1, chunk, in.file) != chunk) {
         return Status::InvalidArgument("snapshot section truncated");
       }
-      hash = FnvUpdate(hash, buffer.data(), chunk);
+      crc = Crc32cUpdate(crc, buffer.data(), chunk);
       const std::span<const ItemId> cells(buffer.data(),
                                           chunk / sizeof(ItemId));
       if (section.id == SnapshotSection::kItems &&
@@ -605,7 +594,8 @@ Status VerifySnapshotChecksums(const std::string& path) {
       }
       remaining -= chunk;
     }
-    if (hash != section.checksum) {
+    // All 64 bits: a stored value with any upper bit set is a mismatch.
+    if (uint64_t{crc} != section.checksum) {
       return Status::InvalidArgument("snapshot section checksum mismatch "
                                      "(section id " +
                                      std::to_string(section.id) + ")");

@@ -23,12 +23,11 @@
 // reader on a foreign ABI fails with a Status instead of misinterpreting
 // the sections):
 //
-//   SnapshotHeader        magic "TOPKSNP4", version, byte-order and
+//   SnapshotHeader        magic "TOPKSNP5", version, byte-order and
 //                         layout tags, counts (k, n, max_item, arena
-//                         entries), and an FNV-1a checksum over the
-//                         section table;
-//   SectionEntry[9]       id, byte offset, byte size, FNV-1a checksum
-//                         of the payload;
+//                         entries), and a CRC32C over the section table;
+//   SectionEntry[9]       id, byte offset, byte size, CRC32C of the
+//                         payload (padding excluded);
 //   sections              each padded to a 4096-byte boundary:
 //                         1 items, 2 sorted_items, 3 sorted_ranks,
 //                         4 list metas, 5 block metas, 6 inline
@@ -65,8 +64,8 @@ namespace topk {
 namespace storage {
 
 inline constexpr char kSnapshotMagic[8] = {'T', 'O', 'P', 'K',
-                                           'S', 'N', 'P', '4'};
-inline constexpr uint32_t kSnapshotVersion = 4;
+                                           'S', 'N', 'P', '5'};
+inline constexpr uint32_t kSnapshotVersion = 5;
 inline constexpr uint32_t kSnapshotSectionCount = 9;
 inline constexpr size_t kSnapshotPageSize = 4096;
 
@@ -92,7 +91,7 @@ struct SnapshotHeader {
   uint32_t max_item;
   uint64_t num_rankings;
   uint64_t num_arena_entries;
-  uint64_t directory_checksum;  // FNV-1a over the section table bytes
+  uint64_t directory_checksum;  // CRC32C of the section table bytes
 };
 static_assert(sizeof(SnapshotHeader) == 56);
 
@@ -112,7 +111,7 @@ struct SnapshotSection {
   uint32_t reserved;  // zero; keeps the 64-bit fields aligned
   uint64_t offset;    // from file start, kSnapshotPageSize-aligned
   uint64_t size;      // payload bytes (padding excluded)
-  uint64_t checksum;  // FNV-1a of the payload bytes
+  uint64_t checksum;  // CRC32C of the payload bytes
 };
 static_assert(sizeof(SnapshotSection) == 32);
 
@@ -128,7 +127,10 @@ struct SnapshotPartition {
 };
 static_assert(sizeof(SnapshotPartition) == 24);
 
-/// FNV-1a 64-bit over `size` bytes (section payloads and the table).
+/// CRC32C (storage/crc32c.h) of `size` bytes — a section payload or the
+/// section table — zero-extended into the u64 checksum fields. Readers
+/// compare all 64 bits, so a stored value with an upper bit set never
+/// matches.
 uint64_t SnapshotChecksum(const void* data, size_t size);
 
 /// Writes `store` + the compressed arena of its plain inverted index as

@@ -1,7 +1,8 @@
 // mmap snapshot suite: write/open round-trip, zero-copy query
 // differential against the RAM-resident engines, corruption and
 // truncation at every layer of the format (header, section table,
-// section payloads), lazy checksum verification and its row checks, the
+// section payloads), older format versions, the checksum fields' full
+// 64-bit width, lazy checksum verification and its row checks, the
 // stored coarse partitioning (round trip, absence, corruption, hostile
 // offsets and ids), and the MutableStore merge-emitted snapshot.
 
@@ -307,12 +308,12 @@ TEST(StoreSnapshot, RejectsHeaderAndTableCorruption) {
     WriteBytes(path, bad);
     EXPECT_FALSE(OpenStoreSnapshot(path).ok()) << "offset=" << offset;
   }
-  // A TOPKSNP2 or TOPKSNP3 file (the magic's last byte and the version
-  // field) is an unsupported version, not a stranger, and recovery
-  // quarantines it. The magic and version are checked before anything
-  // else is read, so the older formats' other header fields and section
-  // tables need no emulation.
-  for (const uint32_t version : {2u, 3u}) {
+  // A TOPKSNP2, TOPKSNP3 or TOPKSNP4 (FNV-1a checksums) file (the
+  // magic's last byte and the version field) is an unsupported version,
+  // not a stranger, and recovery quarantines it. The magic and version
+  // are checked before anything else is read, so the older formats'
+  // other header fields, section tables and checksums need no emulation.
+  for (const uint32_t version : {2u, 3u, 4u}) {
     SCOPED_TRACE(version);
     std::vector<uint8_t> older = good;
     older[7] = static_cast<uint8_t>('0' + version);
@@ -353,6 +354,55 @@ TEST(StoreSnapshot, RejectsHeaderAndTableCorruption) {
               Status::Code::kInvalidArgument)
         << "n=" << n;
   }
+  std::remove(path.c_str());
+}
+
+TEST(StoreSnapshot, ChecksumFieldsCompareAllSixtyFourBits) {
+  // The CRC32C sits zero-extended in u64 fields: a stored value that is
+  // the right CRC plus a set upper bit is a mismatch, not a match.
+  const PartitionedStore fixture;
+  const std::string path = TempPath("upper-bits.snap");
+  WriteSnapshotOf(fixture.store, path, &fixture.partitioning);
+  const std::vector<uint8_t> good = ReadFile(path);
+  constexpr uint64_t kBit40 = uint64_t{1} << 40;
+  for (size_t index = 0; index < storage::kSnapshotSectionCount; ++index) {
+    SCOPED_TRACE("section index " + std::to_string(index));
+    std::vector<uint8_t> bad = good;
+    Table table = TableOf(bad);
+    ASSERT_LT(table.sections[index].checksum, uint64_t{1} << 32);
+    table.sections[index].checksum |= kBit40;
+    std::memcpy(bad.data() + sizeof(SnapshotHeader), table.sections,
+                sizeof(table.sections));
+    // Re-seal the table so the section check is the one that fires.
+    Poke(&bad, offsetof(SnapshotHeader, directory_checksum),
+         storage::SnapshotChecksum(table.sections, sizeof(table.sections)));
+    WriteBytes(path, bad);
+    const Status verified = VerifySnapshotChecksums(path);
+    EXPECT_EQ(verified.code(), Status::Code::kInvalidArgument);
+    EXPECT_NE(verified.ToString().find("section checksum mismatch"),
+              std::string::npos)
+        << verified.ToString();
+    if (index == kPartitionsIndex || index == kMembersIndex) {
+      auto opened = OpenStoreSnapshot(path);
+      ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+      EXPECT_EQ(opened.value().ReadPartitioning().status().code(),
+                Status::Code::kInvalidArgument);
+    }
+  }
+  std::vector<uint8_t> bad = good;
+  const auto directory =
+      Peek<uint64_t>(bad, offsetof(SnapshotHeader, directory_checksum));
+  ASSERT_LT(directory, uint64_t{1} << 32);
+  Poke(&bad, offsetof(SnapshotHeader, directory_checksum),
+       directory | kBit40);
+  WriteBytes(path, bad);
+  const auto opened = OpenStoreSnapshot(path);
+  EXPECT_EQ(opened.status().code(), Status::Code::kInvalidArgument);
+  EXPECT_NE(opened.status().ToString().find("table checksum mismatch"),
+            std::string::npos)
+      << opened.status().ToString();
+  EXPECT_EQ(VerifySnapshotChecksums(path).code(),
+            Status::Code::kInvalidArgument);
   std::remove(path.c_str());
 }
 
