@@ -91,8 +91,9 @@ Partitioning PartitionBkTree(const BkTree& tree, RawDistance theta_c_raw,
 }
 
 Partitioning BkPartition(const RankingStore& store, RawDistance theta_c_raw,
-                         BkPartitionMode mode, Statistics* stats) {
-  const BkTree tree = BkTree::BuildAll(&store, stats);
+                         BkPartitionMode mode, Statistics* stats,
+                         const PartRunner& runner) {
+  const BkTree tree = BkTree::BuildAll(&store, stats, {}, runner);
   return PartitionBkTree(tree, theta_c_raw, mode, stats);
 }
 

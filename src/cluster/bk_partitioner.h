@@ -19,6 +19,11 @@
 //             is tracked as the path-sum of edge distances from the medoid
 //             (a triangle-inequality upper bound), and the coarse index
 //             retrieves medoids with theta + radius.
+//
+// BkPartition builds the tree through BkTree::BuildAll, so a PartRunner
+// splits the build's large levels into parts (QueryFrontend hands over
+// its own pool). The traversal that carves the partitions stays serial;
+// the partitions are the same with or without a runner.
 
 #ifndef TOPK_CLUSTER_BK_PARTITIONER_H_
 #define TOPK_CLUSTER_BK_PARTITIONER_H_
@@ -39,9 +44,11 @@ Partitioning PartitionBkTree(const BkTree& tree, RawDistance theta_c_raw,
                              BkPartitionMode mode,
                              Statistics* stats = nullptr);
 
-/// Convenience: builds the BK-tree over the whole store, then partitions.
+/// Convenience: builds the BK-tree over the whole store (over `runner`
+/// when given), then partitions.
 Partitioning BkPartition(const RankingStore& store, RawDistance theta_c_raw,
-                         BkPartitionMode mode, Statistics* stats = nullptr);
+                         BkPartitionMode mode, Statistics* stats = nullptr,
+                         const PartRunner& runner = {});
 
 }  // namespace topk
 

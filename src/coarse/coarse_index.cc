@@ -24,17 +24,17 @@ const char* PartitionerKindName(PartitionerKind kind) {
 
 CoarseIndex CoarseIndex::Build(const RankingStore* store,
                                const CoarseOptions& options,
-                               Statistics* stats) {
+                               Statistics* stats, const PartRunner& runner) {
   const RawDistance theta_c_raw = RawThreshold(options.theta_c, store->k());
   Partitioning partitioning;
   switch (options.partitioner) {
     case PartitionerKind::kBkStrict:
-      partitioning =
-          BkPartition(*store, theta_c_raw, BkPartitionMode::kStrict, stats);
+      partitioning = BkPartition(*store, theta_c_raw,
+                                 BkPartitionMode::kStrict, stats, runner);
       break;
     case PartitionerKind::kBkSubtree:
-      partitioning =
-          BkPartition(*store, theta_c_raw, BkPartitionMode::kSubtree, stats);
+      partitioning = BkPartition(*store, theta_c_raw,
+                                 BkPartitionMode::kSubtree, stats, runner);
       break;
     case PartitionerKind::kChavezNavarro: {
       Rng rng(options.seed);
@@ -56,6 +56,10 @@ CoarseIndex CoarseIndex::BuildFromPartitioning(const RankingStore* store,
 
   index.medoids_.reserve(index.partitioning_.partitions.size());
   index.trees_.reserve(index.partitioning_.partitions.size());
+  // The per-partition trees build serially on the caller: built on pool
+  // workers, their node arrays land in the workers' malloc arenas, which
+  // kept ~4-6 B per ranking more resident on the 200k NYT-like corpus,
+  // to save ~0.02 s.
   for (const Partition& p : index.partitioning_.partitions) {
     TOPK_DCHECK(!p.members.empty() && p.members.front() == p.medoid);
     index.medoids_.push_back(p.medoid);

@@ -22,6 +22,12 @@
 //    relaxed threshold reaches dmax (possible at the far end of the
 //    Figure 7 sweep), the engine transparently falls back to scanning the
 //    medoid set, preserving exactness at a measurable cost.
+//
+// Build takes an optional PartRunner: the BK partitioner's global tree
+// then builds its large levels in parts over it (QueryFrontend hands over
+// its own pool). Without one the same code runs inline; the index is
+// identical either way. The per-partition trees always build on the
+// caller.
 
 #ifndef TOPK_COARSE_COARSE_INDEX_H_
 #define TOPK_COARSE_COARSE_INDEX_H_
@@ -37,6 +43,7 @@
 #include "invidx/plain_inverted_index.h"
 #include "kernel/filter_phase.h"
 #include "kernel/footrule_batch.h"
+#include "kernel/id_split.h"
 #include "metric/bk_tree.h"
 
 namespace topk {
@@ -69,9 +76,12 @@ class CoarseIndex {
  public:
   /// Builds the partitioning, the per-partition BK-trees and the medoid
   /// inverted index. Construction distance calls are tallied into `stats`.
+  /// A non-empty `runner` builds the BK partitioner's tree in parts over
+  /// it.
   static CoarseIndex Build(const RankingStore* store,
                            const CoarseOptions& options,
-                           Statistics* stats = nullptr);
+                           Statistics* stats = nullptr,
+                           const PartRunner& runner = {});
 
   /// Builds around an externally produced partitioning (partition members
   /// must list the medoid first).
@@ -107,6 +117,10 @@ class CoarseIndex {
 
   const Partitioning& partitioning() const { return partitioning_; }
   size_t num_partitions() const { return partitioning_.partitions.size(); }
+  /// The BK-tree over partition `partition`'s members.
+  const BkTree& partition_tree(size_t partition) const {
+    return trees_[partition];
+  }
   RawDistance max_radius() const { return max_radius_; }
   const CoarseOptions& options() const { return options_; }
   size_t MemoryUsage() const;

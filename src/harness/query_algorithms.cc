@@ -190,8 +190,9 @@ class LinearScanAdapter : public QueryEngine {
 
 }  // namespace
 
-EngineSuite::EngineSuite(const RankingStore* store, EngineSuiteConfig config)
-    : store_(store), config_(config) {}
+EngineSuite::EngineSuite(const RankingStore* store, EngineSuiteConfig config,
+                         PartRunner build_runner)
+    : store_(store), config_(config), build_runner_(std::move(build_runner)) {}
 
 const PlainInvertedIndex& EngineSuite::plain_index() {
   if (!plain_.has_value()) {
@@ -232,7 +233,7 @@ const DeltaInvertedIndex& EngineSuite::delta_index() {
 const BkTree& EngineSuite::bk_tree() {
   if (!bk_tree_.has_value()) {
     Stopwatch watch;
-    bk_tree_ = BkTree::BuildAll(store_);
+    bk_tree_ = BkTree::BuildAll(store_, nullptr, {}, build_runner_);
     bk_tree_info_ = {watch.ElapsedMillis(), bk_tree_->MemoryUsage()};
   }
   return *bk_tree_;
@@ -254,7 +255,7 @@ const CoarseIndex& EngineSuite::coarse_index() {
     options.partitioner = config_.coarse_partitioner;
     options.drop = DropMode::kNone;
     Stopwatch watch;
-    coarse_ = CoarseIndex::Build(store_, options);
+    coarse_ = CoarseIndex::Build(store_, options, nullptr, build_runner_);
     coarse_info_ = {watch.ElapsedMillis(), coarse_->MemoryUsage()};
   }
   return *coarse_;
@@ -267,7 +268,8 @@ const CoarseIndex& EngineSuite::coarse_drop_index() {
     options.partitioner = config_.coarse_partitioner;
     options.drop = DropMode::kPositionRefined;
     Stopwatch watch;
-    coarse_drop_ = CoarseIndex::Build(store_, options);
+    coarse_drop_ =
+        CoarseIndex::Build(store_, options, nullptr, build_runner_);
     coarse_drop_info_ = {watch.ElapsedMillis(), coarse_drop_->MemoryUsage()};
   }
   return *coarse_drop_;

@@ -26,6 +26,7 @@
 #include "invidx/list_at_a_time.h"
 #include "invidx/list_merge.h"
 #include "invidx/oracle_index.h"
+#include "kernel/id_split.h"
 #include "metric/bk_tree.h"
 #include "metric/m_tree.h"
 
@@ -90,8 +91,12 @@ struct EngineSuiteConfig {
 
 class EngineSuite {
  public:
+  /// A non-empty `build_runner` builds the BK-tree behind kBkTree and the
+  /// coarse indexes in parts over it (QueryFrontend passes its own pool);
+  /// the indexes are the same without one.
   explicit EngineSuite(const RankingStore* store,
-                       EngineSuiteConfig config = {});
+                       EngineSuiteConfig config = {},
+                       PartRunner build_runner = {});
 
   /// Builds (if needed) the indexes behind `algorithm` and returns a fresh
   /// engine. kMinimalFV must go through MakeOracleEngine.
@@ -119,6 +124,7 @@ class EngineSuite {
  private:
   const RankingStore* store_;
   EngineSuiteConfig config_;
+  PartRunner build_runner_;
 
   std::optional<PlainInvertedIndex> plain_;
   std::optional<AugmentedInvertedIndex> augmented_;

@@ -9,8 +9,9 @@
 //
 // The kernel stays pool-agnostic: an IdSplit carries a PartRunner
 // callable that runs body(worker, part) for every part and returns when
-// all are done (PoolSplit hands it a ThreadPool's ParallelFor; a test can
-// run the parts in a plain loop). Both serving callers — QueryFrontend
+// all are done (PoolRunner hands it a ThreadPool's ParallelFor; a test can
+// run the parts in a plain loop). The BK-tree bulk load uses the same
+// runner for its build levels. Both serving callers — QueryFrontend
 // for a lone request, ResilientReader for every snapshot read — split by
 // the one policy below: kSplitParts windows, serial under
 // kSplitMinVolume. Worker w owns workers[w] — its scratch and its
@@ -93,20 +94,24 @@ inline constexpr size_t kSplitParts = 32;
 /// postings.)
 inline constexpr size_t kSplitMinVolume = 32768;
 
-/// The serving split: kSplitParts windows above kSplitMinVolume,
-/// work-shared through `pool`'s ParallelFor, whose slot w runs on
-/// workers[w] (slot 0 is the calling thread). `Pool` is ThreadPool
+/// Runs the parts through `pool`'s ParallelFor: slot 0 is the calling
+/// thread, slots 1..W its workers. `Pool` is ThreadPool
 /// (harness/thread_pool.h); a template parameter so the kernel does not
-/// depend on the harness. `pool` must outlive the split.
+/// depend on the harness. `pool` must outlive the runner.
+template <typename Pool>
+PartRunner PoolRunner(Pool* pool) {
+  return [pool](size_t parts, const PartBody& body) {
+    pool->ParallelFor(parts, body);
+  };
+}
+
+/// The serving split: kSplitParts windows above kSplitMinVolume,
+/// work-shared through PoolRunner(pool), whose slot w runs on workers[w].
 template <typename Scratch, typename Pool>
 IdSplit<Scratch> PoolSplit(Pool* pool,
                            std::span<const SplitWorker<Scratch>> workers) {
-  return IdSplit<Scratch>{
-      kSplitParts, kSplitMinVolume,
-      [pool](size_t parts, const PartBody& body) {
-        pool->ParallelFor(parts, body);
-      },
-      workers};
+  return IdSplit<Scratch>{kSplitParts, kSplitMinVolume, PoolRunner(pool),
+                          workers};
 }
 
 /// Runs part(worker, p, part_control) for every p through split.run.

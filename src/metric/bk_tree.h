@@ -10,11 +10,19 @@
 // coarse index additionally uses the tree's structure to carve partitions
 // (see cluster/bk_partitioner).
 //
-// Exact duplicates form 0-edge chains below the first node they match.
-// A build remembers each chain's tail, so appending a duplicate is O(1)
-// instead of a walk down the chain: a group of c identical rankings costs
-// c steps, not c^2/2. The tail index lives only for the build; the tree
-// shape is the one plain chain-walking insertion gives.
+// Bulk load. Build places rows level by level instead of inserting them
+// one at a time. Every unplaced row sits in a segment headed by the node
+// it descends to; each level computes every row's distance to its head
+// (split over a PartRunner when the level is large enough), then buckets
+// each segment stably by that distance. A bucket's first row becomes the
+// head's child on that edge and the rest of the bucket becomes the child's
+// segment for the next level; bucket 0 (exact duplicates, the metric is
+// regular) becomes the head's 0-edge chain in row order. That is the tree
+// inserting the ids in order builds, node for node: node i holds ids[i],
+// siblings run in descending node index (insertion prepends them), and a
+// row pays one distance call per ancestor it is measured against, up to
+// its chain head. A group of c identical rankings therefore costs c calls,
+// not c^2/2, without any chain-tail index.
 
 #ifndef TOPK_METRIC_BK_TREE_H_
 #define TOPK_METRIC_BK_TREE_H_
@@ -27,6 +35,7 @@
 #include "core/statistics.h"
 #include "core/types.h"
 #include "kernel/footrule_batch.h"
+#include "kernel/id_split.h"
 
 namespace topk {
 
@@ -44,6 +53,13 @@ class BkTree {
  public:
   static constexpr uint32_t kNoNode = 0xffffffffu;
 
+  /// A build level whose distance pass makes fewer Footrule calls than
+  /// this runs inline on the caller even when a runner is given. A fan-out
+  /// pays ParallelFor's wake-up and join (~0.05-0.1 ms with 3 executors on
+  /// a 4-vCPU VM), which a level of a few thousand ~30 ns calls does not
+  /// repay, and a 200k-row build has ~150 levels, most of them short.
+  static constexpr size_t kFanOutMinCalls = 16384;
+
   struct Node {
     RankingId id;
     RawDistance parent_dist;  // edge label; 0 for the root
@@ -55,19 +71,23 @@ class BkTree {
   explicit BkTree(const RankingStore* store, BkTreeOptions options = {})
       : store_(store), options_(options) {}
 
-  /// Builds by inserting `ids` in order (the paper's construction; the
-  /// tree shape depends on insertion order). Distance computations and the
-  /// nodes each insertion descends through are tallied into `stats` if
-  /// given.
+  /// Builds the tree that inserting `ids` in order gives (the paper's
+  /// construction; the tree shape depends on insertion order), by the
+  /// level-synchronous bulk load above. Distance computations and the
+  /// nodes each row is measured against are tallied into `stats` if given.
+  /// A non-empty `runner` splits every large level's distance pass into
+  /// parts; the tree and the tallies are the same with or without it.
   static BkTree Build(const RankingStore* store,
                       std::span<const RankingId> ids,
                       Statistics* stats = nullptr,
-                      BkTreeOptions options = {});
+                      BkTreeOptions options = {},
+                      const PartRunner& runner = {});
 
   /// Builds over the entire store.
   static BkTree BuildAll(const RankingStore* store,
                          Statistics* stats = nullptr,
-                         BkTreeOptions options = {});
+                         BkTreeOptions options = {},
+                         const PartRunner& runner = {});
 
   /// Appends all rankings within `theta_raw` of the query to `out`.
   void RangeQueryInto(SortedRankingView query, RawDistance theta_raw,
@@ -108,12 +128,6 @@ class BkTree {
   size_t MemoryUsage() const { return nodes_.capacity() * sizeof(Node); }
 
  private:
-  /// Inserts `id` below the existing nodes. `chain_tails[h]` is the tail
-  /// of the 0-edge chain headed by node h (kNoNode while h has no 0-edge
-  /// child); the build owns it and sizes it to the final node count.
-  void Insert(RankingId id, std::vector<uint32_t>* chain_tails,
-              Statistics* stats);
-
   /// One traversal body for every overload: `distance(id)` supplies the
   /// query distance of a node's ranking (scalar merge kernel or the
   /// pre-bound batched validator) and `emit(id, dist)` records a match,

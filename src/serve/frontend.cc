@@ -17,7 +17,7 @@ QueryFrontend::QueryFrontend(const RankingStore* store,
       options_(options),
       num_threads_(std::max<size_t>(options.num_threads, 1)),
       pool_(num_threads_ - 1),
-      suite_(store, options.suite_config),
+      suite_(store, options.suite_config, PoolRunner(&pool_)),
       executors_(num_threads_),
       result_cache_(options.result_cache_capacity, options.cache_shards) {}
 
@@ -25,9 +25,10 @@ void QueryFrontend::PrepareLocked(Algorithm algorithm) {
   if (algorithm == Algorithm::kMinimalFV) return;  // rejected at serve time
   if (!executors_[0].engines.contains(algorithm)) {
     // The first MakeEngine builds the shared indexes; the remaining
-    // engines are thin per-executor adapters over them. All of this is
-    // serial — the suite's lazy index construction is not thread-safe,
-    // which is exactly why engines are made here and not inside ServeOne.
+    // engines are thin per-executor adapters over them. The suite's lazy
+    // index construction is not thread-safe, which is exactly why engines
+    // are made here and not inside ServeOne; a BK-tree or coarse build
+    // splits its own work over the pool, which the coordinator owns here.
     for (Executor& executor : executors_) {
       executor.engines[algorithm] = suite_.MakeEngine(algorithm);
     }

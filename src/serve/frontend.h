@@ -24,6 +24,11 @@
 //                 kSplitMinVolume posting entries (or store rows) the
 //                 request stays serial on the caller; Coarse, the metric
 //                 trees and the theta >= dmax sweep always do.
+//   prepare       the suite builds its indexes on the coordinator; the
+//                 BK-tree behind kBkTree and the coarse indexes' global
+//                 BK-tree split each large build level's distance pass
+//                 over the same pool (PoolRunner). The indexes equal the
+//                 serial build.
 //   result cache  an exact sharded LRU keyed by the canonical query
 //                 sequence + (kind, algorithm, theta or j): an identical
 //                 re-issued query is answered without touching any engine.

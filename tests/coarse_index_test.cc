@@ -8,7 +8,10 @@
 #include <tuple>
 
 #include "cluster/cn_partitioner.h"
+#include "data/generator.h"
+#include "harness/thread_pool.h"
 #include "invidx/filter_validate.h"
+#include "kernel/id_split.h"
 #include "test_util.h"
 
 namespace topk {
@@ -158,6 +161,64 @@ TEST(CoarseIndexTest, SingletonPartitionsBehaveAtThetaCZero) {
       EXPECT_EQ(index.Query(query, theta_raw),
                 testutil::BruteForce(store, query, theta_raw));
     }
+  }
+}
+
+/// Same medoids, partitions and radii, and every partition tree node for
+/// node.
+void ExpectSameIndex(const CoarseIndex& got, const CoarseIndex& want) {
+  ASSERT_EQ(got.num_partitions(), want.num_partitions());
+  EXPECT_EQ(got.max_radius(), want.max_radius());
+  for (size_t p = 0; p < got.num_partitions(); ++p) {
+    const Partition& a = got.partitioning().partitions[p];
+    const Partition& b = want.partitioning().partitions[p];
+    ASSERT_EQ(a.medoid, b.medoid) << p;
+    ASSERT_EQ(a.members, b.members) << p;
+    ASSERT_EQ(a.radius, b.radius) << p;
+    const auto& got_nodes = got.partition_tree(p).nodes();
+    const auto& want_nodes = want.partition_tree(p).nodes();
+    ASSERT_EQ(got_nodes.size(), want_nodes.size()) << p;
+    for (size_t i = 0; i < got_nodes.size(); ++i) {
+      ASSERT_TRUE(got_nodes[i].id == want_nodes[i].id &&
+                  got_nodes[i].parent_dist == want_nodes[i].parent_dist &&
+                  got_nodes[i].first_child == want_nodes[i].first_child &&
+                  got_nodes[i].next_sibling == want_nodes[i].next_sibling)
+          << "partition " << p << " node " << i;
+    }
+  }
+}
+
+/// Builds `store`'s index serially, over a 3-worker pool and over a runner
+/// that runs parts last to first: all three are the same index with the
+/// same construction tallies.
+void CheckRunnerBuilds(const RankingStore& store,
+                       const CoarseOptions& options) {
+  Statistics serial_stats;
+  const CoarseIndex serial = CoarseIndex::Build(&store, options, &serial_stats);
+  ThreadPool pool(3);
+  const PartRunner reverse = [](size_t parts, const PartBody& body) {
+    for (size_t part = parts; part-- > 0;) body(0, part);
+  };
+  for (const PartRunner& runner : {PoolRunner(&pool), reverse}) {
+    Statistics stats;
+    ExpectSameIndex(CoarseIndex::Build(&store, options, &stats, runner),
+                    serial);
+    EXPECT_EQ(stats, serial_stats);
+  }
+}
+
+TEST(CoarseIndexTest, RunnerBuildEqualsSerialBuild) {
+  // Large enough that the global BK-tree's first level fans out.
+  const RankingStore store =
+      Generate(NytLikeOptions(BkTree::kFanOutMinCalls + 2000, 10, 20150323));
+  for (const PartitionerKind partitioner :
+       {PartitionerKind::kBkStrict, PartitionerKind::kBkSubtree}) {
+    SCOPED_TRACE(PartitionerKindName(partitioner));
+    CoarseOptions options;
+    options.theta_c = 0.06;
+    options.partitioner = partitioner;
+    options.drop = DropMode::kPositionRefined;
+    CheckRunnerBuilds(store, options);
   }
 }
 

@@ -1,6 +1,8 @@
 // BK-tree: structural invariants, range-query exactness, the pruning
-// benefit on clustered data, and build parity with plain chain-walking
-// insertion on duplicate-heavy stores.
+// benefit on clustered data, and build parity of the level-synchronous
+// bulk load with plain chain-walking insertion: serial, over a ThreadPool
+// at 1-4 slots, over a runner that runs parts in reverse, and on edge
+// stores.
 
 #include "metric/bk_tree.h"
 
@@ -12,6 +14,9 @@
 
 #include "cluster/bk_partitioner.h"
 #include "core/footrule.h"
+#include "data/generator.h"
+#include "harness/thread_pool.h"
+#include "kernel/id_split.h"
 #include "test_util.h"
 
 namespace topk {
@@ -157,7 +162,7 @@ TEST(BkTreeTest, FaithfulModeMatchesOptimizedModeResults) {
 
 /// A BK-tree built by plain Burkhard-Keller insertion: an exact duplicate
 /// walks its whole 0-edge chain (without distance calls) to attach at the
-/// tail. The reference for the builds' O(1) tail append.
+/// tail. The reference for the level-synchronous bulk load.
 struct ChainWalkTree {
   std::vector<BkTree::Node> nodes;
   uint64_t distance_calls = 0;
@@ -213,6 +218,7 @@ Partitioning ChainWalkPartition(const RankingStore& store,
     RawDistance bound;
   };
   Partitioning out;
+  if (nodes.empty()) return out;
   out.partitions.push_back(Partition{nodes[0].id, {nodes[0].id}, 0});
   std::vector<Frame> stack;
   for (uint32_t c = nodes[0].first_child; c != BkTree::kNoNode;
@@ -273,61 +279,214 @@ void ExpectSamePartitioning(const Partitioning& got,
   }
 }
 
-/// Builds over the whole store and over `ids` match the reference node for
-/// node and in distance calls, and both partitioner modes carve the same
-/// partitions as from the reference tree.
-void CheckBuildParity(const RankingStore& store,
-                      std::span<const RankingId> ids) {
-  std::vector<RankingId> all(store.size());
-  std::iota(all.begin(), all.end(), RankingId{0});
-  const ChainWalkTree reference_all = ChainWalkBuild(store, all);
-  Statistics all_stats;
-  ExpectSameNodes(BkTree::BuildAll(&store, &all_stats), reference_all);
-  EXPECT_EQ(all_stats.Get(Ticker::kDistanceCalls),
-            reference_all.distance_calls);
+/// A build and its tallies match the reference: node for node, one
+/// distance call per ancestor measured, and one visited node per call.
+void ExpectSameBuild(const BkTree& tree, const Statistics& stats,
+                     const ChainWalkTree& reference) {
+  ExpectSameNodes(tree, reference);
+  EXPECT_EQ(stats.Get(Ticker::kDistanceCalls), reference.distance_calls);
+  EXPECT_EQ(stats.Get(Ticker::kTreeNodesVisited), reference.distance_calls);
+}
 
-  const ChainWalkTree reference_ids = ChainWalkBuild(store, ids);
-  Statistics ids_stats;
-  ExpectSameNodes(BkTree::Build(&store, ids, &ids_stats), reference_ids);
-  EXPECT_EQ(ids_stats.Get(Ticker::kDistanceCalls),
-            reference_ids.distance_calls);
+/// The chain-walk references for builds over the whole store and over
+/// `ids`, and the partitions carved from the whole-store reference.
+struct BuildReference {
+  struct Carving {
+    BkPartitionMode mode;
+    RawDistance theta_c_raw;
+    Partitioning partitioning;
+  };
 
-  for (BkPartitionMode mode :
-       {BkPartitionMode::kStrict, BkPartitionMode::kSubtree}) {
-    for (double theta_c : {0.06, 0.3}) {
-      const RawDistance raw = RawThreshold(theta_c, store.k());
-      SCOPED_TRACE(std::string(BkPartitionModeName(mode)) + " theta_c=" +
-                   std::to_string(theta_c));
-      ExpectSamePartitioning(
-          BkPartition(store, raw, mode),
-          ChainWalkPartition(store, reference_all.nodes, raw, mode));
+  BuildReference(const RankingStore& store, std::span<const RankingId> ids)
+      : ids(ids.begin(), ids.end()) {
+    std::vector<RankingId> every(store.size());
+    std::iota(every.begin(), every.end(), RankingId{0});
+    all = ChainWalkBuild(store, every);
+    subset = ChainWalkBuild(store, ids);
+    for (BkPartitionMode mode :
+         {BkPartitionMode::kStrict, BkPartitionMode::kSubtree}) {
+      for (double theta_c : {0.06, 0.3}) {
+        const RawDistance raw = RawThreshold(theta_c, store.k());
+        carvings.push_back(Carving{
+            mode, raw, ChainWalkPartition(store, all.nodes, raw, mode)});
+      }
     }
   }
+
+  std::vector<RankingId> ids;
+  ChainWalkTree all;
+  ChainWalkTree subset;
+  std::vector<Carving> carvings;
+};
+
+/// Builds over the whole store and over the reference's ids, with or
+/// without `runner`, match the reference node for node and in tallies, and
+/// both partitioner modes carve the same partitions from the built tree as
+/// from the reference tree (BkPartition, which builds its own tree over
+/// `runner`, for the first carving).
+void CheckBuildParity(const RankingStore& store,
+                      const BuildReference& reference,
+                      const PartRunner& runner = {}) {
+  Statistics all_stats;
+  const BkTree all = BkTree::BuildAll(&store, &all_stats, {}, runner);
+  ExpectSameBuild(all, all_stats, reference.all);
+  Statistics ids_stats;
+  ExpectSameBuild(BkTree::Build(&store, reference.ids, &ids_stats, {}, runner),
+                  ids_stats, reference.subset);
+  for (const BuildReference::Carving& carving : reference.carvings) {
+    SCOPED_TRACE(std::string(BkPartitionModeName(carving.mode)) +
+                 " theta_c_raw=" + std::to_string(carving.theta_c_raw));
+    ExpectSamePartitioning(
+        PartitionBkTree(all, carving.theta_c_raw, carving.mode),
+        carving.partitioning);
+  }
+  const BuildReference::Carving& first = reference.carvings.front();
+  ExpectSamePartitioning(
+      BkPartition(store, first.theta_c_raw, first.mode, nullptr, runner),
+      first.partitioning);
 }
 
-TEST(BkTreeBuildParityTest, DuplicateHeavyNytCorpusMatchesChainWalk) {
-  const RankingStore store = Generate(NytLikeOptions(20000, 10, 20150323));
-  // The subset build inserts in reverse, so different rankings head the
-  // chains than in the full build.
+/// Wraps a runner and counts the fan-outs it was handed.
+struct CountingRunner {
+  PartRunner inner;
+  size_t fan_outs = 0;
+
+  PartRunner runner() {
+    return [this](size_t parts, const PartBody& body) {
+      ++fan_outs;
+      inner(parts, body);
+    };
+  }
+};
+
+/// Runs the parts last to first on the calling thread, so the build
+/// cannot depend on the order its parts finish in.
+void ReverseRun(size_t parts, const PartBody& body) {
+  for (size_t part = parts; part-- > 0;) body(0, part);
+}
+
+/// Ids in reverse: different rankings head the chains than in the full
+/// build.
+std::vector<RankingId> Reversed(const RankingStore& store) {
   std::vector<RankingId> reversed(store.size());
   std::iota(reversed.rbegin(), reversed.rend(), RankingId{0});
-  CheckBuildParity(store, reversed);
+  return reversed;
 }
 
-TEST(BkTreeBuildParityTest, InterleavedDuplicateGroupsMatchChainWalk) {
-  // Eight duplicate groups added round-robin between distinct clustered
-  // rankings, so chains grow concurrently with heads at varying depths.
+/// A duplicate-heavy NYT-like store whose first build level clears the
+/// fan-out floor, so a runner really splits the build.
+RankingStore FanOutStore() {
+  return Generate(
+      NytLikeOptions(BkTree::kFanOutMinCalls + 2000, 10, 20150323));
+}
+
+/// Eight duplicate groups added round-robin between distinct clustered
+/// rankings, so chains grow concurrently with heads at varying depths.
+RankingStore InterleavedStore() {
   const RankingStore source = testutil::MakeClusteredStore(10, 3000, 104);
   RankingStore store(10);
   for (RankingId id = 0; id < source.size(); ++id) {
     store.AddUnchecked(source.view(id).items());
     store.AddUnchecked(source.view(id % 8).items());
   }
+  return store;
+}
+
+std::vector<RankingId> EveryThird(const RankingStore& store) {
   std::vector<RankingId> every_third;
   for (RankingId id = 0; id < store.size(); id += 3) {
     every_third.push_back(id);
   }
-  CheckBuildParity(store, every_third);
+  return every_third;
+}
+
+TEST(BkTreeBuildParityTest, DuplicateHeavyNytCorpusMatchesChainWalk) {
+  const RankingStore store = Generate(NytLikeOptions(20000, 10, 20150323));
+  CheckBuildParity(store, BuildReference(store, Reversed(store)));
+}
+
+TEST(BkTreeBuildParityTest, InterleavedDuplicateGroupsMatchChainWalk) {
+  const RankingStore store = InterleavedStore();
+  CheckBuildParity(store, BuildReference(store, EveryThird(store)));
+}
+
+TEST(BkTreeBuildParityTest, ThreadPoolRunnerMatchesChainWalkAtOneToFourSlots) {
+  const RankingStore store = FanOutStore();
+  ASSERT_GT(store.size(), BkTree::kFanOutMinCalls + 1);
+  const BuildReference reference(store, Reversed(store));
+  for (size_t workers = 0; workers < 4; ++workers) {
+    SCOPED_TRACE("slots=" + std::to_string(workers + 1));
+    ThreadPool pool(workers);
+    CountingRunner counting{PoolRunner(&pool)};
+    CheckBuildParity(store, reference, counting.runner());
+    EXPECT_GT(counting.fan_outs, 0u) << "no build level fanned out";
+  }
+}
+
+TEST(BkTreeBuildParityTest, ReverseOrderRunnerMatchesChainWalk) {
+  const RankingStore store = FanOutStore();
+  const BuildReference reference(store, Reversed(store));
+  CountingRunner counting{ReverseRun};
+  CheckBuildParity(store, reference, counting.runner());
+  EXPECT_GT(counting.fan_outs, 0u) << "no build level fanned out";
+}
+
+/// Edge stores, each serial, over a pool and over the reverse runner.
+void CheckEdgeStore(const RankingStore& store,
+                    std::span<const RankingId> ids) {
+  const BuildReference reference(store, ids);
+  CheckBuildParity(store, reference);
+  ThreadPool pool(3);
+  CheckBuildParity(store, reference, PoolRunner(&pool));
+  CheckBuildParity(store, reference, ReverseRun);
+}
+
+TEST(BkTreeBuildParityTest, EmptyOneAndTwoRowStoresMatchChainWalk) {
+  const RankingStore source = testutil::MakeClusteredStore(10, 2, 7);
+  for (size_t rows = 0; rows <= 2; ++rows) {
+    SCOPED_TRACE("rows=" + std::to_string(rows));
+    RankingStore store(10);
+    for (RankingId id = 0; id < rows; ++id) {
+      store.AddUnchecked(source.view(id).items());
+    }
+    CheckEdgeStore(store, Reversed(store));
+  }
+}
+
+TEST(BkTreeBuildParityTest, IdenticalRowsFormOneChain) {
+  RankingStore store(10);
+  const std::vector<ItemId> row = {1, 2, 3, 4, 5, 6, 7, 8, 9, 10};
+  for (int i = 0; i < 1000; ++i) store.AddUnchecked(row);
+  CheckEdgeStore(store, EveryThird(store));
+  const BkTree tree = BkTree::BuildAll(&store);
+  for (uint32_t i = 0; i + 1 < tree.size(); ++i) {
+    EXPECT_EQ(tree.nodes()[i].first_child, i + 1);
+    EXPECT_EQ(tree.nodes()[i + 1].parent_dist, 0u);
+  }
+}
+
+TEST(BkTreeBuildParityTest, RowsAtPairwiseMaxDistanceFormOneLongPath) {
+  // Disjoint items: every pair is at dmax, so each level places one row
+  // and hands the rest to it — 499 levels.
+  RankingStore store(10);
+  for (ItemId r = 0; r < 500; ++r) {
+    std::vector<ItemId> row(10);
+    std::iota(row.begin(), row.end(), r * 10 + 1);
+    store.AddUnchecked(row);
+  }
+  CheckEdgeStore(store, EveryThird(store));
+  Statistics stats;
+  const BkTree tree = BkTree::BuildAll(&store, &stats);
+  for (uint32_t i = 0; i + 1 < tree.size(); ++i) {
+    EXPECT_EQ(tree.nodes()[i].first_child, i + 1);
+    EXPECT_EQ(tree.nodes()[i + 1].parent_dist, MaxDistance(10));
+  }
+  EXPECT_EQ(stats.Get(Ticker::kDistanceCalls), 499u * 500u / 2u);
+}
+
+TEST(BkTreeBuildParityTest, EveryThirdIdSubsetMatchesChainWalk) {
+  const RankingStore store = FanOutStore();
+  CheckEdgeStore(store, EveryThird(store));
 }
 
 }  // namespace

@@ -2,7 +2,8 @@
 // generation-based invalidation, and the concurrency contract
 // (this suite runs under TSan in CI alongside the parallel harness), and
 // lone requests, whose F&V range or LinearScan k-NN work fans out over
-// every executor as id windows.
+// every executor as id windows, and Prepare, whose BK-tree builds split
+// over the frontend's own pool.
 
 #include <gtest/gtest.h>
 
@@ -15,6 +16,7 @@
 #include <vector>
 
 #include "core/deadline.h"
+#include "data/generator.h"
 #include "invidx/plain_inverted_index.h"
 #include "kernel/id_split.h"
 #include "metric/knn.h"
@@ -587,6 +589,60 @@ TEST_F(LoneRequestTest, LoneRequestsHonourCancelAndDeadline) {
         EXPECT_EQ(served[0].neighbors, LinearScanKnn(wide_, query, 10));
       }
     }
+  }
+}
+
+// ---- Prepare: BK-tree builds split over the frontend's pool. ----
+
+TEST(ParallelPrepareTest, TreeIndexesServeBruteForceAtEveryThreadCount) {
+  // Large enough that the global BK-tree's first build level fans out.
+  const RankingStore store =
+      Generate(NytLikeOptions(BkTree::kFanOutMinCalls + 2000, 10, 20150323));
+  const std::vector<PreparedQuery> queries =
+      testutil::MakeQueries(store, 3, /*seed=*/71);
+  const RawDistance thetas[] = {RawThreshold(0.1, store.k()),
+                                RawThreshold(0.2, store.k())};
+  std::vector<ServeRequest> requests;
+  for (const Algorithm algorithm :
+       {Algorithm::kCoarseDrop, Algorithm::kBkTree}) {
+    for (const RawDistance theta : thetas) {
+      for (const PreparedQuery& query : queries) {
+        requests.push_back(ServeRequest::Range(algorithm, query, theta));
+      }
+    }
+  }
+  for (const PreparedQuery& query : queries) {
+    requests.push_back(ServeRequest::Knn(Algorithm::kBkTree, query, 10));
+  }
+
+  std::vector<Statistics> tickers;
+  for (const size_t threads : {1, 2, 3, 4}) {
+    QueryFrontendOptions options;
+    options.num_threads = threads;
+    options.result_cache_capacity = 0;  // every request runs its engine
+    QueryFrontend frontend(&store, options);
+    frontend.Prepare(Algorithm::kCoarseDrop);
+    frontend.Prepare(Algorithm::kBkTree);
+    Statistics stats;
+    const auto responses = frontend.ServeBatch(requests, &stats);
+    for (size_t i = 0; i < requests.size(); ++i) {
+      const ServeRequest& request = requests[i];
+      ASSERT_TRUE(responses[i].status.ok());
+      if (request.kind == ServeKind::kKnn) {
+        EXPECT_EQ(responses[i].neighbors,
+                  LinearScanKnn(store, *request.query, request.j))
+            << "threads=" << threads << " request " << i;
+      } else {
+        EXPECT_EQ(responses[i].ids, testutil::BruteForce(
+                                        store, *request.query,
+                                        request.theta_raw))
+            << "threads=" << threads << " request " << i;
+      }
+    }
+    tickers.push_back(stats);
+  }
+  for (size_t t = 1; t < tickers.size(); ++t) {
+    EXPECT_EQ(tickers[t], tickers[0]) << "threads=" << t + 1;
   }
 }
 
