@@ -1,10 +1,13 @@
-// bench_kernel: standalone micro-benchmark of the src/kernel/ layer.
+// bench_kernel: standalone micro-benchmark of the src/kernel/ and
+// src/storage/ kernels.
 //
-// Prints the same `kernel` section bench_baseline embeds into
-// BENCH_baseline.json (naive vs merge vs batched Footrule validation;
-// per-item vector lists vs the CSR posting arena), as its own JSON
-// document (default BENCH_kernel.json, override with --out=). Useful for
-// iterating on kernel changes without re-running the full baseline.
+// Prints the same `kernel`, `simd` and `storage` sections bench_baseline
+// embeds into BENCH_baseline.json (naive vs merge vs batched Footrule
+// validation; per-item vector lists vs the CSR posting arena; scalar vs
+// lane kernels; CRC32C and block-decode throughput, each dispatched body
+// against its scalar twin), as its own JSON document (default
+// BENCH_kernel.json, override with --out=). Useful for iterating on
+// kernel changes without re-running the full baseline.
 
 #include <fstream>
 #include <iostream>
@@ -13,6 +16,7 @@
 #include "bench_util.h"
 #include "json_writer.h"
 #include "kernel_bench.h"
+#include "storage_bench.h"
 
 namespace topk {
 namespace {
@@ -37,6 +41,7 @@ int Run(int argc, char** argv) {
   json.Uint(1);
   bench::EmitKernelSection(&json, args);
   bench::EmitSimdSection(&json, args);
+  bench::EmitStorageSection(&json, args);
   json.EndObject();
   out << "\n";
   std::cout << "wrote " << out_path << "\n";

@@ -1,12 +1,15 @@
 // bench_baseline: the machine-readable benchmark baseline.
 //
 // Where the fig*/table* binaries print the paper's figures as text tables
-// for humans, this binary measures the three numbers every future perf PR
-// is judged against and writes them as JSON (default BENCH_baseline.json,
+// for humans, this binary measures the numbers every future perf PR is
+// judged against and writes them as JSON (default BENCH_baseline.json,
 // override with --out=):
 //
 //   footrule_kernel  ns/call and Mcalls/s for the merge and naive distance
 //                    kernels (the micro_footrule story, sans google-benchmark)
+//   kernel, simd,    the filter/validate, lane-kernel, checksum and decode
+//   storage          micro rows (kernel_bench.h, storage_bench.h; also
+//                    emitted alone by bench_kernel)
 //   index_build      per-index construction time and memory (the Table 6 story)
 //   query_latency    per-algorithm workload wall time and per-query latency
 //                    percentiles at several thetas (the Figure 8 story)
@@ -32,7 +35,6 @@
 #include "harness/runner.h"
 #include "json_writer.h"
 #include "kernel_bench.h"
-#include "mutability_bench.h"
 #include "storage_bench.h"
 
 namespace topk {
@@ -298,7 +300,6 @@ int Run(int argc, char** argv) {
   bench::EmitSimdSection(&json, args);
   EmitIndexBuild(&json, datasets);
   EmitQueryLatency(&json, args, datasets);
-  bench::EmitMutabilitySection(&json, args);
   bench::EmitStorageSection(&json, args);
 
   json.EndObject();

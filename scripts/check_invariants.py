@@ -124,12 +124,8 @@ ALLOC_ALLOWED: set[str] = set()  # arenas use std::vector storage today
 BENCH_REQUIRED_SECTIONS = {
     "BENCH_baseline.json": [
         "schema_version", "meta", "footrule_kernel", "kernel", "simd",
-        "index_build", "query_latency", "mutability", "storage",
+        "index_build", "query_latency", "storage",
     ],
-    "BENCH_serving.json": ["schema_version", "hardware_concurrency", "rows"],
-    "BENCH_mutability.json": ["schema_version", "mutability"],
-    "BENCH_storage.json": ["schema_version", "storage"],
-    "BENCH_robustness.json": ["schema_version", "robustness"],
 }
 
 # generation-bump -----------------------------------------------------------

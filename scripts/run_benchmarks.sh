@@ -1,24 +1,15 @@
 #!/usr/bin/env bash
 # Builds (Release) and runs the bench_baseline binary, emitting the
 # machine-readable benchmark baseline every perf PR measures against,
-# then the bench_serving cache study (BENCH_serving.json next to it), the
-# bench_mutability write-path study (BENCH_mutability.json), and the
-# bench_storage compressed-tier study (BENCH_storage.json), and the
-# bench_robustness fault-tolerance overhead study
-# (BENCH_robustness.json). Each fresh
-# artifact is diffed against the committed copy (HEAD) via
+# and diffs the fresh artifact against the committed copy (HEAD) via
 # scripts/compare_benchmarks.py, so a run prints its own perf trajectory.
+# End-to-end serving, storage, mutability and robustness numbers are
+# perfbench's (perfbench/README.md).
 #
 # Usage:
 #   scripts/run_benchmarks.sh                 # CI-scale run -> BENCH_baseline.json
-#                                             # + BENCH_serving.json + BENCH_mutability.json
-#                                             # + BENCH_storage.json + BENCH_robustness.json
 #   scripts/run_benchmarks.sh --full          # paper-scale collection sizes
 #   OUT=my.json BUILD_DIR=build-rel scripts/run_benchmarks.sh --queries=500
-#   SERVING_OUT= scripts/run_benchmarks.sh    # skip the serving study
-#   MUTABILITY_OUT= scripts/run_benchmarks.sh # skip the mutability study
-#   STORAGE_OUT= scripts/run_benchmarks.sh    # skip the storage study
-#   ROBUSTNESS_OUT= scripts/run_benchmarks.sh # skip the robustness study
 #   MARCH=x86-64-v3 scripts/run_benchmarks.sh # compile the bench build for
 #                                             # that -march so the TOPK_SIMD
 #                                             # kernel paths dispatch to a
@@ -30,7 +21,7 @@
 #                                             # passing it again (or wiping
 #                                             # the build dir).
 #
-# Extra arguments are forwarded to all binaries (see bench/bench_util.h
+# Extra arguments are forwarded to the binary (see bench/bench_util.h
 # for the knobs); explicit --nyt-n=/--yago-n=/--queries= override the
 # CI-scale defaults below.
 
@@ -39,12 +30,8 @@ cd "$(dirname "$0")/.."
 
 BUILD_DIR=${BUILD_DIR:-build}
 OUT=${OUT:-BENCH_baseline.json}
-SERVING_OUT=${SERVING_OUT-BENCH_serving.json}
-MUTABILITY_OUT=${MUTABILITY_OUT-BENCH_mutability.json}
-STORAGE_OUT=${STORAGE_OUT-BENCH_storage.json}
-ROBUSTNESS_OUT=${ROBUSTNESS_OUT-BENCH_robustness.json}
 
-# Prints per-section deltas of a fresh artifact against the copy
+# Prints per-section deltas of the fresh artifact against the copy
 # committed at HEAD (informational; skipped when python3/git/the
 # committed copy are unavailable, or with COMPARE=0 — CI sets that and
 # runs the comparison as its own visible step instead).
@@ -79,9 +66,7 @@ done
 MARCH=${MARCH:-}
 cmake -B "$BUILD_DIR" -S . -DCMAKE_BUILD_TYPE=Release -DTOPK_SANITIZE= \
   ${MARCH:+"-DCMAKE_CXX_FLAGS=-march=$MARCH"}
-cmake --build "$BUILD_DIR" -j"$(nproc)" \
-  --target bench_baseline bench_serving bench_mutability bench_storage \
-  bench_robustness
+cmake --build "$BUILD_DIR" -j"$(nproc)" --target bench_baseline
 
 # ${arr[@]+...} keeps the empty-array expansion safe under set -u on
 # bash < 4.4 (macOS ships 3.2).
@@ -89,31 +74,3 @@ cmake --build "$BUILD_DIR" -j"$(nproc)" \
   ${DEFAULT_ARGS[@]+"${DEFAULT_ARGS[@]}"} "$@" --out="$OUT"
 echo "baseline written to $OUT"
 compare_against_committed BENCH_baseline.json "$OUT"
-
-if [[ -n "$SERVING_OUT" ]]; then
-  "$BUILD_DIR/bench/bench_serving" \
-    ${DEFAULT_ARGS[@]+"${DEFAULT_ARGS[@]}"} "$@" --out="$SERVING_OUT"
-  echo "serving study written to $SERVING_OUT"
-  compare_against_committed BENCH_serving.json "$SERVING_OUT"
-fi
-
-if [[ -n "$MUTABILITY_OUT" ]]; then
-  "$BUILD_DIR/bench/bench_mutability" \
-    ${DEFAULT_ARGS[@]+"${DEFAULT_ARGS[@]}"} "$@" --out="$MUTABILITY_OUT"
-  echo "mutability study written to $MUTABILITY_OUT"
-  compare_against_committed BENCH_mutability.json "$MUTABILITY_OUT"
-fi
-
-if [[ -n "$STORAGE_OUT" ]]; then
-  "$BUILD_DIR/bench/bench_storage" \
-    ${DEFAULT_ARGS[@]+"${DEFAULT_ARGS[@]}"} "$@" --out="$STORAGE_OUT"
-  echo "storage study written to $STORAGE_OUT"
-  compare_against_committed BENCH_storage.json "$STORAGE_OUT"
-fi
-
-if [[ -n "$ROBUSTNESS_OUT" ]]; then
-  "$BUILD_DIR/bench/bench_robustness" \
-    ${DEFAULT_ARGS[@]+"${DEFAULT_ARGS[@]}"} "$@" --out="$ROBUSTNESS_OUT"
-  echo "robustness study written to $ROBUSTNESS_OUT"
-  compare_against_committed BENCH_robustness.json "$ROBUSTNESS_OUT"
-fi

@@ -5,8 +5,10 @@
 // QueryControl that kernel loops poll at block/batch granularity. The
 // poll is amortized: the common case is a decrement-and-compare (no clock
 // read), with the actual steady_clock::now() taken once every kStride
-// polls — which is what keeps the uncancelled hot path within the <2%
-// overhead budget BENCH_robustness.json tracks.
+// polls. No bench isolates that cost: every request QueryFrontend serves
+// carries a QueryControl (infinite by default) that its F&V range kernel
+// and LinearScan k-NN sweep poll, so perfbench's nyt_ram latencies
+// include the polling.
 //
 // Contract (see DESIGN.md "Failure model"): a loop that observes
 // ShouldStop() == true abandons its remaining work and returns with

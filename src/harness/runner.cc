@@ -14,8 +14,7 @@ double Percentile(const std::vector<double>& sorted, double q) {
   return sorted[std::min(index, sorted.size() - 1)];
 }
 
-}  // namespace
-
+/// Sorts `latencies` in place and fills result's p50/p95/p99/max fields.
 void FinalizeLatencyStats(std::vector<double>* latencies, RunResult* result) {
   std::sort(latencies->begin(), latencies->end());
   result->p50_ms = Percentile(*latencies, 0.50);
@@ -23,6 +22,8 @@ void FinalizeLatencyStats(std::vector<double>* latencies, RunResult* result) {
   result->p99_ms = Percentile(*latencies, 0.99);
   result->max_ms = latencies->empty() ? 0 : latencies->back();
 }
+
+}  // namespace
 
 RunResult RunQueries(QueryEngine* engine,
                      std::span<const PreparedQuery> queries,
@@ -40,7 +41,6 @@ RunResult RunQueries(QueryEngine* engine,
                       &result.phases);
     latencies.push_back(per_query.ElapsedMillis());
     result.total_results += matches.size();
-    for (const RankingId id : matches) result.result_hash += MixId64(id);
   }
   result.wall_ms = total.ElapsedMillis();
 

@@ -6,7 +6,6 @@
 #define TOPK_HARNESS_RUNNER_H_
 
 #include <span>
-#include <vector>
 
 #include "core/ranking.h"
 #include "core/statistics.h"
@@ -20,19 +19,6 @@ struct RunResult {
   Statistics stats;         // aggregated tickers
   size_t total_results = 0;
   size_t num_queries = 0;
-
-  // Order-insensitive checksum: the wrapped sum of MixId64(id) over every
-  // match of every query. The check is one-sided: unequal hashes prove
-  // the overall result multisets differ; equal hashes imply agreement
-  // only with overwhelming probability (a wrapping sum can collide in
-  // principle). The serving bench uses it to flag frontend answers that
-  // diverge from the sequential run without retaining the results; the
-  // exactness *guarantee* comes from the differential test suites.
-  uint64_t result_hash = 0;
-
-  // Threads that served the workload: 1 for the sequential runner, the
-  // frontend's executor count for QueryFrontend::RunQueries.
-  size_t num_threads = 1;
 
   // Per-query latency distribution (tail behaviour matters for ad-hoc
   // query serving; the paper reports only totals).
@@ -51,11 +37,6 @@ struct RunResult {
 RunResult RunQueries(QueryEngine* engine,
                      std::span<const PreparedQuery> queries,
                      RawDistance theta_raw);
-
-/// Sorts `latencies` in place and fills result's p50/p95/p99/max fields —
-/// shared by the sequential runner and QueryFrontend::RunQueries so both
-/// compute the tail the same way.
-void FinalizeLatencyStats(std::vector<double>* latencies, RunResult* result);
 
 }  // namespace topk
 

@@ -202,7 +202,7 @@ class MutableStore {
   /// Closes an open circuit so the background worker may merge again.
   void ResetMergeCircuit() TOPK_EXCLUDES(mutex_);
   /// Rebuild/emission attempts that failed and were retried (or gave
-  /// up); the bench and tests read this where no Statistics flows.
+  /// up); tests read this where no Statistics flows.
   uint64_t merge_retries() const {
     return merge_retries_.load(std::memory_order_acquire);
   }

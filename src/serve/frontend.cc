@@ -90,18 +90,11 @@ std::vector<ServeResponse> QueryFrontend::ServeBatch(
     return ShedBatch(requests, stats);
   }
   MutexLock lock(&serve_mutex_);
-  return ServeBatchLocked(requests, stats, phases, nullptr);
-}
-
-std::vector<ServeResponse> QueryFrontend::ServeBatchLocked(
-    std::span<const ServeRequest> requests, Statistics* stats,
-    PhaseTimes* phases, std::vector<double>* latencies) {
   for (const ServeRequest& request : requests) {
     PrepareLocked(request.algorithm);
   }
 
   std::vector<ServeResponse> responses(requests.size());
-  if (latencies != nullptr) latencies->assign(requests.size(), 0.0);
   for (Executor& executor : executors_) {
     executor.stats.Reset();
     executor.phases = PhaseTimes{};
@@ -127,10 +120,8 @@ std::vector<ServeResponse> QueryFrontend::ServeBatchLocked(
   std::exception_ptr error;
   try {
     pool_.ParallelFor(requests.size(), [&](size_t slot, size_t i) {
-      Stopwatch watch;
       ServeOne(&executor_slots[slot], requests[i], epoch, lone_workers,
                &responses[i]);
-      if (latencies != nullptr) (*latencies)[i] = watch.ElapsedMillis();
     });
   } catch (...) {
     // ParallelFor drained every other request before rethrowing the first
@@ -270,43 +261,6 @@ std::vector<Neighbor> QueryFrontend::ServeKnn(
           std::string("k-NN backend not servable through the frontend: ") +
           AlgorithmName(request.algorithm));
   }
-}
-
-RunResult QueryFrontend::ServeWorkload(Algorithm algorithm,
-                                       std::span<const PreparedQuery> queries,
-                                       RawDistance theta_raw) {
-  // Workloads count toward the admission gauge (they hold the
-  // coordinator for a long time) but are never shed themselves — the
-  // measurement loop is operator-driven, not client traffic.
-  struct InflightGuard {
-    std::atomic<size_t>* gauge;
-    ~InflightGuard() { gauge->fetch_sub(1, std::memory_order_acq_rel); }
-  } guard{&inflight_batches_};
-  inflight_batches_.fetch_add(1, std::memory_order_acq_rel);
-  MutexLock lock(&serve_mutex_);
-  PrepareLocked(algorithm);
-  std::vector<ServeRequest> requests;
-  requests.reserve(queries.size());
-  for (const PreparedQuery& query : queries) {
-    requests.push_back(ServeRequest::Range(algorithm, query, theta_raw));
-  }
-
-  RunResult result;
-  result.num_queries = queries.size();
-  result.num_threads = num_threads_;
-  std::vector<double> latencies;
-  Stopwatch total;
-  const std::vector<ServeResponse> responses =
-      ServeBatchLocked(requests, &result.stats, &result.phases, &latencies);
-  result.wall_ms = total.ElapsedMillis();
-  for (const ServeResponse& response : responses) {
-    result.total_results += response.ids.size();
-    for (const RankingId id : response.ids) {
-      result.result_hash += MixId64(id);
-    }
-  }
-  FinalizeLatencyStats(&latencies, &result);
-  return result;
 }
 
 }  // namespace topk

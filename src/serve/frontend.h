@@ -50,11 +50,11 @@
 // served answers with brute force, lone requests included.
 //
 // Concurrency contract (compiler-enforced where the analysis can see
-// it): the coordinator methods (Prepare/ServeBatch/ServeWorkload) run
-// one-at-a-time under serve_mutex_ — concurrent callers serialize
-// instead of racing — and the per-executor table is TOPK_GUARDED_BY that
-// mutex. InvalidateCaches() may be called from any thread at any time.
-// A request observes the generation current when its batch started:
+// it): the coordinator methods (Prepare/ServeBatch) run one-at-a-time
+// under serve_mutex_ — concurrent callers serialize instead of racing —
+// and the per-executor table is TOPK_GUARDED_BY that mutex.
+// InvalidateCaches() may be called from any thread at any time. A
+// request observes the generation current when its batch started:
 // requests racing an invalidation linearize before it. The lock
 // hierarchy (serve_mutex_ above the cache shard mutexes, never the
 // reverse) is recorded in DESIGN.md "Locking order & epoch contracts".
@@ -86,7 +86,6 @@
 #include "core/thread_annotations.h"
 #include "core/types.h"
 #include "harness/query_algorithms.h"
-#include "harness/runner.h"
 #include "harness/thread_pool.h"
 #include "kernel/footrule_batch.h"
 #include "kernel/id_split.h"
@@ -200,14 +199,6 @@ class QueryFrontend {
                                         PhaseTimes* phases = nullptr)
       TOPK_EXCLUDES(serve_mutex_);
 
-  /// Harness-style measurement loop: serves the whole workload as one
-  /// batch of range requests and aggregates the usual RunResult (cache
-  /// tickers included in .stats; per-request latencies feed the tail
-  /// percentiles).
-  RunResult ServeWorkload(Algorithm algorithm,
-                          std::span<const PreparedQuery> queries,
-                          RawDistance theta_raw) TOPK_EXCLUDES(serve_mutex_);
-
   /// Generation bump: every currently cached entry becomes unservable.
   /// Thread-safe. This invalidates the *caches* only — the indexes and
   /// engines still bind the store contents from Prepare time, so a
@@ -237,10 +228,6 @@ class QueryFrontend {
     FootruleValidator validator;
   };
 
-  std::vector<ServeResponse> ServeBatchLocked(
-      std::span<const ServeRequest> requests, Statistics* stats,
-      PhaseTimes* phases, std::vector<double>* latencies)
-      TOPK_REQUIRES(serve_mutex_);
   /// Engines + k-NN index handles for `algorithm`; Prepare's body, for
   /// callers already inside the coordinator section.
   void PrepareLocked(Algorithm algorithm) TOPK_REQUIRES(serve_mutex_);

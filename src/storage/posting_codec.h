@@ -23,7 +23,7 @@
 // bit-identical — same values, same wraparound, same truncation
 // failures — pinned per length and per fuzzed stream by
 // tests/storage_simd_decode_test.cc and benchmarked (GB/s, entries/ns)
-// by the storage bench's decode_throughput rows.
+// by the decode_throughput rows of bench/storage_bench.h.
 
 #ifndef TOPK_STORAGE_POSTING_CODEC_H_
 #define TOPK_STORAGE_POSTING_CODEC_H_

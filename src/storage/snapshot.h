@@ -9,7 +9,9 @@
 // the arena *metadata* sections is touched at open time — the posting
 // payloads and the row columns stay cold until a query walks them, which
 // is what makes a collection larger than RAM servable
-// (bench/bench_storage.cc evidences this with mincore residency counts).
+// (tests/storage_snapshot_test.cc StoreSnapshot.OpenIsZeroCopy checks it:
+// no heap copy of any section, and a page-cache-evicted file is not
+// fully resident after open, by mincore).
 //
 // The snapshot is the repo's only persistence format. Besides the
 // serving image it can carry the coarse index's partitioning — the
@@ -159,9 +161,9 @@ class StoreSnapshot {
   size_t mapped_bytes() const;
 
   /// Bytes of the mapping currently resident in memory (via mincore);
-  /// returns 0 where unsupported. Right after open this is a small
-  /// fraction of mapped_bytes() — the zero-copy evidence the storage
-  /// bench records.
+  /// returns 0 where unsupported. Right after opening a file that is not
+  /// in the page cache this is a small fraction of mapped_bytes() — the
+  /// zero-copy evidence StoreSnapshot.OpenIsZeroCopy checks.
   size_t ResidentBytes() const;
 
   /// The partitioning stored with the snapshot, copied out of the

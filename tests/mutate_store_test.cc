@@ -22,6 +22,7 @@
 #include <gtest/gtest.h>
 
 #include "core/bounds.h"
+#include "core/deadline.h"
 #include "core/ranking.h"
 #include "core/rng.h"
 #include "core/types.h"
@@ -212,6 +213,62 @@ TEST(MutableStoreTest, DmaxThetaIncludesDisjointRankings) {
   EXPECT_TRUE(store.Delete(1));
   EXPECT_EQ(store.RangeQuery(query, MaxDistance(kK)),
             (std::vector<RankingId>{0}));
+}
+
+TEST(MutableStoreTest, LiveControlAnswersEqualTheUnconstrainedOverloads) {
+  // A control that never fires (infinite, or a deadline far in the
+  // future, whose polls read the clock every kStride) must not change an
+  // answer: the Status overloads return OK and the same ids/neighbours
+  // as the nullptr-control path, over a merged main segment, a live
+  // delta and tombstones, up to the theta = dmax sweep.
+  constexpr uint32_t kK = 8;
+  const RankingStore source = testutil::MakeClusteredStore(kK, 1500, 1021);
+  const auto queries = testutil::MakeQueries(source, 6, 1022);
+  RankingStore seed(kK);
+  ShadowMap alive;
+  for (RankingId id = 0; id < 1000; ++id) {
+    const auto items = source.view(id).items();
+    seed.AddUnchecked(items);
+    alive[id] = {items.begin(), items.end()};
+  }
+  MutableStore store(seed);
+  for (RankingId id = 1000; id < source.size(); ++id) {
+    const auto items = source.view(id).items();
+    const RankingId global = store.Insert(RankingView(items.data(), kK));
+    alive[global] = {items.begin(), items.end()};
+    if (id == 1250) store.MergeNow();
+  }
+  for (RankingId id = 0; id < 1500; id += 7) {
+    EXPECT_TRUE(store.Delete(id));
+    alive.erase(id);
+  }
+  ExpectBitExact(store, alive, kK, queries, "before controls");
+
+  const RawDistance thetas[] = {RawThreshold(0.1, kK), RawThreshold(0.4, kK),
+                                MaxDistance(kK)};
+  Statistics stats;
+  for (const PreparedQuery& query : queries) {
+    for (const Deadline deadline :
+         {Deadline::Infinite(), Deadline::AfterMillis(600'000.0)}) {
+      for (const RawDistance theta : thetas) {
+        QueryControl control(deadline);
+        std::vector<RankingId> ids{99};
+        const Status status =
+            store.RangeQuery(query, theta, &control, &ids, &stats);
+        ASSERT_TRUE(status.ok()) << status.ToString();
+        EXPECT_EQ(ids, store.RangeQuery(query, theta)) << "theta=" << theta;
+      }
+      for (const size_t j : {size_t{1}, size_t{10}, alive.size() + 3}) {
+        QueryControl control(deadline);
+        std::vector<Neighbor> neighbors;
+        const Status status =
+            store.KnnQuery(query, j, &control, &neighbors, &stats);
+        ASSERT_TRUE(status.ok()) << status.ToString();
+        EXPECT_EQ(neighbors, store.KnnQuery(query, j)) << "j=" << j;
+      }
+    }
+  }
+  EXPECT_EQ(stats.Get(Ticker::kDeadlineExceeded), 0u);
 }
 
 TEST(MutableStoreTest, GenerationBumpsOnEveryMutation) {

@@ -366,26 +366,6 @@ TEST_F(ServeFrontendTest, InvalidationUnderConcurrentServing) {
   invalidator.join();
 }
 
-TEST_F(ServeFrontendTest, ServeWorkloadMatchesSequentialRunner) {
-  QueryFrontendOptions options;
-  options.num_threads = 3;
-  QueryFrontend frontend(&store_, options);
-  const RunResult served =
-      frontend.ServeWorkload(Algorithm::kCoarse, queries_, theta_);
-
-  EngineSuite suite(&store_);
-  auto engine = suite.MakeEngine(Algorithm::kCoarse);
-  const RunResult sequential = RunQueries(engine.get(), queries_, theta_);
-
-  EXPECT_EQ(served.num_queries, queries_.size());
-  EXPECT_EQ(served.num_threads, 3u);
-  EXPECT_EQ(served.result_hash, sequential.result_hash);
-  EXPECT_EQ(served.total_results, sequential.total_results);
-  EXPECT_EQ(served.stats.Get(Ticker::kResultCacheMisses) +
-                served.stats.Get(Ticker::kResultCacheHits),
-            queries_.size());
-}
-
 TEST_F(ServeFrontendTest, ConcurrentServeBatchCallersSerializeSafely) {
   // Two application threads hammering the same frontend concurrently:
   // serve_mutex_ serializes them (the compile-time contract from

@@ -463,9 +463,9 @@ TEST(CompressedEngine, AgreesWithBruteForceAtModerateTheta) {
 }
 
 TEST(CompressedEngine, CompressesZipfWorkloadAtLeastTwofold) {
-  // The acceptance bar the bench reports on the real datasets, pinned
-  // here on a Zipf-popularity store whose lists are long enough to
-  // exercise the block tier (the regime the storage tier exists for).
+  // The storage tier's acceptance bar, pinned on a Zipf-popularity
+  // store whose lists are long enough to exercise the block tier (the
+  // regime the storage tier exists for).
   GeneratorOptions options;
   options.n = 2000;
   options.k = 10;

@@ -5,7 +5,8 @@
 // values, same uint32 wraparound, same truncation failures — across
 // group-boundary lengths, block-boundary lengths, and fuzzed streams
 // (failing seeds printed). On AVX2 builds the suite additionally pins
-// the >= 2x decode speedup the storage bench reports.
+// a >= 2x decode speedup, the figure the `storage` bench section's
+// decode_throughput rows time at dataset scale.
 
 #include <cstdint>
 #include <string>

@@ -244,8 +244,7 @@ TEST(StoreSnapshot, OpenIsZeroCopy) {
   // freshly written file is fully cached, so evict it first (the pages
   // are clean after fdatasync); after eviction the mapping must not be
   // fully resident — open touched only metadata. Skipped silently where
-  // eviction is unsupported; bench_storage reports the same evidence on
-  // the real datasets.
+  // eviction is unsupported.
   const int fd = ::open(path.c_str(), O_RDONLY);
   ASSERT_GE(fd, 0);
   ::fdatasync(fd);
