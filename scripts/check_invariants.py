@@ -68,6 +68,14 @@ Checks (each is a named rule; any violation exits non-zero):
                   RangeSearch, so a second copy of the pipeline — and a
                   second owner of the theta >= dmax rule — cannot come
                   back.
+  result-cache-callers
+                  A result-cache lookup or insert (`<...cache...>.Lookup*(`
+                  / `.Insert*(` through `.` or `->`) may appear only in
+                  src/serve/result_cache.h, whose ResultCache::Serve is
+                  the one serve step both caching frontends run: lookup,
+                  shed, stop check, run, stop check, insert. A frontend
+                  that looked up or inserted on its own would be a second
+                  copy of the rule that a stopped answer is never cached.
   scalar-oracle   LinearScanKnn( and LinearScanQuery( are the scalar
                   reference scans the differential suites and the
                   benchmark's answer checker trust; src/ may call them only
@@ -194,6 +202,12 @@ KERNEL_ALLOWED_INCLUDE_EXACT = {
 FILTER_PHASE_CALL_RE = re.compile(r"\bFilterPhase\s*\(")
 FILTER_PHASE_ALLOWED_PREFIXES = ("src/kernel/",)
 FILTER_PHASE_ALLOWED_FILES = {"src/coarse/coarse_index.cc"}
+
+# result-cache-callers ------------------------------------------------------
+
+RESULT_CACHE_CALL_RE = re.compile(
+    r"\b\w*[Cc]ache\w*\s*(?:\.|->)\s*(?:Lookup|Insert)\w*\s*\(")
+RESULT_CACHE_ALLOWED_FILES = {"src/serve/result_cache.h"}
 
 # scalar-oracle -------------------------------------------------------------
 
@@ -502,6 +516,22 @@ def check_filter_phase_callers(path: Path, lines: list[str]) -> list[Failure]:
     return failures
 
 
+def check_result_cache_callers(path: Path,
+                               lines: list[str]) -> list[Failure]:
+    rel = path.relative_to(REPO_ROOT).as_posix()
+    if rel in RESULT_CACHE_ALLOWED_FILES:
+        return []
+    failures = []
+    for i, raw in enumerate(lines):
+        if RESULT_CACHE_CALL_RE.search(strip_comments_and_strings(raw)):
+            failures.append(Failure(
+                "result-cache-callers", f"{rel}:{i + 1}",
+                "result-cache lookup/insert outside src/serve/result_cache.h "
+                "— serve through ResultCache::Serve, the one step that "
+                "orders lookup, shed, stop check and insert"))
+    return failures
+
+
 def check_scalar_oracle(path: Path, lines: list[str]) -> list[Failure]:
     rel = path.relative_to(REPO_ROOT).as_posix()
     failures = []
@@ -530,6 +560,7 @@ def run_checks() -> list[Failure]:
         failures += check_block_skip_guard(path, lines)
         failures += check_syscall_status(path, lines)
         failures += check_filter_phase_callers(path, lines)
+        failures += check_result_cache_callers(path, lines)
         failures += check_scalar_oracle(path, lines)
     failures += check_bench_schema()
     return failures
@@ -606,6 +637,12 @@ def self_test() -> int:
         ("filter-phase-callers coarse file other than the medoid retrieval",
          lambda: check_filter_phase_callers(SRC / "coarse" / "fake.cc", [
              "  FilterPhase(medoid_index_, q, t, d, n, &s, stats);"])),
+        ("result-cache-callers frontend looking up on its own",
+         lambda: check_result_cache_callers(SRC / "serve" / "fake.cc", [
+             "    if (result_cache_.LookupRange(key, epoch, out, stats)) {"])),
+        ("result-cache-callers insert through a pointer",
+         lambda: check_result_cache_callers(SRC / "mutate" / "fake.cc", [
+             "  cache->Insert(key, epoch, *out);"])),
         ("scalar-oracle k-NN reference in a serving path",
          lambda: check_scalar_oracle(SRC / "serve" / "fake.cc", [
              "  return LinearScanKnn(*store_, query, j, stats);"])),
@@ -701,6 +738,18 @@ def self_test() -> int:
         ("filter-phase-callers FilterScratch type",
          lambda: check_filter_phase_callers(SRC / "serve" / "fake.h", [
              "  FilterScratch filter;"])),
+        ("result-cache-callers the serve step itself",
+         lambda: check_result_cache_callers(SRC / "serve" / "result_cache.h", [
+             "      const bool found = cache.Lookup(key, epoch, out);"])),
+        ("result-cache-callers frontend calling the step",
+         lambda: check_result_cache_callers(SRC / "serve" / "fake.cc", [
+             "  return result_cache_.Serve(kLiveAlgorithm, param, query,"])),
+        ("result-cache-callers mention in a comment",
+         lambda: check_result_cache_callers(SRC / "serve" / "fake.cc", [
+             "  // the step runs cache.Lookup(key, ...) before the shed."])),
+        ("result-cache-callers other container insert",
+         lambda: check_result_cache_callers(SRC / "metric" / "fake.cc", [
+             "  for (RankingId id : ids) tree.Insert(id, stats);"])),
         ("scalar-oracle batched sibling",
          lambda: check_scalar_oracle(SRC / "serve" / "fake.cc", [
              "  return LinearScanKnnBatched(*store_, q, j, &v, stats);"])),

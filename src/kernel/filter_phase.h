@@ -2,8 +2,8 @@
 //
 // FilterPhase has exactly two callers in the library: RangeSearch
 // (kernel/range_search.h), which every union-validating range path goes
-// through — FilterValidateEngine, CompressedFilterValidateEngine,
-// ResilientReader and each MutableStore segment — and CoarseIndex's medoid
+// through — the F&V engine over either index, ResilientReader and each
+// MutableStore segment — and CoarseIndex's medoid
 // retrieval. Both run the same loop: pick the accessible posting lists
 // (drop policy), scan them, and deduplicate ranking ids through an
 // epoch-stamped VisitedSet (scripts/check_invariants.py

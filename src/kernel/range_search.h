@@ -2,8 +2,9 @@
 // filter -> validate pipeline (Section 4) and of the theta >= dmax rule.
 //
 // Every serving path that answers a range query by posting-list union —
-// FilterValidateEngine, CompressedFilterValidateEngine, ResilientReader
-// (both tiers) and each MutableStore segment — calls RangeSearch, so the
+// the F&V engine over either index (FilterValidateEngine and its
+// compressed instantiation), ResilientReader (both tiers) and each
+// MutableStore segment — calls RangeSearch, so the
 // decision of which rows get validated exists exactly once:
 //
 //  * no index, or theta >= dmax: the full id domain. A ranking that

@@ -228,15 +228,6 @@ void MutableStore::CollectKnnLocked(const RankingStore& seg_store,
   }
 }
 
-std::vector<Neighbor> MutableStore::KnnQuery(const PreparedQuery& query,
-                                             size_t j, Statistics* stats) {
-  std::vector<Neighbor> out;
-  const Status status = KnnQuery(query, j, nullptr, &out, stats);
-  TOPK_DCHECK(status.ok());  // unconstrained queries cannot stop
-  (void)status;
-  return out;
-}
-
 Status MutableStore::KnnQuery(const PreparedQuery& query, size_t j,
                               QueryControl* control,
                               std::vector<Neighbor>* out, Statistics* stats) {

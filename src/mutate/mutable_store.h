@@ -52,10 +52,10 @@
 //
 // Generations: every successful mutation (Insert, Delete, merge swap)
 // bumps an atomic generation and fires the registered mutation
-// listeners under the store mutex — the hook QueryFrontend::WatchStore
-// and serve/LiveFrontend use so cache invalidation flips atomically
-// with the store (scripts/check_invariants.py lints that every mutation
-// entry point bumps). Listeners must be cheap (an atomic bump), must
+// listeners under the store mutex — the hook serve/LiveFrontend uses so
+// cache invalidation flips atomically with the store
+// (scripts/check_invariants.py lints that every mutation entry point
+// bumps). Listeners must be cheap (an atomic bump), must
 // not call back into the store, and must not take locks ordered above
 // it (DESIGN.md records the hierarchy: coordinator > store > leaf).
 
@@ -174,12 +174,8 @@ class MutableStore {
 
   /// The j alive rankings nearest to `query`, sorted by (distance,
   /// global id), exactly min(j, live_size()) entries — bit-identical to
-  /// LinearScanKnn over the rebuilt store.
-  std::vector<Neighbor> KnnQuery(const PreparedQuery& query, size_t j,
-                                 Statistics* stats = nullptr)
-      TOPK_EXCLUDES(mutex_);
-
-  /// Deadline/cancel-aware k-NN (same stop contract as the range
+  /// LinearScanKnn over the rebuilt store. Deadline/cancel-aware through
+  /// `control` (nullptr = unconstrained; same stop contract as the range
   /// overload, with per-row amortized checks).
   Status KnnQuery(const PreparedQuery& query, size_t j,
                   QueryControl* control, std::vector<Neighbor>* out,
@@ -214,7 +210,7 @@ class MutableStore {
 
   /// Registers `listener` to run (under the store mutex) after every
   /// successful mutation — see the header contract. Typically
-  /// QueryFrontend::InvalidateCaches via WatchStore.
+  /// LiveFrontend::InvalidateCaches.
   void AddMutationListener(std::function<void()> listener)
       TOPK_EXCLUDES(mutex_);
 

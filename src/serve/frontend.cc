@@ -7,19 +7,18 @@
 #include <utility>
 
 #include "core/mutex.h"
-#include "mutate/mutable_store.h"
 
 namespace topk {
 
 QueryFrontend::QueryFrontend(const RankingStore* store,
                              QueryFrontendOptions options)
     : store_(store),
-      options_(options),
       num_threads_(std::max<size_t>(options.num_threads, 1)),
       pool_(num_threads_ - 1),
       suite_(store, options.suite_config, PoolRunner(&pool_)),
       executors_(num_threads_),
-      result_cache_(options.result_cache_capacity, options.cache_shards) {}
+      result_cache_(options.result_cache_capacity),
+      admission_(options.max_inflight_batches) {}
 
 void QueryFrontend::PrepareLocked(Algorithm algorithm) {
   if (algorithm == Algorithm::kMinimalFV) return;  // rejected at serve time
@@ -53,25 +52,6 @@ void QueryFrontend::Prepare(Algorithm algorithm) {
   PrepareLocked(algorithm);
 }
 
-void QueryFrontend::WatchStore(MutableStore* store) {
-  // The listener body is an atomic epoch bump only — cheap, lock-free,
-  // and legal under the store mutex (no lock ordered above the store is
-  // taken; the hierarchy in DESIGN.md stays intact).
-  store->AddMutationListener([this] { InvalidateCaches(); });
-}
-
-std::vector<ServeResponse> QueryFrontend::ShedBatch(
-    std::span<const ServeRequest> requests, Statistics* stats) const {
-  std::vector<ServeResponse> responses(requests.size());
-  for (ServeResponse& response : responses) {
-    response.status =
-        Status::Unavailable("frontend at capacity; retry after back-off");
-    response.retry_after_ms = options_.shed_retry_after_ms;
-  }
-  AddTicker(stats, Ticker::kLoadShed, requests.size());
-  return responses;
-}
-
 std::vector<ServeResponse> QueryFrontend::ServeBatch(
     std::span<const ServeRequest> requests, Statistics* stats,
     PhaseTimes* phases) {
@@ -79,15 +59,15 @@ std::vector<ServeResponse> QueryFrontend::ServeBatch(
   // caller is told to back off immediately instead of queueing on the
   // lock for an unbounded wait (that queue is invisible to clients and
   // grows without bound under overload — shedding keeps the tail finite).
-  struct InflightGuard {
-    std::atomic<size_t>* gauge;
-    ~InflightGuard() { gauge->fetch_sub(1, std::memory_order_acq_rel); }
-  } guard{&inflight_batches_};
-  const size_t inflight =
-      inflight_batches_.fetch_add(1, std::memory_order_acq_rel);
-  if (options_.max_inflight_batches > 0 &&
-      inflight >= options_.max_inflight_batches) {
-    return ShedBatch(requests, stats);
+  // A shed batch touches no engine, cache or pool.
+  const AdmissionGate::Ticket ticket(&admission_);
+  if (!ticket.admitted()) {
+    std::vector<ServeResponse> shed(requests.size());
+    for (ServeResponse& response : shed) {
+      response.status = ShedStatus(stats);
+      response.retry_after_ms = kShedRetryAfterMs;
+    }
+    return shed;
   }
   MutexLock lock(&serve_mutex_);
   for (const ServeRequest& request : requests) {
@@ -151,53 +131,23 @@ void QueryFrontend::ServeOne(Executor* executor, const ServeRequest& request,
   }
   QueryControl control(request.deadline, request.cancel);
   // A request already past its deadline (it sat behind slower batch
-  // peers) fails fast — except through the result cache, whose lookup is
-  // cheaper than building the rejection.
-  const bool cacheable = result_cache_.enabled();
-  ResultCacheKey key{};
-  if (cacheable) {
-    key = MakeResultCacheKey(request.kind,
-                             static_cast<uint32_t>(request.algorithm),
-                             request.kind == ServeKind::kRange
-                                 ? request.theta_raw
-                                 : request.j,
-                             *request.query);
-    const bool hit =
-        request.kind == ServeKind::kRange
-            ? result_cache_.LookupRange(key, epoch, &response->ids,
-                                        &executor->stats)
-            : result_cache_.LookupKnn(key, epoch, &response->neighbors,
-                                      &executor->stats);
-    if (hit) {
-      response->result_cache_hit = true;
-      return;
-    }
-  }
-  if (control.ShouldStop()) {
-    response->status = StopStatus(control, &executor->stats);
-    return;
-  }
-  if (request.kind == ServeKind::kRange) {
-    response->ids = ServeRange(executor, request, &control, lone_workers);
-  } else {
-    response->neighbors = ServeKnn(executor, request, &control, lone_workers);
-  }
-  // A stopped request discards its partial answer and is NEVER cached: a
-  // truncated result under an OK-looking cache entry would poison every
-  // later identical query.
-  if (control.ShouldStop()) {
-    response->ids.clear();
-    response->neighbors.clear();
-    response->status = StopStatus(control, &executor->stats);
-    return;
-  }
-  if (!cacheable) return;
-  if (request.kind == ServeKind::kRange) {
-    result_cache_.InsertRange(key, epoch, response->ids, &executor->stats);
-  } else {
-    result_cache_.InsertKnn(key, epoch, response->neighbors,
-                            &executor->stats);
-  }
+  // peers) fails fast, except through the result cache.
+  const auto run = [&](auto* answer) {
+    Run(executor, request, &control, lone_workers, answer);
+    return Status::OK();
+  };
+  const auto algorithm = static_cast<uint32_t>(request.algorithm);
+  response->status =
+      request.kind == ServeKind::kRange
+          ? result_cache_.Serve(algorithm, request.theta_raw, *request.query,
+                                epoch, /*admitted=*/true, &control,
+                                &response->ids, &response->result_cache_hit,
+                                &executor->stats, run)
+          : result_cache_.Serve(algorithm, request.j, *request.query, epoch,
+                                /*admitted=*/true, &control,
+                                &response->neighbors,
+                                &response->result_cache_hit,
+                                &executor->stats, run);
 }
 
 QueryEngine& QueryFrontend::EngineFor(Executor* executor,
@@ -211,14 +161,16 @@ QueryEngine& QueryFrontend::EngineFor(Executor* executor,
   return *it->second;
 }
 
-std::vector<RankingId> QueryFrontend::ServeRange(
-    Executor* executor, const ServeRequest& request, QueryControl* control,
-    std::span<Executor> lone_workers) {
+void QueryFrontend::Run(Executor* executor, const ServeRequest& request,
+                        QueryControl* control,
+                        std::span<Executor> lone_workers,
+                        std::vector<RankingId>* ids) {
   QueryEngine& engine = EngineFor(executor, request.algorithm);
   FilterValidateEngine* const fv = engine.filter_validate();
   if (fv == nullptr) {
-    return engine.Query(0, *request.query, request.theta_raw,
+    *ids = engine.Query(0, *request.query, request.theta_raw,
                         &executor->stats, &executor->phases);
+    return;
   }
   std::vector<SplitWorker<RangeScratch>> workers;
   workers.reserve(lone_workers.size());
@@ -228,15 +180,14 @@ std::vector<RankingId> QueryFrontend::ServeRange(
          &worker.stats});
   }
   const RangeSplit split = PoolSplit<RangeScratch>(&pool_, workers);
-  std::vector<RankingId> ids;
-  fv->Query(*request.query, request.theta_raw, &ids, &executor->stats,
+  fv->Query(*request.query, request.theta_raw, ids, &executor->stats,
             control, workers.empty() ? nullptr : &split);
-  return ids;
 }
 
-std::vector<Neighbor> QueryFrontend::ServeKnn(
-    Executor* executor, const ServeRequest& request, QueryControl* control,
-    std::span<Executor> lone_workers) {
+void QueryFrontend::Run(Executor* executor, const ServeRequest& request,
+                        QueryControl* control,
+                        std::span<Executor> lone_workers,
+                        std::vector<Neighbor>* neighbors) {
   Statistics* stats = &executor->stats;
   switch (request.algorithm) {
     case Algorithm::kLinearScan: {
@@ -246,16 +197,20 @@ std::vector<Neighbor> QueryFrontend::ServeKnn(
         workers.push_back({&worker.validator, &worker.stats});
       }
       const KnnSplit split = PoolSplit<FootruleValidator>(&pool_, workers);
-      return LinearScanKnnBatched(*store_, *request.query, request.j,
-                                  &executor->validator, stats, control,
-                                  workers.empty() ? nullptr : &split);
+      *neighbors = LinearScanKnnBatched(*store_, *request.query, request.j,
+                                        &executor->validator, stats, control,
+                                        workers.empty() ? nullptr : &split);
+      return;
     }
     case Algorithm::kBkTree:
-      return BkTreeKnn(*bk_tree_, *request.query, request.j, stats);
+      *neighbors = BkTreeKnn(*bk_tree_, *request.query, request.j, stats);
+      return;
     case Algorithm::kMTree:
-      return MTreeKnn(*m_tree_, *request.query, request.j, stats);
+      *neighbors = MTreeKnn(*m_tree_, *request.query, request.j, stats);
+      return;
     case Algorithm::kCoarse:
-      return coarse_index_->Knn(*request.query, request.j, stats);
+      *neighbors = coarse_index_->Knn(*request.query, request.j, stats);
+      return;
     default:
       throw std::invalid_argument(
           std::string("k-NN backend not servable through the frontend: ") +

@@ -32,6 +32,11 @@
 //   result cache  an exact sharded LRU keyed by the canonical query
 //                 sequence + (kind, algorithm, theta or j): an identical
 //                 re-issued query is answered without touching any engine.
+//                 Every request runs the cache's serve step
+//                 (ResultCache::Serve, the one LiveFrontend runs too):
+//                 lookup, stop check, engine, stop check, insert.
+//   admission     a batch past max_inflight_batches is shed whole before
+//                 it queues on the coordinator mutex (AdmissionGate).
 //   generations   InvalidateCaches() bumps an epoch; entries from older
 //                 generations can never be served again (lazy erase).
 //                 The hook covers the *caches*; the frontend's indexes
@@ -90,12 +95,11 @@
 #include "kernel/footrule_batch.h"
 #include "kernel/id_split.h"
 #include "metric/knn.h"
+#include "serve/admission.h"
 #include "serve/fingerprint.h"
 #include "serve/result_cache.h"
 
 namespace topk {
-
-class MutableStore;
 
 /// One query in a serving batch. `query` must outlive the ServeBatch call
 /// (requests reference workload-owned PreparedQuery objects; copying the
@@ -139,7 +143,8 @@ struct ServeResponse {
   /// OK for a served answer; DeadlineExceeded / Aborted / Unavailable
   /// for a request that was stopped or shed (ids/neighbors empty then).
   Status status = Status::OK();
-  /// Client back-off hint, set only with Status::Unavailable.
+  /// Client back-off hint (kShedRetryAfterMs), set only with
+  /// Status::Unavailable.
   double retry_after_ms = 0.0;
 };
 
@@ -150,16 +155,12 @@ struct QueryFrontendOptions {
   /// Result-cache entry budget per answer kind (range and k-NN entries
   /// are kept in independent stores of this size); 0 disables the cache.
   size_t result_cache_capacity = 64 * 1024;
-  /// Lock shards for the cache (clamped to capacity).
-  size_t cache_shards = 8;
   /// Admission control: batches admitted concurrently (counting the one
   /// holding the serve mutex *and* the ones queued behind it). When a
   /// caller would push the count past this, the whole batch is shed —
   /// every response carries Status::Unavailable + retry_after_ms and no
   /// engine runs — instead of queueing unboundedly. 0 disables shedding.
   size_t max_inflight_batches = 0;
-  /// Back-off hint stamped on shed responses.
-  double shed_retry_after_ms = 50.0;
   /// Forwarded to the shared EngineSuite.
   EngineSuiteConfig suite_config;
 };
@@ -178,9 +179,7 @@ class QueryFrontend {
   size_t result_cache_size() const { return result_cache_.size(); }
   /// Batches currently admitted — running plus queued on the serve mutex
   /// (the gauge max_inflight_batches sheds on; an operator load signal).
-  size_t inflight_batches() const {
-    return inflight_batches_.load(std::memory_order_acquire);
-  }
+  size_t inflight_batches() const { return admission_.inflight(); }
 
   /// Builds the shared indexes and the per-executor engines behind
   /// `algorithm` (range and/or k-NN use). Idempotent; ServeBatch prepares
@@ -208,16 +207,6 @@ class QueryFrontend {
     epoch_.fetch_add(1, std::memory_order_acq_rel);
   }
 
-  /// Subscribes this frontend's cache invalidation to every mutation of
-  /// `store` (insert, delete, merge swap): the registered listener calls
-  /// InvalidateCaches() under the store's mutex, so the epoch bump is
-  /// atomic with the write — a cached answer can never be served across
-  /// a mutation it predates. The frontend must outlive the store (the
-  /// store holds a raw back-pointer through the listener); the caveat
-  /// above still applies — this keeps the *caches* honest, while the
-  /// engines keep binding their Prepare-time snapshot.
-  void WatchStore(MutableStore* store) TOPK_EXCLUDES(serve_mutex_);
-
  private:
   struct Executor {
     std::map<Algorithm, std::unique_ptr<QueryEngine>> engines;
@@ -231,36 +220,30 @@ class QueryFrontend {
   /// Engines + k-NN index handles for `algorithm`; Prepare's body, for
   /// callers already inside the coordinator section.
   void PrepareLocked(Algorithm algorithm) TOPK_REQUIRES(serve_mutex_);
-  /// Shed path: stamps every response Unavailable with the retry hint,
-  /// ticking kLoadShed per request; no engine, cache, or pool touched.
-  std::vector<ServeResponse> ShedBatch(std::span<const ServeRequest> requests,
-                                       Statistics* stats) const;
-  /// Serves one request on `executor`. `lone_workers` is every executor
-  /// slot when the request is its batch's only one (empty otherwise): the
-  /// idle slots its F&V range engine or LinearScan k-NN sweep may split
-  /// over.
+  /// Serves one request on `executor` through the result cache's serve
+  /// step. `lone_workers` is every executor slot when the request is its
+  /// batch's only one (empty otherwise): the idle slots its F&V range
+  /// engine or LinearScan k-NN sweep may split over.
   void ServeOne(Executor* executor, const ServeRequest& request,
                 uint64_t epoch, std::span<Executor> lone_workers,
                 ServeResponse* response);
   /// The executor's engine for `algorithm`; throws for one never prepared.
   static QueryEngine& EngineFor(Executor* executor, Algorithm algorithm);
-  /// Runs the range engine behind `request.algorithm`. The F&V family
-  /// polls `control` (a stopped query returns empty and the caller maps
-  /// the stop to a Status) and splits over `lone_workers`.
-  std::vector<RankingId> ServeRange(Executor* executor,
-                                    const ServeRequest& request,
-                                    QueryControl* control,
-                                    std::span<Executor> lone_workers);
-  /// k-NN dispatch. kLinearScan sweeps the store through the executor's
-  /// batched validator, split over `lone_workers`, and polls `control`; a
-  /// stopped sweep returns empty and the caller maps the stop to a
-  /// Status.
-  std::vector<Neighbor> ServeKnn(Executor* executor,
-                                 const ServeRequest& request,
-                                 QueryControl* control,
-                                 std::span<Executor> lone_workers);
+  /// Runs the range engine behind `request.algorithm` into `*ids`. The
+  /// F&V family polls `control` (a stopped query leaves `*ids` empty and
+  /// the serve step maps the stop to a Status) and splits over
+  /// `lone_workers`.
+  void Run(Executor* executor, const ServeRequest& request,
+           QueryControl* control, std::span<Executor> lone_workers,
+           std::vector<RankingId>* ids);
+  /// k-NN dispatch into `*neighbors`. kLinearScan sweeps the store through
+  /// the executor's batched validator, split over `lone_workers`, and
+  /// polls `control`; a stopped sweep leaves `*neighbors` empty and the
+  /// serve step maps the stop to a Status.
+  void Run(Executor* executor, const ServeRequest& request,
+           QueryControl* control, std::span<Executor> lone_workers,
+           std::vector<Neighbor>* neighbors);
   const RankingStore* store_;
-  QueryFrontendOptions options_;
   size_t num_threads_;
   ThreadPool pool_;
   /// Serializes the coordinator methods; held across a whole batch.
@@ -283,9 +266,9 @@ class QueryFrontend {
   const MTree* m_tree_ = nullptr;
   const CoarseIndex* coarse_index_ = nullptr;
   std::atomic<uint64_t> epoch_{0};
-  /// Batches admitted and not yet finished (includes callers queued on
-  /// serve_mutex_) — the admission-control gauge ServeBatch sheds on.
-  std::atomic<size_t> inflight_batches_{0};
+  /// Batches inside ServeBatch (includes callers queued on serve_mutex_),
+  /// limited to max_inflight_batches.
+  AdmissionGate admission_;
 };
 
 }  // namespace topk

@@ -1,89 +1,49 @@
 #include "serve/live_frontend.h"
 
-#include <utility>
+#include <type_traits>
 
 #include "core/types.h"
 
 namespace topk {
 
-namespace {
-
-/// RAII admission slot: the gauge counts every query inside a Serve*
-/// call, shed or served, so the decrement must be unconditional.
-struct InflightGuard {
-  std::atomic<size_t>* gauge;
-  ~InflightGuard() { gauge->fetch_sub(1, std::memory_order_acq_rel); }
-};
-
-}  // namespace
-
 LiveFrontend::LiveFrontend(MutableStore* store, LiveFrontendOptions options)
     : store_(store),
-      options_(options),
-      result_cache_(options.result_cache_capacity, options.cache_shards) {
+      result_cache_(options.result_cache_capacity),
+      admission_(options.max_inflight) {
   store_->AddMutationListener([this] { InvalidateCaches(); });
+}
+
+template <typename Answer>
+Status LiveFrontend::Serve(uint64_t param, const PreparedQuery& query,
+                           QueryControl* control, std::vector<Answer>* out,
+                           Statistics* stats) {
+  const AdmissionGate::Ticket ticket(&admission_);
+  // Epoch read FIRST: a mutation racing this call bumps after our read,
+  // so the step's insert lands under an already-dead epoch (see header).
+  const uint64_t epoch = epoch_.load(std::memory_order_acquire);
+  return result_cache_.Serve(
+      kLiveAlgorithm, param, query, epoch, ticket.admitted(), control, out,
+      /*hit=*/nullptr, stats, [&](std::vector<Answer>* answer) {
+        if constexpr (std::is_same_v<Answer, RankingId>) {
+          return store_->RangeQuery(query, static_cast<RawDistance>(param),
+                                    control, answer, stats);
+        } else {
+          return store_->KnnQuery(query, param, control, answer, stats);
+        }
+      });
 }
 
 Status LiveFrontend::ServeRange(const PreparedQuery& query,
                                 RawDistance theta_raw, QueryControl* control,
                                 std::vector<RankingId>* out,
                                 Statistics* stats) {
-  out->clear();
-  InflightGuard guard{&inflight_};
-  const size_t inflight = inflight_.fetch_add(1, std::memory_order_acq_rel);
-  // Epoch read FIRST: a mutation racing this call bumps after our read,
-  // so the insert below lands under an already-dead epoch (see header).
-  const uint64_t epoch = epoch_.load(std::memory_order_acquire);
-  const bool cacheable = result_cache_.enabled();
-  ResultCacheKey key{};
-  if (cacheable) {
-    key = MakeResultCacheKey(ServeKind::kRange, kLiveAlgorithm, theta_raw,
-                             query);
-    if (result_cache_.LookupRange(key, epoch, out, stats)) {
-      return Status::OK();
-    }
-  }
-  // Shed AFTER the cache attempt: a hit costs less than the rejection
-  // it would replace, and it never touches the (overloaded) store.
-  if (options_.max_inflight > 0 && inflight >= options_.max_inflight) {
-    AddTicker(stats, Ticker::kLoadShed);
-    return Status::Unavailable("live frontend at capacity; retry after back-off");
-  }
-  Status status = store_->RangeQuery(query, theta_raw, control, out, stats);
-  if (!status.ok()) {
-    out->clear();
-    return status;  // never cache a non-answer
-  }
-  if (cacheable) result_cache_.InsertRange(key, epoch, *out, stats);
-  return Status::OK();
+  return Serve(theta_raw, query, control, out, stats);
 }
 
 Status LiveFrontend::ServeKnn(const PreparedQuery& query, size_t j,
                               QueryControl* control, std::vector<Neighbor>* out,
                               Statistics* stats) {
-  out->clear();
-  InflightGuard guard{&inflight_};
-  const size_t inflight = inflight_.fetch_add(1, std::memory_order_acq_rel);
-  const uint64_t epoch = epoch_.load(std::memory_order_acquire);
-  const bool cacheable = result_cache_.enabled();
-  ResultCacheKey key{};
-  if (cacheable) {
-    key = MakeResultCacheKey(ServeKind::kKnn, kLiveAlgorithm, j, query);
-    if (result_cache_.LookupKnn(key, epoch, out, stats)) {
-      return Status::OK();
-    }
-  }
-  if (options_.max_inflight > 0 && inflight >= options_.max_inflight) {
-    AddTicker(stats, Ticker::kLoadShed);
-    return Status::Unavailable("live frontend at capacity; retry after back-off");
-  }
-  Status status = store_->KnnQuery(query, j, control, out, stats);
-  if (!status.ok()) {
-    out->clear();
-    return status;
-  }
-  if (cacheable) result_cache_.InsertKnn(key, epoch, *out, stats);
-  return Status::OK();
+  return Serve(j, query, control, out, stats);
 }
 
 }  // namespace topk

@@ -7,8 +7,13 @@
 // is always current) and every mutation invalidates the cache through
 // the store's mutation listener.
 //
-// Exactness under concurrency: ServeRange/ServeKnn read the epoch
-// BEFORE the cache lookup and insert the computed answer under that same
+// Both public calls run one private body, Serve, which takes an
+// admission ticket, reads the epoch and hands the store query to the
+// result cache's serve step (ResultCache::Serve, the one QueryFrontend
+// runs too).
+//
+// Exactness under concurrency: Serve reads the epoch BEFORE the cache
+// lookup and the step inserts the computed answer under that same
 // epoch. A mutation that lands after the read bumps the epoch under the
 // store mutex — before the store could have answered the query — so a
 // stale answer is inserted under an epoch that is already dead and can
@@ -33,7 +38,7 @@
 #include "core/types.h"
 #include "metric/knn.h"
 #include "mutate/mutable_store.h"
-#include "serve/fingerprint.h"
+#include "serve/admission.h"
 #include "serve/result_cache.h"
 
 namespace topk {
@@ -41,14 +46,10 @@ namespace topk {
 struct LiveFrontendOptions {
   /// Entry budget per answer kind; 0 disables caching.
   size_t result_cache_capacity = 64 * 1024;
-  /// Lock shards for the cache (clamped to capacity).
-  size_t cache_shards = 8;
   /// Admission control: queries served concurrently before new arrivals
   /// are shed with Status::Unavailable (a cache hit is still attempted
   /// first — it costs less than building the rejection). 0 = unlimited.
   size_t max_inflight = 0;
-  /// Back-off hint attached to shed responses.
-  double shed_retry_after_ms = 50.0;
 };
 
 class LiveFrontend {
@@ -70,14 +71,15 @@ class LiveFrontend {
   size_t result_cache_size() const { return result_cache_.size(); }
   /// Queries currently inside a Serve* call (the admission gauge
   /// max_inflight sheds on; an operator load signal).
-  size_t inflight() const { return inflight_.load(std::memory_order_acquire); }
+  size_t inflight() const { return admission_.inflight(); }
 
   /// Deadline/cancel/admission-aware range serving. On OK `*out` holds
   /// the exact answer (ascending global ids), from cache when the
-  /// identical query+theta was served in the current epoch. On
-  /// Unavailable (shed, see retry_after_ms()), DeadlineExceeded, or
-  /// Aborted it is empty, and nothing non-OK is ever cached. `control`
-  /// may be null (no deadline).
+  /// identical query+theta was served in the current epoch (a hit serves
+  /// even past the deadline or the admission limit). On Unavailable (shed;
+  /// retry after kShedRetryAfterMs), DeadlineExceeded, or Aborted it is
+  /// empty, and nothing non-OK is ever cached. `control` may be null (no
+  /// deadline).
   Status ServeRange(const PreparedQuery& query, RawDistance theta_raw,
                     QueryControl* control, std::vector<RankingId>* out,
                     Statistics* stats = nullptr);
@@ -87,20 +89,23 @@ class LiveFrontend {
   Status ServeKnn(const PreparedQuery& query, size_t j, QueryControl* control,
                   std::vector<Neighbor>* out, Statistics* stats = nullptr);
 
-  /// Back-off hint for Status::Unavailable responses.
-  double retry_after_ms() const { return options_.shed_retry_after_ms; }
-
   /// Generation bump: every cached entry becomes unservable. Thread-safe;
   /// this is what the store's mutation listener calls.
   void InvalidateCaches() { epoch_.fetch_add(1, std::memory_order_acq_rel); }
 
  private:
+  /// The one serve body: a range query for RankingId answers (`param` is
+  /// theta_raw), a k-NN query for Neighbor answers (`param` is j).
+  template <typename Answer>
+  Status Serve(uint64_t param, const PreparedQuery& query,
+               QueryControl* control, std::vector<Answer>* out,
+               Statistics* stats);
+
   MutableStore* store_;
-  LiveFrontendOptions options_;
   ResultCache result_cache_;
   std::atomic<uint64_t> epoch_{0};
-  /// Queries currently inside a Serve* call (admission gauge).
-  std::atomic<size_t> inflight_{0};
+  /// Queries currently inside a Serve* call, limited to max_inflight.
+  AdmissionGate admission_;
 };
 
 }  // namespace topk

@@ -46,10 +46,6 @@ Status ResilientReader::OpenSnapshotTier(Statistics* stats) {
   return Status::OK();
 }
 
-Status ResilientReader::RestoreSnapshotTier(Statistics* stats) {
-  return OpenSnapshotTier(stats);
-}
-
 bool ResilientReader::degraded() const {
   MutexLock lock(&view_mutex_);
   return degraded_;

@@ -12,7 +12,7 @@
 // the failing mapping is dropped, and serving continues without a
 // user-visible error. Each degraded answer ticks kDegradedReads so an
 // operator sees the fallback instead of discovering it from a latency
-// regression, and RestoreSnapshotTier() re-arms the fast tier once the
+// regression, and OpenSnapshotTier() re-arms the fast tier once the
 // fault is cleared (it re-runs the SnapshotManager recovery scan, so a
 // corrupted generation is quarantined rather than re-trusted).
 //
@@ -105,17 +105,14 @@ class ResilientReader {
   /// Opens the newest valid snapshot generation (quarantining corrupt
   /// ones — see SnapshotManager::OpenNewestValid) and makes it the
   /// preferred read tier. NotFound when no valid generation exists; the
-  /// reader then keeps serving from RAM.
+  /// reader then keeps serving from RAM. Also the operator's restore
+  /// lever after a degradation: a later call re-runs the recovery scan
+  /// and, on success, promotes the snapshot tier back to preferred.
   Status OpenSnapshotTier(Statistics* stats = nullptr)
       TOPK_EXCLUDES(open_mutex_, view_mutex_);
 
-  /// Operator lever after a degradation: re-runs the recovery scan and,
-  /// on success, promotes the snapshot tier back to preferred.
-  Status RestoreSnapshotTier(Statistics* stats = nullptr)
-      TOPK_EXCLUDES(open_mutex_, view_mutex_);
-
   /// True once a snapshot-tier read fault tripped the fallback (sticky
-  /// until RestoreSnapshotTier succeeds).
+  /// until OpenSnapshotTier succeeds again).
   bool degraded() const TOPK_EXCLUDES(view_mutex_);
   /// True while the snapshot tier is open and preferred.
   bool snapshot_open() const TOPK_EXCLUDES(view_mutex_);

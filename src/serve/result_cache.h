@@ -1,6 +1,7 @@
 // Exact result cache for the serving layer: memoizes complete answers
 // (range result lists and k-NN neighbor lists) keyed by the canonical
-// query sequence + (kind, algorithm, theta or j).
+// query sequence + (kind, algorithm, theta or j), and the one serve step
+// both caching frontends run per query.
 //
 // A hit returns the previously computed answer verbatim — exact because
 // (a) the key compares the full item sequence, so only a byte-identical
@@ -8,6 +9,13 @@
 // registry is exact, so the memoized answer equals what any cold run
 // would produce, and (c) entries are epoch-stamped: a generation bump
 // (store/partitioning rebuild) makes every older entry unservable.
+//
+// The serve step (Serve below) is the only place that looks up or
+// inserts an answer (scripts/check_invariants.py `result-cache-callers`):
+// QueryFrontend::ServeOne and LiveFrontend's one serve body call it, so
+// the rules "a hit serves even past the deadline or the admission
+// limit", "a stopped answer is discarded and never cached" and "a shed
+// caller gets Unavailable" are written once.
 //
 // Hit/miss/eviction counts are reported through the standard Statistics
 // tickers (kResultCache*), so they aggregate into RunResult like every
@@ -24,15 +32,23 @@
 #define TOPK_SERVE_RESULT_CACHE_H_
 
 #include <cstdint>
+#include <type_traits>
 #include <vector>
 
+#include "core/deadline.h"
+#include "core/ranking.h"
 #include "core/statistics.h"
+#include "core/status.h"
 #include "core/types.h"
 #include "metric/knn.h"
+#include "serve/admission.h"
 #include "serve/fingerprint.h"
 #include "serve/lru_cache.h"
 
 namespace topk {
+
+/// Lock shards of each answer kind's store (clamped to the capacity).
+inline constexpr size_t kResultCacheShards = 8;
 
 class ResultCache {
  public:
@@ -40,38 +56,63 @@ class ResultCache {
   /// k-NN stores are independent, each holding up to `capacity` entries
   /// (a stream of one kind gets the full budget; a mixed stream can hold
   /// up to 2x). 0 disables both.
-  ResultCache(size_t capacity, size_t num_shards)
-      : range_(capacity, num_shards), knn_(capacity, num_shards) {}
+  explicit ResultCache(size_t capacity)
+      : range_(capacity, kResultCacheShards),
+        knn_(capacity, kResultCacheShards) {}
 
   bool enabled() const { return range_.enabled(); }
 
-  /// Range lookups/inserts. Lookup ticks kResultCacheHits/Misses; Insert
-  /// ticks kResultCacheEvictions for entries displaced by capacity.
-  bool LookupRange(const ResultCacheKey& key, uint64_t epoch,
-                   std::vector<RankingId>* out, Statistics* stats) {
-    const bool hit = range_.Lookup(key, epoch, out);
-    AddTicker(stats,
-              hit ? Ticker::kResultCacheHits : Ticker::kResultCacheMisses);
-    return hit;
-  }
-  void InsertRange(const ResultCacheKey& key, uint64_t epoch,
-                   std::vector<RankingId> value, Statistics* stats) {
-    AddTicker(stats, Ticker::kResultCacheEvictions,
-              range_.Insert(key, epoch, std::move(value)));
-  }
-
-  /// k-NN counterparts (same tickers).
-  bool LookupKnn(const ResultCacheKey& key, uint64_t epoch,
-                 std::vector<Neighbor>* out, Statistics* stats) {
-    const bool hit = knn_.Lookup(key, epoch, out);
-    AddTicker(stats,
-              hit ? Ticker::kResultCacheHits : Ticker::kResultCacheMisses);
-    return hit;
-  }
-  void InsertKnn(const ResultCacheKey& key, uint64_t epoch,
-                 std::vector<Neighbor> value, Statistics* stats) {
-    AddTicker(stats, Ticker::kResultCacheEvictions,
-              knn_.Insert(key, epoch, std::move(value)));
+  /// Answers one query into `*out` (cleared first): RankingId answers are
+  /// range results, Neighbor answers k-NN lists; `param` is theta_raw or
+  /// j. In order:
+  ///   1. a hit under `epoch` is served (`*hit` set when non-null), even
+  ///      for a caller past its deadline or the admission limit;
+  ///   2. a caller that was not `admitted` is shed (ShedStatus);
+  ///   3. a stopped `control` (may be null) answers its StopStatus;
+  ///   4. `run(out)` computes the answer and returns a Status;
+  ///   5. a non-OK run, or a stop observed after it, clears `*out` and is
+  ///      never cached (a run that maps its own stop has ticked already);
+  ///   6. the answer is inserted under `epoch`.
+  /// The key is built only when the cache is enabled. Lookups tick
+  /// kResultCacheHits/Misses, inserts kResultCacheEvictions.
+  template <typename Answer, typename Run>
+  Status Serve(uint32_t algorithm, uint64_t param, const PreparedQuery& query,
+               uint64_t epoch, bool admitted, QueryControl* control,
+               std::vector<Answer>* out, bool* hit, Statistics* stats,
+               Run&& run) {
+    constexpr bool kRange = std::is_same_v<Answer, RankingId>;
+    auto& cache = StoreFor(out);
+    out->clear();
+    const bool cacheable = enabled();
+    ResultCacheKey key{};
+    if (cacheable) {
+      key = MakeResultCacheKey(kRange ? ServeKind::kRange : ServeKind::kKnn,
+                               algorithm, param, query);
+      const bool found = cache.Lookup(key, epoch, out);
+      AddTicker(stats, found ? Ticker::kResultCacheHits
+                             : Ticker::kResultCacheMisses);
+      if (found) {
+        if (hit != nullptr) *hit = true;
+        return Status::OK();
+      }
+    }
+    if (!admitted) return ShedStatus(stats);
+    if (control != nullptr && control->ShouldStop()) {
+      return StopStatus(*control, stats);
+    }
+    Status status = run(out);
+    if (status.ok() && control != nullptr && control->ShouldStop()) {
+      status = StopStatus(*control, stats);
+    }
+    if (!status.ok()) {
+      out->clear();
+      return status;
+    }
+    if (cacheable) {
+      AddTicker(stats, Ticker::kResultCacheEvictions,
+                cache.Insert(key, epoch, *out));
+    }
+    return status;
   }
 
   void Clear() {
@@ -81,8 +122,15 @@ class ResultCache {
   size_t size() const { return range_.size() + knn_.size(); }
 
  private:
-  ShardedLruCache<ResultCacheKey, std::vector<RankingId>> range_;
-  ShardedLruCache<ResultCacheKey, std::vector<Neighbor>> knn_;
+  using RangeStore = ShardedLruCache<ResultCacheKey, std::vector<RankingId>>;
+  using KnnStore = ShardedLruCache<ResultCacheKey, std::vector<Neighbor>>;
+
+  /// The answer kind's store, picked by the output type.
+  RangeStore& StoreFor(std::vector<RankingId>*) { return range_; }
+  KnnStore& StoreFor(std::vector<Neighbor>*) { return knn_; }
+
+  RangeStore range_;
+  KnnStore knn_;
 };
 
 }  // namespace topk

@@ -14,9 +14,8 @@
 // (tests/storage_compress_test.cc pins every engine configuration,
 // fuzzed).
 //
-// CompressedFilterValidateEngine mirrors FilterValidateEngine exactly —
-// both bind the kernel RangeSearch (kernel/range_search.h) — so the only
-// moving part between the two is where the posting bytes come from.
+// CompressedFilterValidateEngine is FilterValidateEngine's class template
+// (invidx/filter_validate.h) instantiated over this index.
 
 #ifndef TOPK_STORAGE_COMPRESSED_INDEX_H_
 #define TOPK_STORAGE_COMPRESSED_INDEX_H_
@@ -27,9 +26,9 @@
 #include "core/ranking.h"
 #include "core/statistics.h"
 #include "core/types.h"
-#include "invidx/drop_policy.h"
+#include "invidx/filter_validate.h"
 #include "invidx/plain_inverted_index.h"
-#include "kernel/range_search.h"
+#include "kernel/id_split.h"
 #include "storage/compressed_arena.h"
 
 namespace topk {
@@ -96,31 +95,12 @@ class CompressedInvertedIndex {
   size_t num_indexed_ = 0;
 };
 
-struct CompressedEngineOptions {
-  DropMode drop = DropMode::kNone;
-};
-
-/// F&V / F&V+Drop over the compressed index: FilterValidateEngine with
-/// the storage tier underneath, bit-identical results.
-class CompressedFilterValidateEngine {
- public:
-  /// `store` and `index` must outlive the engine.
-  CompressedFilterValidateEngine(const RankingStore* store,
-                                 const CompressedInvertedIndex* index,
-                                 CompressedEngineOptions options = {});
-
-  /// All rankings within raw distance `theta_raw` of the query, in
-  /// ascending id order.
-  std::vector<RankingId> Query(const PreparedQuery& query,
-                               RawDistance theta_raw,
-                               Statistics* stats = nullptr);
-
- private:
-  const RankingStore* store_;
-  const CompressedInvertedIndex* index_;
-  CompressedEngineOptions options_;
-  RangeScratch scratch_;
-};
+/// F&V / F&V+Drop over the compressed index: the one F&V engine
+/// (invidx/filter_validate.h) with the storage tier underneath,
+/// bit-identical results.
+using CompressedFilterValidateEngine =
+    BasicFilterValidateEngine<CompressedInvertedIndex>;
+using CompressedEngineOptions = FilterValidateOptions;
 
 }  // namespace storage
 }  // namespace topk

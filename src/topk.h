@@ -47,6 +47,7 @@
 #include "metric/knn.h"
 #include "metric/linear_scan.h"
 #include "metric/m_tree.h"
+#include "serve/admission.h"
 #include "serve/fingerprint.h"
 #include "serve/frontend.h"
 #include "serve/lru_cache.h"

@@ -89,7 +89,7 @@ void ExpectBitExact(MutableStore& store, const ShadowMap& alive, uint32_t k,
           << where << " theta_raw=" << theta_raw;
     }
     for (const size_t j : js) {
-      EXPECT_EQ(store.KnnQuery(query, j), ExpectedKnn(r, query, j))
+      EXPECT_EQ(testutil::KnnOk(&store, query, j), ExpectedKnn(r, query, j))
           << where << " j=" << j;
     }
   }
@@ -105,7 +105,7 @@ TEST(MutableStoreTest, EmptyStoreBasics) {
   const auto queries = testutil::MakeQueries(
       testutil::MakeUniformStore(5, 10, 40, 1001), 3, 1002);
   EXPECT_TRUE(store.RangeQuery(queries[0], MaxDistance(5)).empty());
-  EXPECT_TRUE(store.KnnQuery(queries[0], 4).empty());
+  EXPECT_TRUE(testutil::KnnOk(&store, queries[0], 4).empty());
 }
 
 TEST(MutableStoreTest, InterleavedMutationsMatchRebuildBitExact) {
@@ -264,7 +264,7 @@ TEST(MutableStoreTest, LiveControlAnswersEqualTheUnconstrainedOverloads) {
         const Status status =
             store.KnnQuery(query, j, &control, &neighbors, &stats);
         ASSERT_TRUE(status.ok()) << status.ToString();
-        EXPECT_EQ(neighbors, store.KnnQuery(query, j)) << "j=" << j;
+        EXPECT_EQ(neighbors, testutil::KnnOk(&store, query, j)) << "j=" << j;
       }
     }
   }
@@ -376,7 +376,7 @@ TEST(MutableStoreTest, ConcurrentWritersAndReadersUnderMerges) {
           const std::vector<RankingId> ids =
               store.RangeQuery(query, theta_raw);
           EXPECT_TRUE(std::is_sorted(ids.begin(), ids.end()));
-          const std::vector<Neighbor> nn = store.KnnQuery(query, 9);
+          const std::vector<Neighbor> nn = testutil::KnnOk(&store, query, 9);
           EXPECT_LE(nn.size(), 9u);
           for (size_t i = 1; i < nn.size(); ++i) {
             EXPECT_LE(nn[i - 1].distance, nn[i].distance);

@@ -270,6 +270,8 @@ TEST_F(ServeFrontendTest, ExceptionPropagatesAndFrontendStaysUsable) {
   null_query.query = nullptr;
   const ServeRequest null_batch[] = {null_query};
   EXPECT_THROW(frontend.ServeBatch(null_batch), std::invalid_argument);
+  // Every rethrowing batch gave its admission ticket back.
+  EXPECT_EQ(frontend.inflight_batches(), 0u);
 
   // The pool and caches survive: a clean batch still serves exactly.
   const ServeRequest ok[] = {
@@ -659,7 +661,7 @@ TEST(LiveFrontendTest, WiredCacheServesFreshAfterEveryMutation) {
   EXPECT_NE(ids, before);
   std::vector<Neighbor> neighbors;
   ASSERT_TRUE(frontend.ServeKnn(query, 5, nullptr, &neighbors).ok());
-  EXPECT_EQ(neighbors, store.KnnQuery(query, 5));
+  EXPECT_EQ(neighbors, testutil::KnnOk(&store, query, 5));
   EXPECT_NE(neighbors, knn_before);
 
   // Delete and merge invalidate too (the merge via the swap's bump).
@@ -677,26 +679,6 @@ TEST(LiveFrontendTest, WiredCacheServesFreshAfterEveryMutation) {
   std::vector<RankingId> repeat;
   ASSERT_TRUE(frontend.ServeRange(query, theta_raw, nullptr, &repeat).ok());
   EXPECT_EQ(repeat, ids);
-}
-
-// QueryFrontend::WatchStore: the batched frontend's epoch follows store
-// mutations the same way.
-TEST(LiveFrontendTest, WatchStoreBumpsQueryFrontendEpoch) {
-  constexpr uint32_t kK = 5;
-  const RankingStore source = testutil::MakeClusteredStore(kK, 40, 1111);
-  QueryFrontend frontend(&source);
-  MutableStore store(source);
-  frontend.WatchStore(&store);
-
-  const uint64_t epoch0 = frontend.epoch();
-  store.Insert(source.view(0));
-  EXPECT_EQ(frontend.epoch(), epoch0 + 1);
-  EXPECT_TRUE(store.Delete(0));
-  EXPECT_EQ(frontend.epoch(), epoch0 + 2);
-  EXPECT_TRUE(store.MergeNow());
-  EXPECT_EQ(frontend.epoch(), epoch0 + 3);
-  EXPECT_FALSE(store.Delete(0));  // failed mutation: no bump
-  EXPECT_EQ(frontend.epoch(), epoch0 + 3);
 }
 
 // TSan target: readers serving through the cache race writers mutating
@@ -736,7 +718,7 @@ TEST(LiveFrontendTest, ConcurrentServeAndMutateStaysExact) {
     ASSERT_TRUE(frontend.ServeRange(query, theta_raw, nullptr, &ids).ok());
     EXPECT_EQ(ids, store.RangeQuery(query, theta_raw));
     ASSERT_TRUE(frontend.ServeKnn(query, 6, nullptr, &neighbors).ok());
-    EXPECT_EQ(neighbors, store.KnnQuery(query, 6));
+    EXPECT_EQ(neighbors, testutil::KnnOk(&store, query, 6));
   }
 }
 

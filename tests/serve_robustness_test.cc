@@ -136,6 +136,38 @@ TEST_F(ServeRobustnessTest, StoppedRequestsAreNeverCached) {
   EXPECT_EQ(second[0].ids, first[0].ids);
 }
 
+TEST_F(ServeRobustnessTest, CachedAnswersServePastAnExpiredDeadline) {
+  QueryFrontendOptions options;
+  options.num_threads = 1;
+  QueryFrontend frontend(&store_, options);
+
+  // A range and a k-NN answer cached with time to spare...
+  const std::vector<ServeRequest> fine = {
+      ServeRequest::Range(Algorithm::kFV, queries_[0], theta_),
+      ServeRequest::Knn(Algorithm::kLinearScan, queries_[1], 5)};
+  const auto cold = frontend.ServeBatch(fine);
+  ASSERT_TRUE(cold[0].status.ok());
+  ASSERT_TRUE(cold[1].status.ok());
+  EXPECT_EQ(cold[0].ids, testutil::BruteForce(store_, queries_[0], theta_));
+
+  // ...are served OK from the cache when sent again past their deadline:
+  // the lookup comes before the stop check, and nothing ticks a stop.
+  std::vector<ServeRequest> expired = fine;
+  for (ServeRequest& request : expired) {
+    request.deadline = Deadline::AfterMillis(-1.0);
+  }
+  Statistics stats;
+  const auto warm = frontend.ServeBatch(expired, &stats);
+  for (const ServeResponse& response : warm) {
+    EXPECT_TRUE(response.status.ok());
+    EXPECT_TRUE(response.result_cache_hit);
+  }
+  EXPECT_EQ(warm[0].ids, cold[0].ids);
+  EXPECT_EQ(warm[1].neighbors, cold[1].neighbors);
+  EXPECT_EQ(stats.Get(Ticker::kResultCacheHits), 2u);
+  EXPECT_EQ(stats.Get(Ticker::kDeadlineExceeded), 0u);
+}
+
 TEST_F(ServeRobustnessTest, LinearScanKnnHonoursDeadlineAndCancel) {
   QueryFrontendOptions options;
   options.num_threads = 1;
@@ -202,7 +234,6 @@ TEST_F(ServeRobustnessTest, OverloadShedsWholeBatchesWithRetryAfter) {
   QueryFrontendOptions options;
   options.num_threads = 2;
   options.max_inflight_batches = 1;
-  options.shed_retry_after_ms = 7.5;
   options.result_cache_capacity = 0;  // keep the long batch long
   QueryFrontend frontend(&store_, options);
   frontend.Prepare(Algorithm::kFV);
@@ -223,7 +254,7 @@ TEST_F(ServeRobustnessTest, OverloadShedsWholeBatchesWithRetryAfter) {
   ASSERT_TRUE(SpinUntil([&] { return frontend.inflight_batches() >= 1; }));
 
   // ...so a batch arriving now is shed whole: Unavailable + the
-  // configured back-off hint, no engine ever runs for it.
+  // fixed back-off hint, no engine ever runs for it.
   std::vector<ServeRequest> probe;
   for (const PreparedQuery& query : queries_) {
     probe.push_back(ServeRequest::Range(Algorithm::kFV, query, theta_));
@@ -236,7 +267,7 @@ TEST_F(ServeRobustnessTest, OverloadShedsWholeBatchesWithRetryAfter) {
   ASSERT_EQ(shed.size(), probe.size());
   for (const ServeResponse& response : shed) {
     EXPECT_EQ(response.status.code(), Status::Code::kUnavailable);
-    EXPECT_EQ(response.retry_after_ms, 7.5);
+    EXPECT_EQ(response.retry_after_ms, kShedRetryAfterMs);
     EXPECT_TRUE(response.ids.empty());
   }
   EXPECT_EQ(stats.Get(Ticker::kLoadShed), probe.size());
@@ -278,7 +309,7 @@ TEST(LiveFrontendRobustnessTest, DeadlineAndCancelStatusPaths) {
       frontend.ServeRange(queries[0], theta, &expired, &out, &stats);
   EXPECT_EQ(status.code(), Status::Code::kDeadlineExceeded);
   EXPECT_TRUE(out.empty());
-  EXPECT_GE(stats.Get(Ticker::kDeadlineExceeded), 1u);
+  EXPECT_EQ(stats.Get(Ticker::kDeadlineExceeded), 1u);
   EXPECT_EQ(frontend.result_cache_size(), 0u);
 
   // Cancelled token: Aborted, empty, not cached.
@@ -305,13 +336,42 @@ TEST(LiveFrontendRobustnessTest, DeadlineAndCancelStatusPaths) {
   EXPECT_EQ(neighbors, LinearScanKnn(initial, queries[1], 5));
 }
 
+TEST(LiveFrontendRobustnessTest, CachedAnswersServePastAnExpiredDeadline) {
+  const RankingStore initial = testutil::MakeClusteredStore(10, 1500, 91);
+  MutableStore store(initial);
+  LiveFrontend frontend(&store);
+  const auto queries = testutil::MakeQueries(initial, 4, 92);
+  const RawDistance theta = RawThreshold(0.3, initial.k());
+
+  // A range and a k-NN answer cached with no deadline...
+  std::vector<RankingId> cached;
+  ASSERT_TRUE(frontend.ServeRange(queries[0], theta, nullptr, &cached).ok());
+  EXPECT_EQ(cached, testutil::BruteForce(initial, queries[0], theta));
+  std::vector<Neighbor> cached_knn;
+  ASSERT_TRUE(frontend.ServeKnn(queries[1], 5, nullptr, &cached_knn).ok());
+
+  // ...are served OK from the cache when sent again past their deadline.
+  Statistics stats;
+  QueryControl expired(Deadline::AfterMillis(-1.0));
+  std::vector<RankingId> out;
+  ASSERT_TRUE(
+      frontend.ServeRange(queries[0], theta, &expired, &out, &stats).ok());
+  EXPECT_EQ(out, cached);
+  QueryControl knn_expired(Deadline::AfterMillis(-1.0));
+  std::vector<Neighbor> neighbors;
+  ASSERT_TRUE(
+      frontend.ServeKnn(queries[1], 5, &knn_expired, &neighbors, &stats).ok());
+  EXPECT_EQ(neighbors, cached_knn);
+  EXPECT_EQ(stats.Get(Ticker::kResultCacheHits), 2u);
+  EXPECT_EQ(stats.Get(Ticker::kDeadlineExceeded), 0u);
+}
+
 TEST(LiveFrontendRobustnessTest, ConcurrentOverloadShedsNotHangs) {
   const RankingStore initial = testutil::MakeClusteredStore(10, 4000, 101);
   MutableStore store(initial);
   LiveFrontendOptions options;
   options.max_inflight = 1;
   options.result_cache_capacity = 0;  // every call does real work
-  options.shed_retry_after_ms = 3.25;
   LiveFrontend frontend(&store, options);
   const auto queries = testutil::MakeQueries(initial, 16, 102);
   const RawDistance dmax = MaxDistance(initial.k());
@@ -595,7 +655,7 @@ TEST_F(ResilientReaderTest, SnapshotFaultDegradesStickilyThenRestores) {
   EXPECT_TRUE(reader.degraded());
 
   // The operator lever re-runs recovery and re-arms the fast tier.
-  ASSERT_TRUE(reader.RestoreSnapshotTier().ok());
+  ASSERT_TRUE(reader.OpenSnapshotTier().ok());
   EXPECT_FALSE(reader.degraded());
   EXPECT_TRUE(reader.snapshot_open());
   Statistics healthy;
@@ -754,7 +814,7 @@ void ConcurrentReaderTest::ExpectReadersSurviveDegradeAndRestore() {
   const char* site = "serve.snapshot.query";
   std::atomic<size_t> reads{0};
   std::atomic<size_t> degraded_reads{0};
-  // Set once RestoreSnapshotTier has returned: a read that starts after
+  // Set once OpenSnapshotTier has returned: a read that starts after
   // it pins the restored view and must not be a degraded read.
   std::atomic<bool> restored{false};
   std::atomic<size_t> degraded_after_restore{0};
@@ -782,7 +842,7 @@ void ConcurrentReaderTest::ExpectReadersSurviveDegradeAndRestore() {
     EXPECT_TRUE(reader.degraded());
     EXPECT_FALSE(reader.snapshot_open());
 
-    EXPECT_TRUE(reader.RestoreSnapshotTier().ok());
+    EXPECT_TRUE(reader.OpenSnapshotTier().ok());
     restored.store(true);
     EXPECT_FALSE(reader.degraded());
     EXPECT_TRUE(reader.snapshot_open());

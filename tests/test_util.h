@@ -7,6 +7,8 @@
 #include <algorithm>
 #include <vector>
 
+#include <gtest/gtest.h>
+
 #include "core/footrule.h"
 #include "core/ranking.h"
 #include "core/rng.h"
@@ -16,6 +18,7 @@
 #include "data/workload.h"
 #include "invidx/drop_policy.h"
 #include "kernel/filter_phase.h"
+#include "mutate/mutable_store.h"
 #include "storage/compressed_index.h"
 #include "storage/posting_codec.h"
 
@@ -66,6 +69,16 @@ inline std::vector<RankingId> BruteForce(const RankingStore& store,
     }
   }
   return results;
+}
+
+/// One k-NN query through the live store's Status API with no deadline
+/// and no cancel, which must succeed.
+inline std::vector<Neighbor> KnnOk(MutableStore* store,
+                                   const PreparedQuery& query, size_t j) {
+  std::vector<Neighbor> out;
+  const Status status = store->KnnQuery(query, j, nullptr, &out);
+  EXPECT_TRUE(status.ok()) << status.ToString();
+  return out;
 }
 
 /// Mixed workload: half perturbed copies of stored rankings, half fresh.
