@@ -3,8 +3,8 @@
 // Right plot: theta in {0, 0.05, ..., 0.3} at k = 10.
 //
 // Both trees are the paper's baselines: the BK-tree runs in faithful mode
-// (no duplicate-distance reuse — that optimization belongs to the coarse
-// index's partition trees, not to the standalone baseline the paper
+// (no duplicate-distance reuse — the paper applies that optimization
+// inside the coarse index's partitions, not to the standalone baseline it
 // measured).
 //
 // Paper shape to reproduce: the (unbalanced) BK-tree beats the balanced

@@ -4,8 +4,9 @@
 // Paper shape to reproduce: all indexes are of the same order of
 // magnitude in size (they all store the rankings' content); the augmented
 // inverted index is the largest; the metric trees are compact; the coarse
-// index construction dominates everything (BK-tree build + partitioning +
-// per-partition trees), while plain inverted index construction — no
+// index construction dominates everything (BK-tree build + partitioning;
+// this library's partitions need no trees of their own, DESIGN.md), while
+// plain inverted index construction — no
 // distance computations at all — is by far the cheapest.
 
 #include <iostream>

@@ -1,12 +1,12 @@
 #include "coarse/coarse_index.h"
 
 #include <algorithm>
-#include <limits>
+#include <numeric>
 
 #include "cluster/bk_partitioner.h"
 #include "cluster/cn_partitioner.h"
-#include "core/footrule.h"
 #include "core/rng.h"
+#include "kernel/range_search.h"
 
 namespace topk {
 
@@ -42,29 +42,30 @@ CoarseIndex CoarseIndex::Build(const RankingStore* store,
       break;
     }
   }
-  return BuildFromPartitioning(store, options, std::move(partitioning),
-                               stats);
+  return BuildFromPartitioning(store, options, std::move(partitioning));
 }
 
 CoarseIndex CoarseIndex::BuildFromPartitioning(const RankingStore* store,
                                                const CoarseOptions& options,
-                                               Partitioning partitioning,
-                                               Statistics* stats) {
+                                               Partitioning partitioning) {
   CoarseIndex index(store, options);
-  index.partitioning_ = std::move(partitioning);
-  index.max_radius_ = index.partitioning_.max_radius();
-
-  index.medoids_.reserve(index.partitioning_.partitions.size());
-  index.trees_.reserve(index.partitioning_.partitions.size());
-  // The per-partition trees build serially on the caller: built on pool
-  // workers, their node arrays land in the workers' malloc arenas, which
-  // kept ~4-6 B per ranking more resident on the 200k NYT-like corpus,
-  // to save ~0.02 s.
-  for (const Partition& p : index.partitioning_.partitions) {
+  const size_t num_partitions = partitioning.partitions.size();
+  index.medoids_.reserve(num_partitions);
+  index.radii_.reserve(num_partitions);
+  index.offsets_.reserve(num_partitions + 1);
+  index.members_.reserve(partitioning.total_members());
+  index.offsets_.push_back(0);
+  for (Partition& p : partitioning.partitions) {
     TOPK_DCHECK(!p.members.empty() && p.members.front() == p.medoid);
+    std::sort(p.members.begin(), p.members.end());
     index.medoids_.push_back(p.medoid);
-    index.trees_.push_back(BkTree::Build(store, p.members, stats));
+    index.radii_.push_back(p.radius);
+    index.members_.insert(index.members_.end(), p.members.begin(),
+                          p.members.end());
+    index.offsets_.push_back(static_cast<uint32_t>(index.members_.size()));
+    std::vector<RankingId>().swap(p.members);  // the CSR holds them now
   }
+  index.max_radius_ = partitioning.max_radius();
   index.medoid_index_ = PlainInvertedIndex::BuildSubset(*store,
                                                         index.medoids_);
   return index;
@@ -74,121 +75,125 @@ std::vector<RankingId> CoarseIndex::Query(const PreparedQuery& query,
                                           RawDistance theta_raw,
                                           CoarseScratch* scratch,
                                           Statistics* stats,
-                                          PhaseTimes* phases) const {
-  const uint32_t k = store_->k();
+                                          PhaseTimes* phases,
+                                          QueryControl* control) const {
+  std::vector<RankingId> results;
+  if (control != nullptr && control->ShouldStop()) return results;
   Stopwatch watch;
 
   // --- Filter phase: find medoids within theta + radius of the query. ---
   std::vector<RankingId>& candidates = scratch->filter.candidates;
   const RawDistance relaxed = theta_raw + max_radius_;
-  if (!UnionCoversRange(k, relaxed)) {
+  if (!UnionCoversRange(store_->k(), relaxed)) {
     // Medoids sharing no item with the query could qualify but are
     // invisible to the inverted index: scan the medoid set instead.
     candidates.resize(medoids_.size());
-    for (uint32_t pid = 0; pid < medoids_.size(); ++pid) {
-      candidates[pid] = pid;
-    }
+    std::iota(candidates.begin(), candidates.end(), uint32_t{0});
   } else {
     FilterPhase(medoid_index_, query.view(), relaxed, options_.drop,
                 medoids_.size(), &scratch->filter, stats);
   }
   AddTicker(stats, Ticker::kCandidates, candidates.size());
 
-  // Distance check on retrieved medoids still belongs to the filter cost
-  // in the paper's model (Table 3, "Find medoids for query"). The batched
-  // validator binds the query rank table once; medoid probes and the
-  // partition-tree traversals below all reuse it.
-  scratch->validator.BindQuery(query.view(),
-                               static_cast<size_t>(store_->max_item()) + 1);
-  struct Probe {
-    uint32_t pid;
-    RawDistance medoid_dist;
-  };
-  std::vector<Probe> probes;
-  for (uint32_t pid : candidates) {
-    AddTicker(stats, Ticker::kDistanceCalls);
-    const RawDistance d =
-        scratch->validator.Distance(store_->view(medoids_[pid]));
-    if (d <= theta_raw + partitioning_.partitions[pid].radius) {
-      probes.push_back(Probe{pid, d});
-    }
+  // Scoring the retrieved medoids still belongs to the filter cost in the
+  // paper's model (Table 3, "Find medoids for query"). One span at
+  // theta + max_radius drops most of them in the lane kernel; each
+  // survivor is re-scored exactly against its own theta + r_P.
+  FootruleValidator& validator = scratch->validator;
+  validator.BindQuery(query.view(),
+                      static_cast<size_t>(store_->max_item()) + 1);
+  std::vector<RankingId>& rows = scratch->rows;
+  rows.clear();
+  for (const uint32_t pid : candidates) rows.push_back(medoids_[pid]);
+  std::vector<RankingId>& accepted = scratch->accepted;
+  accepted.clear();
+  validator.ValidateSpan(*store_, rows, relaxed, &accepted, stats, control);
+  if (control != nullptr && control->stopped()) return results;
+  // The survivors are a subsequence of the (distinct) medoid rows, so one
+  // forward walk recovers each survivor's partition.
+  std::vector<CoarseScratch::Probe>& probes = scratch->probes;
+  probes.clear();
+  size_t c = 0;
+  for (const RankingId medoid : accepted) {
+    while (rows[c] != medoid) ++c;
+    const uint32_t pid = candidates[c];
+    const RawDistance d = validator.Distance(store_->view(medoid));
+    if (d <= theta_raw + radii_[pid]) probes.push_back({pid, d});
   }
   if (phases != nullptr) phases->filter_ms += watch.ElapsedMillis();
 
-  // --- Validate phase: range-query each qualifying partition's BK-tree
-  // with the original theta, reusing the medoid distance as root. ---
+  // --- Validate phase: a partition inside the query ball is emitted
+  // whole; the members of every other probed partition are validated as
+  // one span with the original theta. ---
   watch.Restart();
-  std::vector<RankingId> results;
-  for (const Probe& probe : probes) {
-    AddTicker(stats, Ticker::kPartitionsProbed);
-    trees_[probe.pid].RangeQueryWithRootDistance(scratch->validator,
-                                                 theta_raw,
-                                                 probe.medoid_dist, stats,
-                                                 &results);
+  rows.clear();
+  for (const CoarseScratch::Probe& probe : probes) {
+    const std::span<const RankingId> span = members(probe.pid);
+    if (probe.medoid_dist + radii_[probe.pid] <= theta_raw) {
+      AddTicker(stats, Ticker::kAcceptedByUpperBound, span.size());
+      results.insert(results.end(), span.begin(), span.end());
+    } else {
+      rows.insert(rows.end(), span.begin(), span.end());
+    }
   }
-  std::sort(results.begin(), results.end());
+  AddTicker(stats, Ticker::kPartitionsProbed, probes.size());
+  validator.ValidateSpan(*store_, rows, theta_raw, &results, stats, control);
+  if (control != nullptr && control->stopped()) {
+    results.clear();
+    return results;
+  }
+  MergeAscendingRuns(&results, 0, &scratch->merge);
   AddTicker(stats, Ticker::kResults, results.size());
   if (phases != nullptr) phases->validate_ms += watch.ElapsedMillis();
   return results;
 }
 
 std::vector<Neighbor> CoarseIndex::Knn(const PreparedQuery& query, size_t j,
+                                       CoarseScratch* scratch,
                                        Statistics* stats) const {
   NeighborHeap heap(j);
-  if (j > 0 && !medoids_.empty()) {
-    // Medoid distances give an optimistic bound per partition: any member
-    // tau satisfies d(q, tau) >= d(q, medoid) - radius.
-    struct Probe {
-      RawDistance optimistic;
-      RawDistance medoid_dist;
-      uint32_t pid;
-    };
-    std::vector<Probe> probes;
-    probes.reserve(medoids_.size());
-    const SortedRankingView q = query.sorted_view();
-    for (uint32_t pid = 0; pid < medoids_.size(); ++pid) {
-      AddTicker(stats, Ticker::kDistanceCalls);
-      const RawDistance d =
-          FootruleDistance(q, store_->sorted(medoids_[pid]));
-      const RawDistance radius = partitioning_.partitions[pid].radius;
-      probes.push_back(Probe{d > radius ? d - radius : 0, d, pid});
-    }
-    std::sort(probes.begin(), probes.end(),
-              [](const Probe& a, const Probe& b) {
-                return a.optimistic < b.optimistic;
-              });
+  if (j == 0 || medoids_.empty()) return std::move(heap).Finish();
+  FootruleValidator& validator = scratch->validator;
+  validator.BindQuery(query.view(),
+                      static_cast<size_t>(store_->max_item()) + 1);
+  // Medoid distances give an optimistic bound per partition: any member
+  // tau satisfies d(q, tau) >= d(q, medoid) - radius.
+  std::vector<CoarseScratch::Probe>& probes = scratch->probes;
+  probes.clear();
+  AddTicker(stats, Ticker::kDistanceCalls, medoids_.size());
+  for (uint32_t pid = 0; pid < medoids_.size(); ++pid) {
+    probes.push_back({pid, validator.Distance(store_->view(medoids_[pid]))});
+  }
+  const auto optimistic = [this](const CoarseScratch::Probe& probe) {
+    const RawDistance radius = radii_[probe.pid];
+    return probe.medoid_dist > radius ? probe.medoid_dist - radius : 0;
+  };
+  std::ranges::sort(probes, {}, optimistic);
 
-    std::vector<Neighbor> members;  // reused across partitions
-    for (const Probe& probe : probes) {
-      if (probe.optimistic > heap.Bound()) break;
-      AddTicker(stats, Ticker::kPartitionsProbed);
-      // Range-query the partition tree at the current bound and feed the
-      // matches, with the distances the traversal already computed, into
-      // the heap; the bound only shrinks, so this is exact.
-      const RawDistance radius_budget = heap.Bound();
-      members.clear();
-      trees_[probe.pid].RangeQueryWithRootDistance(
-          q, radius_budget == std::numeric_limits<RawDistance>::max()
-                 ? MaxDistance(store_->k())
-                 : radius_budget,
-          probe.medoid_dist, stats, &members);
-      for (const Neighbor& member : members) {
-        heap.Offer(member.id, member.distance);
-      }
+  std::vector<RankingId>& accepted = scratch->accepted;
+  for (const CoarseScratch::Probe& probe : probes) {
+    if (optimistic(probe) > heap.Bound()) break;
+    AddTicker(stats, Ticker::kPartitionsProbed);
+    // Validate the members at the current bound and offer the survivors
+    // with their exact distances; the bound only shrinks, so this is
+    // exact.
+    accepted.clear();
+    validator.ValidateSpan(*store_, members(probe.pid),
+                           std::min(heap.Bound(), MaxDistance(store_->k())),
+                           &accepted, stats);
+    for (const RankingId id : accepted) {
+      heap.Offer(id, validator.Distance(store_->view(id)));
     }
   }
   return std::move(heap).Finish();
 }
 
 size_t CoarseIndex::MemoryUsage() const {
-  size_t bytes = medoid_index_.MemoryUsage() +
-                 medoids_.capacity() * sizeof(RankingId) +
-                 partitioning_.partitions.capacity() * sizeof(Partition);
-  for (const Partition& p : partitioning_.partitions) {
-    bytes += p.members.capacity() * sizeof(RankingId);
-  }
-  for (const BkTree& tree : trees_) bytes += tree.MemoryUsage();
-  return bytes;
+  return medoid_index_.MemoryUsage() +
+         medoids_.capacity() * sizeof(RankingId) +
+         radii_.capacity() * sizeof(RawDistance) +
+         offsets_.capacity() * sizeof(uint32_t) +
+         members_.capacity() * sizeof(RankingId);
 }
 
 }  // namespace topk

@@ -35,7 +35,8 @@ enum class Ticker : int {
   kCandidates,
   /// Candidates rejected early by the lower bound (Section 6.2).
   kPrunedByLowerBound,
-  /// Candidates accepted early by the upper bound (Section 6.2).
+  /// Candidates accepted early by the upper bound (Section 6.2), and the
+  /// members of a coarse partition emitted whole inside the query ball.
   kAcceptedByUpperBound,
   /// Medoids whose partitions were probed by the coarse index.
   kPartitionsProbed,

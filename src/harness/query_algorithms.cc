@@ -101,22 +101,6 @@ class BlockedAdapter : public QueryEngine {
   BlockedEngine engine_;
 };
 
-class CoarseAdapter : public QueryEngine {
- public:
-  explicit CoarseAdapter(const CoarseIndex* index) : index_(index) {}
-  std::vector<RankingId> Query(size_t, const PreparedQuery& query,
-                               RawDistance theta_raw, Statistics* stats,
-                               PhaseTimes* phases) override {
-    // Adapter-owned scratch: engines made from one suite can query the
-    // shared (immutable) coarse index from different threads.
-    return index_->Query(query, theta_raw, &scratch_, stats, phases);
-  }
-
- private:
-  const CoarseIndex* index_;
-  CoarseScratch scratch_;
-};
-
 class AdaptAdapter : public QueryEngine {
  public:
   AdaptAdapter(const RankingStore* store, const DeltaInvertedIndex* index)
@@ -294,9 +278,9 @@ std::unique_ptr<QueryEngine> EngineSuite::MakeEngine(Algorithm algorithm) {
       return std::make_unique<BlockedAdapter>(store_, &blocked_index(),
                                               DropMode::kPositionRefined);
     case Algorithm::kCoarse:
-      return std::make_unique<CoarseAdapter>(&coarse_index());
+      return std::make_unique<CoarseEngine>(&coarse_index());
     case Algorithm::kCoarseDrop:
-      return std::make_unique<CoarseAdapter>(&coarse_drop_index());
+      return std::make_unique<CoarseEngine>(&coarse_drop_index());
     case Algorithm::kAdaptSearch:
       return std::make_unique<AdaptAdapter>(store_, &delta_index());
     case Algorithm::kMinimalFV:

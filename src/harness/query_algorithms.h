@@ -50,6 +50,8 @@ enum class Algorithm {
 
 const char* AlgorithmName(Algorithm algorithm);
 
+class CoarseEngine;
+
 /// One query-processing algorithm bound to its indexes. `query_index`
 /// identifies the workload query (the Minimal F&V oracle is keyed by it);
 /// all other engines ignore it. `phases` (optional) receives the
@@ -72,6 +74,31 @@ class QueryEngine {
   /// The kernel engine behind kFV / kFVDrop, whose range queries take a
   /// QueryControl and an id split; null for every other algorithm.
   virtual FilterValidateEngine* filter_validate() { return nullptr; }
+
+  /// The engine behind kCoarse / kCoarseDrop, whose range queries take a
+  /// QueryControl and which also answers k-NN; null for every other
+  /// algorithm.
+  virtual CoarseEngine* coarse() { return nullptr; }
+};
+
+/// A shared (immutable) coarse index plus this engine's own scratch, so
+/// engines made from one suite query it from different threads.
+class CoarseEngine final : public QueryEngine {
+ public:
+  explicit CoarseEngine(const CoarseIndex* index) : index_(index) {}
+  std::vector<RankingId> Query(size_t, const PreparedQuery& query,
+                               RawDistance theta_raw, Statistics* stats,
+                               PhaseTimes* phases) override {
+    return index_->Query(query, theta_raw, &scratch_, stats, phases);
+  }
+  CoarseEngine* coarse() override { return this; }
+
+  const CoarseIndex& index() const { return *index_; }
+  CoarseScratch* scratch() { return &scratch_; }
+
+ private:
+  const CoarseIndex* index_;
+  CoarseScratch scratch_;
 };
 
 struct IndexBuildInfo {
@@ -108,7 +135,7 @@ class EngineSuite {
 
   /// Build info for the index kind behind `algorithm` (building it first
   /// if necessary). For kCoarse/kCoarseDrop this is the full coarse index
-  /// (partitioning + trees + medoid index).
+  /// (partitioning + member CSR + medoid index).
   IndexBuildInfo BuildInfo(Algorithm algorithm);
 
   // Direct index access (built on demand) for benches that need it.

@@ -173,49 +173,15 @@ void BkTree::RangeQueryWithRootDistance(SortedRankingView query,
                                         Statistics* stats,
                                         std::vector<RankingId>* out) const {
   if (nodes_.empty()) return;
-  QueryNodeImpl(
-      [this, query](RankingId id) {
-        return FootruleDistance(query, store_->sorted(id));
-      },
-      [out](RankingId id, RawDistance) { out->push_back(id); }, theta_raw, 0,
-      root_dist, stats);
+  QueryNode(query, theta_raw, 0, root_dist, stats, out);
 }
 
-void BkTree::RangeQueryWithRootDistance(SortedRankingView query,
-                                        RawDistance theta_raw,
-                                        RawDistance root_dist,
-                                        Statistics* stats,
-                                        std::vector<Neighbor>* out) const {
-  if (nodes_.empty()) return;
-  QueryNodeImpl(
-      [this, query](RankingId id) {
-        return FootruleDistance(query, store_->sorted(id));
-      },
-      [out](RankingId id, RawDistance d) { out->push_back(Neighbor{id, d}); },
-      theta_raw, 0, root_dist, stats);
-}
-
-void BkTree::RangeQueryWithRootDistance(const FootruleValidator& validator,
-                                        RawDistance theta_raw,
-                                        RawDistance root_dist,
-                                        Statistics* stats,
-                                        std::vector<RankingId>* out) const {
-  if (nodes_.empty()) return;
-  QueryNodeImpl(
-      [this, &validator](RankingId id) {
-        return validator.Distance(store_->view(id));
-      },
-      [out](RankingId id, RawDistance) { out->push_back(id); }, theta_raw, 0,
-      root_dist, stats);
-}
-
-template <typename DistanceFn, typename EmitFn>
-void BkTree::QueryNodeImpl(const DistanceFn& distance, const EmitFn& emit,
-                           RawDistance theta_raw, uint32_t node_index,
-                           RawDistance node_dist, Statistics* stats) const {
+void BkTree::QueryNode(SortedRankingView query, RawDistance theta_raw,
+                       uint32_t node_index, RawDistance node_dist,
+                       Statistics* stats, std::vector<RankingId>* out) const {
   AddTicker(stats, Ticker::kTreeNodesVisited);
   const Node& node = nodes_[node_index];
-  if (node_dist <= theta_raw) emit(node.id, node_dist);
+  if (node_dist <= theta_raw) out->push_back(node.id);
 
   // A child at edge distance e can contain matches only if
   // |node_dist - e| <= theta (triangle inequality on the discrete metric).
@@ -226,15 +192,15 @@ void BkTree::QueryNodeImpl(const DistanceFn& distance, const EmitFn& emit,
     if (gap > theta_raw) continue;
     if (e == 0 && options_.reuse_duplicate_distances) {
       // A 0-edge child is an identical ranking: its query distance equals
-      // the parent's, no Footrule call needed. This is the paper's
-      // "exact matching rankings in one partition" effect that lets the
-      // coarse index undercut even the Minimal F&V oracle in Figure 10.
-      QueryNodeImpl(distance, emit, theta_raw, child, node_dist, stats);
+      // the parent's, no Footrule call needed (the paper's "exact matching
+      // rankings in one partition" effect, here inside one tree).
+      QueryNode(query, theta_raw, child, node_dist, stats, out);
       continue;
     }
     AddTicker(stats, Ticker::kDistanceCalls);
-    const RawDistance child_dist = distance(nodes_[child].id);
-    QueryNodeImpl(distance, emit, theta_raw, child, child_dist, stats);
+    const RawDistance child_dist =
+        FootruleDistance(query, store_->sorted(nodes_[child].id));
+    QueryNode(query, theta_raw, child, child_dist, stats, out);
   }
 }
 

@@ -30,11 +30,9 @@
 #include <span>
 #include <vector>
 
-#include "core/neighbor.h"
 #include "core/ranking.h"
 #include "core/statistics.h"
 #include "core/types.h"
-#include "kernel/footrule_batch.h"
 #include "kernel/id_split.h"
 
 namespace topk {
@@ -45,7 +43,7 @@ struct BkTreeOptions {
   /// sound (the metric is regular), so it defaults to on; the Figure 5/6
   /// benches disable it to stay faithful to the paper's baseline BK-tree,
   /// which is implemented straight from Burkhard-Keller without the trick
-  /// (the paper only applies it inside the coarse index's partitions).
+  /// (the paper uses it only in the coarse index's partition trees).
   bool reuse_duplicate_distances = true;
 };
 
@@ -97,26 +95,9 @@ class BkTree {
                                     RawDistance theta_raw,
                                     Statistics* stats = nullptr) const;
 
-  /// Range query when d(query, root) is already known — the coarse index
-  /// computes medoid distances during filtering and must not pay twice.
+  /// Range query when d(query, root) is already known (RangeQueryInto
+  /// computes it first).
   void RangeQueryWithRootDistance(SortedRankingView query,
-                                  RawDistance theta_raw,
-                                  RawDistance root_dist, Statistics* stats,
-                                  std::vector<RankingId>* out) const;
-
-  /// Same traversal, but each match comes with its query distance — the
-  /// coarse k-NN feeds them to its heap without a second Footrule call.
-  void RangeQueryWithRootDistance(SortedRankingView query,
-                                  RawDistance theta_raw,
-                                  RawDistance root_dist, Statistics* stats,
-                                  std::vector<Neighbor>* out) const;
-
-  /// Same traversal driven by a pre-bound kernel validator: node distances
-  /// come from the query rank table instead of per-node merges. The coarse
-  /// validate phase binds the validator once per query and reuses it
-  /// across every probed partition tree. Results and tickers are identical
-  /// to the scalar overload (distances are exact either way).
-  void RangeQueryWithRootDistance(const FootruleValidator& validator,
                                   RawDistance theta_raw,
                                   RawDistance root_dist, Statistics* stats,
                                   std::vector<RankingId>* out) const;
@@ -128,15 +109,12 @@ class BkTree {
   size_t MemoryUsage() const { return nodes_.capacity() * sizeof(Node); }
 
  private:
-  /// One traversal body for every overload: `distance(id)` supplies the
-  /// query distance of a node's ranking (scalar merge kernel or the
-  /// pre-bound batched validator) and `emit(id, dist)` records a match,
-  /// so the pruning rule, the 0-edge duplicate-distance reuse, and the
-  /// tickers cannot diverge.
-  template <typename DistanceFn, typename EmitFn>
-  void QueryNodeImpl(const DistanceFn& distance, const EmitFn& emit,
-                     RawDistance theta_raw, uint32_t node_index,
-                     RawDistance node_dist, Statistics* stats) const;
+  /// The traversal below one node whose query distance is `node_dist`:
+  /// the pruning rule, the 0-edge duplicate-distance reuse and the
+  /// tickers.
+  void QueryNode(SortedRankingView query, RawDistance theta_raw,
+                 uint32_t node_index, RawDistance node_dist,
+                 Statistics* stats, std::vector<RankingId>* out) const;
 
   const RankingStore* store_;
   BkTreeOptions options_;

@@ -39,9 +39,6 @@ void QueryFrontend::PrepareLocked(Algorithm algorithm) {
     case Algorithm::kMTree:
       m_tree_ = &suite_.m_tree();
       break;
-    case Algorithm::kCoarse:
-      coarse_index_ = &suite_.coarse_index();
-      break;
     default:
       break;
   }
@@ -166,6 +163,12 @@ void QueryFrontend::Run(Executor* executor, const ServeRequest& request,
                         std::span<Executor> lone_workers,
                         std::vector<RankingId>* ids) {
   QueryEngine& engine = EngineFor(executor, request.algorithm);
+  if (CoarseEngine* const coarse = engine.coarse()) {
+    *ids = coarse->index().Query(*request.query, request.theta_raw,
+                                 coarse->scratch(), &executor->stats,
+                                 &executor->phases, control);
+    return;
+  }
   FilterValidateEngine* const fv = engine.filter_validate();
   if (fv == nullptr) {
     *ids = engine.Query(0, *request.query, request.theta_raw,
@@ -208,9 +211,13 @@ void QueryFrontend::Run(Executor* executor, const ServeRequest& request,
     case Algorithm::kMTree:
       *neighbors = MTreeKnn(*m_tree_, *request.query, request.j, stats);
       return;
-    case Algorithm::kCoarse:
-      *neighbors = coarse_index_->Knn(*request.query, request.j, stats);
+    case Algorithm::kCoarse: {
+      CoarseEngine* const coarse =
+          EngineFor(executor, Algorithm::kCoarse).coarse();
+      *neighbors = coarse->index().Knn(*request.query, request.j,
+                                       coarse->scratch(), stats);
       return;
+    }
     default:
       throw std::invalid_argument(
           std::string("k-NN backend not servable through the frontend: ") +

@@ -49,8 +49,9 @@
 // A range request that misses the result cache runs its engine; the F&V
 // family reaches the kernel RangeSearch through FilterValidateEngine, so
 // the frontend adds no second filter/validate path of its own, and it
-// passes the request's QueryControl down, so a deadline or cancel stops
-// the engine mid-query. The serve differential suites
+// passes the request's QueryControl down to it and to the coarse index
+// (QueryEngine::coarse()), so a deadline or cancel stops either engine
+// mid-query. The serve differential suites
 // (serve_frontend_test, FuzzServeTest in fuzz_differential_test) compare
 // served answers with brute force, lone requests included.
 //
@@ -66,7 +67,7 @@
 //
 // Engine thread safety: each executor owns a private QueryEngine per
 // algorithm (per-engine scratch), all sharing the suite's immutable
-// indexes; the coarse index takes a per-executor CoarseScratch. A lone
+// indexes; the coarse engine carries a per-executor CoarseScratch. A lone
 // request's part running on ParallelFor slot e uses only executor e's
 // scratch and counters, and a slot runs one part at a time. Exceptions
 // thrown while serving a request are captured and the first one is
@@ -264,7 +265,6 @@ class QueryFrontend {
   // would need the coordinator lock the workers must not take.
   const BkTree* bk_tree_ = nullptr;  // k-NN backends, built by Prepare
   const MTree* m_tree_ = nullptr;
-  const CoarseIndex* coarse_index_ = nullptr;
   std::atomic<uint64_t> epoch_{0};
   /// Batches inside ServeBatch (includes callers queued on serve_mutex_),
   /// limited to max_inflight_batches.

@@ -78,11 +78,13 @@ class ShardedLruCache {
   /// Inserts (or replaces) the entry for `key`, stamped with `epoch`.
   /// Returns the number of entries evicted to make room (for ticker
   /// accounting); replacing an entry with the same fingerprint does not
-  /// count as an eviction.
-  size_t Insert(const Key& key, uint64_t epoch, Value value) {
+  /// count as an eviction. `key` and `value` are moved into the entry,
+  /// so nothing is copied under the shard mutex.
+  size_t Insert(Key key, uint64_t epoch, Value value) {
     if (per_shard_capacity_ == 0) return 0;
-    return shard_for(key).Insert(key, epoch, std::move(value),
-                                 per_shard_capacity_);
+    Shard& shard = shard_for(key);
+    return shard.Insert(std::move(key), epoch, std::move(value),
+                        per_shard_capacity_);
   }
 
   /// Drops every entry immediately (epoch bumps alone invalidate lazily).
@@ -136,13 +138,14 @@ class ShardedLruCache {
       return true;
     }
 
-    size_t Insert(const Key& key, uint64_t epoch, Value value,
+    size_t Insert(Key key, uint64_t epoch, Value value,
                   size_t shard_capacity) TOPK_EXCLUDES(mutex) {
+      const uint64_t hash = key.hash;
       MutexLock lock(&mutex);
-      const auto it = map.find(key.hash);
+      const auto it = map.find(hash);
       if (it != map.end()) {  // refresh (or fingerprint-collision swap)
         const auto entry = it->second;
-        entry->key = key;
+        entry->key = std::move(key);
         entry->value = std::move(value);
         entry->epoch = epoch;
         lru.splice(lru.begin(), lru, entry);
@@ -154,8 +157,8 @@ class ShardedLruCache {
         lru.pop_back();
         ++evicted;
       }
-      lru.push_front(Entry{key, std::move(value), epoch});
-      map.emplace(key.hash, lru.begin());
+      lru.push_front(Entry{std::move(key), std::move(value), epoch});
+      map.emplace(hash, lru.begin());
       return evicted;
     }
 

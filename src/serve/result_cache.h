@@ -110,7 +110,7 @@ class ResultCache {
     }
     if (cacheable) {
       AddTicker(stats, Ticker::kResultCacheEvictions,
-                cache.Insert(key, epoch, *out));
+                cache.Insert(std::move(key), epoch, *out));
     }
     return status;
   }

@@ -5,9 +5,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <span>
+#include <thread>
 #include <tuple>
 
 #include "cluster/cn_partitioner.h"
+#include "core/footrule.h"
 #include "data/generator.h"
 #include "harness/thread_pool.h"
 #include "invidx/filter_validate.h"
@@ -146,7 +150,14 @@ TEST(CoarseIndexTest, MemoryUsageAccountsPartitions) {
   options.theta_c = 0.3;
   const CoarseIndex index = CoarseIndex::Build(&store, options);
   EXPECT_GT(index.MemoryUsage(), 0u);
-  EXPECT_EQ(index.partitioning().total_members(), store.size());
+  size_t total_members = 0;
+  for (size_t p = 0; p < index.num_partitions(); ++p) {
+    const std::span<const RankingId> members = index.members(p);
+    EXPECT_TRUE(std::ranges::is_sorted(members)) << p;
+    EXPECT_TRUE(std::ranges::binary_search(members, index.medoid(p))) << p;
+    total_members += members.size();
+  }
+  EXPECT_EQ(total_members, store.size());
 }
 
 TEST(CoarseIndexTest, SingletonPartitionsBehaveAtThetaCZero) {
@@ -164,27 +175,14 @@ TEST(CoarseIndexTest, SingletonPartitionsBehaveAtThetaCZero) {
   }
 }
 
-/// Same medoids, partitions and radii, and every partition tree node for
-/// node.
+/// Same medoids, radii and member spans, partition for partition.
 void ExpectSameIndex(const CoarseIndex& got, const CoarseIndex& want) {
   ASSERT_EQ(got.num_partitions(), want.num_partitions());
   EXPECT_EQ(got.max_radius(), want.max_radius());
   for (size_t p = 0; p < got.num_partitions(); ++p) {
-    const Partition& a = got.partitioning().partitions[p];
-    const Partition& b = want.partitioning().partitions[p];
-    ASSERT_EQ(a.medoid, b.medoid) << p;
-    ASSERT_EQ(a.members, b.members) << p;
-    ASSERT_EQ(a.radius, b.radius) << p;
-    const auto& got_nodes = got.partition_tree(p).nodes();
-    const auto& want_nodes = want.partition_tree(p).nodes();
-    ASSERT_EQ(got_nodes.size(), want_nodes.size()) << p;
-    for (size_t i = 0; i < got_nodes.size(); ++i) {
-      ASSERT_TRUE(got_nodes[i].id == want_nodes[i].id &&
-                  got_nodes[i].parent_dist == want_nodes[i].parent_dist &&
-                  got_nodes[i].first_child == want_nodes[i].first_child &&
-                  got_nodes[i].next_sibling == want_nodes[i].next_sibling)
-          << "partition " << p << " node " << i;
-    }
+    ASSERT_EQ(got.medoid(p), want.medoid(p)) << p;
+    ASSERT_EQ(got.radius(p), want.radius(p)) << p;
+    ASSERT_TRUE(std::ranges::equal(got.members(p), want.members(p))) << p;
   }
 }
 
@@ -219,6 +217,188 @@ TEST(CoarseIndexTest, RunnerBuildEqualsSerialBuild) {
     options.partitioner = partitioner;
     options.drop = DropMode::kPositionRefined;
     CheckRunnerBuilds(store, options);
+  }
+}
+
+// --- Member spans: ball containment, boundaries and concurrency. ---
+
+/// Two interleaved near-duplicate groups, each a partition of radius 2:
+/// even ids hold ranking A and its adjacent-swap variants, odd ids ranking
+/// C (A with its last two items replaced, d(A, C) = 6) and C's variants.
+/// Eight rankings over disjoint items sit at dmax from both groups as
+/// singleton partitions.
+struct InterleavedGroups {
+  RankingStore store{10};
+  Partitioning partitioning;
+};
+
+InterleavedGroups MakeInterleavedGroups() {
+  InterleavedGroups g;
+  std::vector<ItemId> a = {1, 2, 3, 4, 5, 6, 7, 8, 9, 10};
+  std::vector<ItemId> c = {1, 2, 3, 4, 5, 6, 7, 8, 11, 12};
+  Partition pa{0, {}, 0};
+  Partition pc{1, {}, 0};
+  for (int i = 0; i < 20; ++i) {
+    std::vector<ItemId> va = a;
+    std::vector<ItemId> vc = c;
+    if (i % 4 == 3) {  // every fourth row is an adjacent-swap variant
+      std::swap(va[i % 9], va[i % 9 + 1]);
+      std::swap(vc[i % 9], vc[i % 9 + 1]);
+    }
+    pa.members.push_back(g.store.AddUnchecked(va));
+    pc.members.push_back(g.store.AddUnchecked(vc));
+  }
+  for (Partition* p : {&pa, &pc}) {
+    for (const RankingId id : p->members) {
+      p->radius = std::max(p->radius, FootruleDistance(g.store.sorted(p->medoid),
+                                                       g.store.sorted(id)));
+    }
+  }
+  g.partitioning.partitions = {pa, pc};
+  for (ItemId base = 100; base < 180; base += 10) {
+    std::vector<ItemId> far(10);
+    for (ItemId i = 0; i < 10; ++i) far[i] = base + i;
+    const RankingId id = g.store.AddUnchecked(far);
+    g.partitioning.partitions.push_back(Partition{id, {id}, 0});
+  }
+  return g;
+}
+
+PreparedQuery QueryOfRow(const RankingStore& store, RankingId id) {
+  const std::span<const ItemId> items = store.view(id).items();
+  return PreparedQuery(std::move(Ranking::Create(std::vector<ItemId>(
+                                     items.begin(), items.end())))
+                           .ValueOrDie());
+}
+
+TEST(CoarseSpanTest, PartitionInsideTheBallIsEmittedWithoutMemberCalls) {
+  InterleavedGroups g = MakeInterleavedGroups();
+  ASSERT_EQ(g.partitioning.partitions[0].radius, 2u);
+  const CoarseIndex index =
+      CoarseIndex::BuildFromPartitioning(&g.store, {}, g.partitioning);
+  const PreparedQuery query = QueryOfRow(g.store, 0);
+  // d(q, m_A) = 0, r_A = 2: at theta = 2 group A lies inside the ball,
+  // group C (medoid at 6) is not even probed.
+  Statistics stats;
+  const std::vector<RankingId> got = index.Query(query, 2, &stats);
+  EXPECT_EQ(got, testutil::BruteForce(g.store, query, 2));
+  EXPECT_EQ(got.size(), index.members(0).size());
+  EXPECT_EQ(stats.Get(Ticker::kAcceptedByUpperBound), index.members(0).size());
+  EXPECT_EQ(stats.Get(Ticker::kPartitionsProbed), 1u);
+  // Only the retrieved medoids were scored.
+  EXPECT_EQ(stats.Get(Ticker::kDistanceCalls),
+            stats.Get(Ticker::kCandidates));
+}
+
+TEST(CoarseSpanTest, ThetaExactlyAtMedoidDistancePlusRadius) {
+  InterleavedGroups g = MakeInterleavedGroups();
+  const CoarseIndex index =
+      CoarseIndex::BuildFromPartitioning(&g.store, {}, g.partitioning);
+  const PreparedQuery query = QueryOfRow(g.store, 0);
+  const RawDistance to_c = FootruleDistance(query.sorted_view(),
+                                            g.store.sorted(index.medoid(1)));
+  ASSERT_EQ(to_c, 6u);
+  const RawDistance edge = to_c + index.radius(1);
+  // At d + r_C both groups are emitted whole, their ids interleaved; one
+  // below, group C is validated member by member.
+  for (const RawDistance theta : {edge - 1, edge, edge + 1}) {
+    Statistics stats;
+    const std::vector<RankingId> got = index.Query(query, theta, &stats);
+    EXPECT_EQ(got, testutil::BruteForce(g.store, query, theta))
+        << "theta=" << theta;
+    EXPECT_TRUE(std::ranges::is_sorted(got)) << "theta=" << theta;
+    const uint64_t whole = index.members(0).size() +
+                           (theta >= edge ? index.members(1).size() : 0);
+    EXPECT_EQ(stats.Get(Ticker::kAcceptedByUpperBound), whole)
+        << "theta=" << theta;
+  }
+}
+
+TEST(CoarseSpanTest, AllPartitionersMatchBruteForceWithSimdOnAndOff) {
+  const uint32_t k = 5;
+  const RankingStore store = testutil::MakeClusteredStore(k, 600, 146);
+  const auto queries = testutil::MakeQueries(store, 12, 147);
+  for (const PartitionerKind partitioner :
+       {PartitionerKind::kBkStrict, PartitionerKind::kBkSubtree,
+        PartitionerKind::kChavezNavarro}) {
+    // theta_c = 0.8 with theta >= 0.3 reaches dmax: the medoid-scan
+    // fallback.
+    for (const double theta_c : {0.1, 0.8}) {
+      CoarseOptions options;
+      options.theta_c = theta_c;
+      options.partitioner = partitioner;
+      const CoarseIndex index = CoarseIndex::Build(&store, options);
+      for (const bool use_simd : {true, false}) {
+        CoarseScratch scratch;
+        scratch.validator.set_use_simd(use_simd);
+        for (const double theta : {0.0, 0.1, 0.3, 0.5}) {
+          const RawDistance theta_raw = RawThreshold(theta, k);
+          for (const PreparedQuery& query : queries) {
+            ASSERT_EQ(index.Query(query, theta_raw, &scratch, nullptr,
+                                  nullptr),
+                      testutil::BruteForce(store, query, theta_raw))
+                << PartitionerKindName(partitioner) << " theta_c=" << theta_c
+                << " simd=" << use_simd << " theta=" << theta;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(CoarseSpanTest, FourThreadsShareOneIndexWithTheirOwnScratch) {
+  const uint32_t k = 10;
+  const RankingStore store = testutil::MakeClusteredStore(k, 2000, 148);
+  CoarseOptions options;
+  options.theta_c = 0.2;
+  options.drop = DropMode::kPositionRefined;
+  const CoarseIndex index = CoarseIndex::Build(&store, options);
+  const auto queries = testutil::MakeQueries(store, 16, 149);
+  const RawDistance theta_raw = RawThreshold(0.2, k);
+  std::vector<std::vector<RankingId>> truth;
+  for (const PreparedQuery& query : queries) {
+    truth.push_back(testutil::BruteForce(store, query, theta_raw));
+  }
+  std::vector<size_t> mismatches(4, 0);
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < mismatches.size(); ++t) {
+    threads.emplace_back([&, t] {
+      CoarseScratch scratch;
+      for (int round = 0; round < 3; ++round) {
+        for (size_t q = 0; q < queries.size(); ++q) {
+          const size_t i = (q + t) % queries.size();
+          if (index.Query(queries[i], theta_raw, &scratch, nullptr,
+                          nullptr) != truth[i]) {
+            ++mismatches[t];
+          }
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (size_t t = 0; t < mismatches.size(); ++t) {
+    EXPECT_EQ(mismatches[t], 0u) << "thread " << t;
+  }
+}
+
+TEST(CoarseSpanTest, TrippedCancelStopsBeforeAnyLaneBatch) {
+  const RankingStore store = testutil::MakeClusteredStore(10, 1500, 150);
+  CoarseOptions options;
+  options.theta_c = 0.2;
+  const CoarseIndex index = CoarseIndex::Build(&store, options);
+  CancelToken tripped;
+  tripped.Cancel();
+  for (const PreparedQuery& query : testutil::MakeQueries(store, 5, 151)) {
+    QueryControl control(Deadline::Infinite(), &tripped);
+    CoarseScratch scratch;
+    Statistics stats;
+    EXPECT_TRUE(index
+                    .Query(query, RawThreshold(0.3, 10), &scratch, &stats,
+                           nullptr, &control)
+                    .empty());
+    EXPECT_TRUE(control.stopped());
+    EXPECT_LE(stats.Get(Ticker::kDistanceCalls), kSimdLanes);
+    EXPECT_EQ(stats.Get(Ticker::kResults), 0u);
   }
 }
 

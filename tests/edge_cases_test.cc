@@ -80,7 +80,7 @@ TEST(EdgeCaseTest, AllIdenticalCollection) {
 
 TEST(EdgeCaseTest, BkTreeDuplicateChainsSkipDistanceCalls) {
   // 1 seed + 999 exact duplicates: querying must not pay a Footrule call
-  // per duplicate (the 0-edge shortcut behind Figure 10's coarse dip).
+  // per duplicate (the 0-edge shortcut, BkTreeOptions).
   RankingStore store(10);
   std::vector<ItemId> row = {1, 2, 3, 4, 5, 6, 7, 8, 9, 10};
   for (int i = 0; i < 1000; ++i) store.AddUnchecked(row);

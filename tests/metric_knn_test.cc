@@ -8,7 +8,6 @@
 
 #include <algorithm>
 #include <utility>
-#include <limits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -375,95 +374,50 @@ TEST(KnnTest, DuplicateHeavyCollection) {
   for (size_t i = 100; i < 150; ++i) EXPECT_EQ(nn[i].distance, 2u);
 }
 
-/// Reference coarse k-NN that measures every member the partition trees
-/// return a second time before offering it to the heap. `trees` are the
-/// index's partition trees, rebuilt from its partitioning.
-struct TwoPassCoarseKnn {
-  std::vector<Neighbor> answer;
-  uint64_t distance_calls = 0;
-  uint64_t members_returned = 0;
-};
-
-TwoPassCoarseKnn RunTwoPassCoarseKnn(const RankingStore& store,
-                                     const CoarseIndex& index,
-                                     const std::vector<BkTree>& trees,
-                                     const PreparedQuery& query, size_t j) {
-  struct Probe {
-    RawDistance optimistic;
-    RawDistance medoid_dist;
-    uint32_t pid;
-  };
-  TwoPassCoarseKnn out;
-  Statistics stats;
-  const auto& partitions = index.partitioning().partitions;
-  const SortedRankingView q = query.sorted_view();
-  std::vector<Probe> probes;
-  for (uint32_t pid = 0; pid < partitions.size(); ++pid) {
-    AddTicker(&stats, Ticker::kDistanceCalls);
-    const RawDistance d =
-        FootruleDistance(q, store.sorted(partitions[pid].medoid));
-    const RawDistance radius = partitions[pid].radius;
-    probes.push_back(Probe{d > radius ? d - radius : 0, d, pid});
-  }
-  std::sort(probes.begin(), probes.end(),
-            [](const Probe& a, const Probe& b) {
-              return a.optimistic < b.optimistic;
-            });
-  NeighborHeap heap(j);
-  for (const Probe& probe : probes) {
-    if (probe.optimistic > heap.Bound()) break;
-    const RawDistance budget = heap.Bound();
-    std::vector<RankingId> members;
-    trees[probe.pid].RangeQueryWithRootDistance(
-        q,
-        budget == std::numeric_limits<RawDistance>::max()
-            ? MaxDistance(store.k())
-            : budget,
-        probe.medoid_dist, &stats, &members);
-    out.members_returned += members.size();
-    for (RankingId id : members) {
-      AddTicker(&stats, Ticker::kDistanceCalls);
-      heap.Offer(id, FootruleDistance(q, store.sorted(id)));
-    }
-  }
-  out.answer = std::move(heap).Finish();
-  out.distance_calls = stats.Get(Ticker::kDistanceCalls);
-  return out;
-}
-
-/// Same answers as the two-pass k-NN, with exactly one distance call fewer
-/// per member the partition trees returned.
-void CheckCoarseKnnReusesTreeDistances(const RankingStore& store) {
+/// Coarse k-NN against the brute-force scan for j in {1, 10, 100, > n},
+/// ties at the j-th distance broken by id, with one distance call per
+/// medoid plus at most one per member of the partitions it probed. The
+/// probed partitions are a prefix of the best-first order, so their
+/// members are bounded by every partition whose optimistic bound does not
+/// exceed the last probed one's.
+void CheckCoarseKnnMatchesLinearScan(const RankingStore& store) {
   CoarseOptions options;
   options.theta_c = 0.2;
   const CoarseIndex index = CoarseIndex::Build(&store, options);
-  std::vector<BkTree> trees;
-  for (const Partition& p : index.partitioning().partitions) {
-    trees.push_back(BkTree::Build(&store, p.members));
-  }
-  uint64_t total_members = 0;
   for (const PreparedQuery& query : testutil::MakeQueries(store, 20, 232)) {
-    for (size_t j : {1u, 10u, 100u}) {
-      const TwoPassCoarseKnn two_pass =
-          RunTwoPassCoarseKnn(store, index, trees, query, j);
+    std::vector<RawDistance> optimistic;
+    for (size_t p = 0; p < index.num_partitions(); ++p) {
+      const RawDistance d = FootruleDistance(
+          query.sorted_view(), store.sorted(index.medoid(p)));
+      optimistic.push_back(d > index.radius(p) ? d - index.radius(p) : 0);
+    }
+    std::vector<RawDistance> order = optimistic;
+    std::sort(order.begin(), order.end());
+    for (size_t j : {size_t{1}, size_t{10}, size_t{100}, store.size() + 5}) {
       Statistics stats;
-      EXPECT_EQ(index.Knn(query, j, &stats), two_pass.answer) << "j=" << j;
-      EXPECT_EQ(stats.Get(Ticker::kDistanceCalls),
-                two_pass.distance_calls - two_pass.members_returned)
+      EXPECT_EQ(index.Knn(query, j, &stats), LinearScanKnn(store, query, j))
           << "j=" << j;
-      total_members += two_pass.members_returned;
+      const uint64_t probed = stats.Get(Ticker::kPartitionsProbed);
+      ASSERT_GT(probed, 0u);
+      uint64_t members = 0;
+      for (size_t p = 0; p < index.num_partitions(); ++p) {
+        if (optimistic[p] <= order[probed - 1]) {
+          members += index.members(p).size();
+        }
+      }
+      EXPECT_LE(stats.Get(Ticker::kDistanceCalls),
+                index.num_partitions() + members)
+          << "j=" << j;
     }
   }
-  EXPECT_GT(total_members, 0u);
 }
 
-TEST(CoarseKnnTest, DuplicateHeavyCorpusSkipsTheSecondDistancePass) {
-  CheckCoarseKnnReusesTreeDistances(Generate(NytLikeOptions(4000, 10, 230)));
+TEST(CoarseKnnTest, DuplicateHeavyCorpusMatchesLinearScan) {
+  CheckCoarseKnnMatchesLinearScan(Generate(NytLikeOptions(4000, 10, 230)));
 }
 
-TEST(CoarseKnnTest, ClusteredCorpusSkipsTheSecondDistancePass) {
-  CheckCoarseKnnReusesTreeDistances(
-      testutil::MakeClusteredStore(10, 2000, 231));
+TEST(CoarseKnnTest, ClusteredCorpusMatchesLinearScan) {
+  CheckCoarseKnnMatchesLinearScan(testutil::MakeClusteredStore(10, 2000, 231));
 }
 
 }  // namespace

@@ -526,8 +526,10 @@ TEST_F(LoneRequestTest, LoneRequestsHonourCancelAndDeadline) {
     CancelToken tripped;
     tripped.Cancel();
     ServeRequest range = ServeRequest::Range(Algorithm::kFVDrop, query, theta);
+    ServeRequest coarse =
+        ServeRequest::Range(Algorithm::kCoarseDrop, query, theta);
     ServeRequest knn = ServeRequest::Knn(Algorithm::kLinearScan, query, 10);
-    for (ServeRequest request : {range, knn}) {
+    for (ServeRequest request : {range, coarse, knn}) {
       request.cancel = &tripped;
       const ServeRequest batch[] = {request};
       const auto aborted = frontend.ServeBatch(batch);
@@ -541,7 +543,7 @@ TEST_F(LoneRequestTest, LoneRequestsHonourCancelAndDeadline) {
       EXPECT_TRUE(expired[0].neighbors.empty());
     }
 
-    for (ServeRequest request : {range, knn}) {
+    for (ServeRequest request : {range, coarse, knn}) {
       CancelToken racing;
       request.cancel = &racing;
       const ServeRequest batch[] = {request};
