@@ -2,7 +2,7 @@
 // layer, shared by the standalone bench_kernel binary and bench_baseline
 // (which embeds the section into BENCH_baseline.json).
 //
-// Two experiments:
+// Four experiments:
 //
 //   validate           one query vs. a span of candidates, the validate
 //                      phase's inner loop: naive O(k^2) kernel, scalar
@@ -12,6 +12,19 @@
 //                      order: one std::vector per item (the pre-arena
 //                      layout, rebuilt here for comparison) vs. the CSR
 //                      posting arena all indices now share.
+//   validate_scattered the batched validator over a shuffled span of
+//                      every id of a 1M-row NYT-like store (40 MB of
+//                      items, far beyond any core's L2): each row gather
+//                      misses the private caches, so this is the row that
+//                      sees ValidateSpan's row prefetch.
+//   knn_sweep          a store-wide SweepNearest (j = 10) over the same
+//                      store, the LinearScan k-NN hot loop, whose
+//                      threshold starts unbounded and tightens with the
+//                      heap.
+//
+// The last two rows are fixed-size (independent of --nyt-n) and name the
+// compiled backend, so CI-scale runs match the committed rows of the same
+// backend only.
 //
 // Every row reports ns per unit and the derived M units/s; the checksum
 // accumulated across kernels doubles as a correctness cross-check (all
@@ -30,9 +43,11 @@
 
 #include "bench_util.h"
 #include "core/footrule.h"
+#include "core/neighbor.h"
 #include "core/rng.h"
 #include "core/statistics.h"
 #include "core/types.h"
+#include "data/generator.h"
 #include "invidx/blocked_inverted_index.h"
 #include "invidx/plain_inverted_index.h"
 #include "json_writer.h"
@@ -249,6 +264,88 @@ inline void EmitKernelSection(JsonWriter* json, const BenchArgs& args) {
       json->EndObject();
     }
     std::cerr << "  kernel posting iteration done\n";
+  }
+
+  // --- validate_scattered and knn_sweep: a store beyond the caches. ---
+  {
+    const uint32_t k = 10;
+    const uint32_t n = 1u << 20;
+    const RankingStore store = Generate(NytLikeOptions(n, k, args.seed));
+    WorkloadOptions workload;
+    workload.num_queries = 8;
+    workload.perturbed_fraction = 0.7;
+    workload.seed = args.seed + 99;
+    const auto queries = MakeWorkload(store, workload);
+    const double theta = 0.3;
+    const RawDistance theta_raw = RawThreshold(theta, k);
+    std::vector<RankingId> shuffled(store.size());
+    for (RankingId id = 0; id < store.size(); ++id) shuffled[id] = id;
+    Rng rng(args.seed + 11);
+    rng.Shuffle(&shuffled);
+
+    FootruleValidator validator;
+    const size_t item_domain = static_cast<size_t>(store.max_item()) + 1;
+    std::vector<RankingId> out;
+    uint64_t sink = 0;
+    const double scattered_ns = MeasureNsPerUnit([&] {
+      for (const PreparedQuery& query : queries) {
+        validator.BindQuery(query.view(), item_domain);
+        out.clear();
+        validator.ValidateSpan(store, shuffled, theta_raw, &out, nullptr);
+        sink += out.size();
+      }
+      return queries.size() * store.size();
+    });
+    const uint32_t j = 10;
+    const double sweep_ns = MeasureNsPerUnit([&] {
+      for (const PreparedQuery& query : queries) {
+        validator.BindQuery(query.view(), item_domain);
+        NeighborHeap heap(j);
+        validator.SweepNearest(store, &heap, nullptr);
+        sink += heap.Bound();
+      }
+      return queries.size() * store.size();
+    });
+    if (sink == UINT64_MAX) std::cerr << "unreachable\n";
+
+    json->BeginObject();
+    json->Key("bench");
+    json->String("validate_scattered");
+    json->Key("kernel");
+    json->String("footrule_batched");
+    json->Key("backend");
+    json->String(FootruleValidator::SimdBackendName());
+    json->Key("k");
+    json->Uint(k);
+    json->Key("n");
+    json->Uint(n);
+    json->Key("theta");
+    json->Double(theta);
+    json->Key("ns_per_candidate");
+    json->Double(scattered_ns);
+    json->Key("mcandidates_per_sec");
+    json->Double(1e3 / scattered_ns);
+    json->EndObject();
+
+    json->BeginObject();
+    json->Key("bench");
+    json->String("knn_sweep");
+    json->Key("kernel");
+    json->String("footrule_batched");
+    json->Key("backend");
+    json->String(FootruleValidator::SimdBackendName());
+    json->Key("k");
+    json->Uint(k);
+    json->Key("n");
+    json->Uint(n);
+    json->Key("j");
+    json->Uint(j);
+    json->Key("ns_per_row");
+    json->Double(sweep_ns);
+    json->Key("mrows_per_sec");
+    json->Double(1e3 / sweep_ns);
+    json->EndObject();
+    std::cerr << "  kernel validate_scattered / knn_sweep done\n";
   }
 
   json->EndArray();

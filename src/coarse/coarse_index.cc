@@ -150,9 +150,11 @@ std::vector<RankingId> CoarseIndex::Query(const PreparedQuery& query,
 
 std::vector<Neighbor> CoarseIndex::Knn(const PreparedQuery& query, size_t j,
                                        CoarseScratch* scratch,
-                                       Statistics* stats) const {
+                                       Statistics* stats,
+                                       QueryControl* control) const {
   NeighborHeap heap(j);
   if (j == 0 || medoids_.empty()) return std::move(heap).Finish();
+  if (control != nullptr && control->ShouldStop()) return {};
   FootruleValidator& validator = scratch->validator;
   validator.BindQuery(query.view(),
                       static_cast<size_t>(store_->max_item()) + 1);
@@ -162,6 +164,7 @@ std::vector<Neighbor> CoarseIndex::Knn(const PreparedQuery& query, size_t j,
   probes.clear();
   AddTicker(stats, Ticker::kDistanceCalls, medoids_.size());
   for (uint32_t pid = 0; pid < medoids_.size(); ++pid) {
+    if (control != nullptr && control->ShouldStop()) return {};
     probes.push_back({pid, validator.Distance(store_->view(medoids_[pid]))});
   }
   const auto optimistic = [this](const CoarseScratch::Probe& probe) {
@@ -180,7 +183,8 @@ std::vector<Neighbor> CoarseIndex::Knn(const PreparedQuery& query, size_t j,
     accepted.clear();
     validator.ValidateSpan(*store_, members(probe.pid),
                            std::min(heap.Bound(), MaxDistance(store_->k())),
-                           &accepted, stats);
+                           &accepted, stats, control);
+    if (control != nullptr && control->stopped()) return {};
     for (const RankingId id : accepted) {
       heap.Offer(id, validator.Distance(store_->view(id)));
     }

@@ -130,13 +130,16 @@ class CoarseIndex {
   /// optimistic bound max(0, d(q, medoid) - radius) and abandoned once
   /// the bound exceeds the current j-th best distance, at which each
   /// probed member span is validated. One distance call per medoid and
-  /// per member of a probed partition. Scratch as for Query.
+  /// per member of a probed partition. Scratch and `control` as for
+  /// Query: a stop (polled on entry, per medoid and through the member
+  /// spans) returns an empty answer that must not be published.
   std::vector<Neighbor> Knn(const PreparedQuery& query, size_t j,
                             Statistics* stats = nullptr) const {
     return Knn(query, j, &scratch_, stats);
   }
   std::vector<Neighbor> Knn(const PreparedQuery& query, size_t j,
-                            CoarseScratch* scratch, Statistics* stats) const;
+                            CoarseScratch* scratch, Statistics* stats,
+                            QueryControl* control = nullptr) const;
 
   size_t num_partitions() const { return medoids_.size(); }
   RankingId medoid(size_t partition) const { return medoids_[partition]; }

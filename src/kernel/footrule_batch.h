@@ -16,10 +16,17 @@
 //                    = k - p                otherwise
 //   qcover          = sum of (k - rank_q(item)) over matched items
 //
-// Every contrib term is >= 0, so the running sum is a monotone lower bound
-// of the final distance: ValidateSpan abandons a candidate as soon as the
-// partial sum exceeds theta (the "running lower bound vs theta" early
-// exit), which no merge-order argument is needed to justify.
+// Early exit: after positions [0, p) the exact lower bound is
+// LB(p) = running - qcover + S(p), with S(p) = sum_{p' < p} (k - p') the
+// part of Sq those positions have used up (kernel::ExitSlack in
+// kernel/footrule_simd.h holds the proof). LB is twice a prefix of
+// non-negative terms, so it is monotone, equals F at p = k, and counts the
+// query side that the candidate-side running sum alone leaves out: at
+// k = 10 a row sharing no item with the query has running < Sq = 55 until
+// its last position, so a running-sum exit never fires at theta >= 55,
+// while LB(p) grows by 2 (k - p) per absent item. ValidateSpan abandons a
+// candidate as soon as LB exceeds theta; accept decisions still come from
+// the exact total.
 //
 // v2 vector path: when a SIMD backend is compiled in (kernel/simd.h) and
 // the caller has not forced the scalar path, ValidateSpan/ValidateAll
@@ -30,8 +37,8 @@
 // slot table (previous ranks are unpublished explicitly, so absent reads
 // are a sentinel, not an epoch check). An early staging-transpose design
 // was measured and rejected: it paid for all k positions up front while
-// the early exit — here a per-batch running-lower-bound mask — typically
-// consumes a fraction of them. Remainder candidates (span sizes not
+// the early exit — here a per-position lower-bound mask over the batch —
+// typically consumes a fraction of them. Remainder candidates (span sizes not
 // divisible by the lane width) always run the scalar code, which stays
 // the reference in every build.
 //
@@ -114,8 +121,9 @@ class FootruleValidator {
 
   /// Largest k the vector path accepts: keeps every 32-bit lane
   /// accumulator below k*(k+1) <= INT32_MAX with a wide margin (real
-  /// rankings have k in the tens), and real ranks well under the absent
-  /// sentinel.
+  /// rankings have k in the tens), the signed early-exit operand
+  /// running - qcover in [-Sq, k*(k+1)] and the bound theta - S(p) >= -Sq,
+  /// and real ranks well under the absent sentinel.
   static constexpr uint32_t kMaxSimdK = 1u << 14;
 
   /// Grows the rank table to cover item ids < `capacity`. Lookups of
@@ -222,9 +230,9 @@ class FootruleValidator {
   /// Appends every candidate within `theta_raw` of the bound query to
   /// `out`, in candidate order. Full lane-width batches run the vector
   /// kernel when available; the remainder (and every candidate when SIMD
-  /// is off) early-exits scalar once its running lower bound exceeds
-  /// theta. Ticks kDistanceCalls per candidate (charged up front: an
-  /// abandoned run's partial output is discarded by the caller anyway).
+  /// is off) early-exits scalar once its lower bound LB exceeds theta.
+  /// Ticks kDistanceCalls per candidate (charged up front: an abandoned
+  /// run's partial output is discarded by the caller anyway).
   /// `control` (optional) is polled per lane batch / per scalar
   /// candidate — ShouldStop amortizes its own clock reads — and a stop
   /// returns immediately with `out` truncated mid-span; the owning layer
@@ -337,6 +345,7 @@ class FootruleValidator {
     TOPK_DCHECK(epoch_ > 0 || k_ == 0);
     RawDistance running = 0;
     RawDistance qcover = 0;
+    kernel::ExitSlack slack(k_);
     for (Rank p = 0; p < k_; ++p) {
       const ItemId item = candidate[p];
       const uint64_t slot = item < slots_.size() ? slots_[item] : 0;
@@ -347,7 +356,10 @@ class FootruleValidator {
       } else {
         running += k_ - p;
       }
-      if (running > theta_raw) return false;  // monotone lower bound
+      // LB(p + 1) = running - qcover + S(p + 1): S >= qcover, so the
+      // unsigned sum cannot wrap, and it is <= F <= k(k+1), so a theta of
+      // UINT64_MAX (a k-NN heap not yet full) never exits.
+      if (running + slack.Advance(p) - qcover > theta_raw) return false;
     }
     return running + (half_absent_ - qcover) <= theta_raw;
   }

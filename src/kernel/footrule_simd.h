@@ -10,30 +10,33 @@
 // typically uses a fraction of them. Per position the kernel
 //
 //   1. gathers the lanes' items from the store rows;
-//   2. probes the validator's flat 32-bit rank lane table (absent items
-//      and out-of-table ids read the kAbsentRank sentinel via the gather
-//      mask — no epoch check needed: BindQuery unpublishes the previous
-//      query's ranks explicitly);
+//   2. probes the validator's flat 32-bit rank lane table, which covers
+//      the store's whole item domain (absent items read the kAbsentRank
+//      sentinel — no epoch check needed: BindQuery unpublishes the
+//      previous query's ranks explicitly);
 //   3. accumulates |rank_q - p| into matched lanes and (k - p) into
 //      absent lanes, plus the matched lanes' (k - rank_q) coverage term.
 //
-// The running sums are monotone lower bounds of the final distances, so
-// the batch is abandoned as soon as *every* lane's bound exceeds theta —
-// the vectorized counterpart of the scalar per-item early exit ("checked
-// per batch via a running-lower-bound mask"). The accept decision per
-// lane is made on the exact 64-bit total running + (Sq - qcover), the
-// same integers the scalar kernel sums in a different order, so decisions
-// and distances are bit-identical to the scalar path (pinned by
-// kernel_simd_test and the fuzz differentials).
+// After every position p the kernel compares each lane's exact lower
+// bound LB(p + 1) = running - qcover + S(p + 1) (ExitSlack below; it
+// counts the query side, which the candidate-side running sum alone
+// leaves out) with theta, and abandons the batch as soon as *every*
+// lane's bound exceeds it — the vectorized counterpart of the scalar
+// per-item early exit. The accept decision per lane is made on the exact
+// 64-bit total running + (Sq - qcover), the same integers the scalar
+// kernel sums in a different order, so decisions and distances are
+// bit-identical to the scalar path (pinned by kernel_simd_test and the
+// fuzz differentials).
 //
 // Arithmetic safety: all lane values are bounded by k*(k+1), and the
 // validator only dispatches here for k <= FootruleValidator::kMaxSimdK,
 // row offsets <= INT32_MAX (item gather), and item ids <= INT32_MAX
 // (rank table gather — the hardware treats indices as signed 32-bit), so
 // 32-bit lane accumulators cannot overflow and neither gather can see a
-// negative index. theta is clamped to INT32_MAX for the early-exit
-// comparison only; clamping can only delay the exit, never change a
-// decision.
+// negative index. running - qcover is compared signed: it is >= -Sq, and
+// the exit bound theta - S(p + 1) is >= -Sq too. theta is clamped to
+// INT32_MAX for the early-exit comparison only; clamping can only delay
+// the exit, never change a decision.
 
 #ifndef TOPK_KERNEL_FOOTRULE_SIMD_H_
 #define TOPK_KERNEL_FOOTRULE_SIMD_H_
@@ -58,6 +61,39 @@ namespace kernel {
 /// "Item not in the bound query" sentinel of the SIMD rank lane table
 /// (reads as -1 in the signed lane compare; real ranks are < kMaxSimdK).
 inline constexpr uint32_t kAbsentRank = 0xffffffffu;
+
+/// The query side of the early exit, shared by every lane backend and the
+/// scalar FootruleValidator::WithinThreshold. After positions [0, p) of a
+/// candidate, with running and qcover summed over those positions,
+///
+///   LB(p) = running - qcover + S(p),   S(p) = sum_{p' < p} (k - p')
+///                                           = Sq - T(k - p),
+///
+/// where T(m) = m(m+1)/2 and Sq = T(k). Per position p, a matched item of
+/// query rank r adds |r - p| - (k - r) + (k - p) = 2 max(0, r - p) and an
+/// absent item adds 2 (k - p), so LB(p) is exactly twice the prefix of
+///
+///   F = 2 sum_p [item in q ? max(0, r - p) : k - p],
+///
+/// which holds because sum (pos_q - pos_c) = 0 over the union of the two
+/// lists. Hence LB(p) never decreases, never exceeds F, equals F at
+/// p = k, and is never below the candidate-side running sum (qcover sums
+/// at most p distinct terms of {1, ..., k}, S(p) the p largest). The
+/// single-accumulator form above is the proof, not the code: written that
+/// way the lane kernel evaluated the same positions but ran 1.5-2x slower
+/// on AVX2, so the kernels keep running and qcover and add the slack.
+/// Advance() adds it one position at a time, with no multiply.
+class ExitSlack {
+ public:
+  explicit ExitSlack(uint32_t k) : k_(k) {}
+
+  /// Consumes position p and returns S(p + 1) = S(p) + (k - p).
+  RawDistance Advance(uint32_t p) { return slack_ += k_ - p; }
+
+ private:
+  uint32_t k_;
+  RawDistance slack_ = 0;
+};
 
 #if defined(TOPK_SIMD_AVX2) || defined(TOPK_SIMD_SSE42) || \
     defined(TOPK_SIMD_NEON)
@@ -92,33 +128,55 @@ inline uint32_t ReduceAcceptedLanes(const uint32_t* running,
 
 #if defined(TOPK_SIMD_AVX2)
 
+/// The all-lanes gather mask, hidden from the optimizer. Given a mask it
+/// can prove all-ones, GCC drops a gather's zero merge source and may give
+/// the gather a destination register that the previous position's exit
+/// compare wrote last. A gather reads its destination, so that false
+/// dependency queues each position's gathers behind the previous
+/// position's compare and the positions stop overlapping: the store-wide
+/// k-NN sweep ran ~1.6x slower (1M NYT-like rows, j = 10, 4-vCPU VM).
+/// With an opaque mask the zero source stays, and it is materialized by a
+/// register copy that depends on nothing.
+inline __m256i OpaqueAllLanes() {
+  __m256i all = _mm256_set1_epi32(-1);
+#if defined(__GNUC__) || defined(__clang__)
+  __asm__("" : "+x"(all));
+#endif
+  return all;
+}
+
 /// Returns a bitmask with bit c set iff the candidate whose row starts at
 /// flat[row_offsets[c]] is within `theta_raw` of the bound query.
 /// `ranks` is the sentinel-cleared rank lane table; the caller guarantees
 /// it covers every item id the candidate rows can contain (the validator
-/// grows it to the store's item domain before dispatching), so the
-/// gathers run unmasked — no per-position bounds arithmetic.
+/// grows it to the store's item domain before dispatching), so every
+/// gather reads all lanes — no per-position bounds arithmetic.
 inline uint32_t ValidateLanes(const uint32_t* ranks, uint32_t k,
                               RawDistance half_absent, const ItemId* flat,
                               const uint32_t* row_offsets,
                               RawDistance theta_raw) {
   const __m256i k_v = _mm256_set1_epi32(static_cast<int32_t>(k));
   const __m256i absent_v = _mm256_set1_epi32(-1);
-  const __m256i theta_v = _mm256_set1_epi32(ClampTheta32(theta_raw));
+  const int32_t theta32 = ClampTheta32(theta_raw);
   const __m256i rows = _mm256_loadu_si256(
       reinterpret_cast<const __m256i*>(row_offsets));
 
   __m256i running = _mm256_setzero_si256();
   __m256i qcover = _mm256_setzero_si256();
-  // One position's contribution: two chained gathers (candidate items,
-  // then their query ranks) and branch-free blend arithmetic.
-  const auto accumulate = [&](uint32_t p) {
-    const __m256i items = _mm256_i32gather_epi32(
-        reinterpret_cast<const int*>(flat),
+  ExitSlack slack(k);
+  const __m256i all_lanes = OpaqueAllLanes();
+  // One position per round: two chained gathers (candidate items, then
+  // their query ranks) and branch-free blend arithmetic, then the exit
+  // test. The exit branch is predicted not taken, so the next position's
+  // gathers still issue while this one's compare resolves.
+  for (uint32_t p = 0; p < k; ++p) {
+    const __m256i items = _mm256_mask_i32gather_epi32(
+        _mm256_setzero_si256(), reinterpret_cast<const int*>(flat),
         _mm256_add_epi32(rows, _mm256_set1_epi32(static_cast<int32_t>(p))),
-        4);
-    const __m256i rank = _mm256_i32gather_epi32(
-        reinterpret_cast<const int*>(ranks), items, 4);
+        all_lanes, 4);
+    const __m256i rank = _mm256_mask_i32gather_epi32(
+        _mm256_setzero_si256(), reinterpret_cast<const int*>(ranks), items,
+        all_lanes, 4);
     const __m256i match = _mm256_cmpgt_epi32(rank, absent_v);  // rank >= 0
     const __m256i p_v = _mm256_set1_epi32(static_cast<int32_t>(p));
     const __m256i diff = _mm256_abs_epi32(_mm256_sub_epi32(rank, p_v));
@@ -127,20 +185,12 @@ inline uint32_t ValidateLanes(const uint32_t* ranks, uint32_t k,
         running, _mm256_blendv_epi8(absent_cost, diff, match));
     qcover = _mm256_add_epi32(
         qcover, _mm256_and_si256(match, _mm256_sub_epi32(k_v, rank)));
-  };
-  // Two positions per round: their gather chains are independent, so the
-  // out-of-order core overlaps them; the early exit is checked once per
-  // round (every running sum is a monotone lower bound — once all lanes
-  // exceed theta no lane can be accepted, and checking later can only
-  // delay the exit, never change a decision).
-  uint32_t p = 0;
-  for (; p + 2 <= k; p += 2) {
-    accumulate(p);
-    accumulate(p + 1);
-    const __m256i dead = _mm256_cmpgt_epi32(running, theta_v);
+    const __m256i bound = _mm256_set1_epi32(
+        theta32 - static_cast<int32_t>(slack.Advance(p)));
+    const __m256i dead =
+        _mm256_cmpgt_epi32(_mm256_sub_epi32(running, qcover), bound);
     if (_mm256_movemask_epi8(dead) == -1) return 0;
   }
-  if (p < k) accumulate(p);
 
   alignas(32) uint32_t running_a[kSimdLanes];
   alignas(32) uint32_t qcover_a[kSimdLanes];
@@ -157,10 +207,11 @@ inline uint32_t ValidateLanes(const uint32_t* ranks, uint32_t k,
                               RawDistance theta_raw) {
   const __m128i k_v = _mm_set1_epi32(static_cast<int32_t>(k));
   const __m128i absent_v = _mm_set1_epi32(-1);
-  const __m128i theta_v = _mm_set1_epi32(ClampTheta32(theta_raw));
+  const int32_t theta32 = ClampTheta32(theta_raw);
 
   __m128i running = _mm_setzero_si128();
   __m128i qcover = _mm_setzero_si128();
+  ExitSlack slack(k);
   alignas(16) int32_t rank_a[kSimdLanes];
   for (uint32_t p = 0; p < k; ++p) {
     // SSE has no gather: emulate both the item and the rank-table loads
@@ -179,7 +230,10 @@ inline uint32_t ValidateLanes(const uint32_t* ranks, uint32_t k,
         _mm_add_epi32(running, _mm_blendv_epi8(absent_cost, diff, match));
     qcover =
         _mm_add_epi32(qcover, _mm_and_si128(match, _mm_sub_epi32(k_v, rank)));
-    const __m128i dead = _mm_cmpgt_epi32(running, theta_v);
+    const __m128i bound =
+        _mm_set1_epi32(theta32 - static_cast<int32_t>(slack.Advance(p)));
+    const __m128i dead =
+        _mm_cmpgt_epi32(_mm_sub_epi32(running, qcover), bound);
     if (_mm_movemask_epi8(dead) == 0xffff) return 0;
   }
 
@@ -198,11 +252,11 @@ inline uint32_t ValidateLanes(const uint32_t* ranks, uint32_t k,
                               RawDistance theta_raw) {
   const int32x4_t k_v = vdupq_n_s32(static_cast<int32_t>(k));
   const int32x4_t absent_v = vdupq_n_s32(-1);
-  const uint32x4_t theta_v =
-      vdupq_n_u32(static_cast<uint32_t>(ClampTheta32(theta_raw)));
+  const int32_t theta32 = ClampTheta32(theta_raw);
 
   uint32x4_t running = vdupq_n_u32(0);
   uint32x4_t qcover = vdupq_n_u32(0);
+  ExitSlack slack(k);
   alignas(16) int32_t rank_a[kSimdLanes];
   for (uint32_t p = 0; p < k; ++p) {
     for (unsigned c = 0; c < kSimdLanes; ++c) {
@@ -218,7 +272,10 @@ inline uint32_t ValidateLanes(const uint32_t* ranks, uint32_t k,
     qcover = vaddq_u32(
         qcover,
         vandq_u32(match, vreinterpretq_u32_s32(vsubq_s32(k_v, rank))));
-    const uint32x4_t dead = vcgtq_u32(running, theta_v);
+    const int32x4_t bound =
+        vdupq_n_s32(theta32 - static_cast<int32_t>(slack.Advance(p)));
+    const uint32x4_t dead = vcgtq_s32(
+        vreinterpretq_s32_u32(vsubq_u32(running, qcover)), bound);
     if (vminvq_u32(dead) == 0xffffffffu) return 0;
   }
 

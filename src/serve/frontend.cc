@@ -215,7 +215,7 @@ void QueryFrontend::Run(Executor* executor, const ServeRequest& request,
       CoarseEngine* const coarse =
           EngineFor(executor, Algorithm::kCoarse).coarse();
       *neighbors = coarse->index().Knn(*request.query, request.j,
-                                       coarse->scratch(), stats);
+                                       coarse->scratch(), stats, control);
       return;
     }
     default:

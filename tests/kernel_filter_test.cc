@@ -280,6 +280,92 @@ TEST(FootruleValidatorTest, CandidateItemsBeyondTableAreAbsent) {
   EXPECT_EQ(validator.Distance(store.view(0)), MaxDistance(3));
 }
 
+// --- The early exit's lower bound LB(p) = running - qcover + S(p). ---
+
+/// LB(0..k) of `candidate` against `query` by the definition: running and
+/// qcover summed over positions [0, p), S(p) from kernel::ExitSlack. Also
+/// pins ExitSlack to its closed form Sq - T(k - p) and LB to "never weaker
+/// than the candidate-side running sum".
+std::vector<RawDistance> ExitLowerBounds(const std::vector<ItemId>& query,
+                                         const std::vector<ItemId>& candidate) {
+  const auto k = static_cast<uint32_t>(query.size());
+  const auto tri = [](RawDistance m) { return m * (m + 1) / 2; };
+  std::vector<RawDistance> bounds = {0};
+  RawDistance running = 0;
+  RawDistance qcover = 0;
+  kernel::ExitSlack slack(k);
+  for (uint32_t p = 0; p < k; ++p) {
+    const auto it = std::find(query.begin(), query.end(), candidate[p]);
+    if (it != query.end()) {
+      const auto rank = static_cast<RawDistance>(it - query.begin());
+      running += rank > p ? rank - p : p - rank;
+      qcover += k - rank;
+    } else {
+      running += k - p;
+    }
+    const RawDistance s = slack.Advance(p);
+    EXPECT_EQ(s, tri(k) - tri(k - p - 1)) << "k=" << k << " p=" << p;
+    EXPECT_GE(s, qcover) << "k=" << k << " p=" << p;
+    bounds.push_back(running + s - qcover);
+    EXPECT_GE(bounds.back(), running) << "k=" << k << " p=" << p;
+  }
+  return bounds;
+}
+
+TEST(FootruleValidatorTest, ExitLowerBoundIsMonotoneAndExactAtK) {
+  // Disjoint, partly overlapping, permuted and identical pairs: LB(p)
+  // never decreases, never exceeds F, and equals F at p = k; the scalar
+  // WithinThreshold (which exits on it) agrees with F <= theta at every
+  // theta in [0, dmax] and at the unbounded k-NN threshold UINT64_MAX.
+  Rng rng(20150323);
+  for (const uint32_t k : {1u, 2u, 3u, 7u, 10u, 25u}) {
+    std::vector<ItemId> query(k);
+    for (uint32_t p = 0; p < k; ++p) query[p] = p;
+    std::vector<std::vector<ItemId>> candidates;
+    for (int trial = 0; trial < 20; ++trial) {
+      rng.Shuffle(&query);
+      std::vector<ItemId> disjoint(k);
+      for (uint32_t p = 0; p < k; ++p) disjoint[p] = k + p;
+      rng.Shuffle(&disjoint);
+      candidates.push_back(disjoint);
+      // Keep `shared` random query items, fill with fresh ones, shuffle.
+      const auto shared = static_cast<uint32_t>(rng.Below(k + 1));
+      std::vector<ItemId> overlap = query;
+      rng.Shuffle(&overlap);
+      for (uint32_t p = shared; p < k; ++p) overlap[p] = 2 * k + p;
+      rng.Shuffle(&overlap);
+      candidates.push_back(overlap);
+      std::vector<ItemId> permuted = query;
+      rng.Shuffle(&permuted);
+      candidates.push_back(permuted);
+      candidates.push_back(query);
+
+      RankingStore store(k);
+      for (const auto& items : candidates) store.AddUnchecked(items);
+      const PreparedQuery prepared(Ranking::Create(query).ValueOrDie());
+      FootruleValidator validator;
+      validator.BindQuery(prepared.view());
+      for (RankingId id = 0; id < store.size(); ++id) {
+        const RawDistance f =
+            FootruleDistance(prepared.sorted_view(), store.sorted(id));
+        const auto bounds = ExitLowerBounds(query, candidates[id]);
+        for (uint32_t p = 0; p < k; ++p) {
+          ASSERT_LE(bounds[p], bounds[p + 1]) << "k=" << k << " p=" << p;
+          ASSERT_LE(bounds[p], f) << "k=" << k << " p=" << p;
+        }
+        ASSERT_EQ(bounds[k], f) << "k=" << k;
+        for (RawDistance theta = 0; theta <= MaxDistance(k); ++theta) {
+          ASSERT_EQ(validator.WithinThreshold(store.view(id), theta),
+                    f <= theta)
+              << "k=" << k << " theta=" << theta;
+        }
+        EXPECT_TRUE(validator.WithinThreshold(store.view(id), UINT64_MAX));
+      }
+      candidates.clear();
+    }
+  }
+}
+
 // --- RangeSearch's run merge vs. std::sort. ---
 
 void ExpectRunMergeSorts(const std::vector<RankingId>& input, size_t first) {

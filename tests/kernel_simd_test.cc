@@ -5,7 +5,7 @@
 // ticker — to the forced-scalar path and to the independent scalar merge
 // kernel (core/footrule.h), across k values spanning partial, exact, and
 // multi-register lane occupancy, batch remainders of every size modulo
-// the lane width, theta = 0 and theta = dmax, and candidates whose items
+// the lane width, every theta from 0 to dmax, and candidates whose items
 // lie outside the bound rank table. In a TOPK_SIMD=OFF build both paths
 // are the same scalar code and the suite still pins the validator to the
 // merge kernel, so it runs (and must pass) in every CI leg. ValidateAll
@@ -101,6 +101,41 @@ TEST(KernelSimdTest, BatchRemaindersOfEverySizeModuloLaneWidth) {
       ExpectSpanMatchesScalar(
           store, query, std::span<const RankingId>(all).subspan(0, size),
           theta_raw);
+    }
+  }
+}
+
+TEST(KernelSimdTest, DecisionsAgreeAtEveryThetaForEveryRemainder) {
+  // Every theta in [0, dmax], not only its ends: at theta >= Sq a row
+  // sharing no item with the query passes the candidate-side running sum
+  // until its last position, so only the query-side slack of the early
+  // exit rejects it early. The store mixes clustered rows with exact and
+  // reversed copies of the first query and rows disjoint from every
+  // query, and span sizes run over every remainder modulo the lane width.
+  for (const uint32_t k : {3u, 10u}) {
+    RankingStore store = testutil::MakeClusteredStore(k, 3 * 8, 300 + k);
+    const auto queries = testutil::MakeQueries(store, 3, 400 + k);
+    std::vector<ItemId> reversed(queries[0].view().items().begin(),
+                                 queries[0].view().items().end());
+    std::reverse(reversed.begin(), reversed.end());
+    std::vector<ItemId> disjoint(k);
+    for (uint32_t p = 0; p < k; ++p) disjoint[p] = 100000 + p;
+    for (int copy = 0; copy < 5; ++copy) {
+      store.AddUnchecked(disjoint);
+      store.AddUnchecked(queries[0].view().items());
+      store.AddUnchecked(reversed);
+    }
+    const auto all = AllIds(store);
+    for (const PreparedQuery& query : queries) {
+      for (RawDistance theta = 0; theta <= MaxDistance(k); ++theta) {
+        for (size_t size = 0; size <= 2 * 8; ++size) {
+          ExpectSpanMatchesScalar(
+              store, query,
+              std::span<const RankingId>(all).subspan(all.size() - size),
+              theta);
+        }
+        ExpectSpanMatchesScalar(store, query, all, theta);
+      }
     }
   }
 }

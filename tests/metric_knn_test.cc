@@ -281,6 +281,42 @@ TEST(KnnSplitTest, SplitSweepMatchesLinearScanOnTieHeavyStores) {
   }
 }
 
+TEST(KnnSplitTest, JAboveStoreSizeReturnsEveryRowSplitAndUnsplit) {
+  // While the heap is not full the sweep threshold is UINT64_MAX for
+  // every row, lane batches and the scalar remainder alike; adding the
+  // early exit's slack to it instead of to the lower bound would wrap and
+  // reject every row. 1003 rows leave a remainder of 3 at lane widths 4
+  // and 8.
+  const RankingStore store = testutil::MakeClusteredStore(10, 1003, 243);
+  ASSERT_EQ(store.size() % 8, 3u);
+  const auto queries = testutil::MakeQueries(store, 3, 244);
+  for (const PreparedQuery& query : queries) {
+    for (const size_t j : {store.size() + 1, store.size() + 50}) {
+      const auto truth = LinearScanKnn(store, query, j);
+      ASSERT_EQ(truth.size(), store.size());
+      for (const bool simd : {true, false}) {
+        EXPECT_EQ(BatchedKnn(store, query, j, simd), truth)
+            << "j=" << j << " simd=" << simd;
+        for (const size_t parts : {size_t{1}, size_t{3}, size_t{7}}) {
+          std::vector<FootruleValidator> validators(3);
+          std::vector<SplitWorker<FootruleValidator>> slots;
+          for (FootruleValidator& validator : validators) {
+            validator.set_use_simd(simd);
+            slots.push_back({&validator, nullptr});
+          }
+          const KnnSplit split{parts, 0, LoopRunner(3), slots};
+          FootruleValidator caller;
+          caller.set_use_simd(simd);
+          EXPECT_EQ(LinearScanKnnBatched(store, query, j, &caller, nullptr,
+                                         nullptr, &split),
+                    truth)
+              << "j=" << j << " parts=" << parts << " simd=" << simd;
+        }
+      }
+    }
+  }
+}
+
 TEST(KnnSplitTest, ThreadPoolSplitMatchesLinearScan) {
   const RankingStore store = testutil::MakeClusteredStore(10, 3000, 239);
   const auto queries = testutil::MakeQueries(store, 6, 240);
@@ -418,6 +454,30 @@ TEST(CoarseKnnTest, DuplicateHeavyCorpusMatchesLinearScan) {
 
 TEST(CoarseKnnTest, ClusteredCorpusMatchesLinearScan) {
   CheckCoarseKnnMatchesLinearScan(testutil::MakeClusteredStore(10, 2000, 231));
+}
+
+TEST(CoarseKnnTest, StoppedKnnReturnsNothing) {
+  // A stop seen on entry, or by a member span once the medoids are
+  // scored, yields an empty answer; the same scratch then answers an
+  // unconstrained query exactly.
+  const RankingStore store = testutil::MakeClusteredStore(10, 2000, 233);
+  CoarseOptions options;
+  options.theta_c = 0.2;
+  const CoarseIndex index = CoarseIndex::Build(&store, options);
+  const PreparedQuery query(store.Materialize(0));
+  CoarseScratch scratch;
+  CancelToken token;
+  token.Cancel();
+  QueryControl cancelled(Deadline::Infinite(), &token);
+  EXPECT_TRUE(index.Knn(query, 10, &scratch, nullptr, &cancelled).empty());
+  EXPECT_TRUE(cancelled.cancelled());
+  QueryControl expired(Deadline::AfterMillis(-1.0));
+  EXPECT_TRUE(index.Knn(query, 10, &scratch, nullptr, &expired).empty());
+  EXPECT_TRUE(expired.stopped());
+  QueryControl unbounded;
+  EXPECT_EQ(index.Knn(query, 10, &scratch, nullptr, &unbounded),
+            LinearScanKnn(store, query, 10));
+  EXPECT_FALSE(unbounded.stopped());
 }
 
 }  // namespace

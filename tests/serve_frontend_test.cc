@@ -529,7 +529,8 @@ TEST_F(LoneRequestTest, LoneRequestsHonourCancelAndDeadline) {
     ServeRequest coarse =
         ServeRequest::Range(Algorithm::kCoarseDrop, query, theta);
     ServeRequest knn = ServeRequest::Knn(Algorithm::kLinearScan, query, 10);
-    for (ServeRequest request : {range, coarse, knn}) {
+    ServeRequest coarse_knn = ServeRequest::Knn(Algorithm::kCoarse, query, 10);
+    for (ServeRequest request : {range, coarse, knn, coarse_knn}) {
       request.cancel = &tripped;
       const ServeRequest batch[] = {request};
       const auto aborted = frontend.ServeBatch(batch);
@@ -543,7 +544,7 @@ TEST_F(LoneRequestTest, LoneRequestsHonourCancelAndDeadline) {
       EXPECT_TRUE(expired[0].neighbors.empty());
     }
 
-    for (ServeRequest request : {range, coarse, knn}) {
+    for (ServeRequest request : {range, coarse, knn, coarse_knn}) {
       CancelToken racing;
       request.cancel = &racing;
       const ServeRequest batch[] = {request};
