@@ -37,20 +37,19 @@ Checks (each is a named rule; any violation exits non-zero):
                   Decode (GroupVarintDecodeGroup, DecodeValuesSimd) or the
                   DeltaPrefixSum variants.
   block-skip-guard Skip-metadata readers in src/storage/ (any
-                  *SelectedBlocks / *InRange / *InRankWindow sweep; none
-                  exists today, the rule waits for the next block-
-                  selective decoder) must discard a block on metadata
-                  alone — a guard `continue` before the first
-                  BlockBytes() call — so a skipped block's payload byte
-                  range is never computed, never read. A reader that
-                  touches payload bytes before the skip decision silently
-                  faults in mmap-cold pages the sweep promised to leave
-                  on disk.
+                  *SelectedBlocks / *InRange / *InRankWindow sweep; today
+                  CompressedPostingArena::DecodeBlocksInRange, which
+                  passes) must discard a block on metadata alone — a
+                  guard `continue` before the first BlockBytes() call —
+                  so a skipped block's payload byte range is never
+                  computed, never read. A reader that touches payload
+                  bytes before the skip decision silently faults in
+                  mmap-cold pages the sweep promised to leave on disk.
   generation-bump every live-store mutation entry point (Insert / Delete /
                   InstallMergedLocked in src/mutate/) must bump the store
                   generation via BumpGenerationLocked. A mutation that
-                  skips the bump leaves serve-layer caches answering from
-                  a world that no longer exists.
+                  skips the bump leaves generation readers and mutation
+                  listeners looking at a world that no longer exists.
   syscall-status  In src/storage/, a fallible syscall whose result is
                   discarded (the call IS the statement: `fsync(fd);` rather
                   than `if (fsync(fd) != 0) ...`) silently converts an I/O
@@ -72,10 +71,11 @@ Checks (each is a named rule; any violation exits non-zero):
                   A result-cache lookup or insert (`<...cache...>.Lookup*(`
                   / `.Insert*(` through `.` or `->`) may appear only in
                   src/serve/result_cache.h, whose ResultCache::Serve is
-                  the one serve step both caching frontends run: lookup,
-                  shed, stop check, run, stop check, insert. A frontend
-                  that looked up or inserted on its own would be a second
-                  copy of the rule that a stopped answer is never cached.
+                  the serve step the caching frontend (QueryFrontend)
+                  runs: lookup, stop check, run, stop check, insert. A
+                  frontend that looked up or inserted on its own would be
+                  a second copy of the rule that a stopped answer is never
+                  cached.
   scalar-oracle   LinearScanKnn( and LinearScanQuery( are the scalar
                   reference scans the differential suites and the
                   benchmark's answer checker trust; src/ may call them only
@@ -743,10 +743,10 @@ def self_test() -> int:
              "      const bool found = cache.Lookup(key, epoch, out);"])),
         ("result-cache-callers frontend calling the step",
          lambda: check_result_cache_callers(SRC / "serve" / "fake.cc", [
-             "  return result_cache_.Serve(kLiveAlgorithm, param, query,"])),
+             "      ? result_cache_.Serve(algorithm, request.theta_raw, q,"])),
         ("result-cache-callers mention in a comment",
          lambda: check_result_cache_callers(SRC / "serve" / "fake.cc", [
-             "  // the step runs cache.Lookup(key, ...) before the shed."])),
+             "  // the step runs cache.Lookup(key, ...) first."])),
         ("result-cache-callers other container insert",
          lambda: check_result_cache_callers(SRC / "metric" / "fake.cc", [
              "  for (RankingId id : ids) tree.Insert(id, stats);"])),

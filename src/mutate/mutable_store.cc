@@ -16,6 +16,9 @@ namespace topk {
 
 namespace {
 
+// Seed of the deterministic backoff jitter.
+constexpr uint64_t kBackoffSeed = 0x9e3779b97f4a7c15ull;
+
 // splitmix64 drives the deterministic backoff jitter (same mixer the
 // failpoint registry uses for probability thinning).
 uint64_t SplitMix64(uint64_t x) {
@@ -183,9 +186,14 @@ Status MutableStore::RangeQuery(const PreparedQuery& query,
                                 RawDistance theta_raw, QueryControl* control,
                                 std::vector<RankingId>* out,
                                 Statistics* stats) {
-  MutexLock lock(&mutex_);
   TOPK_DCHECK(query.k() == k_);
   out->clear();
+  // Entry poll, before the mutex: an expired or cancelled read fails fast
+  // instead of queueing behind a seal or swap.
+  if (control != nullptr && control->ShouldStop()) {
+    return StopStatus(*control, stats);
+  }
+  MutexLock lock(&mutex_);
   // Each segment appends its answer in ascending local order, which the
   // strictly increasing global-id maps keep ascending; segment id ranges
   // are disjoint and ordered (main < sealed < delta), so the appended
@@ -231,9 +239,14 @@ void MutableStore::CollectKnnLocked(const RankingStore& seg_store,
 Status MutableStore::KnnQuery(const PreparedQuery& query, size_t j,
                               QueryControl* control,
                               std::vector<Neighbor>* out, Statistics* stats) {
-  MutexLock lock(&mutex_);
   TOPK_DCHECK(query.k() == k_);
   out->clear();
+  // Entry poll, as in RangeQuery; it also stops a k-NN over empty
+  // segments, which poll nothing.
+  if (control != nullptr && control->ShouldStop()) {
+    return StopStatus(*control, stats);
+  }
+  MutexLock lock(&mutex_);
   NeighborHeap heap(j);
   CollectKnnLocked(main_->store, main_->global_ids, query.view(), &heap,
                    stats, control);
@@ -301,50 +314,69 @@ MutableStore::BuildMergedSegment(
   return next;
 }
 
-void MutableStore::BackoffSleep(int attempt) const {
-  const int shift = std::min(attempt - 1, 20);
-  const double base =
-      options_.merge_backoff_initial_ms * static_cast<double>(1ull << shift);
-  const double capped =
-      std::min(base, std::max(options_.merge_backoff_max_ms,
-                              options_.merge_backoff_initial_ms));
-  // Deterministic full jitter in [capped/2, capped]: decorrelates
-  // colliding retriers without nondeterminism in tests.
-  const uint64_t mixed = SplitMix64(options_.merge_backoff_seed ^
-                                    static_cast<uint64_t>(attempt));
-  const double fraction = static_cast<double>(mixed >> 11) * 0x1.0p-53;
-  const double ms = capped * (0.5 + 0.5 * fraction);
-  std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(ms));
-}
-
-std::shared_ptr<const MutableStore::MainSegment>
-MutableStore::BuildMergedSegmentWithRetries(
-    const MainSegment& main, const DeltaSegment& sealed,
-    const std::unordered_set<RankingId>& dead) {
+template <typename Attempt>
+bool MutableStore::RetryWithBackoff(const Attempt& attempt) {
   const int max_attempts = std::max(1, options_.merge_max_attempts);
-  for (int attempt = 1;; ++attempt) {
-    if (!TOPK_FAILPOINT("mutate.merge.rebuild")) {
-      try {
-        return BuildMergedSegment(main, sealed, dead);
-      } catch (const std::bad_alloc&) {
-        // Allocation pressure is the one real-world failure a rebuild
-        // has; it is exactly as transient as an injected fault.
-      }
-    }
+  for (int tried = 1;; ++tried) {
+    if (attempt()) return true;
     merge_retries_.fetch_add(1, std::memory_order_acq_rel);
-    if (attempt >= max_attempts) return nullptr;
-    BackoffSleep(attempt);
+    if (tried >= max_attempts) return false;
+    const int shift = std::min(tried - 1, 20);
+    const double base =
+        options_.merge_backoff_initial_ms * static_cast<double>(1ull << shift);
+    const double capped =
+        std::min(base, std::max(options_.merge_backoff_max_ms,
+                                options_.merge_backoff_initial_ms));
+    // Deterministic full jitter in [capped/2, capped]: decorrelates
+    // colliding retriers without nondeterminism in tests.
+    const uint64_t mixed =
+        SplitMix64(kBackoffSeed ^ static_cast<uint64_t>(tried));
+    const double fraction = static_cast<double>(mixed >> 11) * 0x1.0p-53;
+    const double ms = capped * (0.5 + 0.5 * fraction);
+    std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(ms));
   }
 }
 
-bool MutableStore::FinishMergeCycle(
-    std::shared_ptr<const MainSegment> main_snapshot,
-    std::shared_ptr<const DeltaSegment> sealed_snapshot,
-    std::unordered_set<RankingId> consumed) {
+MutableStore::MergeClaim MutableStore::ClaimMergeLocked() {
+  merge_in_flight_ = true;
+  MergeClaim claim;
+  if (sealed_ == nullptr) {
+    SealLocked();
+    claim.consumed = tombstones_;  // delta is now empty: all are consumable
+  } else {
+    // A sealed segment left over from a failed cycle: the active delta
+    // has kept absorbing writes since, so only tombstones on rows this
+    // rebuild actually drops may be retired at the swap — erasing a
+    // delta-row tombstone here would resurrect the row.
+    for (const RankingId id : tombstones_) {
+      if (std::binary_search(main_->global_ids.begin(),
+                             main_->global_ids.end(), id) ||
+          std::binary_search(sealed_->global_ids.begin(),
+                             sealed_->global_ids.end(), id)) {
+        claim.consumed.insert(id);
+      }
+    }
+  }
+  claim.main = main_;
+  claim.sealed = sealed_;
+  return claim;
+}
+
+bool MutableStore::FinishMergeCycle(MergeClaim claim) {
   // The rebuild runs with no lock held: writers land in the fresh
   // delta and readers query main + sealed + delta the whole time.
-  auto next = BuildMergedSegmentWithRetries(*main_snapshot, *sealed_snapshot,
-                                            consumed);
+  std::shared_ptr<const MainSegment> next;
+  RetryWithBackoff([&] {
+    if (TOPK_FAILPOINT("mutate.merge.rebuild")) return false;
+    try {
+      next = BuildMergedSegment(*claim.main, *claim.sealed, claim.consumed);
+      return true;
+    } catch (const std::bad_alloc&) {
+      // Allocation pressure is the one real-world failure a rebuild
+      // has; it is exactly as transient as an injected fault.
+      return false;
+    }
+  });
   {
     MutexLock lock(&mutex_);
     merge_in_flight_ = false;
@@ -362,16 +394,14 @@ bool MutableStore::FinishMergeCycle(
       return false;
     }
     last_merge_status_ = Status::OK();
-    InstallMergedLocked(next, consumed);
+    InstallMergedLocked(next, claim.consumed);
   }
   MaybeEmitSnapshot(*next);
   return true;
 }
 
 bool MutableStore::MergeNow() {
-  std::shared_ptr<const MainSegment> main_snapshot;
-  std::shared_ptr<const DeltaSegment> sealed_snapshot;
-  std::unordered_set<RankingId> consumed;
+  MergeClaim claim;
   {
     MutexLock lock(&mutex_);
     while (merge_in_flight_) merge_cv_.Wait(mutex_);
@@ -381,36 +411,14 @@ bool MutableStore::MergeNow() {
     if (sealed_ == nullptr && delta_.store.empty() && tombstones_.empty()) {
       return false;
     }
-    merge_in_flight_ = true;
-    if (sealed_ == nullptr) {
-      SealLocked();
-      consumed = tombstones_;  // delta is now empty: all are consumable
-    } else {
-      // A sealed segment left over from a failed cycle: the active delta
-      // has kept absorbing writes since, so only tombstones on rows this
-      // rebuild actually drops may be retired at the swap — erasing a
-      // delta-row tombstone here would resurrect the row.
-      for (const RankingId id : tombstones_) {
-        if (std::binary_search(main_->global_ids.begin(),
-                               main_->global_ids.end(), id) ||
-            std::binary_search(sealed_->global_ids.begin(),
-                               sealed_->global_ids.end(), id)) {
-          consumed.insert(id);
-        }
-      }
-    }
-    main_snapshot = main_;
-    sealed_snapshot = sealed_;
+    claim = ClaimMergeLocked();
   }
-  return FinishMergeCycle(std::move(main_snapshot),
-                          std::move(sealed_snapshot), std::move(consumed));
+  return FinishMergeCycle(std::move(claim));
 }
 
 void MutableStore::MergeWorkerLoop() {
   while (true) {
-    std::shared_ptr<const MainSegment> main_snapshot;
-    std::shared_ptr<const DeltaSegment> sealed_snapshot;
-    std::unordered_set<RankingId> consumed;
+    MergeClaim claim;
     {
       MutexLock lock(&mutex_);
       while (!stop_worker_ &&
@@ -419,26 +427,9 @@ void MutableStore::MergeWorkerLoop() {
         merge_cv_.Wait(mutex_);
       }
       if (stop_worker_) return;
-      merge_in_flight_ = true;
-      if (sealed_ == nullptr) {
-        SealLocked();
-        consumed = tombstones_;
-      } else {
-        // Same leftover-sealed rule as MergeNow (see there).
-        for (const RankingId id : tombstones_) {
-          if (std::binary_search(main_->global_ids.begin(),
-                                 main_->global_ids.end(), id) ||
-              std::binary_search(sealed_->global_ids.begin(),
-                                 sealed_->global_ids.end(), id)) {
-            consumed.insert(id);
-          }
-        }
-      }
-      main_snapshot = main_;
-      sealed_snapshot = sealed_;
+      claim = ClaimMergeLocked();
     }
-    FinishMergeCycle(std::move(main_snapshot), std::move(sealed_snapshot),
-                     std::move(consumed));
+    FinishMergeCycle(std::move(claim));
   }
 }
 
@@ -453,21 +444,16 @@ void MutableStore::MaybeEmitSnapshot(const MainSegment& segment) {
   } else {
     const auto arena = storage::CompressedPostingArena<RankingId>::FromArena(
         segment.index.arena());
-    // Emission gets the same retry-with-backoff treatment as the
-    // rebuild: a transient write failure must not cost the durability of
-    // this merge's image. Exhausted attempts are recorded, not thrown —
-    // the in-RAM store is unaffected either way.
-    const int max_attempts = std::max(1, options_.merge_max_attempts);
-    for (int attempt = 1;; ++attempt) {
-      if (TOPK_FAILPOINT("mutate.snapshot.emit")) {
-        status = Status::IOError("injected failure: mutate.snapshot.emit");
-      } else {
-        status = snapshot_manager_->WriteSnapshot(segment.store, arena);
-      }
-      if (status.ok() || attempt >= max_attempts) break;
-      merge_retries_.fetch_add(1, std::memory_order_acq_rel);
-      BackoffSleep(attempt);
-    }
+    // Emission runs under the rebuild's retry policy: a transient write
+    // failure must not cost the durability of this merge's image.
+    // Exhausted attempts are recorded, not thrown — the in-RAM store is
+    // unaffected either way.
+    RetryWithBackoff([&] {
+      status = TOPK_FAILPOINT("mutate.snapshot.emit")
+                   ? Status::IOError("injected failure: mutate.snapshot.emit")
+                   : snapshot_manager_->WriteSnapshot(segment.store, arena);
+      return status.ok();
+    });
   }
   MutexLock lock(&mutex_);
   last_snapshot_status_ = status;

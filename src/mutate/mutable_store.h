@@ -52,12 +52,16 @@
 //
 // Generations: every successful mutation (Insert, Delete, merge swap)
 // bumps an atomic generation and fires the registered mutation
-// listeners under the store mutex — the hook serve/LiveFrontend uses so
-// cache invalidation flips atomically with the store
-// (scripts/check_invariants.py lints that every mutation entry point
-// bumps). Listeners must be cheap (an atomic bump), must
-// not call back into the store, and must not take locks ordered above
-// it (DESIGN.md records the hierarchy: coordinator > store > leaf).
+// listeners under the store mutex, so an observer sees each change
+// atomically with the store (scripts/check_invariants.py lints that
+// every mutation entry point bumps). Listeners must be cheap, must not
+// call back into the store, and must not take locks ordered above it
+// (DESIGN.md records the hierarchy: coordinator > store > leaf).
+//
+// Deadlines: both queries poll their QueryControl once on entry, before
+// they take the store mutex, so an expired or cancelled read fails fast
+// instead of queueing behind a seal or swap; the kernels poll again
+// inside. serve/LiveFrontend adds only admission on top.
 
 #ifndef TOPK_MUTATE_MUTABLE_STORE_H_
 #define TOPK_MUTATE_MUTABLE_STORE_H_
@@ -113,15 +117,14 @@ struct MutableStoreOptions {
 
   /// Merge/emission retry policy: a failed rebuild or snapshot write is
   /// retried up to merge_max_attempts times with exponential backoff
-  /// (initial -> max ms, deterministic jitter seeded by
-  /// merge_backoff_seed). When every attempt fails the merge circuit
-  /// opens: background merging stops, the sealed + delta segments keep
-  /// serving exactly (degraded but correct), and MergeNow() /
-  /// ResetMergeCircuit() close the circuit again.
+  /// (initial -> max ms, deterministic jitter). When every rebuild
+  /// attempt fails the merge circuit opens: background merging stops,
+  /// the sealed + delta segments keep serving exactly (degraded but
+  /// correct), and MergeNow() / ResetMergeCircuit() close the circuit
+  /// again.
   int merge_max_attempts = 3;
   double merge_backoff_initial_ms = 1.0;
   double merge_backoff_max_ms = 100.0;
-  uint64_t merge_backoff_seed = 0x9e3779b97f4a7c15ull;
 };
 
 class MutableStore {
@@ -163,11 +166,12 @@ class MutableStore {
                                     Statistics* stats = nullptr)
       TOPK_EXCLUDES(mutex_);
 
-  /// Deadline/cancel-aware range query: cooperative checks run at
-  /// segment and validation-batch granularity through `control`
-  /// (nullptr = unconstrained). On a stop the partial answer is
-  /// discarded, `out` is cleared, kDeadlineExceeded ticks, and the
-  /// status is DeadlineExceeded (clock) or Aborted (cancel token).
+  /// Deadline/cancel-aware range query: cooperative checks run on entry
+  /// (before the store mutex) and at segment and validation-batch
+  /// granularity through `control` (nullptr = unconstrained). On a stop
+  /// the partial answer is discarded, `out` is cleared, kDeadlineExceeded
+  /// ticks, and the status is DeadlineExceeded (clock) or Aborted (cancel
+  /// token).
   Status RangeQuery(const PreparedQuery& query, RawDistance theta_raw,
                     QueryControl* control, std::vector<RankingId>* out,
                     Statistics* stats = nullptr) TOPK_EXCLUDES(mutex_);
@@ -197,8 +201,8 @@ class MutableStore {
   bool merge_circuit_open() const TOPK_EXCLUDES(mutex_);
   /// Closes an open circuit so the background worker may merge again.
   void ResetMergeCircuit() TOPK_EXCLUDES(mutex_);
-  /// Rebuild/emission attempts that failed and were retried (or gave
-  /// up); tests read this where no Statistics flows.
+  /// Rebuild/emission attempts that failed, each counted whether it was
+  /// retried or was the last; tests read this where no Statistics flows.
   uint64_t merge_retries() const {
     return merge_retries_.load(std::memory_order_acquire);
   }
@@ -209,8 +213,7 @@ class MutableStore {
   Status last_snapshot_status() const TOPK_EXCLUDES(mutex_);
 
   /// Registers `listener` to run (under the store mutex) after every
-  /// successful mutation — see the header contract. Typically
-  /// LiveFrontend::InvalidateCaches.
+  /// successful mutation — see the header contract.
   void AddMutationListener(std::function<void()> listener)
       TOPK_EXCLUDES(mutex_);
 
@@ -273,23 +276,29 @@ class MutableStore {
       const MainSegment& main, const DeltaSegment& sealed,
       const std::unordered_set<RankingId>& dead) const;
 
-  /// BuildMergedSegment under the retry policy: injected
-  /// (mutate.merge.rebuild) or allocation failures back off and retry up
-  /// to merge_max_attempts; nullptr when every attempt failed.
-  std::shared_ptr<const MainSegment> BuildMergedSegmentWithRetries(
-      const MainSegment& main, const DeltaSegment& sealed,
-      const std::unordered_set<RankingId>& dead);
+  /// The inputs one merge cycle owns while it rebuilds off the lock.
+  struct MergeClaim {
+    std::shared_ptr<const MainSegment> main;
+    std::shared_ptr<const DeltaSegment> sealed;
+    /// Tombstones the rebuild drops, retired at the swap.
+    std::unordered_set<RankingId> consumed;
+  };
+
+  /// Claims the merge (sets merge_in_flight_) and snapshots its inputs:
+  /// seals the active delta, or reuses a sealed segment left over from a
+  /// failed cycle, consuming only the tombstones on rows it drops.
+  MergeClaim ClaimMergeLocked() TOPK_REQUIRES(mutex_);
 
   /// Off-lock tail of a claimed merge cycle (rebuild with retries, then
-  /// install or open the circuit, then emit the snapshot). The caller
-  /// must have set merge_in_flight_ and sealed/snapshotted the inputs.
-  bool FinishMergeCycle(std::shared_ptr<const MainSegment> main_snapshot,
-                        std::shared_ptr<const DeltaSegment> sealed_snapshot,
-                        std::unordered_set<RankingId> consumed)
-      TOPK_EXCLUDES(mutex_);
+  /// install or open the circuit, then emit the snapshot).
+  bool FinishMergeCycle(MergeClaim claim) TOPK_EXCLUDES(mutex_);
 
-  /// Exponential backoff with deterministic jitter for attempt >= 1.
-  void BackoffSleep(int attempt) const;
+  /// The retry policy: runs `attempt` (true on success) up to
+  /// merge_max_attempts times, sleeping an exponential backoff with
+  /// deterministic jitter between tries, and counts every failed try in
+  /// merge_retries_. True iff some try succeeded.
+  template <typename Attempt>
+  bool RetryWithBackoff(const Attempt& attempt);
 
   void MergeWorkerLoop() TOPK_EXCLUDES(mutex_);
 
@@ -352,7 +361,7 @@ class MutableStore {
   /// Starts at 1: generation 0 is never published (reserved-zero rule).
   std::atomic<uint64_t> generation_{1};
 
-  /// Failed-and-retried rebuild/emission attempts (monotone).
+  /// Failed rebuild/emission attempts (monotone).
   std::atomic<uint64_t> merge_retries_{0};
 
   /// Crash-safe generation lifecycle when options_.snapshot_dir is set;

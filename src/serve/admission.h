@@ -3,10 +3,9 @@
 //
 // QueryFrontend counts whole batches (a batch past the limit is shed
 // before it queues on the coordinator mutex); LiveFrontend counts single
-// queries (a query past the limit is shed after its result-cache lookup,
-// which ResultCache::Serve runs first because a hit costs less than the
-// rejection). Both hold one AdmissionGate::Ticket for the whole call, so
-// the gauge an operator reads counts every caller inside, shed or served.
+// queries (a query past the limit is shed before the store runs). Both
+// hold one AdmissionGate::Ticket for the whole call, so the gauge an
+// operator reads counts every caller inside, shed or served.
 //
 // Thread safety: the gauge is one atomic; tickets may be taken and
 // released from any thread.

@@ -137,14 +137,13 @@ void QueryFrontend::ServeOne(Executor* executor, const ServeRequest& request,
   response->status =
       request.kind == ServeKind::kRange
           ? result_cache_.Serve(algorithm, request.theta_raw, *request.query,
-                                epoch, /*admitted=*/true, &control,
-                                &response->ids, &response->result_cache_hit,
-                                &executor->stats, run)
+                                epoch, &control, &response->ids,
+                                &response->result_cache_hit, &executor->stats,
+                                run)
           : result_cache_.Serve(algorithm, request.j, *request.query, epoch,
-                                /*admitted=*/true, &control,
-                                &response->neighbors,
-                                &response->result_cache_hit,
-                                &executor->stats, run);
+                                &control, &response->neighbors,
+                                &response->result_cache_hit, &executor->stats,
+                                run);
 }
 
 QueryEngine& QueryFrontend::EngineFor(Executor* executor,

@@ -33,8 +33,10 @@
 //                 sequence + (kind, algorithm, theta or j): an identical
 //                 re-issued query is answered without touching any engine.
 //                 Every request runs the cache's serve step
-//                 (ResultCache::Serve, the one LiveFrontend runs too):
-//                 lookup, stop check, engine, stop check, insert.
+//                 (ResultCache::Serve): lookup, stop check, engine, stop
+//                 check, insert. Caching is this frontend's policy: it
+//                 serves an immutable store, so an answer stays valid
+//                 until InvalidateCaches (LiveFrontend has no cache).
 //   admission     a batch past max_inflight_batches is shed whole before
 //                 it queues on the coordinator mutex (AdmissionGate).
 //   generations   InvalidateCaches() bumps an epoch; entries from older

@@ -1,7 +1,8 @@
 // Exact result cache for the serving layer: memoizes complete answers
 // (range result lists and k-NN neighbor lists) keyed by the canonical
-// query sequence + (kind, algorithm, theta or j), and the one serve step
-// both caching frontends run per query.
+// query sequence + (kind, algorithm, theta or j), and the serve step
+// QueryFrontend runs per request. Result caching is a static-store
+// policy: LiveFrontend's store changes on every write, so it has none.
 //
 // A hit returns the previously computed answer verbatim — exact because
 // (a) the key compares the full item sequence, so only a byte-identical
@@ -11,11 +12,9 @@
 // (store/partitioning rebuild) makes every older entry unservable.
 //
 // The serve step (Serve below) is the only place that looks up or
-// inserts an answer (scripts/check_invariants.py `result-cache-callers`):
-// QueryFrontend::ServeOne and LiveFrontend's one serve body call it, so
-// the rules "a hit serves even past the deadline or the admission
-// limit", "a stopped answer is discarded and never cached" and "a shed
-// caller gets Unavailable" are written once.
+// inserts an answer (scripts/check_invariants.py `result-cache-callers`),
+// so the rules "a hit serves even past the deadline" and "a stopped
+// answer is discarded and never cached" are written once.
 //
 // Hit/miss/eviction counts are reported through the standard Statistics
 // tickers (kResultCache*), so they aggregate into RunResult like every
@@ -41,7 +40,6 @@
 #include "core/status.h"
 #include "core/types.h"
 #include "metric/knn.h"
-#include "serve/admission.h"
 #include "serve/fingerprint.h"
 #include "serve/lru_cache.h"
 
@@ -65,19 +63,18 @@ class ResultCache {
   /// Answers one query into `*out` (cleared first): RankingId answers are
   /// range results, Neighbor answers k-NN lists; `param` is theta_raw or
   /// j. In order:
-  ///   1. a hit under `epoch` is served (`*hit` set when non-null), even
-  ///      for a caller past its deadline or the admission limit;
-  ///   2. a caller that was not `admitted` is shed (ShedStatus);
-  ///   3. a stopped `control` (may be null) answers its StopStatus;
-  ///   4. `run(out)` computes the answer and returns a Status;
-  ///   5. a non-OK run, or a stop observed after it, clears `*out` and is
+  ///   1. a hit under `epoch` is served (`*hit` set), even for a caller
+  ///      past its deadline;
+  ///   2. a stopped `control` (may be null) answers its StopStatus;
+  ///   3. `run(out)` computes the answer and returns a Status;
+  ///   4. a non-OK run, or a stop observed after it, clears `*out` and is
   ///      never cached (a run that maps its own stop has ticked already);
-  ///   6. the answer is inserted under `epoch`.
+  ///   5. the answer is inserted under `epoch`.
   /// The key is built only when the cache is enabled. Lookups tick
   /// kResultCacheHits/Misses, inserts kResultCacheEvictions.
   template <typename Answer, typename Run>
   Status Serve(uint32_t algorithm, uint64_t param, const PreparedQuery& query,
-               uint64_t epoch, bool admitted, QueryControl* control,
+               uint64_t epoch, QueryControl* control,
                std::vector<Answer>* out, bool* hit, Statistics* stats,
                Run&& run) {
     constexpr bool kRange = std::is_same_v<Answer, RankingId>;
@@ -92,11 +89,10 @@ class ResultCache {
       AddTicker(stats, found ? Ticker::kResultCacheHits
                              : Ticker::kResultCacheMisses);
       if (found) {
-        if (hit != nullptr) *hit = true;
+        *hit = true;
         return Status::OK();
       }
     }
-    if (!admitted) return ShedStatus(stats);
     if (control != nullptr && control->ShouldStop()) {
       return StopStatus(*control, stats);
     }
@@ -115,10 +111,6 @@ class ResultCache {
     return status;
   }
 
-  void Clear() {
-    range_.Clear();
-    knn_.Clear();
-  }
   size_t size() const { return range_.size() + knn_.size(); }
 
  private:

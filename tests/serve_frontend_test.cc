@@ -631,62 +631,66 @@ TEST(ParallelPrepareTest, TreeIndexesServeBruteForceAtEveryThreadCount) {
   }
 }
 
-// ---- Live mutability: caches must flip atomically with the store. ----
+// ---- Live mutability: every read is the store's current answer. ----
 
-// The constructor registers the mutation listener: every write bumps the
-// epoch under the store mutex, so a cached answer never outlives the
-// write that changed it.
-TEST(LiveFrontendTest, WiredCacheServesFreshAfterEveryMutation) {
+// LiveFrontend keeps no result cache: every read runs the store, so its
+// answers are exact after every insert, delete and merge, and an
+// identical re-issued query recomputes (kDistanceCalls ticks again and
+// no kResultCache* ticker moves).
+TEST(LiveFrontendTest, ServesFreshAfterEveryMutation) {
   constexpr uint32_t kK = 5;
   const RankingStore source = testutil::MakeClusteredStore(kK, 80, 1101);
   MutableStore store(kK);
   for (RankingId id = 0; id < 60; ++id) {
     store.Insert(source.view(id));
   }
-  LiveFrontend frontend(&store, {});
+  LiveFrontend frontend(&store);
 
   const PreparedQuery query(
       std::move(Ranking::Create({source.view(60).items().begin(),
                                  source.view(60).items().end()}))
           .ValueOrDie());
   const RawDistance theta_raw = RawThreshold(0.2, kK);
-  std::vector<RankingId> before;
-  ASSERT_TRUE(frontend.ServeRange(query, theta_raw, nullptr, &before).ok());
-  std::vector<Neighbor> knn_before;
-  ASSERT_TRUE(frontend.ServeKnn(query, 5, nullptr, &knn_before).ok());
-  const uint64_t epoch0 = frontend.epoch();
+  // Serves the query both ways and checks both answers against the store.
+  const auto serve_exact = [&] {
+    std::pair<std::vector<RankingId>, std::vector<Neighbor>> served;
+    EXPECT_TRUE(
+        frontend.ServeRange(query, theta_raw, nullptr, &served.first).ok());
+    EXPECT_EQ(served.first, store.RangeQuery(query, theta_raw));
+    EXPECT_TRUE(frontend.ServeKnn(query, 5, nullptr, &served.second).ok());
+    EXPECT_EQ(served.second, testutil::KnnOk(&store, query, 5));
+    return served;
+  };
+  const auto before = serve_exact();
 
   const RankingId added = store.Insert(source.view(60));
-  EXPECT_GT(frontend.epoch(), epoch0);  // listener fired
-  std::vector<RankingId> ids;
-  ASSERT_TRUE(frontend.ServeRange(query, theta_raw, nullptr, &ids).ok());
-  EXPECT_EQ(ids, store.RangeQuery(query, theta_raw));
-  EXPECT_NE(ids, before);
-  std::vector<Neighbor> neighbors;
-  ASSERT_TRUE(frontend.ServeKnn(query, 5, nullptr, &neighbors).ok());
-  EXPECT_EQ(neighbors, testutil::KnnOk(&store, query, 5));
-  EXPECT_NE(neighbors, knn_before);
-
-  // Delete and merge invalidate too (the merge via the swap's bump).
-  const uint64_t epoch1 = frontend.epoch();
+  const auto inserted = serve_exact();
+  EXPECT_NE(inserted.first, before.first);
+  EXPECT_NE(inserted.second, before.second);
   EXPECT_TRUE(store.Delete(added));
-  EXPECT_GT(frontend.epoch(), epoch1);
-  ASSERT_TRUE(frontend.ServeRange(query, theta_raw, nullptr, &ids).ok());
-  EXPECT_EQ(ids, before);
-  const uint64_t epoch2 = frontend.epoch();
+  EXPECT_EQ(serve_exact(), before);
   EXPECT_TRUE(store.MergeNow());
-  EXPECT_GT(frontend.epoch(), epoch2);
-  ASSERT_TRUE(frontend.ServeRange(query, theta_raw, nullptr, &ids).ok());
-  EXPECT_EQ(ids, store.RangeQuery(query, theta_raw));
-  // Repeat hit within a quiet generation stays exact (and cached).
-  std::vector<RankingId> repeat;
-  ASSERT_TRUE(frontend.ServeRange(query, theta_raw, nullptr, &repeat).ok());
-  EXPECT_EQ(repeat, ids);
+  EXPECT_EQ(serve_exact(), before);
+
+  std::vector<Statistics> rounds(2);
+  for (Statistics& stats : rounds) {
+    std::vector<RankingId> ids;
+    ASSERT_TRUE(frontend.ServeRange(query, theta_raw, nullptr, &ids, &stats)
+                    .ok());
+    std::vector<Neighbor> neighbors;
+    ASSERT_TRUE(
+        frontend.ServeKnn(query, 5, nullptr, &neighbors, &stats).ok());
+    EXPECT_GT(stats.Get(Ticker::kDistanceCalls), 0u);
+    EXPECT_EQ(stats.Get(Ticker::kResultCacheHits), 0u);
+    EXPECT_EQ(stats.Get(Ticker::kResultCacheMisses), 0u);
+    EXPECT_EQ(stats.Get(Ticker::kResultCacheEvictions), 0u);
+  }
+  EXPECT_EQ(rounds[1], rounds[0]);  // the re-issued query did the same work
 }
 
-// TSan target: readers serving through the cache race writers mutating
-// the store; every served answer must match the store at some point
-// inside the call window (checked structurally live, exactly after).
+// TSan target: readers serving through the frontend race writers
+// mutating the store; every served answer must match the store at some
+// point inside the call window (checked structurally live, exactly after).
 TEST(LiveFrontendTest, ConcurrentServeAndMutateStaysExact) {
   constexpr uint32_t kK = 5;
   const RankingStore source = testutil::MakeClusteredStore(kK, 300, 1121);

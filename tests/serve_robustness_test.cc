@@ -1,14 +1,14 @@
 // Fault-tolerant serving: deadlines and cancellation through every
 // front door (QueryFrontend batches, LiveFrontend, MutableStore),
 // admission-control shedding under real overload, the merge circuit
-// breaker with MergeNow recovery, and ResilientReader's degraded-read
-// fallback and split reads (including concurrent readers, split or not,
-// racing a degrade and a restore). Stopped or shed queries must return
-// Status
-// errors with empty results — never hang, never cache, never publish a
-// partial answer — while every OK answer stays bit-exact. The
-// failpoint-driven cases need -DTOPK_FAILPOINTS=ON and skip elsewhere;
-// the suite also runs under the TSan CI leg.
+// breaker with MergeNow recovery, snapshot-emission retries, and
+// ResilientReader's degraded-read fallback and split reads (including
+// concurrent readers, split or not, racing a degrade and a restore).
+// Stopped or shed queries must return Status errors with empty results —
+// never hang, never cache, never publish a partial answer — while every
+// OK answer stays bit-exact. The failpoint-driven cases need
+// -DTOPK_FAILPOINTS=ON and skip elsewhere; the suite also runs under the
+// TSan CI leg.
 
 #include <atomic>
 #include <chrono>
@@ -301,7 +301,7 @@ TEST(LiveFrontendRobustnessTest, DeadlineAndCancelStatusPaths) {
   const auto queries = testutil::MakeQueries(initial, 4, 92);
   const RawDistance theta = RawThreshold(0.3, initial.k());
 
-  // Pre-expired deadline: DeadlineExceeded, empty, and nothing cached.
+  // Pre-expired deadline: DeadlineExceeded and empty.
   QueryControl expired(Deadline::AfterMillis(-1.0));
   std::vector<RankingId> out{99};
   Statistics stats;
@@ -310,9 +310,8 @@ TEST(LiveFrontendRobustnessTest, DeadlineAndCancelStatusPaths) {
   EXPECT_EQ(status.code(), Status::Code::kDeadlineExceeded);
   EXPECT_TRUE(out.empty());
   EXPECT_EQ(stats.Get(Ticker::kDeadlineExceeded), 1u);
-  EXPECT_EQ(frontend.result_cache_size(), 0u);
 
-  // Cancelled token: Aborted, empty, not cached.
+  // Cancelled token: Aborted and empty.
   CancelToken token;
   token.Cancel();
   QueryControl cancelled(Deadline::Infinite(), &token);
@@ -320,7 +319,6 @@ TEST(LiveFrontendRobustnessTest, DeadlineAndCancelStatusPaths) {
       frontend.ServeRange(queries[0], theta, &cancelled, &out);
   EXPECT_EQ(aborted.code(), Status::Code::kAborted);
   EXPECT_TRUE(out.empty());
-  EXPECT_EQ(frontend.result_cache_size(), 0u);
 
   // Unconstrained Status path answers exactly; the k-NN overload
   // follows the same contract.
@@ -334,36 +332,16 @@ TEST(LiveFrontendRobustnessTest, DeadlineAndCancelStatusPaths) {
   EXPECT_TRUE(neighbors.empty());
   ASSERT_TRUE(frontend.ServeKnn(queries[1], 5, nullptr, &neighbors).ok());
   EXPECT_EQ(neighbors, LinearScanKnn(initial, queries[1], 5));
-}
 
-TEST(LiveFrontendRobustnessTest, CachedAnswersServePastAnExpiredDeadline) {
-  const RankingStore initial = testutil::MakeClusteredStore(10, 1500, 91);
-  MutableStore store(initial);
-  LiveFrontend frontend(&store);
-  const auto queries = testutil::MakeQueries(initial, 4, 92);
-  const RawDistance theta = RawThreshold(0.3, initial.k());
-
-  // A range and a k-NN answer cached with no deadline...
-  std::vector<RankingId> cached;
-  ASSERT_TRUE(frontend.ServeRange(queries[0], theta, nullptr, &cached).ok());
-  EXPECT_EQ(cached, testutil::BruteForce(initial, queries[0], theta));
-  std::vector<Neighbor> cached_knn;
-  ASSERT_TRUE(frontend.ServeKnn(queries[1], 5, nullptr, &cached_knn).ok());
-
-  // ...are served OK from the cache when sent again past their deadline.
-  Statistics stats;
-  QueryControl expired(Deadline::AfterMillis(-1.0));
-  std::vector<RankingId> out;
-  ASSERT_TRUE(
-      frontend.ServeRange(queries[0], theta, &expired, &out, &stats).ok());
-  EXPECT_EQ(out, cached);
-  QueryControl knn_expired(Deadline::AfterMillis(-1.0));
-  std::vector<Neighbor> neighbors;
-  ASSERT_TRUE(
-      frontend.ServeKnn(queries[1], 5, &knn_expired, &neighbors, &stats).ok());
-  EXPECT_EQ(neighbors, cached_knn);
-  EXPECT_EQ(stats.Get(Ticker::kResultCacheHits), 2u);
-  EXPECT_EQ(stats.Get(Ticker::kDeadlineExceeded), 0u);
+  // The store's entry poll stops a k-NN over empty segments too, which
+  // poll nothing themselves.
+  MutableStore empty(initial.k());
+  LiveFrontend empty_frontend(&empty);
+  QueryControl empty_expired(Deadline::AfterMillis(-1.0));
+  EXPECT_EQ(empty_frontend.ServeKnn(queries[1], 5, &empty_expired, &neighbors)
+                .code(),
+            Status::Code::kDeadlineExceeded);
+  EXPECT_TRUE(neighbors.empty());
 }
 
 TEST(LiveFrontendRobustnessTest, ConcurrentOverloadShedsNotHangs) {
@@ -371,7 +349,6 @@ TEST(LiveFrontendRobustnessTest, ConcurrentOverloadShedsNotHangs) {
   MutableStore store(initial);
   LiveFrontendOptions options;
   options.max_inflight = 1;
-  options.result_cache_capacity = 0;  // every call does real work
   LiveFrontend frontend(&store, options);
   const auto queries = testutil::MakeQueries(initial, 16, 102);
   const RawDistance dmax = MaxDistance(initial.k());
@@ -421,78 +398,6 @@ TEST(LiveFrontendRobustnessTest, ConcurrentOverloadShedsNotHangs) {
   EXPECT_GT(served.load(), 0u);
   EXPECT_GT(shed.load(), 0u);
   EXPECT_EQ(frontend.inflight(), 0u);
-}
-
-TEST(LiveFrontendRobustnessTest, CacheHitBeatsSheddingDuringOverload) {
-  const RankingStore initial = testutil::MakeClusteredStore(10, 20000, 111);
-  MutableStore store(initial);
-  LiveFrontendOptions options;
-  options.max_inflight = 1;
-  LiveFrontend frontend(&store, options);
-  const auto queries = testutil::MakeQueries(initial, 4, 112);
-  const RawDistance theta = RawThreshold(0.3, initial.k());
-
-  // Prime the cache while the store is idle.
-  std::vector<RankingId> cached;
-  ASSERT_TRUE(frontend.ServeRange(queries[0], theta, nullptr, &cached).ok());
-
-  // A worker keeps the admission slot busy with a run of k-NN scans (j
-  // varies per round, so every one is a cache miss — real work) while
-  // the main thread probes. Both sides treat Unavailable as the benign
-  // mutual contention it is and back off; no fatal asserts run while
-  // the worker is joinable — failures are recorded and checked after
-  // the join.
-  std::atomic<bool> stop{false};
-  std::atomic<bool> slow_done{false};
-  std::atomic<int> slow_failures{0};
-  std::thread slow([&] {
-    size_t scans = 0;
-    for (size_t round = 0; scans < 60 && round < 100'000 && !stop.load();
-         ++round) {
-      std::vector<Neighbor> out;
-      const Status status =
-          frontend.ServeKnn(queries[1], 100 + round, nullptr, &out);
-      if (status.ok()) {
-        ++scans;
-      } else if (status.code() == Status::Code::kUnavailable) {
-        std::this_thread::sleep_for(std::chrono::microseconds(50));
-      } else {
-        slow_failures.fetch_add(1);
-      }
-    }
-    slow_done.store(true);
-  });
-
-  bool observed_shed = false;
-  bool hit_failed = false;
-  for (size_t iter = 0; !slow_done.load() && !observed_shed; ++iter) {
-    // A cached answer serves even with the admission slot occupied (the
-    // lookup is cheaper than building the rejection)...
-    std::vector<RankingId> hit_out;
-    const Status hit = frontend.ServeRange(queries[0], theta, nullptr,
-                                           &hit_out);
-    if (!hit.ok() || hit_out != cached) hit_failed = true;
-    // ...while an uncached arrival lands on the admission gauge and is
-    // shed whenever the probe overlaps a scan. The probe's j is unique
-    // per iteration: a repeated key would be served from the result
-    // cache after its first OK round and could never observe the shed.
-    std::vector<Neighbor> miss_out;
-    const Status miss =
-        frontend.ServeKnn(queries[2], 5000 + iter, nullptr, &miss_out);
-    if (miss.code() == Status::Code::kUnavailable) {
-      EXPECT_TRUE(miss_out.empty());
-      observed_shed = true;
-    } else {
-      EXPECT_TRUE(miss.ok()) << miss.ToString();
-      // Leave a gap so the worker can claim the slot for its next scan.
-      std::this_thread::sleep_for(std::chrono::microseconds(200));
-    }
-  }
-  stop.store(true);
-  slow.join();
-  EXPECT_EQ(slow_failures.load(), 0);
-  EXPECT_FALSE(hit_failed) << "a primed cache key failed during overload";
-  EXPECT_TRUE(observed_shed) << "never caught the store mid-query";
 }
 
 // ---------------------------------------------------------------------------
@@ -548,6 +453,70 @@ TEST(MergeCircuitBreakerTest, OpensAfterRetriesAndMergeNowRecovers) {
     EXPECT_EQ(store.RangeQuery(query, theta),
               testutil::BruteForce(combined, query, theta));
   }
+}
+
+TEST(MergeEmissionTest, EveryFailedAttemptCountsAndTheNextMergeRecovers) {
+  if (!FailpointsCompiledIn()) {
+    GTEST_SKIP() << "needs -DTOPK_FAILPOINTS=ON";
+  }
+  const uint32_t kK = 10;
+  const RankingStore initial = testutil::MakeClusteredStore(kK, 300, 141);
+  const std::string dir = testing::TempDir() + "/merge_emission_retries";
+  std::filesystem::remove_all(dir);
+  MutableStoreOptions options;
+  options.snapshot_dir = dir;
+  options.merge_max_attempts = 2;
+  options.merge_backoff_initial_ms = 0.01;
+  options.merge_backoff_max_ms = 0.02;
+  MutableStore store(initial, options);
+
+  // Two batches of inserts, one per merge, mirrored into the brute-force
+  // oracle.
+  RankingStore combined(kK);
+  for (RankingId id = 0; id < initial.size(); ++id) {
+    combined.AddUnchecked(initial.view(id).items());
+  }
+  const RankingStore extra = testutil::MakeClusteredStore(kK, 80, 142);
+  const auto insert_half = [&](RankingId first) {
+    for (RankingId id = first; id < first + extra.size() / 2; ++id) {
+      store.Insert(extra.view(id));
+      combined.AddUnchecked(extra.view(id).items());
+    }
+  };
+  const auto queries = testutil::MakeQueries(initial, 4, 143);
+  const RawDistance theta = RawThreshold(0.3, kK);
+  const auto expect_exact = [&] {
+    for (const PreparedQuery& query : queries) {
+      EXPECT_EQ(store.RangeQuery(query, theta),
+                testutil::BruteForce(combined, query, theta));
+    }
+  };
+
+  insert_half(0);
+  {
+    // The rebuild succeeds, so the merge installs; both emission attempts
+    // fail, and each one counts as a retry.
+    ScopedFailpoint fault("mutate.snapshot.emit", FailpointSpec{});
+    EXPECT_TRUE(store.MergeNow());
+    EXPECT_TRUE(store.last_merge_status().ok());
+    EXPECT_FALSE(store.last_snapshot_status().ok());
+    EXPECT_EQ(store.merge_retries(), 2u);
+    EXPECT_EQ(store.delta_size(), 0u);
+    expect_exact();
+  }
+
+  // Fault cleared: the next merge writes a snapshot recovery can open.
+  insert_half(static_cast<RankingId>(extra.size() / 2));
+  EXPECT_TRUE(store.MergeNow());
+  EXPECT_TRUE(store.last_snapshot_status().ok())
+      << store.last_snapshot_status().ToString();
+  EXPECT_EQ(store.merge_retries(), 2u);
+  expect_exact();
+  storage::SnapshotManager manager(dir);
+  Result<storage::OpenedSnapshot> opened = manager.OpenNewestValid();
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  EXPECT_EQ(opened.value().snapshot.store().size(), store.live_size());
+  std::filesystem::remove_all(dir);
 }
 
 // ---------------------------------------------------------------------------
