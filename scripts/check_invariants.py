@@ -83,6 +83,12 @@ Checks (each is a named rule; any violation exits non-zero):
                   src/metric/linear_scan.*). Serving paths use the batched
                   siblings (LinearScanKnnBatched / LinearScanQueryBatched),
                   so a serving path cannot slip back onto the reference.
+  serving-drop    A RangeSearch( call under src/serve/ or src/mutate/ must
+                  pass kServingDrop (invidx/drop_policy.h), never a
+                  DropMode:: literal. Which posting lists a serving read
+                  touches is decided by that one constant; a serving path
+                  that spelled its own mode would quietly run a second
+                  list policy beside the other serving reads.
 
 Run from anywhere: paths resolve relative to the repo root (parent of this
 script's directory). `--self-test` feeds each rule a synthetic violation
@@ -218,6 +224,14 @@ SCALAR_ORACLES = {
 }
 SCALAR_ORACLE_RE = re.compile(
     r"\b(" + "|".join(SCALAR_ORACLES) + r")\s*\(")
+
+
+# serving-drop --------------------------------------------------------------
+
+SERVING_DROP_DIR_PREFIXES = ("src/serve/", "src/mutate/")
+RANGE_SEARCH_CALL_RE = re.compile(r"\bRangeSearch\s*\(")
+SERVING_DROP_RE = re.compile(r"\bkServingDrop\b")
+DROP_MODE_LITERAL_RE = re.compile(r"\bDropMode::\w+")
 
 
 def strip_comments_and_strings(line: str) -> str:
@@ -547,6 +561,38 @@ def check_scalar_oracle(path: Path, lines: list[str]) -> list[Failure]:
     return failures
 
 
+def check_serving_drop(path: Path, lines: list[str]) -> list[Failure]:
+    rel = path.relative_to(REPO_ROOT).as_posix()
+    if not rel.startswith(SERVING_DROP_DIR_PREFIXES):
+        return []
+    code = [strip_comments_and_strings(l) for l in lines]
+    failures = []
+    for i, line in enumerate(code):
+        for match in RANGE_SEARCH_CALL_RE.finditer(line):
+            # Collect the argument list by paren balance; it may span lines.
+            args, depth = [], 0
+            j, col = i, match.end() - 1
+            while j < len(code):
+                for c in code[j][col:]:
+                    depth += (c == "(") - (c == ")")
+                    args.append(c)
+                    if depth == 0:
+                        break
+                if depth == 0:
+                    break
+                j, col = j + 1, 0
+            call = "".join(args)
+            literal = DROP_MODE_LITERAL_RE.search(call)
+            if literal or not SERVING_DROP_RE.search(call):
+                shown = literal.group(0) if literal else "no kServingDrop"
+                failures.append(Failure(
+                    "serving-drop", f"{rel}:{i + 1}",
+                    f"RangeSearch() in a serving path passes {shown} — "
+                    "serving reads use kServingDrop (invidx/drop_policy.h), "
+                    "the one place that decides which lists they touch"))
+    return failures
+
+
 def run_checks() -> list[Failure]:
     failures: list[Failure] = []
     for path in source_files():
@@ -562,6 +608,7 @@ def run_checks() -> list[Failure]:
         failures += check_filter_phase_callers(path, lines)
         failures += check_result_cache_callers(path, lines)
         failures += check_scalar_oracle(path, lines)
+        failures += check_serving_drop(path, lines)
     failures += check_bench_schema()
     return failures
 
@@ -649,6 +696,17 @@ def self_test() -> int:
         ("scalar-oracle range reference in another metric file",
          lambda: check_scalar_oracle(SRC / "metric" / "fake.cc", [
              "  out = LinearScanQuery(store, query, theta);"])),
+        ("serving-drop live segment spelling its own mode",
+         lambda: check_serving_drop(fake_mutate, [
+             "  if (!RangeSearch(seg_store, &index, query, theta_raw,",
+             "                   DropMode::kNone, &scratch_, out, stats,",
+             "                   control, alive)) {"])),
+        ("serving-drop reader with the right mode as a literal",
+         lambda: check_serving_drop(SRC / "serve" / "fake.cc", [
+             "  RangeSearch(s, &i, q, t, DropMode::kPositionRefined, &x, o);"])),
+        ("serving-drop mode passed through a variable",
+         lambda: check_serving_drop(SRC / "serve" / "fake.cc", [
+             "  RangeSearch(store, &index, q, theta, drop, &s, &out);"])),
     ]
     negatives = [
         ("epoch-zero legal wrap", lambda: check_epoch_zero(fake, [
@@ -759,6 +817,20 @@ def self_test() -> int:
         ("scalar-oracle mention in a comment",
          lambda: check_scalar_oracle(SRC / "serve" / "fake.cc", [
              "  // Bit-identical to LinearScanQuery(store, q, theta)."])),
+        ("serving-drop the constant across lines",
+         lambda: check_serving_drop(fake_mutate, [
+             "  if (!RangeSearch(seg_store, &index, query, theta_raw,",
+             "                   kServingDrop, &scratch_, out, stats,",
+             "                   control, alive)) {"])),
+        ("serving-drop mention in a comment",
+         lambda: check_serving_drop(SRC / "serve" / "fake.cc", [
+             "  // RangeSearch(s, &i, q, t, DropMode::kNone, ...) sweeps all."])),
+        ("serving-drop engine outside the serving dirs",
+         lambda: check_serving_drop(SRC / "invidx" / "fake.h", [
+             "  RangeSearch(s, &i, q, t, DropMode::kNone, &x, o);"])),
+        ("serving-drop split helper name",
+         lambda: check_serving_drop(SRC / "serve" / "fake.cc", [
+             "bool ResilientReader::SplitRangeSearch(const View& view,"])),
     ]
     ok = True
     for name, check in cases:

@@ -39,6 +39,15 @@ enum class DropMode {
   kPositionRefined,
 };
 
+/// The drop mode every serving read runs (ResilientReader's two tiers and
+/// each MutableStore segment), decided here once. It costs nothing: at
+/// every theta its lists are a subset of kNone's, so it never validates
+/// more candidates. It stays exact because RangeSearch keeps its guards —
+/// SelectLists falls back to the conservative k - w + 1 lists where
+/// Lemma 2's top-w rule is unsound, and from theta >= dmax on the union is
+/// bypassed for a sweep of the full id domain.
+inline constexpr DropMode kServingDrop = DropMode::kPositionRefined;
+
 const char* DropModeName(DropMode mode);
 
 /// Returns the query positions (ranks) whose posting lists must be

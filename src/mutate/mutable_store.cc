@@ -162,7 +162,7 @@ bool MutableStore::CollectRangeLocked(const RankingStore& seg_store,
     return dead.count(global_ids[local]) == 0;
   };
   const size_t first = out->size();
-  if (!RangeSearch(seg_store, &index, query, theta_raw, DropMode::kNone,
+  if (!RangeSearch(seg_store, &index, query, theta_raw, kServingDrop,
                    &scratch_, out, stats, control, alive)) {
     return false;
   }
@@ -284,7 +284,6 @@ void MutableStore::InstallMergedLocked(
   // and keep filtering until the next merge compacts them.
   for (const RankingId id : consumed) tombstones_.erase(id);
   BumpGenerationLocked();
-  merge_cv_.NotifyAll();
 }
 
 std::shared_ptr<const MutableStore::MainSegment>
@@ -379,12 +378,12 @@ bool MutableStore::FinishMergeCycle(MergeClaim claim) {
   });
   {
     MutexLock lock(&mutex_);
-    merge_in_flight_ = false;
     if (next == nullptr) {
       // Circuit breaker: stop burning rebuild attempts. The sealed
       // segment stays installed and keeps serving exactly alongside the
       // delta (degraded but correct); MergeNow()/ResetMergeCircuit()
       // close the circuit.
+      merge_in_flight_ = false;
       merge_circuit_open_ = true;
       last_merge_status_ = Status::Aborted(
           "merge rebuild failed after " +
@@ -396,7 +395,16 @@ bool MutableStore::FinishMergeCycle(MergeClaim claim) {
     last_merge_status_ = Status::OK();
     InstallMergedLocked(next, claim.consumed);
   }
+  // The claim is held through the emission: the next cycle can neither
+  // write a generation while this one is still writing (or sleeping
+  // between retries) nor land an older image as the newest. Readers and
+  // writers never wait on the claim; only MergeNow and the worker do.
   MaybeEmitSnapshot(*next);
+  {
+    MutexLock lock(&mutex_);
+    merge_in_flight_ = false;
+  }
+  merge_cv_.NotifyAll();
   return true;
 }
 

@@ -17,15 +17,19 @@
 //
 // Queries merge main + sealed + delta exactly: each segment runs the
 // same kernel RangeSearch every static engine uses (kernel/
-// range_search.h, which owns the theta >= dmax rule), locals map to
-// global ids through strictly increasing per-segment maps, and the
-// per-segment result lists concatenate in ascending global order
-// (segment id ranges are disjoint and ordered). k-NN scans alive rows
-// through the bound validator and truncates to the global (distance, id)
-// order. Both answers are bit-identical to a store rebuilt from scratch
-// out of the alive records in global-id order — the differential
-// contract tests/mutate_store_test.cc and tests/adapt_delta_test.cc
-// hold, including under TSan with concurrent writers and readers.
+// range_search.h, which owns the theta >= dmax rule) as F&V+Drop with
+// kServingDrop (invidx/drop_policy.h), the one drop mode every serving
+// read uses — Lemma 2's list dropping needs only each index's
+// list_length, which the CSR main and the DeltaInvertedIndex segments
+// both give. Locals map to global ids through strictly increasing
+// per-segment maps, and the per-segment result lists concatenate in
+// ascending global order (segment id ranges are disjoint and ordered).
+// k-NN scans alive rows through the bound validator and truncates to the
+// global (distance, id) order. Both answers are bit-identical to a store
+// rebuilt from scratch out of the alive records in global-id order — the
+// differential contract tests/mutate_store_test.cc and
+// tests/adapt_delta_test.cc hold, including under TSan with concurrent
+// writers and readers.
 //
 // Background merge (the RediSearch fork_gc.c shape — collect without
 // blocking writers on the rebuild):
@@ -107,10 +111,11 @@ struct MutableStoreOptions {
   /// (SnapshotManager::OpenNewestValid on the same directory) survives
   /// a SIGKILL at any point of any write. The write runs OFF the store
   /// mutex, after the swap: writers and readers proceed against the
-  /// installed segment while the file is emitted. The snapshot freezes
-  /// the segment's rows in physical order (its dense local ids, not the
-  /// sparse global ids) — it is a serving image for the frozen mmap
-  /// tier, not a replayable WAL. Failures are recorded, not thrown:
+  /// installed segment while the file is emitted, and the next merge
+  /// waits for it, so generations land in merge order. The snapshot
+  /// freezes the segment's rows in physical order (its dense local ids,
+  /// not the sparse global ids) — it is a serving image for the frozen
+  /// mmap tier, not a replayable WAL. Failures are recorded, not thrown:
   /// poll last_snapshot_status().
   std::string snapshot_dir;
   size_t snapshot_keep_generations = 3;
@@ -290,7 +295,8 @@ class MutableStore {
   MergeClaim ClaimMergeLocked() TOPK_REQUIRES(mutex_);
 
   /// Off-lock tail of a claimed merge cycle (rebuild with retries, then
-  /// install or open the circuit, then emit the snapshot).
+  /// install or open the circuit, then emit the snapshot); releases the
+  /// claim only after the emission, so emissions never overlap.
   bool FinishMergeCycle(MergeClaim claim) TOPK_EXCLUDES(mutex_);
 
   /// The retry policy: runs `attempt` (true on success) up to
@@ -307,10 +313,10 @@ class MutableStore {
   /// last_snapshot_status_.
   void MaybeEmitSnapshot(const MainSegment& segment) TOPK_EXCLUDES(mutex_);
 
-  /// Range search over one segment: the kernel RangeSearch over its
-  /// index with tombstones as the keep-predicate (dropped BEFORE
-  /// validation), the accepted locals appended to `out` as global ids.
-  /// False when `control` stopped the query.
+  /// Range search over one segment: the kernel RangeSearch with
+  /// kServingDrop over its index, tombstones as the keep-predicate
+  /// (dropped BEFORE validation), the accepted locals appended to `out`
+  /// as global ids. False when `control` stopped the query.
   template <typename Index>
   bool CollectRangeLocked(const RankingStore& seg_store, const Index& index,
                           const std::vector<RankingId>& global_ids,
@@ -347,7 +353,8 @@ class MutableStore {
   RankingId next_global_id_ TOPK_GUARDED_BY(mutex_) = 0;
   std::vector<std::function<void()>> listeners_ TOPK_GUARDED_BY(mutex_);
   bool stop_worker_ TOPK_GUARDED_BY(mutex_) = false;
-  /// Exactly one merge cycle owns the rebuild at a time.
+  /// Exactly one merge cycle owns the rebuild, the swap and the
+  /// snapshot emission at a time.
   bool merge_in_flight_ TOPK_GUARDED_BY(mutex_) = false;
   /// Open after merge_max_attempts consecutive rebuild failures; the
   /// worker stops attempting until MergeNow()/ResetMergeCircuit().

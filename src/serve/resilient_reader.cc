@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "core/failpoint.h"
+#include "invidx/drop_policy.h"
 #include "kernel/id_split.h"
 
 namespace topk {
@@ -97,8 +98,8 @@ Status ResilientReader::RangeQuery(const PreparedQuery& query,
                              stats, control)
           : RangeSearch(view != nullptr ? view->snapshot.store() : *ram_store_,
                         view != nullptr ? &view->snapshot.index() : nullptr,
-                        query.view(), theta_raw, DropMode::kPositionRefined,
-                        scratch.get(), out, stats, control);
+                        query.view(), theta_raw, kServingDrop, scratch.get(),
+                        out, stats, control);
   ReturnScratch(std::move(scratch));
   if (!completed) return StopStatus(*control, stats);
   return Status::OK();
@@ -126,8 +127,8 @@ bool ResilientReader::SplitRangeSearch(const storage::OpenedSnapshot& view,
   const RangeSplit split = PoolSplit<RangeScratch>(&split_pool_, workers);
   const bool completed =
       RangeSearch(view.snapshot.store(), &view.snapshot.index(), query.view(),
-                  theta_raw, DropMode::kPositionRefined, scratch, out, stats,
-                  control, KeepAllRows{}, &split);
+                  theta_raw, kServingDrop, scratch, out, stats, control,
+                  KeepAllRows{}, &split);
   // The pool's join is the happens-before edge for the helpers' scratch
   // and counters.
   for (const Statistics& helper : helper_stats) stats->MergeFrom(helper);

@@ -19,9 +19,10 @@
 // Exactness across tiers: both paths answer bit-identically for every
 // theta, because both are one kernel RangeSearch call
 // (kernel/range_search.h). The snapshot tier passes its compressed index
-// with F&V+Drop (Lemma 2 list dropping, DropMode::kPositionRefined); the
-// degraded RAM tier passes no index, so the full id domain is validated
-// (the compressed postings lived in the dropped mapping). RangeSearch
+// with F&V+Drop (Lemma 2 list dropping, kServingDrop — the drop mode
+// every serving read shares, invidx/drop_policy.h); the degraded RAM
+// tier passes no index, so the full id domain is validated (the
+// compressed postings lived in the dropped mapping). RangeSearch
 // owns the theta >= dmax rule for both. tests/serve_robustness_test.cc
 // differentials pin this.
 //

@@ -23,8 +23,10 @@
 
 #include "core/bounds.h"
 #include "core/deadline.h"
+#include "core/failpoint.h"
 #include "core/ranking.h"
 #include "core/rng.h"
+#include "core/statistics.h"
 #include "core/types.h"
 #include "metric/knn.h"
 #include "mutate/mutable_store.h"
@@ -91,6 +93,73 @@ void ExpectBitExact(MutableStore& store, const ShadowMap& alive, uint32_t k,
     for (const size_t j : js) {
       EXPECT_EQ(testutil::KnnOk(&store, query, j), ExpectedKnn(r, query, j))
           << where << " j=" << j;
+    }
+  }
+}
+
+// Range-only differential over the thetas the live Drop must stay exact
+// at: exact match, the band where Lemma 2's top-w refinement is sound,
+// the wider band where SelectLists falls back to the conservative rule,
+// and the dmax sweep that bypasses the posting union.
+void ExpectRangeExactUnderDrop(MutableStore& store, const ShadowMap& alive,
+                               uint32_t k,
+                               const std::vector<PreparedQuery>& queries,
+                               const char* where) {
+  const Rebuilt r = RebuildFromShadow(k, alive);
+  ASSERT_EQ(store.live_size(), alive.size()) << where;
+  std::vector<RawDistance> thetas;
+  for (const double theta : {0.0, 0.05, 0.1, 0.2, 0.3, 0.5}) {
+    thetas.push_back(RawThreshold(theta, k));
+  }
+  thetas.push_back(MaxDistance(k));
+  for (const PreparedQuery& query : queries) {
+    for (const RawDistance theta_raw : thetas) {
+      EXPECT_EQ(store.RangeQuery(query, theta_raw),
+                ExpectedRange(r, query, theta_raw))
+          << where << " theta_raw=" << theta_raw;
+    }
+  }
+}
+
+// Lists the live range path dropped over `queries` at theta = 0.1.
+uint64_t ListsDroppedAtTenPercent(MutableStore& store, uint32_t k,
+                                  const std::vector<PreparedQuery>& queries) {
+  Statistics stats;
+  for (const PreparedQuery& query : queries) {
+    store.RangeQuery(query, RawThreshold(0.1, k), &stats);
+  }
+  return stats.Get(Ticker::kListsDropped);
+}
+
+// The first `n` source rows as a main-segment seed, mirrored into `alive`.
+RankingStore SeedRows(const RankingStore& source, RankingId n,
+                      ShadowMap* alive) {
+  RankingStore seed(source.k());
+  for (RankingId id = 0; id < n; ++id) {
+    const auto items = source.view(id).items();
+    seed.AddUnchecked(items);
+    (*alive)[id] = {items.begin(), items.end()};
+  }
+  return seed;
+}
+
+// Inserts source rows [first, last) into `store`, mirrored into `alive`.
+void InsertRows(MutableStore& store, const RankingStore& source,
+                RankingId first, RankingId last, ShadowMap* alive) {
+  for (RankingId id = first; id < last; ++id) {
+    const auto items = source.view(id).items();
+    const RankingId global =
+        store.Insert(RankingView(items.data(), source.k()));
+    (*alive)[global] = {items.begin(), items.end()};
+  }
+}
+
+// Deletes every alive id below `end` that is `residue` mod `stride`.
+void DeleteEvery(MutableStore& store, RankingId end, RankingId stride,
+                 RankingId residue, ShadowMap* alive) {
+  for (RankingId id = residue; id < end; id += stride) {
+    if (alive->erase(id) != 0) {
+      EXPECT_TRUE(store.Delete(id));
     }
   }
 }
@@ -269,6 +338,94 @@ TEST(MutableStoreTest, LiveControlAnswersEqualTheUnconstrainedOverloads) {
     }
   }
   EXPECT_EQ(stats.Get(Ticker::kDeadlineExceeded), 0u);
+}
+
+TEST(MutableStoreTest, RangeDropsListsOnEverySegmentAndStaysExact) {
+  // Every live segment runs F&V+Drop (kServingDrop). After inserts,
+  // deletes and a merge, tombstones sit in both the main segment and the
+  // delta, and the answers must still equal brute force over the alive
+  // rows at every theta.
+  constexpr uint32_t kK = 10;
+  const RankingStore source = testutil::MakeClusteredStore(kK, 900, 1081);
+  const auto queries = testutil::MakeQueries(source, 8, 1082);
+  ShadowMap alive;
+  MutableStore store(SeedRows(source, 400, &alive));
+  InsertRows(store, source, 400, 600, &alive);
+  DeleteEvery(store, 600, 9, 2, &alive);
+  EXPECT_TRUE(store.MergeNow());
+  InsertRows(store, source, 600, 900, &alive);
+  DeleteEvery(store, 900, 11, 4, &alive);  // main and delta rows alike
+  ASSERT_EQ(store.delta_size(), 300u);
+  ASSERT_GT(store.tombstone_count(), 0u);
+  ExpectRangeExactUnderDrop(store, alive, kK, queries, "main+delta");
+  EXPECT_GT(ListsDroppedAtTenPercent(store, kK, queries), 0u);
+
+  EXPECT_TRUE(store.MergeNow());
+  ExpectRangeExactUnderDrop(store, alive, kK, queries, "merged");
+}
+
+TEST(MutableStoreTest, RangeDropIsExactAtEveryThresholdOverACompleteUniverse) {
+  // Every size-3 ranking over a 6-item universe, split over the main
+  // segment and the delta with tombstones in both, queried by every 7th
+  // ranking at every raw threshold up to dmax. This is where Lemma 2's
+  // top-w refinement turns unsound inside a w-bracket, so a live segment
+  // that dropped one list too many would miss a result here.
+  constexpr uint32_t kK = 3;
+  RankingStore universe(kK);
+  for (ItemId a = 0; a < 6; ++a) {
+    for (ItemId b = 0; b < 6; ++b) {
+      for (ItemId c = 0; c < 6; ++c) {
+        if (a != b && b != c && a != c) {
+          universe.AddUnchecked(std::vector<ItemId>{a, b, c});
+        }
+      }
+    }
+  }
+  ASSERT_EQ(universe.size(), 120u);
+  ShadowMap alive;
+  MutableStore store(SeedRows(universe, 60, &alive));
+  InsertRows(store, universe, 60, 120, &alive);
+  DeleteEvery(store, 120, 5, 1, &alive);
+  const Rebuilt r = RebuildFromShadow(kK, alive);
+  for (RankingId qid = 0; qid < universe.size(); qid += 7) {
+    const PreparedQuery query(universe.Materialize(qid));
+    for (RawDistance theta = 0; theta <= MaxDistance(kK); ++theta) {
+      EXPECT_EQ(store.RangeQuery(query, theta), ExpectedRange(r, query, theta))
+          << "qid=" << qid << " theta=" << theta;
+    }
+  }
+}
+
+TEST(MutableStoreTest, RangeDropStaysExactWithALeftoverSealedSegment) {
+  // A merge whose every rebuild attempt fails leaves its sealed segment
+  // serving beside main and a fresh delta, so all three segments run the
+  // drop with tombstones in each.
+  if (!FailpointsCompiledIn()) {
+    GTEST_SKIP() << "needs -DTOPK_FAILPOINTS=ON";
+  }
+  constexpr uint32_t kK = 10;
+  const RankingStore source = testutil::MakeClusteredStore(kK, 900, 1091);
+  const auto queries = testutil::MakeQueries(source, 8, 1092);
+  ShadowMap alive;
+  MutableStoreOptions options;
+  options.merge_max_attempts = 2;
+  options.merge_backoff_initial_ms = 0.01;
+  options.merge_backoff_max_ms = 0.02;
+  MutableStore store(SeedRows(source, 300, &alive), options);
+  InsertRows(store, source, 300, 600, &alive);
+  {
+    testutil::ScopedFailpoint fault("mutate.merge.rebuild", FailpointSpec{});
+    EXPECT_FALSE(store.MergeNow());
+    ASSERT_TRUE(store.merge_circuit_open());
+  }
+  InsertRows(store, source, 600, 900, &alive);
+  DeleteEvery(store, 900, 7, 3, &alive);  // main, sealed and delta rows
+  ASSERT_EQ(store.delta_size(), 300u);
+  ExpectRangeExactUnderDrop(store, alive, kK, queries, "main+sealed+delta");
+  EXPECT_GT(ListsDroppedAtTenPercent(store, kK, queries), 0u);
+
+  EXPECT_TRUE(store.MergeNow());  // fault cleared: the lever recovers
+  ExpectRangeExactUnderDrop(store, alive, kK, queries, "recovered");
 }
 
 TEST(MutableStoreTest, GenerationBumpsOnEveryMutation) {

@@ -41,21 +41,7 @@
 namespace topk {
 namespace {
 
-/// Arms one failpoint for the enclosing scope and disarms on exit, so a
-/// failing test cannot leak an armed site into its successors.
-class ScopedFailpoint {
- public:
-  ScopedFailpoint(std::string site, FailpointSpec spec)
-      : site_(std::move(site)) {
-    FailpointRegistry::Instance().Arm(site_, spec);
-  }
-  ~ScopedFailpoint() { FailpointRegistry::Instance().Disarm(site_); }
-  ScopedFailpoint(const ScopedFailpoint&) = delete;
-  ScopedFailpoint& operator=(const ScopedFailpoint&) = delete;
-
- private:
-  std::string site_;
-};
+using testutil::ScopedFailpoint;
 
 /// Spin until `ready()` or a generous wall-clock cap (never hangs CI).
 template <typename F>
@@ -512,6 +498,46 @@ TEST(MergeEmissionTest, EveryFailedAttemptCountsAndTheNextMergeRecovers) {
       << store.last_snapshot_status().ToString();
   EXPECT_EQ(store.merge_retries(), 2u);
   expect_exact();
+  storage::SnapshotManager manager(dir);
+  Result<storage::OpenedSnapshot> opened = manager.OpenNewestValid();
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  EXPECT_EQ(opened.value().snapshot.store().size(), store.live_size());
+  std::filesystem::remove_all(dir);
+}
+
+TEST(MergeEmissionTest, OverlappingMergesKeepTheNewestImageNewest) {
+  if (!FailpointsCompiledIn()) {
+    GTEST_SKIP() << "needs -DTOPK_FAILPOINTS=ON";
+  }
+  const uint32_t kK = 10;
+  const RankingStore initial = testutil::MakeClusteredStore(kK, 300, 151);
+  const RankingStore extra = testutil::MakeClusteredStore(kK, 40, 152);
+  const std::string dir = testing::TempDir() + "/merge_emission_overlap";
+  std::filesystem::remove_all(dir);
+  MutableStoreOptions options;
+  options.snapshot_dir = dir;
+  // A failed emission attempt sleeps 150-300 ms before its retry: the
+  // window in which a second merge could overlap the first one's write.
+  options.merge_backoff_initial_ms = 300.0;
+  options.merge_backoff_max_ms = 300.0;
+  MutableStore store(initial, options);
+  for (RankingId id = 0; id < 20; ++id) store.Insert(extra.view(id));
+
+  FailpointSpec one_shot;
+  one_shot.max_fires = 1;
+  ScopedFailpoint fault("mutate.snapshot.emit", one_shot);
+  // The first merge installs 320 rows, fails its first emission attempt
+  // and sleeps out the backoff; meanwhile 20 more rows arrive and a
+  // second merge starts. Its 340-row image must land as the newest
+  // generation, not be overwritten by the first merge's late retry.
+  std::thread first([&store] { EXPECT_TRUE(store.MergeNow()); });
+  std::this_thread::sleep_for(std::chrono::milliseconds(60));
+  for (RankingId id = 20; id < 40; ++id) store.Insert(extra.view(id));
+  EXPECT_TRUE(store.MergeNow());
+  first.join();
+
+  EXPECT_TRUE(store.last_snapshot_status().ok())
+      << store.last_snapshot_status().ToString();
   storage::SnapshotManager manager(dir);
   Result<storage::OpenedSnapshot> opened = manager.OpenNewestValid();
   ASSERT_TRUE(opened.ok()) << opened.status().ToString();

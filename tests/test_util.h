@@ -5,10 +5,13 @@
 #define TOPK_TESTS_TEST_UTIL_H_
 
 #include <algorithm>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "core/failpoint.h"
 #include "core/footrule.h"
 #include "core/ranking.h"
 #include "core/rng.h"
@@ -24,6 +27,22 @@
 
 namespace topk {
 namespace testutil {
+
+/// Arms one failpoint for the enclosing scope and disarms on exit, so a
+/// failing test cannot leak an armed site into its successors.
+class ScopedFailpoint {
+ public:
+  ScopedFailpoint(std::string site, FailpointSpec spec)
+      : site_(std::move(site)) {
+    FailpointRegistry::Instance().Arm(site_, spec);
+  }
+  ~ScopedFailpoint() { FailpointRegistry::Instance().Disarm(site_); }
+  ScopedFailpoint(const ScopedFailpoint&) = delete;
+  ScopedFailpoint& operator=(const ScopedFailpoint&) = delete;
+
+ private:
+  std::string site_;
+};
 
 /// Uniform-random duplicate-free rankings (no cluster structure).
 inline RankingStore MakeUniformStore(uint32_t k, size_t n, uint32_t domain,
