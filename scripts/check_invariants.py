@@ -89,6 +89,13 @@ Checks (each is a named rule; any violation exits non-zero):
                   touches is decided by that one constant; a serving path
                   that spelled its own mode would quietly run a second
                   list policy beside the other serving reads.
+  scalar-distance-serving
+                  FootruleDistance( may not appear under src/serve/,
+                  src/mutate/, src/coarse/ or src/kernel/. Code there
+                  validates through FootruleValidator (kernel/
+                  footrule_batch.h), the one batched, early-exiting
+                  validate; a scalar per-candidate distance loop there is
+                  a second, slower copy of validation.
 
 Run from anywhere: paths resolve relative to the repo root (parent of this
 script's directory). `--self-test` feeds each rule a synthetic violation
@@ -232,6 +239,12 @@ SERVING_DROP_DIR_PREFIXES = ("src/serve/", "src/mutate/")
 RANGE_SEARCH_CALL_RE = re.compile(r"\bRangeSearch\s*\(")
 SERVING_DROP_RE = re.compile(r"\bkServingDrop\b")
 DROP_MODE_LITERAL_RE = re.compile(r"\bDropMode::\w+")
+
+# scalar-distance-serving ---------------------------------------------------
+
+SCALAR_DISTANCE_DIR_PREFIXES = (
+    "src/serve/", "src/mutate/", "src/coarse/", "src/kernel/")
+SCALAR_DISTANCE_RE = re.compile(r"\bFootruleDistance\s*\(")
 
 
 def strip_comments_and_strings(line: str) -> str:
@@ -593,6 +606,21 @@ def check_serving_drop(path: Path, lines: list[str]) -> list[Failure]:
     return failures
 
 
+def check_scalar_distance_serving(path: Path,
+                                  lines: list[str]) -> list[Failure]:
+    rel = path.relative_to(REPO_ROOT).as_posix()
+    if not rel.startswith(SCALAR_DISTANCE_DIR_PREFIXES):
+        return []
+    failures = []
+    for i, raw in enumerate(lines):
+        if SCALAR_DISTANCE_RE.search(strip_comments_and_strings(raw)):
+            failures.append(Failure(
+                "scalar-distance-serving", f"{rel}:{i + 1}",
+                "FootruleDistance() is the scalar per-pair distance — "
+                "validate through FootruleValidator (kernel/footrule_batch.h)"))
+    return failures
+
+
 def run_checks() -> list[Failure]:
     failures: list[Failure] = []
     for path in source_files():
@@ -609,6 +637,7 @@ def run_checks() -> list[Failure]:
         failures += check_result_cache_callers(path, lines)
         failures += check_scalar_oracle(path, lines)
         failures += check_serving_drop(path, lines)
+        failures += check_scalar_distance_serving(path, lines)
     failures += check_bench_schema()
     return failures
 
@@ -707,6 +736,15 @@ def self_test() -> int:
         ("serving-drop mode passed through a variable",
          lambda: check_serving_drop(SRC / "serve" / "fake.cc", [
              "  RangeSearch(store, &index, q, theta, drop, &s, &out);"])),
+        ("scalar-distance-serving batch member loop",
+         lambda: check_scalar_distance_serving(SRC / "coarse" / "fake.cc", [
+             "    if (FootruleDistance(qs, store_->sorted(c)) <= theta) {"])),
+        ("scalar-distance-serving live segment",
+         lambda: check_scalar_distance_serving(fake_mutate, [
+             "  const RawDistance d = FootruleDistance (q, s.sorted(id));"])),
+        ("scalar-distance-serving kernel header",
+         lambda: check_scalar_distance_serving(fake, [
+             "    return topk::FootruleDistance(a, b) <= theta_raw;"])),
     ]
     negatives = [
         ("epoch-zero legal wrap", lambda: check_epoch_zero(fake, [
@@ -831,6 +869,18 @@ def self_test() -> int:
         ("serving-drop split helper name",
          lambda: check_serving_drop(SRC / "serve" / "fake.cc", [
              "bool ResilientReader::SplitRangeSearch(const View& view,"])),
+        ("scalar-distance-serving validator in a serving path",
+         lambda: check_scalar_distance_serving(SRC / "coarse" / "fake.cc", [
+             "  validator.ValidateSpan(*store_, shared, theta, &out, st);"])),
+        ("scalar-distance-serving mention in a comment",
+         lambda: check_scalar_distance_serving(SRC / "serve" / "fake.cc", [
+             "  // Bit-identical to FootruleDistance(q, row) per candidate."])),
+        ("scalar-distance-serving reference outside the serving dirs",
+         lambda: check_scalar_distance_serving(SRC / "metric" / "fake.cc", [
+             "  return FootruleDistance(query, store.sorted(id));"])),
+        ("scalar-distance-serving other distance function",
+         lambda: check_scalar_distance_serving(SRC / "kernel" / "fake.h", [
+             "  const RawDistance d = FootruleDistanceSimd(rows, q);"])),
     ]
     ok = True
     for name, check in cases:

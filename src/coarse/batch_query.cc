@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "cluster/cn_partitioner.h"
-#include "core/footrule.h"
 #include "core/rng.h"
 
 namespace topk {
@@ -30,6 +29,8 @@ std::vector<std::vector<RankingId>> BatchQueryProcessor::QueryBatch(
   const RawDistance batch_radius = RawThreshold(options_.batch_theta_c, k);
   const Partitioning clusters = CnPartition(batch_store, batch_radius, &rng);
 
+  const size_t item_domain = static_cast<size_t>(store_->max_item()) + 1;
+
   for (const Partition& cluster : clusters.partitions) {
     const PreparedQuery& medoid_query = queries[cluster.medoid];
     if (cluster.members.size() == 1) {
@@ -43,22 +44,11 @@ std::vector<std::vector<RankingId>> BatchQueryProcessor::QueryBatch(
         medoid_query, theta_raw + cluster.radius, stats);
 
     for (RankingId member : cluster.members) {
-      const PreparedQuery& query = queries[member];
       std::vector<RankingId>& out = results[member];
-      if (member == cluster.medoid) {
-        // The medoid's own results only need the threshold re-applied —
-        // the probe already computed every candidate's exact distance, so
-        // re-validating against the store is still one Footrule each.
-        out.reserve(shared.size());
-      }
-      const SortedRankingView qs = query.sorted_view();
-      for (RankingId candidate : shared) {
-        AddTicker(stats, Ticker::kDistanceCalls);
-        if (FootruleDistance(qs, store_->sorted(candidate)) <= theta_raw) {
-          out.push_back(candidate);
-        }
-      }
-      std::sort(out.begin(), out.end());
+      validator_.BindQuery(queries[member].view(), item_domain);
+      // `shared` ascends, and ValidateSpan keeps candidate order.
+      validator_.ValidateSpan(*store_, shared, theta_raw, &out, stats);
+      TOPK_DCHECK(std::is_sorted(out.begin(), out.end()));
       AddTicker(stats, Ticker::kResults, out.size());
     }
   }

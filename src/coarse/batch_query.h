@@ -22,6 +22,7 @@
 #include "core/ranking.h"
 #include "core/statistics.h"
 #include "core/types.h"
+#include "kernel/footrule_batch.h"
 
 namespace topk {
 
@@ -50,6 +51,7 @@ class BatchQueryProcessor {
   const RankingStore* store_;
   const CoarseIndex* index_;
   BatchQueryOptions options_;
+  FootruleValidator validator_;  // member validation, reused across batches
 };
 
 }  // namespace topk

@@ -1,5 +1,7 @@
 #include "harness/query_algorithms.h"
 
+#include <iterator>
+#include <type_traits>
 #include <utility>
 
 #include "metric/linear_scan.h"
@@ -7,112 +9,58 @@
 namespace topk {
 
 const char* AlgorithmName(Algorithm algorithm) {
-  switch (algorithm) {
-    case Algorithm::kFV:
-      return "F&V";
-    case Algorithm::kFVDrop:
-      return "F&V+Drop";
-    case Algorithm::kListMerge:
-      return "ListMerge";
-    case Algorithm::kLaatPrune:
-      return "LaaT+Prune";
-    case Algorithm::kBlockedPrune:
-      return "Blocked+Prune";
-    case Algorithm::kBlockedPruneDrop:
-      return "Blocked+Prune+Drop";
-    case Algorithm::kCoarse:
-      return "Coarse";
-    case Algorithm::kCoarseDrop:
-      return "Coarse+Drop";
-    case Algorithm::kAdaptSearch:
-      return "AdaptSearch";
-    case Algorithm::kMinimalFV:
-      return "Minimal F&V";
-    case Algorithm::kBkTree:
-      return "BK-tree";
-    case Algorithm::kMTree:
-      return "M-tree";
-    case Algorithm::kLinearScan:
-      return "LinearScan";
-  }
-  return "unknown";
+  // In enumerator order.
+  static constexpr const char* kNames[] = {
+      "F&V",           "F&V+Drop",           "ListMerge",   "LaaT+Prune",
+      "Blocked+Prune", "Blocked+Prune+Drop", "Coarse",      "Coarse+Drop",
+      "AdaptSearch",   "Minimal F&V",        "BK-tree",     "M-tree",
+      "LinearScan"};
+  static_assert(std::size(kNames) ==
+                static_cast<size_t>(Algorithm::kLinearScan) + 1);
+  const auto i = static_cast<size_t>(algorithm);
+  return i < std::size(kNames) ? kNames[i] : "unknown";
 }
 
 namespace {
 
-// --- Thin adapters binding each engine type to the common interface. ---
+// theta_C for the Coarse engine: the paper's comparison figures fix 0.5,
+// the optimum for theta = 0.3.
+constexpr double kCoarseThetaC = 0.5;
 
-class FvAdapter : public QueryEngine {
+/// Every engine whose range call is `Query(query, theta, stats)`.
+template <typename Engine>
+class RangeAdapter final : public QueryEngine {
  public:
-  FvAdapter(const RankingStore* store, const PlainInvertedIndex* index,
-            DropMode drop)
-      : engine_(store, index, FilterValidateOptions{drop}) {}
+  template <typename... Args>
+  explicit RangeAdapter(Args&&... args)
+      : engine_(std::forward<Args>(args)...) {}
   std::vector<RankingId> Query(size_t, const PreparedQuery& query,
                                RawDistance theta_raw, Statistics* stats,
                                PhaseTimes*) override {
     return engine_.Query(query, theta_raw, stats);
   }
-  FilterValidateEngine* filter_validate() override { return &engine_; }
+  FilterValidateEngine* filter_validate() override {
+    if constexpr (std::is_same_v<Engine, FilterValidateEngine>) return &engine_;
+    return nullptr;
+  }
 
  private:
-  FilterValidateEngine engine_;
+  Engine engine_;
 };
 
-class ListMergeAdapter : public QueryEngine {
+/// Every metric tree: its range call is `RangeQuery(sorted, theta, stats)`.
+template <typename Tree>
+class TreeAdapter final : public QueryEngine {
  public:
-  explicit ListMergeAdapter(const AugmentedInvertedIndex* index)
-      : engine_(index) {}
+  explicit TreeAdapter(const Tree* tree) : tree_(tree) {}
   std::vector<RankingId> Query(size_t, const PreparedQuery& query,
                                RawDistance theta_raw, Statistics* stats,
                                PhaseTimes*) override {
-    return engine_.Query(query, theta_raw, stats);
+    return tree_->RangeQuery(query.sorted_view(), theta_raw, stats);
   }
 
  private:
-  ListMergeEngine engine_;
-};
-
-class LaatAdapter : public QueryEngine {
- public:
-  explicit LaatAdapter(const AugmentedInvertedIndex* index)
-      : engine_(index) {}
-  std::vector<RankingId> Query(size_t, const PreparedQuery& query,
-                               RawDistance theta_raw, Statistics* stats,
-                               PhaseTimes*) override {
-    return engine_.Query(query, theta_raw, stats);
-  }
-
- private:
-  ListAtATimeEngine engine_;
-};
-
-class BlockedAdapter : public QueryEngine {
- public:
-  BlockedAdapter(const RankingStore* store, const BlockedInvertedIndex* index,
-                 DropMode drop)
-      : engine_(store, index, BlockedOptions{drop, /*scheduled=*/true}) {}
-  std::vector<RankingId> Query(size_t, const PreparedQuery& query,
-                               RawDistance theta_raw, Statistics* stats,
-                               PhaseTimes*) override {
-    return engine_.Query(query, theta_raw, stats);
-  }
-
- private:
-  BlockedEngine engine_;
-};
-
-class AdaptAdapter : public QueryEngine {
- public:
-  AdaptAdapter(const RankingStore* store, const DeltaInvertedIndex* index)
-      : engine_(store, index) {}
-  std::vector<RankingId> Query(size_t, const PreparedQuery& query,
-                               RawDistance theta_raw, Statistics* stats,
-                               PhaseTimes*) override {
-    return engine_.Query(query, theta_raw, stats);
-  }
-
- private:
-  AdaptSearchEngine engine_;
+  const Tree* tree_;
 };
 
 class OracleAdapter : public QueryEngine {
@@ -126,32 +74,6 @@ class OracleAdapter : public QueryEngine {
 
  private:
   OracleIndex index_;
-};
-
-class BkTreeAdapter : public QueryEngine {
- public:
-  explicit BkTreeAdapter(const BkTree* tree) : tree_(tree) {}
-  std::vector<RankingId> Query(size_t, const PreparedQuery& query,
-                               RawDistance theta_raw, Statistics* stats,
-                               PhaseTimes*) override {
-    return tree_->RangeQuery(query.sorted_view(), theta_raw, stats);
-  }
-
- private:
-  const BkTree* tree_;
-};
-
-class MTreeAdapter : public QueryEngine {
- public:
-  explicit MTreeAdapter(const MTree* tree) : tree_(tree) {}
-  std::vector<RankingId> Query(size_t, const PreparedQuery& query,
-                               RawDistance theta_raw, Statistics* stats,
-                               PhaseTimes*) override {
-    return tree_->RangeQuery(query.sorted_view(), theta_raw, stats);
-  }
-
- private:
-  const MTree* tree_;
 };
 
 class LinearScanAdapter : public QueryEngine {
@@ -172,6 +94,18 @@ class LinearScanAdapter : public QueryEngine {
   FootruleValidator validator_;
 };
 
+// Returns the slot's index, building it with `build()` first if the slot
+// is empty: the build is timed and its MemoryUsage() recorded.
+template <typename Slot, typename Build>
+const auto& Built(Slot* slot, Build build) {
+  if (!slot->index.has_value()) {
+    Stopwatch watch;
+    slot->index.emplace(build());
+    slot->info = {watch.ElapsedMillis(), slot->index->MemoryUsage()};
+  }
+  return *slot->index;
+}
+
 }  // namespace
 
 EngineSuite::EngineSuite(const RankingStore* store, EngineSuiteConfig config,
@@ -179,118 +113,84 @@ EngineSuite::EngineSuite(const RankingStore* store, EngineSuiteConfig config,
     : store_(store), config_(config), build_runner_(std::move(build_runner)) {}
 
 const PlainInvertedIndex& EngineSuite::plain_index() {
-  if (!plain_.has_value()) {
-    Stopwatch watch;
-    plain_ = PlainInvertedIndex::Build(*store_);
-    plain_info_ = {watch.ElapsedMillis(), plain_->MemoryUsage()};
-  }
-  return *plain_;
+  return Built(&plain_, [&] { return PlainInvertedIndex::Build(*store_); });
 }
 
 const AugmentedInvertedIndex& EngineSuite::augmented_index() {
-  if (!augmented_.has_value()) {
-    Stopwatch watch;
-    augmented_ = AugmentedInvertedIndex::Build(*store_);
-    augmented_info_ = {watch.ElapsedMillis(), augmented_->MemoryUsage()};
-  }
-  return *augmented_;
+  return Built(&augmented_,
+               [&] { return AugmentedInvertedIndex::Build(*store_); });
 }
 
 const BlockedInvertedIndex& EngineSuite::blocked_index() {
-  if (!blocked_.has_value()) {
-    Stopwatch watch;
-    blocked_ = BlockedInvertedIndex::Build(*store_);
-    blocked_info_ = {watch.ElapsedMillis(), blocked_->MemoryUsage()};
-  }
-  return *blocked_;
+  return Built(&blocked_, [&] { return BlockedInvertedIndex::Build(*store_); });
 }
 
 const DeltaInvertedIndex& EngineSuite::delta_index() {
-  if (!delta_.has_value()) {
-    Stopwatch watch;
-    delta_ = DeltaInvertedIndex::Build(*store_);
-    delta_info_ = {watch.ElapsedMillis(), delta_->MemoryUsage()};
-  }
-  return *delta_;
+  return Built(&delta_, [&] { return DeltaInvertedIndex::Build(*store_); });
 }
 
 const BkTree& EngineSuite::bk_tree() {
-  if (!bk_tree_.has_value()) {
-    Stopwatch watch;
-    bk_tree_ = BkTree::BuildAll(store_, nullptr, {}, build_runner_);
-    bk_tree_info_ = {watch.ElapsedMillis(), bk_tree_->MemoryUsage()};
-  }
-  return *bk_tree_;
+  return Built(&bk_tree_, [&] {
+    return BkTree::BuildAll(store_, nullptr, {}, build_runner_);
+  });
 }
 
 const MTree& EngineSuite::m_tree() {
-  if (!m_tree_.has_value()) {
-    Stopwatch watch;
-    m_tree_ = MTree::BuildAll(store_, config_.mtree);
-    m_tree_info_ = {watch.ElapsedMillis(), m_tree_->MemoryUsage()};
-  }
-  return *m_tree_;
+  return Built(&m_tree_, [&] { return MTree::BuildAll(store_); });
+}
+
+const CoarseIndex& EngineSuite::Coarse(Slot<CoarseIndex>* slot, double theta_c,
+                                       DropMode drop) {
+  return Built(slot, [&] {
+    return CoarseIndex::Build(
+        store_, CoarseOptions{theta_c, config_.coarse_partitioner, drop},
+        nullptr, build_runner_);
+  });
 }
 
 const CoarseIndex& EngineSuite::coarse_index() {
-  if (!coarse_.has_value()) {
-    CoarseOptions options;
-    options.theta_c = config_.coarse_theta_c;
-    options.partitioner = config_.coarse_partitioner;
-    options.drop = DropMode::kNone;
-    Stopwatch watch;
-    coarse_ = CoarseIndex::Build(store_, options, nullptr, build_runner_);
-    coarse_info_ = {watch.ElapsedMillis(), coarse_->MemoryUsage()};
-  }
-  return *coarse_;
+  return Coarse(&coarse_, kCoarseThetaC, DropMode::kNone);
 }
 
 const CoarseIndex& EngineSuite::coarse_drop_index() {
-  if (!coarse_drop_.has_value()) {
-    CoarseOptions options;
-    options.theta_c = config_.coarse_drop_theta_c;
-    options.partitioner = config_.coarse_partitioner;
-    options.drop = DropMode::kPositionRefined;
-    Stopwatch watch;
-    coarse_drop_ =
-        CoarseIndex::Build(store_, options, nullptr, build_runner_);
-    coarse_drop_info_ = {watch.ElapsedMillis(), coarse_drop_->MemoryUsage()};
-  }
-  return *coarse_drop_;
+  return Coarse(&coarse_drop_, config_.coarse_drop_theta_c,
+                DropMode::kPositionRefined);
 }
 
 std::unique_ptr<QueryEngine> EngineSuite::MakeEngine(Algorithm algorithm) {
+  const bool drops = algorithm == Algorithm::kFVDrop ||
+                     algorithm == Algorithm::kBlockedPruneDrop;
+  const DropMode drop = drops ? DropMode::kPositionRefined : DropMode::kNone;
   switch (algorithm) {
     case Algorithm::kFV:
-      return std::make_unique<FvAdapter>(store_, &plain_index(),
-                                         DropMode::kNone);
     case Algorithm::kFVDrop:
-      return std::make_unique<FvAdapter>(store_, &plain_index(),
-                                         DropMode::kPositionRefined);
+      return std::make_unique<RangeAdapter<FilterValidateEngine>>(
+          store_, &plain_index(), FilterValidateOptions{drop});
     case Algorithm::kListMerge:
-      return std::make_unique<ListMergeAdapter>(&augmented_index());
+      return std::make_unique<RangeAdapter<ListMergeEngine>>(
+          &augmented_index());
     case Algorithm::kLaatPrune:
-      return std::make_unique<LaatAdapter>(&augmented_index());
+      return std::make_unique<RangeAdapter<ListAtATimeEngine>>(
+          &augmented_index());
     case Algorithm::kBlockedPrune:
-      return std::make_unique<BlockedAdapter>(store_, &blocked_index(),
-                                              DropMode::kNone);
     case Algorithm::kBlockedPruneDrop:
-      return std::make_unique<BlockedAdapter>(store_, &blocked_index(),
-                                              DropMode::kPositionRefined);
+      return std::make_unique<RangeAdapter<BlockedEngine>>(
+          store_, &blocked_index(), BlockedOptions{drop, /*scheduled=*/true});
     case Algorithm::kCoarse:
       return std::make_unique<CoarseEngine>(&coarse_index());
     case Algorithm::kCoarseDrop:
       return std::make_unique<CoarseEngine>(&coarse_drop_index());
     case Algorithm::kAdaptSearch:
-      return std::make_unique<AdaptAdapter>(store_, &delta_index());
+      return std::make_unique<RangeAdapter<AdaptSearchEngine>>(
+          store_, &delta_index());
     case Algorithm::kMinimalFV:
       TOPK_DCHECK(false &&
                   "Minimal F&V is workload-bound: use MakeOracleEngine");
       return nullptr;
     case Algorithm::kBkTree:
-      return std::make_unique<BkTreeAdapter>(&bk_tree());
+      return std::make_unique<TreeAdapter<BkTree>>(&bk_tree());
     case Algorithm::kMTree:
-      return std::make_unique<MTreeAdapter>(&m_tree());
+      return std::make_unique<TreeAdapter<MTree>>(&m_tree());
     case Algorithm::kLinearScan:
       return std::make_unique<LinearScanAdapter>(store_);
   }
@@ -316,30 +216,30 @@ IndexBuildInfo EngineSuite::BuildInfo(Algorithm algorithm) {
     case Algorithm::kFV:
     case Algorithm::kFVDrop:
       plain_index();
-      return plain_info_;
+      return plain_.info;
     case Algorithm::kListMerge:
     case Algorithm::kLaatPrune:
       augmented_index();
-      return augmented_info_;
+      return augmented_.info;
     case Algorithm::kBlockedPrune:
     case Algorithm::kBlockedPruneDrop:
       blocked_index();
-      return blocked_info_;
+      return blocked_.info;
     case Algorithm::kAdaptSearch:
       delta_index();
-      return delta_info_;
+      return delta_.info;
     case Algorithm::kCoarse:
       coarse_index();
-      return coarse_info_;
+      return coarse_.info;
     case Algorithm::kCoarseDrop:
       coarse_drop_index();
-      return coarse_drop_info_;
+      return coarse_drop_.info;
     case Algorithm::kBkTree:
       bk_tree();
-      return bk_tree_info_;
+      return bk_tree_.info;
     case Algorithm::kMTree:
       m_tree();
-      return m_tree_info_;
+      return m_tree_.info;
     case Algorithm::kMinimalFV:
     case Algorithm::kLinearScan:
       return {};

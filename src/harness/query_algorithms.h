@@ -2,9 +2,10 @@
 // evaluates (Section 7, "Algorithms under Investigation"), behind one
 // virtual interface so benches and tests can sweep them uniformly.
 //
-// EngineSuite owns the indexes; each index kind is built lazily on first
-// use and its construction time and memory footprint are recorded for the
-// Table 6 bench.
+// EngineSuite owns one slot per index kind: the index, built on first use,
+// and its build time and memory for the Table 6 bench. Engines reach the
+// interface through one adapter per call shape: `Query(query, theta,
+// stats)` or, for the metric trees, `RangeQuery(sorted_view, theta, stats)`.
 
 #ifndef TOPK_HARNESS_QUERY_ALGORITHMS_H_
 #define TOPK_HARNESS_QUERY_ALGORITHMS_H_
@@ -107,13 +108,9 @@ struct IndexBuildInfo {
 };
 
 struct EngineSuiteConfig {
-  /// theta_C for the Coarse engine (the paper's comparison figures fix
-  /// 0.5, the optimum for theta = 0.3).
-  double coarse_theta_c = 0.5;
   /// theta_C for Coarse+Drop (the paper measured 0.06 as its optimum).
   double coarse_drop_theta_c = 0.06;
   PartitionerKind coarse_partitioner = PartitionerKind::kBkStrict;
-  MTreeOptions mtree;
 };
 
 class EngineSuite {
@@ -149,27 +146,30 @@ class EngineSuite {
   const CoarseIndex& coarse_drop_index();
 
  private:
+  /// One index kind: empty until first use, then the index and its info.
+  template <typename Index>
+  struct Slot {
+    std::optional<Index> index;
+    IndexBuildInfo info;
+  };
+
+  /// The coarse index in `slot`, built over `build_runner_` at `theta_c`
+  /// with `drop` on its medoid retrieval.
+  const CoarseIndex& Coarse(Slot<CoarseIndex>* slot, double theta_c,
+                            DropMode drop);
+
   const RankingStore* store_;
   EngineSuiteConfig config_;
   PartRunner build_runner_;
 
-  std::optional<PlainInvertedIndex> plain_;
-  std::optional<AugmentedInvertedIndex> augmented_;
-  std::optional<BlockedInvertedIndex> blocked_;
-  std::optional<DeltaInvertedIndex> delta_;
-  std::optional<BkTree> bk_tree_;
-  std::optional<MTree> m_tree_;
-  std::optional<CoarseIndex> coarse_;
-  std::optional<CoarseIndex> coarse_drop_;
-
-  IndexBuildInfo plain_info_;
-  IndexBuildInfo augmented_info_;
-  IndexBuildInfo blocked_info_;
-  IndexBuildInfo delta_info_;
-  IndexBuildInfo bk_tree_info_;
-  IndexBuildInfo m_tree_info_;
-  IndexBuildInfo coarse_info_;
-  IndexBuildInfo coarse_drop_info_;
+  Slot<PlainInvertedIndex> plain_;
+  Slot<AugmentedInvertedIndex> augmented_;
+  Slot<BlockedInvertedIndex> blocked_;
+  Slot<DeltaInvertedIndex> delta_;
+  Slot<BkTree> bk_tree_;
+  Slot<MTree> m_tree_;
+  Slot<CoarseIndex> coarse_;
+  Slot<CoarseIndex> coarse_drop_;
 };
 
 }  // namespace topk

@@ -19,13 +19,17 @@
 #ifndef TOPK_INVIDX_DROP_POLICY_H_
 #define TOPK_INVIDX_DROP_POLICY_H_
 
+#include <cstddef>
 #include <cstdint>
-#include <functional>
+#include <numeric>
+#include <span>
 #include <vector>
 
+#include "core/bounds.h"
 #include "core/ranking.h"
 #include "core/statistics.h"
 #include "core/types.h"
+#include "kernel/simd.h"
 
 namespace topk {
 
@@ -50,14 +54,55 @@ inline constexpr DropMode kServingDrop = DropMode::kPositionRefined;
 
 const char* DropModeName(DropMode mode);
 
+namespace drop_detail {
+
+/// One query position and the length of its posting list.
+struct PositionLength {
+  size_t length;
+  uint32_t pos;
+};
+
+/// SelectLists once it drops lists (mode != kNone, w = MinOverlap >= 2):
+/// `lists[p]` = {length of position p's list, p} for every position p.
+/// One body for every length callable SelectLists is instantiated with.
+std::vector<uint32_t> SelectByLength(std::span<PositionLength> lists,
+                                     uint32_t w, RawDistance theta_raw,
+                                     DropMode mode, Statistics* stats);
+
+}  // namespace drop_detail
+
 /// Returns the query positions (ranks) whose posting lists must be
 /// accessed, in ascending position order. `list_length(item)` supplies the
 /// posting-list length so the longest lists are dropped first — the paper's
-/// recommendation, since dropping long lists saves the most scanning.
-std::vector<uint32_t> SelectLists(
-    RankingView query, RawDistance theta_raw, DropMode mode,
-    const std::function<size_t(ItemId)>& list_length,
-    Statistics* stats = nullptr);
+/// recommendation, since dropping long lists saves the most scanning. Each
+/// length is read once, and only when lists may be dropped; equal lengths
+/// drop the earlier position first. Only the result is allocated (and, for
+/// k > 64, the lengths). Out of line: inlined, it would grow
+/// RangeSearch's body around the query loop.
+template <typename ListLength>
+TOPK_NOINLINE std::vector<uint32_t> SelectLists(RankingView query,
+                                                RawDistance theta_raw,
+                                                DropMode mode,
+                                                const ListLength& list_length,
+                                                Statistics* stats = nullptr) {
+  const uint32_t k = query.k();
+  const uint32_t w = MinOverlap(k, theta_raw);
+  if (mode == DropMode::kNone || w <= 1) {
+    // w == 0 would mean even disjoint rankings qualify (theta >= dmax) and
+    // an inverted index cannot find those at all; w == 1 permits no drops.
+    std::vector<uint32_t> all(k);
+    std::iota(all.begin(), all.end(), 0);
+    return all;
+  }
+  drop_detail::PositionLength stack_lists[64];
+  std::vector<drop_detail::PositionLength> heap_lists(k > 64 ? k : 0);
+  const std::span<drop_detail::PositionLength> lists =
+      k > 64 ? std::span(heap_lists) : std::span(stack_lists).first(k);
+  for (uint32_t pos = 0; pos < k; ++pos) {
+    lists[pos] = {static_cast<size_t>(list_length(query[pos])), pos};
+  }
+  return drop_detail::SelectByLength(lists, w, theta_raw, mode, stats);
+}
 
 }  // namespace topk
 

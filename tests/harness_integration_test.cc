@@ -83,6 +83,55 @@ TEST(EngineSuiteTest, BuildInfoReportsTimeAndMemory) {
   }
 }
 
+TEST(EngineSuiteTest, IndexesAreBuiltOnceAndShared) {
+  const RankingStore store = testutil::MakeClusteredStore(10, 800, 181);
+  EngineSuite suite(&store);
+
+  // The two variants of one engine run over one index.
+  const auto fv = suite.MakeEngine(Algorithm::kFV);
+  const PlainInvertedIndex* plain = &suite.plain_index();
+  const auto fv_drop = suite.MakeEngine(Algorithm::kFVDrop);
+  EXPECT_EQ(&suite.plain_index(), plain);
+  EXPECT_NE(fv->filter_validate(), nullptr);
+  EXPECT_NE(fv_drop->filter_validate(), nullptr);
+  EXPECT_EQ(suite.BuildInfo(Algorithm::kFV).build_ms,
+            suite.BuildInfo(Algorithm::kFVDrop).build_ms);
+  const auto merge = suite.MakeEngine(Algorithm::kListMerge);
+  const AugmentedInvertedIndex* augmented = &suite.augmented_index();
+  const auto laat = suite.MakeEngine(Algorithm::kLaatPrune);
+  EXPECT_EQ(&suite.augmented_index(), augmented);
+  EXPECT_EQ(suite.BuildInfo(Algorithm::kListMerge).build_ms,
+            suite.BuildInfo(Algorithm::kLaatPrune).build_ms);
+
+  // A second MakeEngine or BuildInfo rebuilds nothing.
+  for (Algorithm algorithm :
+       {Algorithm::kFV, Algorithm::kListMerge, Algorithm::kBlockedPrune,
+        Algorithm::kCoarse, Algorithm::kCoarseDrop, Algorithm::kAdaptSearch,
+        Algorithm::kBkTree, Algorithm::kMTree}) {
+    const IndexBuildInfo first = suite.BuildInfo(algorithm);
+    suite.MakeEngine(algorithm);
+    const IndexBuildInfo second = suite.BuildInfo(algorithm);
+    EXPECT_EQ(second.build_ms, first.build_ms) << AlgorithmName(algorithm);
+    EXPECT_EQ(second.memory_bytes, first.memory_bytes)
+        << AlgorithmName(algorithm);
+  }
+
+  // Coarse and Coarse+Drop are two indexes, each with its own info.
+  const CoarseIndex& coarse = suite.coarse_index();
+  const CoarseIndex& coarse_drop = suite.coarse_drop_index();
+  EXPECT_NE(&coarse, &coarse_drop);
+  EXPECT_EQ(coarse.options().theta_c, 0.5);
+  EXPECT_EQ(coarse.options().drop, DropMode::kNone);
+  EXPECT_EQ(coarse_drop.options().theta_c, 0.06);
+  EXPECT_EQ(coarse_drop.options().drop, DropMode::kPositionRefined);
+  EXPECT_EQ(suite.BuildInfo(Algorithm::kCoarse).memory_bytes,
+            coarse.MemoryUsage());
+  EXPECT_EQ(suite.BuildInfo(Algorithm::kCoarseDrop).memory_bytes,
+            coarse_drop.MemoryUsage());
+  EXPECT_NE(suite.BuildInfo(Algorithm::kCoarse).build_ms,
+            suite.BuildInfo(Algorithm::kCoarseDrop).build_ms);
+}
+
 const Algorithm kRangeAlgorithms[] = {
     Algorithm::kFV,           Algorithm::kFVDrop,
     Algorithm::kListMerge,    Algorithm::kLaatPrune,

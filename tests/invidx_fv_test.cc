@@ -134,6 +134,29 @@ TEST(DropPolicyTest, DropsLongestListsFirst) {
   EXPECT_EQ(lists, (std::vector<uint32_t>{2, 4}));
 }
 
+TEST(DropPolicyTest, EqualLengthsDropEarliestPositionsFirst) {
+  PreparedQuery query(
+      std::move(Ranking::Create({4, 9, 1, 7, 3})).ValueOrDie());
+  const auto equal = [](ItemId) -> size_t { return 1; };
+  // theta=2 => w = 4; conservative keeps k - w + 1 = 2 lists. All lists
+  // tie, so positions 0, 1 and 2 are dropped in that order.
+  Statistics stats;
+  EXPECT_EQ(SelectLists(query.view(), 2, DropMode::kConservative, equal,
+                        &stats),
+            (std::vector<uint32_t>{3, 4}));
+  EXPECT_EQ(stats.Get(Ticker::kListsDropped), 3u);
+  // theta=0 => w = 5 and the refinement keeps one list: positions 0..3 go.
+  EXPECT_EQ(SelectLists(query.view(), 0, DropMode::kPositionRefined, equal),
+            (std::vector<uint32_t>{4}));
+  // Ties break by position inside each length: items 9 and 7 are longest
+  // (positions 1 and 3), then the rest tie; keep 2 of 5 lists.
+  const auto two_long = [](ItemId item) -> size_t {
+    return item == 9 || item == 7 ? 5 : 1;
+  };
+  EXPECT_EQ(SelectLists(query.view(), 2, DropMode::kConservative, two_long),
+            (std::vector<uint32_t>{2, 4}));
+}
+
 TEST(DropPolicyTest, RefinedKeepsTopWPosition) {
   PreparedQuery query(
       std::move(Ranking::Create({4, 9, 1, 7, 3})).ValueOrDie());
